@@ -14,15 +14,26 @@ for prop in ("t.ii", "p.no0", "p.noZ", "p.noN", "p.noN1", "p.no16", "t.no1rul"):
         print(f"   survivors: {list(e.survivors)}")
 
 print("\nEuler pass over the pencil-case lists:")
-for label, e in sorted({**fibration.elim_p_0(), **fibration.elim_p_1()}.items()):
+passes = {**fibration.elim_p_0(), **fibration.elim_p_1()}
+for label, e in sorted(passes.items()):
     print(f"  ({label}): {e.lhs} vs {e.rhs}, surviving l = {list(e.survivors)}")
-print(f"  (N): surviving l = {list(fibration.elim_p_3().survivors)}")
+passes["N"] = fibration.elim_p_3()
+print(f"  (N): surviving l = {list(passes['N'].survivors)}")
 
-print("\nsurvivors after the Euler pass:", fibration.t_iii_survivors())
+survivors = fibration.t_iii_survivors(passes)
+print("\nsurvivors after the Euler pass:", survivors)
 
 print("\nlattice-based eliminations:")
-for prop in ("t.no4", "p.1e", "p.no0d", "p.l0"):
-    e = fibration.eliminate_by_lattice(prop)
+closed = set()
+for fn, labels in ((fibration.elim_t_no4, ()), (fibration.elim_p_1e, ("1e",)),
+                   (fibration.elim_p_no0d, ("0d",))):
+    e = fn()
     print(f"  {e.prop_id}: {e.verdict}")
+    if e.verdict == "contradiction":
+        closed.update(labels)
+for label, e in sorted(fibration.elim_p_l0().items()):
+    print(f"  {e.prop_id}: {e.verdict}")
+    if e.verdict == "contradiction":
+        closed.add(label)
 
-print("\nfinal pencil-case survivors:", fibration.t_iii2_survivors())
+print("\nfinal pencil-case survivors:", fibration.t_iii2_survivors(survivors, closed))

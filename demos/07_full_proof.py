@@ -1,8 +1,9 @@
 """Run the entire proof tree and summarize the report.
 
-Equivalent to `verify run`; the JSON form is byte-identical across runs and
-worker counts.  Removing any assumed statement flips the root to failed, so
-the axiom ledger is load-bearing.
+Equivalent to `verify run`; the JSON form is byte-identical across runs.
+Removing any assumed statement flips the root to failed, because the failure
+reaches it through the nodes that use the statement, so the axiom ledger is
+load-bearing.
 """
 
 from godeaux3.report import run

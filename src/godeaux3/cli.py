@@ -27,8 +27,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--format", choices=("text", "json"), default="text")
     p_run.add_argument("--out", type=Path, default=None,
                        help="write the report to this path instead of stdout")
-    p_run.add_argument("--jobs", type=int, default=1,
-                       help="evaluate independent nodes with this many workers")
     p_run.add_argument("--timing", action="store_true",
                        help="append per-node timings (non-deterministic output)")
 
@@ -50,7 +48,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         try:
-            report = run(args.node, jobs=max(1, args.jobs))
+            report = run(args.node)
         except UnknownSelector as exc:
             print(f"unknown node or case id: {exc}", file=sys.stderr)
             return 2

@@ -247,12 +247,14 @@ def p1e_meeting_distributions(ell: int) -> list[tuple[int, ...]]:
     return out
 
 
-def t_iii_survivors() -> dict[int, tuple[str, ...]]:
-    """Surviving (l, case) pairs after the Euler-excess pass."""
+def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]]:
+    """Surviving (l, case) pairs after the Euler-excess pass.
+
+    ``passes`` maps each case label to its Euler elimination.
+    """
     table: dict[int, list[str]] = {}
-    for lab in ("0a", "0b", "0c", "0d", "0e", "0f", "0g", "0h",
-                "1a", "1b", "1c", "1d", "1e", "1f", "N"):
-        for ell in eliminate_by_delta(lab).survivors:
+    for lab, elim in passes.items():
+        for ell in elim.survivors:
             table.setdefault(ell, []).append(lab)
     return {ell: tuple(sorted(labs)) for ell, labs in sorted(table.items())}
 
@@ -390,12 +392,12 @@ def elim_p_1e() -> Elimination:
                        "contradiction" if ok else "survives", tuple(trace))
 
 
-def t_iii2_survivors() -> dict[int, tuple[str, ...]]:
-    """Survivors after the lattice eliminations of (1e), (0d), (0a)/(0c)/(0f)."""
-    killed = {"1e", "0d", "0a", "0c", "0f"}
+def t_iii2_survivors(survivors: dict[int, tuple[str, ...]],
+                     closed: set[str]) -> dict[int, tuple[str, ...]]:
+    """The Euler-pass survivors less the case labels the lattice eliminations close."""
     out = {}
-    for ell, labs in t_iii_survivors().items():
-        remaining = tuple(lab for lab in labs if lab not in killed)
+    for ell, labs in survivors.items():
+        remaining = tuple(lab for lab in labs if lab not in closed)
         if remaining:
             out[ell] = remaining
     return out
@@ -670,21 +672,3 @@ ALL_DELTA_ELIMINATIONS = {
     "t.no1rul": elim_t_no1rul,
 }
 
-
-def eliminate_by_lattice(prop_id: str) -> Elimination:
-    """Replay one of the non-Euler contradictions by its identifier."""
-    if prop_id == "p.1e":
-        return elim_p_1e()
-    if prop_id == "p.no0d":
-        return elim_p_no0d()
-    if prop_id == "t.no4":
-        return elim_t_no4()
-    if prop_id.startswith("p.l0"):
-        table = elim_p_l0()
-        if prop_id == "p.l0":
-            bad = [e for e in table.values() if e.verdict != "contradiction"]
-            return Elimination("p.l0", "3 branches", "0 survivors",
-                               "contradiction" if not bad else "failed",
-                               tuple(line for e in table.values() for line in e.trace))
-        return table[prop_id.split(".")[-1]]
-    raise KeyError(prop_id)

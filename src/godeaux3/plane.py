@@ -281,7 +281,8 @@ def solve_multiplicity_system(c1: int, c2: int, max_points: int,
                 acc.pop(j, None)
 
         rec(d0 if d0 > 0 else 1, target_sq, target_lin, max_points, {})
-    solutions.sort()
+    # two solutions may share d0, so order them by their multiplicities too
+    solutions.sort(key=lambda s: (s[0], sorted(s[1].items(), reverse=True)))
     return solutions
 
 

@@ -1,9 +1,11 @@
-"""The full proof tree: every check as a node, run in dependency order.
+"""The full proof tree: every check as a node of one data-flow graph.
 
-Nodes are formula checks, enumerations matched against fixtures, eliminations
-expected to end in a contradiction, or explicitly assumed axioms.  The root
-node closes only when every branch of the case tree is covered by a verified
-elimination and every axiom is accounted for.
+A node is ``(id, kind, deps, closes, fn)``.  ``fn`` receives the outcomes of
+its dependencies and returns one :class:`Outcome`; ``closes`` names the case
+ids, pencil labels and ``(l, n - 3l)`` branches the node closes.  Nodes are
+formula checks, enumerations matched against fixtures, eliminations expected
+to end in a contradiction, or explicitly assumed axioms.  The root holds only
+when the three main cases are closed, the third one branch by branch.
 """
 
 from __future__ import annotations
@@ -12,9 +14,9 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
+from typing import Callable
 
 from . import adjoint, cover, delpezzo, fibration, pencil, plane, ruled
-from .lattice import IntersectionLattice
 
 SCHEMA_VERSION = "1"
 
@@ -25,9 +27,19 @@ FAILED = "failed"
 
 
 @dataclass
-class NodeResult:
+class Outcome:
+    """What a node established.
+
+    ``value`` is what its consumers read, ``sides`` the two printed sides of
+    an elimination, and ``closes`` what the node closes once its status is
+    ``contradiction-as-expected``.
+    """
+
     status: str
+    value: object = None
+    sides: tuple[str, str] | None = None
     trace: list[str] = field(default_factory=list)
+    closes: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -35,11 +47,15 @@ class ProofNode:
     id: str
     kind: str  # formula-check | enumeration | elimination | axiom
     title: str
-    depends_on: tuple[str, ...]
-    runner: object
+    deps: tuple[str, ...]
+    closes: tuple
+    fn: Callable[[dict[str, Outcome]], Outcome]
 
-    def run(self) -> NodeResult:
-        return self.runner()
+    def run(self, ins: dict[str, Outcome]) -> Outcome:
+        out = self.fn(ins)
+        if out.status == CONTRADICTION:
+            out.closes = self.closes
+        return out
 
 
 def _expected() -> dict:
@@ -108,35 +124,44 @@ _AXIOM_STATEMENTS = {
 }
 
 
-def _axiom_runner(ax_id: str):
+def _axiom(ax_id: str):
     statement, citation = _AXIOM_STATEMENTS[ax_id]
-
-    def run() -> NodeResult:
-        return NodeResult(AXIOM, [f"assumed: {statement}", f"source: {citation}"])
-
-    return run
+    return lambda _: Outcome(AXIOM, trace=[f"assumed: {statement}", f"source: {citation}"])
 
 
-def _check(condition: bool, trace: list[str], status_ok: str = VERIFIED) -> NodeResult:
-    return NodeResult(status_ok if condition else FAILED, trace)
+def _check(ok: bool, trace: list[str], value=None, status: str = VERIFIED) -> Outcome:
+    return Outcome(status if ok else FAILED, value, trace=trace)
 
 
-def _elimination_node(elim: fibration.Elimination,
-                      expect: str = "contradiction") -> NodeResult:
-    ok = elim.verdict == expect
-    status = CONTRADICTION if ok and expect == "contradiction" else (
-        VERIFIED if ok else FAILED)
-    trace = [f"{elim.prop_id}: {elim.lhs} vs {elim.rhs} -> {elim.verdict}"]
-    trace += list(elim.trace)
+def _from_elimination(elim: fibration.Elimination, expect: str = "contradiction",
+                      sides: tuple[str, str] | None = None) -> Outcome:
+    """An elimination's outcome: its verdict as expected, with the printed sides."""
+    trace = [f"{elim.prop_id}: {elim.lhs} vs {elim.rhs} -> {elim.verdict}", *elim.trace]
     if elim.survivors:
         trace.append(f"survivors: {list(elim.survivors)}")
-    return NodeResult(status, trace)
+    ok = elim.verdict == expect
+    if sides and (elim.lhs, elim.rhs) != sides:
+        ok = False
+        trace.append(f"expected printed sides {sides}")
+    status = CONTRADICTION if expect == "contradiction" else VERIFIED
+    return Outcome(status if ok else FAILED, elim.survivors, (elim.lhs, elim.rhs), trace)
 
 
-# -- individual runners ----------------------------------------------------------
+def _elim(fn, expect: str = "contradiction", sides: tuple[str, str] | None = None):
+    return lambda _: _from_elimination(fn(), expect, sides)
 
 
-def _run_e_fixed() -> NodeResult:
+def _all_closed(ins: dict[str, Outcome]) -> Outcome:
+    """A composite elimination holds when every sub-elimination it reads does."""
+    trace = [f"{d}: {o.status}" for d, o in ins.items()]
+    return _check(all(o.status == CONTRADICTION for o in ins.values()), trace,
+                  status=CONTRADICTION)
+
+
+# -- the cover and the main cases -------------------------------------------------
+
+
+def _e_fixed(_) -> Outcome:
     trace = []
     ok = True
     samples = [
@@ -155,50 +180,36 @@ def _run_e_fixed() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_e_ky() -> NodeResult:
+def _e_ky(_) -> Outcome:
+    """K_Y^2 on every case grid; the value maps each ramification datum to it."""
     g = cover.GodeauxContext()
-    trace = []
-    ok = True
-    for ell in range(0, 4):
-        r = cover.RamificationData(0, ell, 1)
-        ky2 = cover.quotient_k2(g, r)
-        ok &= ky2 == -2 - 3 * ell
-        trace.append(f"pencil case l={ell}: K_Y^2 = {ky2}")
-    for ell in range(2, 5):
-        r = cover.RamificationData(0, ell, 4)
-        ky2 = cover.quotient_k2(g, r)
-        ok &= ky2 == -3 - 3 * ell
-        trace.append(f"second case l={ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}")
-    for gamma_sq, ell in fibration.case_i_grid():
-        r = cover.RamificationData(1, ell, 3, gamma_sq=gamma_sq)
-        ky2 = cover.quotient_k2(g, r)
-        expected = -4 - 3 * ell + (3 * gamma_sq - 1) // 2
-        ok &= ky2 == expected
+    grid = [(cover.RamificationData(0, ell, 1), -2 - 3 * ell) for ell in range(0, 4)]
+    grid += [(cover.RamificationData(0, ell, 4), -3 - 3 * ell) for ell in range(2, 5)]
+    grid += [(cover.RamificationData(1, ell, 3, gamma_sq=gs),
+              -4 - 3 * ell + (3 * gs - 1) // 2) for gs, ell in fibration.case_i_grid()]
+    values = {r: cover.quotient_k2(g, r) for r, _ in grid}
+    trace = [f"pencil case l={r.ell}: K_Y^2 = {ky2}" for r, ky2 in values.items()
+             if r.h2 == 1]
+    trace += [f"second case l={r.ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}"
+              for r, ky2 in values.items() if r.h2 == 4]
     trace.append("first case: K_Y^2 = -4 - 3l + (3 Gamma^2 - 1)/2 over the whole grid")
-    return _check(ok, trace)
+    return _check(all(values[r] == want for r, want in grid), trace, values)
 
 
-def _run_e_kx() -> NodeResult:
+def _e_kx(ins) -> Outcome:
     g = cover.GodeauxContext()
-    trace = []
     ok = True
-    grid = [cover.RamificationData(0, ell, h2) for ell in range(0, 4)
-            for h2 in (1, 4) if not (h2 == 4 and ell < 2)]
-    grid += [cover.RamificationData(1, ell, 3, gamma_sq=gs)
-             for gs, ell in fibration.case_i_grid()]
-    for r in grid:
-        ky2 = cover.quotient_k2(g, r)
+    for r, ky2 in ins["e.ky"].value.items():
         via_hurwitz = cover.kx2(r, ky2)
-        via_blowup = cover.kx2_via_blowup(g, r)
-        ok &= via_hurwitz == via_blowup
+        ok &= via_hurwitz == cover.kx2_via_blowup(g, r)
         if r.r0k == 1:
             ok &= ky2 >= via_hurwitz  # e(X) >= e(Y)
-    trace.append("K_X^2 = 3 K_Y^2 - 4 R_0^2 + 4 R_0.K = K_S^2 - (h_1 + 3 h_2) on the grid")
-    trace.append("case with R_0.K = 1 also satisfies K_Y^2 >= K_X^2")
+    trace = ["K_X^2 = 3 K_Y^2 - 4 R_0^2 + 4 R_0.K = K_S^2 - (h_1 + 3 h_2) on the K_Y^2 grid",
+             "case with R_0.K = 1 also satisfies K_Y^2 >= K_X^2"]
     return _check(ok, trace)
 
 
-def _run_p_rk() -> NodeResult:
+def _p_rk(_) -> Outcome:
     trace = []
     ok = True
     for (r0k, h2), (h0n, h0b) in (((1, 3), (3, 1)), ((0, 4), (2, 2)), ((0, 1), (2, 0))):
@@ -214,7 +225,7 @@ def _run_p_rk() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_cases_main() -> NodeResult:
+def _cases_main(_) -> Outcome:
     cases = cover.enumerate_main_cases()
     got = [[c.r0k, c.h2] for c in cases]
     ok = got == EXPECTED["main_cases"] and [c.id for c in cases] == ["i", "ii", "iii"]
@@ -224,25 +235,38 @@ def _run_cases_main() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_p_h0li1() -> NodeResult:
+def _p_h0li1(_) -> Outcome:
     split = cover.eigenvalue_split(1)
     ok = (split.h11, split.h12) == (2, 3) and split.rejected == (5,) \
         and split.congruence_class == 2
     trace = [f"h11 = {split.h11}, h12 = {split.h12}; congruence class "
              f"{split.congruence_class} mod 3; rejected {list(split.rejected)}"]
-    return _check(ok, trace)
+    return _check(ok, trace, (split.h11, split.h12))
 
 
-def _run_le_sub() -> NodeResult:
+# -- the invariant pencil ----------------------------------------------------------
+
+
+def _le_sub(_) -> Outcome:
     branches = pencil.subsystem_split()
     got = [(b.ak, b.phik, b.a2_options, b.pa_phi_max) for b in branches]
     expect = [(2, 1, (0, 2, 4), 2), (3, 0, (1, 3, 5, 7), 0), (3, 0, (9,), None)]
-    trace = [f"branches: {got}"]
-    return _check(got == expect, trace)
+    return _check(got == expect, [f"branches: {got}"], branches)
 
 
-def _pencil_list_runner(aprime2: int):
-    def run() -> NodeResult:
+def _r_r0(ins) -> Outcome:
+    """A.R_0 <= A.Phi = 3 A.K_S - A^2 on every branch; the value maps A^2 to the bound."""
+    bounds = {}
+    ok = True
+    for b in ins["le.sub"].value:
+        for a2 in b.a2_options:
+            bounds[a2] = pencil.ar0_upper(a2, b.phik)
+            ok &= bounds[a2] == 3 * b.ak - a2 >= 0
+    return _check(ok, [f"A.Phi bounds by A^2: {bounds}"], bounds)
+
+
+def _pencil_list(aprime2: int):
+    def fn(ins) -> Outcome:
         cases = pencil.enumerate_pencil_cases(aprime2)
         got = [[c.label, c.a2, c.ar0, c.g, c.apk, c.d_string()] for c in cases]
         expect = EXPECTED["pencil_lists"][str(aprime2)]
@@ -251,41 +275,35 @@ def _pencil_list_runner(aprime2: int):
             for c in cases)]
         if got != expect:
             trace.append(f"expected {expect}")
+        bounds = ins["r.R0"].value
+        in_range = all(0 <= c.ar0 <= bounds[c.a2] for c in cases)
+        trace.append("every case has 0 <= A.R_0 <= A.Phi")
         loose = pencil.enumerate_pencil_cases(aprime2, apply_orbit_filters=False)
         superset = {(c.a2, c.ar0, c.g, c.d) for c in loose} >= {
             (c.a2, c.ar0, c.g, c.d) for c in cases}
         trace.append(f"without the orbit filters the list grows to {len(loose)} candidates")
-        return _check(got == expect and superset, trace)
+        return _check(got == expect and in_range and superset, trace, cases)
 
-    return run
-
-
-def _run_r_R0() -> NodeResult:
-    samples = [((0, 1), 6), ((1, 0), 8), ((9, 0), 0), ((4, 1), 2)]
-    ok = all(pencil.ar0_upper(a2, phik) == v for (a2, phik), v in samples)
-    return _check(ok, [f"A.Phi bounds: {samples}"])
+    return fn
 
 
-def _run_e_g() -> NodeResult:
+def _e_g(ins) -> Outcome:
     ok = True
-    trace = []
-    for aprime2 in (0, 1, 2, 3):
-        for c in pencil.enumerate_pencil_cases(aprime2):
+    for dep in ("p.list0", "p.list1", "r.N"):
+        for c in ins[dep].value:
             d = dict(c.d)
-            dg = 0
-            if "G" in d:
-                fgh = {k: d.get(k, 0) for k in ("F", "G", "H")}
-                dg = fgh["F"] - 3 * fgh["G"] + fgh["H"]
+            dg = d.get("F", 0) - 3 * d.get("G", 0) + d.get("H", 0) if "G" in d else 0
             de = -sum(m for comp, m in c.d if comp.startswith("E"))
             ak = 2 if c.a2 in (0, 2, 4) else 3
-            g = pencil.genus_from_case(ak, c.ar0, dg, de, c.aprime2)
-            ok &= g == Fraction(c.g)
+            ok &= pencil.genus_from_case(ak, c.ar0, dg, de, c.aprime2) == Fraction(c.g)
             ok &= c.apk == 2 * c.g - 2 - c.aprime2
-    trace.append("genus identity and A'.K_Y = 2g - 2 - A'^2 hold on every emitted case")
-    return _check(ok, trace)
+    return _check(ok, ["genus identity and A'.K_Y = 2g - 2 - A'^2 hold on every emitted case"])
 
 
-def _run_le_Z() -> NodeResult:
+# -- the adjoint ladder -----------------------------------------------------------
+
+
+def _le_z(_) -> Outcome:
     ok = True
     trace = []
     b = adjoint.z_lower_bound(0, -2, 1)
@@ -303,30 +321,30 @@ def _run_le_Z() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_l_n() -> NodeResult:
+def _l_n(_) -> Outcome:
+    """h^0(N|_N1) >= 2 on each range of n; the value maps l to that range."""
     ok = True
     trace = []
-    for ell in range(0, 4):
-        lo, hi = adjoint.n_range(ell)
+    ranges = {ell: adjoint.n_range(ell) for ell in range(0, 4)}
+    for ell, (lo, hi) in ranges.items():
         for n in range(lo, hi + 1):
             ok &= adjoint.restriction_dim(ell, n) >= 2
         ok &= adjoint.restriction_dim(ell, hi) == 2
         trace.append(f"l={ell}: h^0(N|_N1) = 2+3l-n stays >= 2 on [{lo},{hi}]")
-    ok &= adjoint.n_range(0) == (0, 0)
+    ok &= ranges[0] == (0, 0)
     trace.append("l=0 forces n=0")
-    return _check(ok, trace)
+    return _check(ok, trace, ranges)
 
 
-def _run_p_comp() -> NodeResult:
+def _p_comp(ins) -> Outcome:
     ok = True
-    for r0k, ky2_list, h2 in ((0, [-2 - 3 * e for e in range(4)], 1),
-                              (1, [-4 - 3 * e + (3 * g - 1) // 2
-                                   for g, e in fibration.case_i_grid()], 3)):
-        for ky2 in ky2_list:
-            for n in range(0, 10):
-                for np_ in range(0, 6):
-                    rows = adjoint.adjoint_table(r0k, ky2, h2, adjoint.CycleCounts(n, np_, 1))
-                    ok &= all(row.consistent() for row in rows)
+    for r, ky2 in ins["e.ky"].value.items():
+        if r.h2 == 4:
+            continue  # the second main case has no adjoint ladder
+        for n in range(0, 10):
+            for np_ in range(0, 6):
+                rows = adjoint.adjoint_table(r.r0k, ky2, r.h2, adjoint.CycleCounts(n, np_, 1))
+                ok &= all(row.consistent() for row in rows)
     trace = ["p_a = 1 + (N_i^2 + N_i.K)/2 for every row over the whole parameter grid"]
     rows = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(3))
     ok &= rows[0].ni2 == 4 and rows[1].prev_dot == 4
@@ -336,51 +354,41 @@ def _run_p_comp() -> NodeResult:
     return _check(ok, trace)
 
 
-def _ladder_runner(branch: str, expected_forced: dict):
-    def run() -> NodeResult:
-        reports = [adjoint.verify_ladder_identity(branch, ell) for ell in (1,)]
-        if branch == "s.3l":
-            reports.append(adjoint.verify_ladder_identity(branch, 0))
-        ok = all(r.ok for r in reports)
+def _ladder(branch: str, expected_forced: dict):
+    def fn(_) -> Outcome:
+        ells = (1, 0) if branch == "s.3l" else (1,)
+        reports = [adjoint.verify_ladder_identity(branch, ell) for ell in ells]
+        ok = True
         trace = []
         for r in reports:
             trace += [f"{branch}: ok={r.ok}, forced counts {r.forced}"] + r.failures
-            ok &= all(r.forced.get(k) == v for k, v in expected_forced.items())
+            ok &= r.ok and all(r.forced.get(k) == v for k, v in expected_forced.items())
         if branch == "s.3l":
             ok &= adjoint.n_prime_one_is_contradiction()
             trace.append("n' = 1 would force N_1 = N_2, i.e. an effective canonical class")
         return _check(ok, trace)
 
-    return run
+    return fn
 
 
-def _run_lattice_props() -> NodeResult:
-    import random
-
-    rng = random.Random(20260808)
-    lat = IntersectionLattice.plane_blow_up(6)
-    ok = True
-    for _ in range(200):
-        u = lat.divisor([rng.randint(-4, 4) for _ in range(lat.rank)])
-        v = lat.divisor([rng.randint(-4, 4) for _ in range(lat.rank)])
-        w = lat.divisor([rng.randint(-4, 4) for _ in range(lat.rank)])
-        a, b = rng.randint(-3, 3), rng.randint(-3, 3)
-        ok &= (a * u + b * v).dot(w) == a * u.dot(w) + b * v.dot(w)
-        ok &= u.dot(v) == v.dot(u)
-    from .lattice import blow_up
-    bigger = blow_up(lat)
-    for _ in range(50):
-        u = lat.divisor([rng.randint(-4, 4) for _ in range(lat.rank)])
-        v = lat.divisor([rng.randint(-4, 4) for _ in range(lat.rank)])
-        ue = bigger.divisor(u.coeffs + (0,))
-        ve = bigger.divisor(v.coeffs + (0,))
-        ok &= ue.dot(ve) == u.dot(v)
-    trace = ["bilinearity and symmetry on 200 random triples",
-             "blow-up embeds the old lattice isometrically"]
-    return _check(ok, trace)
+def _cycle_shapes(_) -> Outcome:
+    ok1, _ = adjoint.cycle_structure_check(
+        [adjoint.Cycle((("Z1", 1),)), adjoint.Cycle((("Z2", 1),)),
+         adjoint.Cycle((("Z1", 1), ("Z2", 1), ("E1", 1)))],
+        {("Z1", "B0"): 1, ("Z1", "E"): 1, ("Z2", "B0"): 1, ("Z2", "E"): 1})
+    ok2, why2 = adjoint.cycle_structure_check([adjoint.Cycle((("G1", 1),))])
+    ok3, why3 = adjoint.cycle_structure_check(
+        [adjoint.Cycle((("Z1", 1), ("E1", 1), ("E2", 1)))])
+    trace = ["the catalogued reducible shape is accepted",
+             f"a cycle containing an exceptional pair component is rejected: {why2}",
+             f"a cycle with two E-components is rejected: {why3}"]
+    return _check(ok1 and not ok2 and not ok3, trace)
 
 
-def _run_e_fibre() -> NodeResult:
+# -- Euler-number eliminations ------------------------------------------------------
+
+
+def _e_fibre(_) -> Outcome:
     ok = True
     trace = []
     # a (-n)-curve closed by a transverse component contributes at least n
@@ -394,108 +402,137 @@ def _run_e_fibre() -> NodeResult:
     return _check(ok, trace)
 
 
-def _delta_runner(prop: str, expected_sides: tuple[str, str] | None = None,
-                  expect_verdict: str = "contradiction"):
-    def run() -> NodeResult:
-        elim = fibration.ALL_DELTA_ELIMINATIONS[prop]()
-        res = _elimination_node(elim, expect_verdict)
-        if expected_sides and (elim.lhs, elim.rhs) != expected_sides:
-            res.status = FAILED
-            res.trace.append(f"expected printed sides {expected_sides}")
-        if res.status == VERIFIED and expect_verdict == "survives":
-            res.trace.append("(partial statement: survivors recorded for the next step)")
-        return res
+def _l_dichotomy(fn):
+    def run(_) -> Outcome:
+        ok, trace = fn()
+        return _check(ok, trace)
 
     return run
 
 
-def _run_p_0() -> NodeResult:
-    expect = {"0a": (0,), "0b": (), "0c": (0,), "0d": (1,), "0e": (),
-              "0f": (0,), "0g": (0,), "0h": ()}
-    results = fibration.elim_p_0()
-    ok = all(results[k].survivors == v for k, v in expect.items())
-    printed = {"0a": ("12+9l", "14+3l"), "0b": ("9+9l", "14+3l"), "0c": ("9+9l", "14+3l")}
-    trace = []
-    for lab in sorted(results):
-        e = results[lab]
-        trace.append(f"({lab}): {e.lhs} vs {e.rhs} -> surviving l {list(e.survivors)}")
-        if lab in printed:
-            ok &= (e.lhs, e.rhs) == printed[lab]
-    return _check(ok, trace)
+def _p_no16(ins) -> Outcome:
+    """n = 6 dies; it must be the only cycle count p.noN1 leaves."""
+    out = _from_elimination(fibration.elim_p_no16(), sides=("24", "22"))
+    left = sorted({n for _, _, n in ins["p.noN1"].value})
+    out.trace.append(f"cycle counts left by p.noN1: {left}")
+    if left != [6]:
+        out.status = FAILED
+    return out
 
 
-def _run_p_1() -> NodeResult:
-    expect = {"1a": (0,), "1b": (), "1c": (), "1d": (0,), "1e": (1, 2, 3), "1f": (0, 1)}
-    results = fibration.elim_p_1()
-    ok = all(results[k].survivors == v for k, v in expect.items())
-    trace = [f"({lab}): surviving l {list(results[lab].survivors)}" for lab in sorted(results)]
+def _euler_pass(list_node: str, printed: dict | None = None):
+    """The Euler test over every case of one pencil list, each case keeping the
+    values of l the survivor fixture lists it under; the value maps labels to
+    their eliminations."""
+    def fn(ins) -> Outcome:
+        results = {c.label: fibration.eliminate_by_delta(c) for c in ins[list_node].value}
+        table = EXPECTED["survivors_after_euler"]
+        ok = all(e.survivors == tuple(int(ell) for ell, labs in table.items() if lab in labs)
+                 for lab, e in results.items())
+        trace = []
+        for lab, e in sorted(results.items()):
+            trace.append(f"({lab}): {e.lhs} vs {e.rhs} -> surviving l {list(e.survivors)}")
+            if printed and lab in printed:
+                ok &= (e.lhs, e.rhs) == printed[lab]
+        return _check(ok, trace, results)
+
+    return fn
+
+
+def _p_1(ins) -> Outcome:
+    """The A'^2 = 1 pass; in (1e) every component of B_0 meets the moving part."""
+    out = _euler_pass("p.list1")(ins)
     for ell in (1, 2, 3):
         dists = fibration.p1e_meeting_distributions(ell)
-        ok &= bool(dists) and all(all(v >= 1 for v in d) for d in dists)
-        trace.append(f"(1e) with l={ell}: admissible B_0 distributions {dists}")
+        if not dists or any(min(d) < 1 for d in dists):
+            out.status = FAILED
+        out.trace.append(f"(1e) with l={ell}: admissible B_0 distributions {dists}")
+    return out
+
+
+def _t_iii(ins) -> Outcome:
+    passes = {**ins["p.0"].value, **ins["p.1"].value, **ins["p.3"].value}
+    got = fibration.t_iii_survivors(passes)
+    want = {int(k): tuple(v) for k, v in EXPECTED["survivors_after_euler"].items()}
+    trace = [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
+    empty = not ins["p.list2"].value
+    trace.append("A'^2 = 2 has no shapes" if empty else "A'^2 = 2 has shapes no pass reads")
+    return _check(got == want and empty, trace, got)
+
+
+def _p_l0(_) -> Outcome:
+    table = fibration.elim_p_l0()
+    trace = [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}" for k, e in sorted(table.items())]
+    return _check(all(e.verdict == "contradiction" for e in table.values()), trace,
+                  status=CONTRADICTION)
+
+
+def _t_iii2(ins) -> Outcome:
+    closed = {lab for d, o in ins.items() if d != "t.iii" for lab in o.closes}
+    got = fibration.t_iii2_survivors(ins["t.iii"].value, closed)
+    want = {int(k): tuple(v) for k, v in EXPECTED["survivors_final"].items()}
+    trace = [f"closed by the lattice eliminations: {sorted(closed)}"]
+    trace += [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
+    return _check(got == want, trace, got)
+
+
+def _branches(ell: int, n: int) -> list[tuple]:
+    """Branches of (l, n): from n = 3l - 1 up, a ruled and an eight-point one."""
+    off = n - 3 * ell
+    return [(ell, off, sub) for sub in ("ruled", "eight-point")] if off >= -1 else [(ell, off)]
+
+
+def _coverage(ins) -> Outcome:
+    """Every (l, n) branch the final survivor table leaves is closed by a node read here."""
+    ok = True
+    trace = []
+    for ell in sorted(ins["t.iii2"].value):
+        lo, hi = ins["l.n"].value[ell]
+        for n in range(lo, hi + 1):
+            for branch in _branches(ell, n):
+                closers = [d for d, o in ins.items() if branch in o.closes]
+                ok &= bool(closers)
+                sub = f" ({branch[2]})" if len(branch) == 3 else ""
+                trace.append(f"l={ell} n={n}{sub}: closed by {', '.join(closers) or 'no node'}")
+    trace.append("cases with l >= 2 carry the eliminated label (1e); "
+                 "n = 3l - 4 needs l >= 2 and dies with it")
     return _check(ok, trace)
 
 
-def _run_p_3() -> NodeResult:
-    e = fibration.elim_p_3()
-    ok = e.survivors == (0, 1)
-    return _check(ok, [f"A'=N: surviving l {list(e.survivors)}"])
-
-
-def _survivor_runner(which: str):
-    def run() -> NodeResult:
-        got = (fibration.t_iii_survivors() if which == "euler"
-               else fibration.t_iii2_survivors())
-        want = {int(k): tuple(v) for k, v in
-                EXPECTED["survivors_after_euler" if which == "euler"
-                         else "survivors_final"].items()}
-        trace = [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
-        return _check(got == want, trace)
-
-    return run
-
-
-def _run_cycle_shapes() -> NodeResult:
-    ok1, why1 = adjoint.cycle_structure_check(
-        [adjoint.Cycle((("Z1", 1),)), adjoint.Cycle((("Z2", 1),)),
-         adjoint.Cycle((("Z1", 1), ("Z2", 1), ("E1", 1)))],
-        {("Z1", "B0"): 1, ("Z1", "E"): 1, ("Z2", "B0"): 1, ("Z2", "E"): 1})
-    ok2, why2 = adjoint.cycle_structure_check([adjoint.Cycle((("G1", 1),))])
-    ok3, why3 = adjoint.cycle_structure_check(
-        [adjoint.Cycle((("Z1", 1), ("E1", 1), ("E2", 1)))])
-    ok = ok1 and not ok2 and not ok3
-    trace = ["the catalogued reducible shape is accepted",
-             f"a cycle containing an exceptional pair component is rejected: {why2}",
-             f"a cycle with two E-components is rejected: {why3}"]
+def _t_final(ins) -> Outcome:
+    want = {"t.i": CONTRADICTION, "t.ii": CONTRADICTION, "coverage": VERIFIED}
+    trace = [f"{d}: {ins[d].status}" for d in want]
+    ok = all(ins[d].status == s for d, s in want.items())
+    trace.append("no order-3 automorphism exists: every branch of the case tree "
+                 "ends in a verified contradiction" if ok else "a main case is open")
     return _check(ok, trace)
 
 
-def _run_e_sys() -> NodeResult:
+# -- plane models ------------------------------------------------------------------
+
+
+def _e_sys(_) -> Outcome:
     sols = plane.solve_multiplicity_system(2, 2, 8)
     got = [[d, {str(j): s for j, s in sorted(sol.items(), reverse=True)}]
            for d, sol in sols]
-    want = EXPECTED["diophantine_solutions"]
     trace = [f"{len(sols)} solutions: {[(d, s) for d, s in sols]}"]
-    return _check(got == want, trace)
+    return _check(got == EXPECTED["diophantine_solutions"], trace, sols)
 
 
-def _run_p_equiv0() -> NodeResult:
-    sols = plane.solve_multiplicity_system(2, 2, 8)
-    chains = plane.cremona_orbit_connect(sols)
+def _p_equiv0(ins) -> Outcome:
+    chains = plane.cremona_orbit_connect(ins["e.sys"].value)
     longest = max(len(p) for p in chains.values())
     trace = [f"all {len(chains)} solutions reachable; longest chain {longest} moves"]
-    for state in sorted(chains):
-        path = chains[state]
-        trace.append(f"d0={state[0]}: {len(path)} moves")
+    trace += [f"d0={state[0]}: {len(chains[state])} moves" for state in sorted(chains)]
     return _check(len(chains) == 7 and longest <= 6, trace)
 
 
-def _run_degree_budgets() -> NodeResult:
+def _degree_budgets(_) -> Outcome:
     ok = plane.degree_budget(7) == 21 and plane.degree_budget(6) == 18
     return _check(ok, ["2 d_0 + sum d_i = 21 (deepest branch) and 18 (middle branch)"])
 
 
-def _run_b0_tables() -> NodeResult:
+def _b0_tables(_) -> Outcome:
     deep = delpezzo.b0_options_deepest()["options"]
     mid = delpezzo.b0_options_middle()["options"]
     ok = [o["verdict"] for o in deep] == ["excluded", "open", "pinned-to-pencil"]
@@ -505,18 +542,17 @@ def _run_b0_tables() -> NodeResult:
     ok &= mid_verdicts[(0, 0, 6)] == "excluded"
     ok &= mid_verdicts[(2, 1, 0)] == "pinned-to-pencil"
     ok &= mid_verdicts[(1, 1, 2)] == "open"
-    trace = [f"deepest branch options: {deep}", f"middle branch options: {mid}"]
-    return _check(ok, trace)
+    return _check(ok, [f"deepest branch options: {deep}", f"middle branch options: {mid}"])
 
 
-def _run_sixtuples() -> NodeResult:
+def _sixtuples(_) -> Outcome:
     st = delpezzo.sixtuple_enumerate()
     got = [list(t) for t in st["kept"]]
     trace = [f"kept {st['kept']}", f"excluded {st['excluded']}"]
     return _check(got == EXPECTED["sixtuples"] and len(st["excluded"]) == 2, trace)
 
 
-def _run_e_f2() -> NodeResult:
+def _e_f2(_) -> Outcome:
     sols = delpezzo.exceptional_curve_solutions()
     ok = sols["by_kind"] == {"conic": 3, "line": 6, "contracted": 6}
     ok &= sols["admissible_pairs"] == [("conic", "contracted"),
@@ -527,7 +563,7 @@ def _run_e_f2() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_tables_printed() -> NodeResult:
+def _tables_printed(_) -> Outcome:
     ok = True
     trace = []
     for name, table in delpezzo.all_printed_tables():
@@ -547,281 +583,183 @@ def _run_tables_printed() -> NodeResult:
     return _check(ok, trace)
 
 
-def _run_coverage() -> NodeResult:
-    """Every branch of the final case tree is closed by a named elimination."""
-    closures = []
-    survivors = fibration.t_iii2_survivors()
-    for ell, labs in survivors.items():
-        lo, hi = adjoint.n_range(ell)
-        for n in range(lo, hi + 1):
-            off = n - 3 * ell
-            if off == -4:
-                closures.append((ell, n, "t.no4"))
-            elif off == -3:
-                closures.append((ell, n, "t.no3lDP"))
-            elif off == -2:
-                closures.append((ell, n, "t.no3lDP"))
-            elif off == -1:
-                closures.append((ell, n, "t.no1"))   # ruled sub-branch (n' = 1)
-                closures.append((ell, n, "t.3l-1"))  # eight-point sub-branch (n' = 2)
-            else:
-                closures.append((ell, n, "t.no1rul" if ell == 1 else "t.no0"))
-                closures.append((ell, n, "t.no3lDP1" if ell == 1 else "t.no3lDP"))
-    trace = [f"l={ell} n={n}: closed by {node}" for ell, n, node in closures]
-    trace.append("cases with l >= 2 carry the eliminated label (1e); "
-                 "n = 3l - 4 needs l >= 2 and dies with it")
-    needed = {node for _, _, node in closures}
-    return _check(needed <= {"t.no4", "t.no3lDP", "t.no1", "t.3l-1", "t.no1rul",
-                             "t.no0", "t.no3lDP1"}, trace)
+def _audit(fn):
+    """A configuration elimination whose audit searches the split p.h0li1 computes."""
+    return lambda ins: _from_elimination(fn(ins["p.h0li1"].value))
 
 
-def _run_t_i() -> NodeResult:
-    checks = [fibration.check_l_n1(), fibration.check_l_N10()[0], fibration.check_l_N1()[0]]
-    subs = [fibration.elim_p_no0().verdict == "contradiction",
-            fibration.elim_p_noZ().verdict == "contradiction",
-            fibration.elim_p_noN().verdict == "contradiction",
-            fibration.elim_p_noN1().verdict == "survives",
-            fibration.elim_p_no16().verdict == "contradiction"]
-    ok = all(checks) and all(subs)
-    trace = ["N_1^2 in {0, 1}; both fixed-part dichotomies replayed",
-             "every sub-branch eliminated: N_1^2 = 0, the two fixed-part shapes, "
-             "and N_1^2 = 1 with n = 6"]
-    return NodeResult(CONTRADICTION if ok else FAILED, trace)
-
-
-def _run_t_3l1() -> NodeResult:
-    subs = [delpezzo.elim_p_3l1(), delpezzo.elim_p_3l12(), delpezzo.elim_p_3l13(),
-            delpezzo.elim_l_nob()]
-    ok = all(e.verdict == "contradiction" for e in subs)
-    trace = [f"{e.prop_id}: {e.verdict}" for e in subs]
-    return NodeResult(CONTRADICTION if ok else FAILED, trace)
-
-
-def _run_t_no3ldp1() -> NodeResult:
-    subs = [delpezzo.elim_l_noa(), delpezzo.elim_p_no3lirr(), delpezzo.elim_p_3lred()]
-    ok = all(e.verdict == "contradiction" for e in subs)
-    trace = [f"{e.prop_id}: {e.verdict}" for e in subs]
-    return NodeResult(CONTRADICTION if ok else FAILED, trace)
-
-
-def _run_t_final() -> NodeResult:
-    return NodeResult(VERIFIED, ["no order-3 automorphism exists: every branch of the "
-                                 "case tree ends in a verified contradiction"])
-
-
-def _elim_runner(fn, expect: str = "contradiction",
-                 expected_sides: tuple[str, str] | None = None):
-    def run() -> NodeResult:
-        elim = fn()
-        res = _elimination_node(elim, expect)
-        if expected_sides and (elim.lhs, elim.rhs) != expected_sides:
-            res.status = FAILED
-            res.trace.append(f"expected printed sides {expected_sides}")
-        return res
-
-    return run
+# -- the tree -----------------------------------------------------------------------
 
 
 def build_nodes() -> dict[str, ProofNode]:
-    nodes: list[ProofNode] = []
+    nodes = [ProofNode(ax_id, "axiom", _AXIOM_STATEMENTS[ax_id][0], (), (), _axiom(ax_id))
+             for ax_id in EXPECTED["axioms"]]
 
-    def add(node_id, kind, title, deps, runner):
-        nodes.append(ProofNode(node_id, kind, title, tuple(deps), runner))
+    def add(node_id, kind, title, deps, fn, closes=()):
+        nodes.append(ProofNode(node_id, kind, title, tuple(deps), tuple(closes), fn))
 
-    for ax_id in EXPECTED["axioms"]:
-        add(ax_id, "axiom", _AXIOM_STATEMENTS[ax_id][0], (), _axiom_runner(ax_id))
-
-    add("lattice.props", "formula-check",
-        "bilinearity, symmetry and isometric blow-up embedding", (), _run_lattice_props)
-    add("e.fixed", "formula-check", "isolated fixed point budget",
-        (), _run_e_fixed)
+    euler = ("e.g", "e.fibre", "ax.euler-fibration", "l.n")
+    add("e.fixed", "formula-check", "isolated fixed point budget", (), _e_fixed)
     add("e.ky", "formula-check", "two routes to K_Y^2 agree",
-        ("e.fixed", "ax.kv-vanishing"), _run_e_ky)
-    add("e.KX", "formula-check", "K_X^2 by Hurwitz and by blow-up count",
-        ("e.ky",), _run_e_kx)
+        ("e.fixed", "ax.kv-vanishing"), _e_ky)
+    add("e.KX", "formula-check", "K_X^2 by Hurwitz and by blow-up count", ("e.ky",), _e_kx)
     add("p.rk", "formula-check", "h^0(N) and h^0(2K_Y+B)",
-        ("ax.kv-vanishing", "ax.split", "ax.trican-birational"), _run_p_rk)
+        ("ax.kv-vanishing", "ax.split", "ax.trican-birational"), _p_rk)
     add("cases.main", "enumeration", "exactly three main cases",
-        ("p.rk", "e.fixed"), _run_cases_main)
+        ("p.rk", "e.fixed"), _cases_main)
     add("p.h0li1", "formula-check", "eigenvalue split of the five exceptional curves",
-        ("cases.main", "ax.split"), _run_p_h0li1)
+        ("cases.main", "ax.split"), _p_h0li1)
     add("le.sub", "enumeration", "moving/fixed split of the invariant system",
-        ("ax.miyaoka-trican", "ax.lesub-irred"), _run_le_sub)
+        ("ax.miyaoka-trican", "ax.lesub-irred"), _le_sub)
+    add("r.R0", "formula-check", "upper bound for A.R_0", ("le.sub",), _r_r0)
     for ap in (0, 1, 2):
         add(f"p.list{ap}", "enumeration", f"pencil shapes with A'^2 = {ap}",
-            ("le.sub", "ax.drop-shapes", "ax.orbit-structure"), _pencil_list_runner(ap))
+            ("le.sub", "r.R0", "ax.drop-shapes", "ax.orbit-structure"), _pencil_list(ap))
     add("r.N", "enumeration", "the single shape with A' = N",
-        ("le.sub",), _pencil_list_runner(3))
-    add("r.R0", "formula-check", "upper bound for A.R_0", ("le.sub",), _run_r_R0)
+        ("le.sub", "r.R0"), _pencil_list(3))
     add("e.g", "formula-check", "genus identity on every emitted case",
-        ("p.list0", "p.list1", "r.N"), _run_e_g)
+        ("p.list0", "p.list1", "r.N"), _e_g)
     add("le.Z", "formula-check", "lower bound for the cycle count",
-        ("e.ky", "ax.ccm2-contraction"), _run_le_Z)
-    add("l.n", "formula-check", "3l - 4 <= n <= 3l",
-        ("le.Z",), _run_l_n)
+        ("e.ky", "ax.ccm2-contraction"), _le_z)
+    add("l.n", "formula-check", "3l - 4 <= n <= 3l", ("le.Z",), _l_n)
     add("p.comp", "formula-check", "numerical table of the adjoint ladder",
-        ("ax.ccm2-contraction", "e.ky"), _run_p_comp)
+        ("ax.ccm2-contraction", "e.ky", "e.KX"), _p_comp)
     add("cycles.shapes", "formula-check", "structure of the contracted cycles",
-        ("ax.minus3",), _run_cycle_shapes)
+        ("ax.minus3",), _cycle_shapes)
     add("s.3l", "formula-check", "deepest ladder as a lattice identity",
-        ("p.comp", "ax.keffective"), _ladder_runner("s.3l", {"n'": 0, "n'''": 1}))
+        ("p.comp", "ax.keffective"), _ladder("s.3l", {"n'": 0, "n'''": 1}))
     add("s.3l-1", "formula-check", "middle ladder as a lattice identity",
-        ("p.comp",), _ladder_runner("s.3l-1", {"n'": 2, "n''": 1}))
+        ("p.comp",), _ladder("s.3l-1", {"n'": 2, "n''": 1}))
     add("s.3l-2", "formula-check", "shallow ladder as a lattice identity",
-        ("p.comp",), _ladder_runner("s.3l-2", {"n'": 5}))
+        ("p.comp",), _ladder("s.3l-2", {"n'": 5}))
     add("e.fibre", "formula-check", "node bound dominates the fibre contributions",
-        ("ax.fibre-nodes",), _run_e_fibre)
+        ("ax.fibre-nodes",), _e_fibre)
 
-    def _dichotomy(fn):
-        def run() -> NodeResult:
-            ok, trace = fn()
-            return _check(ok, trace)
-        return run
-
-    add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case",
-        ("p.comp",), lambda: _check(fibration.check_l_n1(),
-                                    ["(3N_1 - 2N)^2 <= 0 pins N_1^2"]))
+    # the first and second main cases
+    add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case", ("p.comp",),
+        lambda _: _check(fibration.check_l_n1(), ["(3N_1 - 2N)^2 <= 0 pins N_1^2"]))
     add("l.N10", "formula-check", "no fixed part when N_1^2 = 0",
-        ("l.n1", "ax.rationality"), _dichotomy(fibration.check_l_N10))
+        ("l.n1", "ax.rationality"), _l_dichotomy(fibration.check_l_N10))
     add("l.N1", "formula-check", "fixed-part dichotomy when N_1^2 = 1",
-        ("l.n1", "ax.rationality"), _dichotomy(fibration.check_l_N1))
-    add("p.no0", "elimination", "first case with N_1^2 = 0",
-        ("l.N10", "e.fibre", "ax.euler-fibration"),
-        _delta_runner("p.no0", ("26", "20")))
-    add("p.noZ", "elimination", "fixed part with a reducible cycle",
-        ("l.N1", "e.fibre", "ax.euler-fibration"), _delta_runner("p.noZ"))
-    add("p.noN", "elimination", "fixed part with N = N_1 + Delta",
-        ("l.N1", "e.fibre", "ax.euler-fibration"), _delta_runner("p.noN"))
-    add("p.noN1", "elimination", "N_1^2 = 1 survives only n = 6",
-        ("l.N1", "e.fibre", "ax.euler-fibration"),
-        _delta_runner("p.noN1", expect_verdict="survives"))
-    add("p.no16", "elimination", "n = 6 dies",
-        ("p.noN1", "cycles.shapes"), _delta_runner("p.no16", ("24", "22")))
+        ("l.n1", "ax.rationality"), _l_dichotomy(fibration.check_l_N1))
+    fibre = ("e.fibre", "ax.euler-fibration")
+    add("p.no0", "elimination", "first case with N_1^2 = 0", ("l.N10", *fibre),
+        _elim(fibration.elim_p_no0, sides=("26", "20")))
+    add("p.noZ", "elimination", "fixed part with a reducible cycle", ("l.N1", *fibre),
+        _elim(fibration.elim_p_noZ))
+    add("p.noN", "elimination", "fixed part with N = N_1 + Delta", ("l.N1", *fibre),
+        _elim(fibration.elim_p_noN))
+    add("p.noN1", "elimination", "N_1^2 = 1 survives only n = 6", ("l.N1", *fibre),
+        _elim(fibration.elim_p_noN1, expect="survives"))
+    add("p.no16", "elimination", "n = 6 dies", ("p.noN1", "cycles.shapes"), _p_no16)
     add("t.i", "elimination", "the first main case cannot occur",
-        ("p.no0", "p.noZ", "p.noN", "p.noN1", "p.no16"), _run_t_i)
+        ("p.no0", "p.noZ", "p.noN", "p.no16"), _all_closed, closes=("i",))
     add("t.ii", "elimination", "the second main case cannot occur",
-        ("cases.main", "ax.miyaoka-bican", "ax.cp-m2", "ax.euler-fibration",
-         "e.fibre"), _delta_runner("t.ii", ("12+6l", "15+3l")))
+        ("cases.main", "ax.miyaoka-bican", "ax.cp-m2", *fibre),
+        _elim(fibration.elim_t_ii, sides=("12+6l", "15+3l")), closes=("ii",))
 
-    add("p.0", "elimination", "Euler pass over the A'^2 = 0 list",
-        ("p.list0", "e.fibre", "ax.euler-fibration", "l.n"), _run_p_0)
-    add("p.1", "elimination", "Euler pass over the A'^2 = 1 list",
-        ("p.list1", "e.fibre", "ax.euler-fibration", "l.n"), _run_p_1)
-    add("p.3", "elimination", "Euler pass for A' = N",
-        ("r.N", "e.fibre", "ax.euler-fibration", "l.n"), _run_p_3)
+    # the pencil case: the Euler pass, then the lattice eliminations
+    add("p.0", "elimination", "Euler pass over the A'^2 = 0 list", ("p.list0", *euler),
+        _euler_pass("p.list0", {"0a": ("12+9l", "14+3l"), "0b": ("9+9l", "14+3l"),
+                                "0c": ("9+9l", "14+3l")}),
+        closes=tuple(f"0{c}" for c in "abcdefgh"))
+    add("p.1", "elimination", "Euler pass over the A'^2 = 1 list", ("p.list1", *euler),
+        _p_1, closes=tuple(f"1{c}" for c in "abcdef"))
+    add("p.3", "elimination", "Euler pass for A' = N", ("r.N", *euler),
+        _euler_pass("r.N"), closes=("N",))
     add("t.iii", "enumeration", "survivors of the Euler pass",
-        ("p.0", "p.1", "p.3", "p.list2"), _survivor_runner("euler"))
+        ("p.0", "p.1", "p.3", "p.list2"), _t_iii)
     add("t.no4", "elimination", "n = 3l - 4 cannot occur",
-        ("t.iii", "ax.elliptic-degree", "ax.rationality"),
-        _elim_runner(fibration.elim_t_no4))
-    add("p.1e", "elimination", "case (1e) cannot occur",
-        ("t.iii", "t.no4", "l.n"), _elim_runner(fibration.elim_p_1e))
+        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _elim(fibration.elim_t_no4),
+        closes=("1e",))
+    add("p.1e", "elimination", "case (1e) cannot occur", ("t.iii", "t.no4", "l.n"),
+        _elim(fibration.elim_p_1e), closes=("1e",))
     add("p.no0d", "elimination", "case (0d) cannot occur",
-        ("t.iii", "ax.ccm2-contraction"), _elim_runner(fibration.elim_p_no0d))
-    add("p.l0", "elimination", "cases (0a), (0c), (0f) cannot occur",
-        ("t.iii",),
-        lambda: _check(all(e.verdict == "contradiction"
-                           for e in fibration.elim_p_l0().values()),
-                       [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}"
-                        for k, e in sorted(fibration.elim_p_l0().items())],
-                       CONTRADICTION))
+        ("t.iii", "ax.ccm2-contraction"), _elim(fibration.elim_p_no0d), closes=("0d",))
+    add("p.l0", "elimination", "cases (0a), (0c), (0f) cannot occur", ("t.iii",), _p_l0,
+        closes=("0a", "0c", "0f"))
     add("t.iii2", "enumeration", "final survivor list of the pencil case",
-        ("t.iii", "p.1e", "p.no0d", "p.l0"), _survivor_runner("final"))
+        ("t.iii", "p.1e", "p.no0d", "p.l0"), _t_iii2)
 
-    add("l.a2", "formula-check", "the ruled model has 0 <= a <= 2",
-        ("s.3l",), lambda: _check(ruled.elim_l_a2().survivors == (0, 1, 2),
-                                  list(ruled.elim_l_a2().trace)))
+    # the ruled branches
+    add("l.a2", "formula-check", "the ruled model has 0 <= a <= 2", ("s.3l",),
+        lambda _: _from_elimination(ruled.elim_l_a2(), expect="survives"))
     add("p.no2", "elimination", "a = 2 needs three singular fibres",
-        ("l.a2", "ax.a1-reduction"),
-        _elim_runner(ruled.elim_p_no2, expected_sides=("13", "12")))
+        ("l.a2", "ax.a1-reduction"), _elim(ruled.elim_p_no2, sides=("13", "12")))
     add("t.no0", "elimination", "deepest ruled branch with l = 0",
-        ("t.iii2", "p.no2", "s.3l", "ax.proximity"), _elim_runner(ruled.elim_t_no0))
+        ("t.iii2", "p.no2", "s.3l", "ax.proximity"), _elim(ruled.elim_t_no0),
+        closes=("0g", "1a", "1d", "N", (0, 0, "ruled")))
     add("t.no1rul", "elimination", "deepest ruled branch with l = 1",
-        ("t.iii2", "s.3l", "e.fibre"), _delta_runner("t.no1rul", ("15", "13")))
+        ("t.iii2", "s.3l", "e.fibre"), _elim(fibration.elim_t_no1rul, sides=("15", "13")),
+        closes=((1, 0, "ruled"),))
     add("t.no1", "elimination", "middle ruled branch with l = 1",
-        ("t.iii2", "s.3l-1", "p.no2", "ax.companion-no1"), _elim_runner(ruled.elim_t_no1))
+        ("t.iii2", "s.3l-1", "p.no2", "ax.companion-no1"), _elim(ruled.elim_t_no1),
+        closes=("N", (1, -1, "ruled")))
 
-    add("e.sys", "enumeration", "the seven-solution multiplicity system",
-        (), _run_e_sys)
+    # the eight-point branches
+    add("e.sys", "enumeration", "the seven-solution multiplicity system", (), _e_sys)
     add("p.equiv0", "enumeration", "the seven solutions form one orbit",
-        ("e.sys", "ax.proximity"), _run_p_equiv0)
-    add("e.deg1", "formula-check", "the two degree budgets",
-        (), _run_degree_budgets)
+        ("e.sys", "ax.proximity"), _p_equiv0)
+    add("e.deg1", "formula-check", "the two degree budgets", (), _degree_budgets)
     add("b0.tables", "formula-check", "index filter on the cycle distributions",
-        ("s.3l", "s.3l-1"), _run_b0_tables)
+        ("s.3l", "s.3l-1"), _b0_tables)
     add("l.noa", "elimination", "deepest branch, pencil-pinned option",
-        ("b0.tables",), _elim_runner(delpezzo.elim_l_noa))
+        ("b0.tables",), _elim(delpezzo.elim_l_noa))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
-        ("b0.tables", "e.sys", "p.equiv0", "e.deg1"),
-        _elim_runner(delpezzo.elim_p_no3lirr))
+        ("b0.tables", "e.sys", "p.equiv0", "e.deg1"), _elim(delpezzo.elim_p_no3lirr))
     add("p.3lred", "elimination", "deepest branch, reducible cycle",
-        ("b0.tables", "cycles.shapes"), _elim_runner(delpezzo.elim_p_3lred))
+        ("b0.tables", "cycles.shapes"), _elim(delpezzo.elim_p_3lred))
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
-        ("l.noa", "p.no3lirr", "p.3lred"), _run_t_no3ldp1)
+        ("l.noa", "p.no3lirr", "p.3lred"), _all_closed, closes=((1, 0, "eight-point"),))
     add("l.nob", "elimination", "middle branch, pencil-pinned option",
-        ("b0.tables",), _elim_runner(delpezzo.elim_l_nob))
+        ("b0.tables",), _elim(delpezzo.elim_l_nob))
     add("sixtuples", "enumeration", "admissible degree six-tuples",
-        ("b0.tables", "p.equiv0", "e.deg1"), _run_sixtuples)
+        ("b0.tables", "p.equiv0", "e.deg1"), _sixtuples)
     add("e.f2", "enumeration", "plane models of the two exceptional curves",
-        ("sixtuples",), _run_e_f2)
+        ("sixtuples",), _e_f2)
     add("tables.printed", "enumeration", "the printed multiplicity tables",
-        ("sixtuples", "e.f2", "ax.proximity"), _run_tables_printed)
-    add("p.3l-1", "elimination", "two-lines configuration",
-        ("tables.printed", "ax.split"), _elim_runner(delpezzo.elim_p_3l1))
-    add("p.3l-12", "elimination", "conic configuration",
-        ("tables.printed", "ax.split", "ax.proximity"),
-        _elim_runner(delpezzo.elim_p_3l12))
+        ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)
+    audit = ("tables.printed", "p.h0li1", "ax.split")
+    add("p.3l-1", "elimination", "two-lines configuration", audit,
+        _audit(delpezzo.elim_p_3l1))
+    add("p.3l-12", "elimination", "conic configuration", (*audit, "ax.proximity"),
+        _audit(delpezzo.elim_p_3l12))
     add("p.3l-13", "elimination", "doubly-contracted configuration",
-        ("tables.printed", "ax.split", "ax.proximity"),
-        _elim_runner(delpezzo.elim_p_3l13))
+        (*audit, "ax.proximity"), _audit(delpezzo.elim_p_3l13))
     add("t.3l-1", "elimination", "middle eight-point branch with l = 1",
-        ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _run_t_3l1)
+        ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
+        closes=("1f", (1, -1, "eight-point")))
     add("t.no3lDP", "elimination", "remaining eight/thirteen point branches",
-        ("s.3l", "s.3l-1", "s.3l-2", "ax.companion-no3ldp"),
-        _elim_runner(ruled.elim_t_no3ldp))
+        ("s.3l", "s.3l-1", "s.3l-2", "ax.companion-no3ldp"), _elim(ruled.elim_t_no3ldp),
+        closes=((0, 0, "eight-point"), (1, -3), (1, -2)))
 
     add("coverage", "formula-check", "every branch of the case tree is closed",
-        ("t.iii2", "t.no4", "p.1e", "t.no0", "t.no1rul", "t.no1", "t.3l-1",
-         "t.no3lDP1", "t.no3lDP", "l.n"), _run_coverage)
-
-    all_ids = [n.id for n in nodes]
+        ("t.iii2", "l.n", "t.no0", "t.no1rul", "t.no1", "t.3l-1", "t.no3lDP1", "t.no3lDP"),
+        _coverage, closes=("iii",))
     add("t.final", "elimination", "no automorphism of order three",
-        tuple(all_ids), _run_t_final)
+        ("t.i", "t.ii", "coverage"), _t_final)
 
     registry = {n.id: n for n in nodes}
-    _validate_acyclic(registry)
+    topological_order(registry)  # rejects cycles and unknown dependencies
     return registry
 
 
-def _validate_acyclic(registry: dict[str, ProofNode]) -> None:
+def topological_order(registry: dict[str, ProofNode]) -> list[str]:
+    """Dependencies first, ties broken by id; raises on a cycle or an unknown id."""
+    order: list[str] = []
     state: dict[str, int] = {}
 
     def visit(nid: str) -> None:
         if state.get(nid) == 1:
             raise ValueError(f"dependency cycle at {nid}")
-        if state.get(nid) == 2:
+        if nid in state:
             return
         state[nid] = 1
-        for dep in registry[nid].depends_on:
+        for dep in sorted(registry[nid].deps):
             if dep not in registry:
                 raise ValueError(f"{nid} depends on unknown node {dep}")
             visit(dep)
         state[nid] = 2
-
-    for nid in registry:
-        visit(nid)
-
-
-def topological_order(registry: dict[str, ProofNode]) -> list[str]:
-    order: list[str] = []
-    seen: set[str] = set()
-
-    def visit(nid: str) -> None:
-        if nid in seen:
-            return
-        seen.add(nid)
-        for dep in sorted(registry[nid].depends_on):
-            visit(dep)
         order.append(nid)
 
     for nid in sorted(registry):

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .prooftree import (FAILED, SCHEMA_VERSION, NodeResult, ProofNode,
+from .prooftree import (FAILED, SCHEMA_VERSION, Outcome, ProofNode,
                         build_nodes, topological_order)
 
 
 @dataclass
 class Report:
     selector: str
-    results: dict[str, NodeResult]
+    results: dict[str, Outcome]
     order: list[str]
     registry: dict[str, ProofNode]
     timings: dict[str, float] = field(default_factory=dict)
@@ -54,7 +53,7 @@ class Report:
                     "kind": self.registry[nid].kind,
                     "title": self.registry[nid].title,
                     "status": self.results[nid].status,
-                    "depends_on": sorted(self.registry[nid].depends_on),
+                    "depends_on": sorted(self.registry[nid].deps),
                     "trace": list(self.results[nid].trace),
                 }
                 for nid in self.order
@@ -89,112 +88,74 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-CASE_SELECTORS = {
-    "i": ["t.i"],
-    "ii": ["t.ii"],
-    "iii": ["t.iii2"],
-    "0a": ["p.0", "p.l0"], "0b": ["p.0"], "0c": ["p.0", "p.l0"],
-    "0d": ["p.0", "p.no0d"], "0e": ["p.0"], "0f": ["p.0", "p.l0"],
-    "0g": ["p.0", "t.no0"], "0h": ["p.0"],
-    "1a": ["p.1", "t.no0"], "1b": ["p.1"], "1c": ["p.1"],
-    "1d": ["p.1", "t.no0"], "1e": ["p.1", "p.1e"], "1f": ["p.1", "t.3l-1"],
-    "N": ["p.3", "t.no0", "t.no1"],
-}
-
-
 class UnknownSelector(KeyError):
     pass
 
 
-def _closure(registry: dict[str, ProofNode], roots: list[str]) -> list[str]:
+def _select(registry: dict[str, ProofNode], selector: str) -> list[str]:
+    """The closure of the selected nodes, in canonical order.
+
+    A selector is ``all``, a node id, or a case id (``i``, ``1e``, ``N``, ...),
+    which picks every node whose ``closes`` names it.
+    """
+    if selector == "all":
+        roots = list(registry)
+    elif selector in registry:
+        roots = [selector]
+    else:
+        roots = [nid for nid, node in registry.items() if selector in node.closes]
+        if not roots:
+            raise UnknownSelector(selector)
     wanted: set[str] = set()
-
-    def visit(nid: str) -> None:
-        if nid in wanted:
-            return
-        wanted.add(nid)
-        for dep in registry[nid].depends_on:
-            visit(dep)
-
-    for nid in roots:
-        visit(nid)
+    stack = roots
+    while stack:
+        nid = stack.pop()
+        if nid not in wanted:
+            wanted.add(nid)
+            stack.extend(registry[nid].deps)
     return [nid for nid in topological_order(registry) if nid in wanted]
 
 
-def run(selector: str = "all", jobs: int = 1,
-        excluded: tuple[str, ...] = ()) -> Report:
-    """Execute the selected subtree deterministically.
+def run(selector: str = "all", excluded: tuple[str, ...] = ()) -> Report:
+    """Evaluate the selected subtree once, in one topological pass.
 
-    ``excluded`` nodes are reported as failed without running; the scheduler
-    may evaluate ready nodes concurrently, but assembly order is canonical.
+    Each node reads the outcomes of its dependencies.  A node whose dependency
+    failed fails without running, and ``excluded`` nodes fail without running.
     """
     registry = build_nodes()
-    if selector == "all":
-        order = topological_order(registry)
-    elif selector in registry:
-        order = _closure(registry, [selector])
-    elif selector in CASE_SELECTORS:
-        order = _closure(registry, CASE_SELECTORS[selector])
-    else:
-        raise UnknownSelector(selector)
-
-    results: dict[str, NodeResult] = {}
+    order = _select(registry, selector)
+    results: dict[str, Outcome] = {}
     timings: dict[str, float] = {}
-
-    def evaluate(nid: str) -> tuple[str, NodeResult, float]:
+    for nid in order:
+        node = registry[nid]
         start = time.perf_counter()
+        failed = sorted(d for d in node.deps if results[d].status == FAILED)
         if nid in excluded:
-            result = NodeResult(FAILED, ["excluded from this run"])
+            results[nid] = Outcome(FAILED, trace=["excluded from this run"])
+        elif failed:
+            results[nid] = Outcome(FAILED, trace=[f"dependency failed: {', '.join(failed)}"])
         else:
             try:
-                result = registry[nid].run()
-            except Exception as exc:  # a crash is a failed node, not a crash run
-                result = NodeResult(FAILED, [f"exception: {exc!r}"])
-        return nid, result, time.perf_counter() - start
-
-    remaining = list(order)
-    done: set[str] = set()
-    while remaining:
-        ready = [nid for nid in remaining
-                 if all(d in done or d not in order for d in registry[nid].depends_on)]
-        if not ready:
-            raise RuntimeError("scheduler stalled; dependency cycle?")
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                for nid, result, took in pool.map(evaluate, ready):
-                    results[nid] = result
-                    timings[nid] = took
-        else:
-            for nid in ready:
-                nid, result, took = evaluate(nid)
-                results[nid] = result
-                timings[nid] = took
-        done.update(ready)
-        remaining = [nid for nid in remaining if nid not in done]
-
-    # a node whose dependency failed cannot count as closing the tree
-    for nid in order:
-        if results[nid].status != FAILED:
-            bad_deps = [d for d in registry[nid].depends_on
-                        if d in results and results[d].status == FAILED]
-            if bad_deps:
-                results[nid] = NodeResult(
-                    FAILED, [f"dependency failed: {', '.join(sorted(bad_deps))}"])
-
+                results[nid] = node.run({d: results[d] for d in node.deps})
+            except Exception as exc:  # a crash is a failed node, not a crashed run
+                results[nid] = Outcome(FAILED, trace=[f"exception: {exc!r}"])
+        timings[nid] = time.perf_counter() - start
     return Report(selector, results, order, registry, timings)
 
 
 def explain(node_id: str) -> str:
-    """Derivation trace of a single node (its inputs and decisive numbers)."""
-    registry = build_nodes()
-    if node_id not in registry:
+    """A node's derivation, after evaluating its closure: each input and its status."""
+    report = run(node_id)
+    if node_id not in report.results:
         raise UnknownSelector(node_id)
-    node = registry[node_id]
-    result = node.run()
-    lines = [f"{node_id} [{node.kind}] {node.title}",
-             f"status: {result.status}"]
-    if node.depends_on:
-        lines.append("depends on: " + ", ".join(sorted(node.depends_on)))
+    node = report.registry[node_id]
+    result = report.results[node_id]
+    lines = [f"{node_id} [{node.kind}] {node.title}", f"status: {result.status}"]
+    if result.sides:
+        lines.append(f"sides: {result.sides[0]} vs {result.sides[1]}")
+    if node.deps:
+        lines.append("depends on:")
+        lines.extend(f"  {dep}: {report.results[dep].status}" for dep in sorted(node.deps))
     lines.append("derivation:")
     lines.extend(f"  {line}" for line in result.trace)
     return "\n".join(lines) + "\n"

@@ -115,14 +115,16 @@ def test_printed_sides_regenerate():
 
 
 def test_survivor_composites():
-    assert fib.t_iii_survivors() == {
+    survivors = fib.t_iii_survivors({**fib.elim_p_0(), **fib.elim_p_1(), "N": fib.elim_p_3()})
+    assert survivors == {
         0: ("0a", "0c", "0f", "0g", "1a", "1d", "1f", "N"),
         1: ("0d", "1e", "1f", "N"),
         2: ("1e",),
         3: ("1e",),
     }
-    assert fib.t_iii2_survivors() == {0: ("0g", "1a", "1d", "1f", "N"),
-                                      1: ("1f", "N")}
+    closed = {"1e", "0d", "0a", "0c", "0f"}
+    assert fib.t_iii2_survivors(survivors, closed) == {
+        0: ("0g", "1a", "1d", "1f", "N"), 1: ("1f", "N")}
 
 
 def test_1e_distributions_all_positive():
@@ -169,16 +171,6 @@ def test_case_i_grid_is_finite_and_consistent():
         assert gamma_sq % 2 == 1 or gamma_sq % 2 == -1
         h1 = (3 - gamma_sq) // 2 + ell
         assert 1 <= h1 <= 4
-
-
-def test_eliminate_by_lattice_dispatch():
-    assert fib.eliminate_by_lattice("p.1e").verdict == "contradiction"
-    assert fib.eliminate_by_lattice("p.no0d").verdict == "contradiction"
-    assert fib.eliminate_by_lattice("t.no4").verdict == "contradiction"
-    assert fib.eliminate_by_lattice("p.l0").verdict == "contradiction"
-    assert fib.eliminate_by_lattice("p.l0.0a").verdict == "contradiction"
-    with pytest.raises(KeyError):
-        fib.eliminate_by_lattice("nope")
 
 
 def test_min_contribution_accepts_component_tuples():

@@ -19,8 +19,12 @@ PRINTED_SOLUTIONS = [
 ]
 
 
-def brute_force_oracle(c1, c2, max_points, d_hi=12, j_max=6):
-    """Independent check: direct nested loops over the s_j grid."""
+def brute_force_oracle(c1, c2, max_points, d_hi=12, j_max=None):
+    """Independent check: direct nested loops over the s_j grid.
+
+    Multiplicities run up to ``j_max``, by default the largest degree ``d_hi``.
+    """
+    j_max = d_hi if j_max is None else j_max
     found = []
     for d0 in range(0, d_hi + 1):
         t_sq, t_lin = d0 * d0 - c1, 3 * d0 - c2
@@ -58,6 +62,25 @@ def test_solver_matches_oracle():
         got = sorted(solve_multiplicity_system(c1, c2, mp),
                      key=lambda x: (x[0], sorted(x[1].items())))
         assert got == brute_force_oracle(c1, c2, mp)
+
+
+@pytest.mark.parametrize("triple", [(1, 3, 9), (2, 2, 10)])
+def test_solver_matches_oracle_on_shared_degrees(triple):
+    """Systems with several solutions of one degree and multiplicity 7."""
+    got = solve_multiplicity_system(*triple)
+    assert len({d for d, _ in got}) < len(got)
+    assert any(7 in mults for _, mults in got)
+    assert sorted(got, key=lambda x: (x[0], sorted(x[1].items()))) == \
+        brute_force_oracle(*triple)
+
+
+def test_solver_total_without_duplicates():
+    for c1 in range(6):
+        for c2 in range(6):
+            for max_points in (8, 9, 10):
+                sols = solve_multiplicity_system(c1, c2, max_points)
+                keys = [(d, tuple(sorted(m.items()))) for d, m in sols]
+                assert len(set(keys)) == len(keys), (c1, c2, max_points)
 
 
 def test_no_solutions_outside_degree_window():

@@ -1,10 +1,16 @@
 import json
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
+from godeaux3 import fibration, report as report_mod
 from godeaux3.cli import main
-from godeaux3.prooftree import EXPECTED, build_nodes, topological_order
+from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
+                                build_nodes, topological_order)
 from godeaux3.report import UnknownSelector, explain, fixtures_check, run
+
+COVERAGE_CLOSERS = ("t.no0", "t.no1rul", "t.no1", "t.3l-1", "t.no3lDP1", "t.no3lDP")
 
 
 @pytest.fixture(scope="module")
@@ -34,7 +40,7 @@ def test_dependency_graph_acyclic():
     order = topological_order(registry)
     position = {nid: i for i, nid in enumerate(order)}
     for nid, node in registry.items():
-        for dep in node.depends_on:
+        for dep in node.deps:
             assert position[dep] < position[nid]
 
 
@@ -48,12 +54,11 @@ def test_removing_any_axiom_fails_the_root():
 def test_reports_byte_identical():
     a = json.dumps(run("all").to_json(), sort_keys=True)
     b = json.dumps(run("all").to_json(), sort_keys=True)
-    c = json.dumps(run("all", jobs=4).to_json(), sort_keys=True)
-    assert a == b == c
+    assert a == b
 
 
 def test_text_report_deterministic():
-    assert run("all").to_text() == run("all", jobs=3).to_text()
+    assert run("all").to_text() == run("all").to_text()
 
 
 def test_subtree_selectors():
@@ -113,8 +118,95 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_jobs_deterministic(tmp_path):
-    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
-    assert main(["run", "--format", "json", "--out", str(out1)]) == 0
-    assert main(["run", "--format", "json", "--jobs", "4", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
+def test_cli_rejects_jobs(capsys):
+    assert main(["run", "--jobs", "4"]) == 2
+    capsys.readouterr()
+
+
+def _run_with(monkeypatch, change):
+    """Run the whole tree after ``change`` edits a fresh node table."""
+    registry = build_nodes()
+    change(registry)
+    monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
+    return run("all")
+
+
+@pytest.mark.parametrize("nid", COVERAGE_CLOSERS + ("p.1e", "p.no0d", "p.l0"))
+def test_emptied_closes_fails_coverage_and_root(monkeypatch, nid):
+    def empty(registry):
+        registry[nid] = replace(registry[nid], closes=())
+
+    report = _run_with(monkeypatch, empty)
+    assert report.results[nid].status != "failed"
+    assert report.results["coverage"].status == "failed"
+    assert report.results["t.final"].status == "failed"
+
+
+@pytest.mark.parametrize("nid", COVERAGE_CLOSERS)
+def test_closer_dropped_from_coverage_fails_root(monkeypatch, nid):
+    def drop(registry):
+        cov = registry["coverage"]
+        registry["coverage"] = replace(cov, deps=tuple(d for d in cov.deps if d != nid))
+
+    report = _run_with(monkeypatch, drop)
+    assert report.results["coverage"].status == "failed"
+    assert any("closed by no node" in line for line in report.results["coverage"].trace)
+    assert report.results["t.final"].status == "failed"
+
+
+def test_root_checks_the_status_of_each_main_case(monkeypatch):
+    def soften(registry):
+        registry["t.i"] = replace(registry["t.i"], fn=lambda _: Outcome(VERIFIED))
+
+    report = _run_with(monkeypatch, soften)
+    assert report.results["t.i"].status == "verified"
+    assert report.results["t.final"].status == "failed"
+
+
+def test_root_reads_the_main_cases_and_coverage_only():
+    registry = build_nodes()
+    assert len(registry) == 84
+    assert set(registry["t.final"].deps) == {"t.i", "t.ii", "coverage"}
+
+
+def test_every_node_feeds_the_root():
+    assert set(run("t.final").order) == set(build_nodes())
+
+
+def test_explain_lists_dependency_statuses():
+    text = explain("t.final")
+    assert "status: verified" in text
+    assert "  t.i: contradiction-as-expected" in text
+    assert "  t.ii: contradiction-as-expected" in text
+    assert "  coverage: verified" in text
+    assert "sides: 13 vs 12" in explain("p.no2")
+    with pytest.raises(UnknownSelector):
+        explain("1e")  # a case id, not a node
+
+
+def test_each_node_and_the_euler_survivors_run_once(monkeypatch):
+    calls = Counter()
+    node_run, survivors = ProofNode.run, fibration.t_iii_survivors
+
+    def counted_run(node, ins):
+        calls[node.id] += 1
+        return node_run(node, ins)
+
+    def counted_survivors(*args):
+        calls["t_iii_survivors"] += 1
+        return survivors(*args)
+
+    monkeypatch.setattr(ProofNode, "run", counted_run)
+    monkeypatch.setattr(fibration, "t_iii_survivors", counted_survivors)
+    report = run("all")
+    assert report.verdict == "verified"
+    assert set(calls) == set(report.order) | {"t_iii_survivors"}
+    assert set(calls.values()) == {1}
+
+
+def test_case_selectors_follow_closes():
+    registry = build_nodes()
+    assert {n for n, node in registry.items() if "1e" in node.closes} == \
+        {"p.1", "t.no4", "p.1e"}
+    assert "coverage" in run("iii").order
+    assert set(run("0a").order) >= {"p.0", "p.l0"}

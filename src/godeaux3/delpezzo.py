@@ -403,22 +403,16 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     return True, reasons
 
 
-def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
-                     split: tuple[int, int] | None = None) -> Elimination:
+def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Elimination:
     """Solve the mod-3 branch constraints for the eigenvalue exponents.
 
     The branch curve has total plane degree 0 mod 3, and at each planar point
     total multiplicity 0 mod 3 (entries counted unsigned); the component of
     the divisorial ramification is normalized to exponent 1 and the two
-    exceptional curves over the A_2 point carry conjugate exponents.  With a
-    ``split`` (h11, h12) of the E'-curves between the two eigenvalues, only
-    assignments giving exponent 1 to h11 or h12 of them are searched.
+    exceptional curves over the A_2 point carry conjugate exponents.
     """
     pts = table.cluster.points
     free = [r.name for r in table.rows if r.name in _E_NAMES]
-    if split is not None and sum(split) != len(free):
-        return Elimination("eigenvalue-audit", str(sum(split)), str(len(free)), "failed",
-                           (f"the split {split} does not cover the unknowns {free}",))
     equations = []
     degree_eq = {r.name: r.degree for r in table.rows}
     equations.append(("degree", degree_eq))
@@ -427,11 +421,7 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
         equations.append((p, {r.name: abs(r.mults[col]) for r in table.rows}))
     solutions = []
     trace = [f"unknowns: {free} and F (H = 2F mod 3); ramification curve fixed to 1"]
-    if split is not None:
-        trace.append(f"eigenvalue split {split[0]} + {split[1]} of the E'-curves")
     for combo in product((1, 2), repeat=len(free) + 1):
-        if split is not None and combo[:-1].count(1) not in split:
-            continue
         nu = dict(zip(free, combo[:-1]))
         nu["F"] = combo[-1]
         nu["H"] = (2 * combo[-1]) % 3
@@ -454,7 +444,7 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
 # -- the three configuration eliminations ---------------------------------------
 
 
-def elim_p_3l1(split: tuple[int, int] | None = None) -> Elimination:
+def elim_p_3l1() -> Elimination:
     """Two-lines configuration: exponents cannot exist at P_2 and P_3."""
     table = table_14pt("lines-lines")
     ok, violations = verify_config_table(table)
@@ -466,13 +456,12 @@ def elim_p_3l1(split: tuple[int, int] | None = None) -> Elimination:
         if not planar:
             return Elimination("p.3l-1", p, "planar", "failed", tuple(why))
         derivations.extend(why)
-    audit = eigenvalue_audit(table, ["P2", "P3"], split)
+    audit = eigenvalue_audit(table, ["P2", "P3"])
     return Elimination("p.3l-1", audit.lhs, audit.rhs, audit.verdict,
                        tuple(derivations) + audit.trace)
 
 
-def _transformed_elimination(prop_id: str, variant: str,
-                             split: tuple[int, int] | None) -> Elimination:
+def _transformed_elimination(prop_id: str, variant: str) -> Elimination:
     source = table_14pt(variant)
     ok, violations = verify_config_table(source)
     if not ok:
@@ -488,17 +477,17 @@ def _transformed_elimination(prop_id: str, variant: str,
     planar, why = is_forced_planar(transformed, "P6")
     if not planar:
         return Elimination(prop_id, "P6", "planar", "failed", tuple(why))
-    audit = eigenvalue_audit(transformed, ["P6"], split)
+    audit = eigenvalue_audit(transformed, ["P6"])
     return Elimination(prop_id, audit.lhs, audit.rhs, audit.verdict,
                        tuple(why) + audit.trace)
 
 
-def elim_p_3l12(split: tuple[int, int] | None = None) -> Elimination:
-    return _transformed_elimination("p.3l-12", "contracted-conic", split)
+def elim_p_3l12() -> Elimination:
+    return _transformed_elimination("p.3l-12", "contracted-conic")
 
 
-def elim_p_3l13(split: tuple[int, int] | None = None) -> Elimination:
-    return _transformed_elimination("p.3l-13", "contracted-contracted", split)
+def elim_p_3l13() -> Elimination:
+    return _transformed_elimination("p.3l-13", "contracted-contracted")
 
 
 def lines_to_contracted_move() -> bool:

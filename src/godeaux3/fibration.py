@@ -671,4 +671,3 @@ ALL_DELTA_ELIMINATIONS = {
     "p.no16": elim_p_no16,
     "t.no1rul": elim_t_no1rul,
 }
-

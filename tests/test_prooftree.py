@@ -206,7 +206,28 @@ def test_each_node_and_the_euler_survivors_run_once(monkeypatch):
 
 def test_case_selectors_follow_closes():
     registry = build_nodes()
-    assert {n for n, node in registry.items() if "1e" in node.closes} == \
-        {"p.1", "t.no4", "p.1e"}
+    assert {n for n, node in registry.items() if "1e" in node.closes} == {"p.1e"}
+    assert {n for n, node in registry.items() if "0g" in node.closes} == {"coverage"}
     assert "coverage" in run("iii").order
     assert set(run("0a").order) >= {"p.0", "p.l0"}
+
+
+def test_declared_labels_are_the_ones_closed(full_report):
+    """An Euler pass closes exactly the labels it leaves with no value of l, and
+    coverage exactly the labels of the final survivor table."""
+    registry, results = full_report.registry, full_report.results
+    for nid in ("p.0", "p.1", "p.3"):
+        dead = {lab for lab, e in results[nid].value.items() if not e.survivors}
+        assert set(registry[nid].closes) == dead
+    final = {lab for labs in results["t.iii2"].value.values() for lab in labs}
+    assert set(registry["coverage"].closes) == {"iii"} | final
+
+
+def test_coverage_needs_closers_with_contradiction_status(monkeypatch):
+    def soften(registry):
+        registry["t.no1rul"] = replace(registry["t.no1rul"], fn=lambda _: Outcome(VERIFIED))
+
+    report = _run_with(monkeypatch, soften)
+    assert report.results["t.no1rul"].closes == ((1, 0, "ruled"),)
+    assert report.results["coverage"].status == "failed"
+    assert report.results["t.final"].status == "failed"

@@ -13,8 +13,8 @@ from itertools import product
 
 from .fibration import Elimination
 from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster,
-                    quadratic_transform, solve_multiplicity_system,
-                    verify_config_table)
+                    product_violation, quadratic_transform,
+                    solve_multiplicity_system, verify_config_table)
 
 _E_NAMES = ("E1", "E2", "E3", "E4", "E5")
 
@@ -103,29 +103,54 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
     """Mutate every entry by +-1 and report mutations that pass every check.
 
     An empty result certifies the checks pin each entry of the table.
+
+    Only the unmutated table is verified in full.  A mutant of row r differs
+    from it in r alone, and every check that does not read r has already
+    passed, so the mutant passes exactly when the checks that read r pass:
+    the total of the mutated column, which a multiplicity mutant moves by
+    weight x delta and a degree mutant leaves alone; each declared product
+    naming r, recomputed with the mutated row; and the proximity inequalities
+    of the mutated row.  Products are resolved by row name, so the names must
+    be unique.  Mutants are flagged virtual, as in the full check.
     """
-    unsharp = []
     ok, violations = verify_config_table(table)
     if not ok:
         raise PlaneError(f"table fails before mutation: {violations}")
-    for ri, row in enumerate(table.rows):
+    rows = {r.name: r for r in table.rows}
+    if len(rows) != len(table.rows):
+        raise PlaneError("row names are not unique")
+    products: dict[str, list] = {name: [] for name in rows}
+    for (a, b), expected in sorted(table.gram.items()):
+        if a == b:  # first: a +-1 mutant moves its own square by an odd number
+            products[a].insert(0, (a, b, expected))
+        else:
+            products[a].append((a, b, expected))
+            products[b].append((a, b, expected))
+
+    def passes(mutated: PlaneCurve) -> bool:
+        now = {**rows, mutated.name: mutated}
+        return table.cluster.proximity_ok(mutated) and not any(
+            product_violation(a, b, now[a], now[b], expected)
+            for a, b, expected in products[mutated.name])
+
+    unsharp = []
+    for row in table.rows:
+        moves_total = bool(table.weights.get(row.name, 0))
         for ci in range(len(row.mults) + 1):
             for delta in (1, -1):
-                rows = list(table.rows)
                 if ci == len(row.mults):
                     if row.degree + delta < 0:
                         continue
                     mutated = PlaneCurve(row.name, row.degree + delta, row.mults, True)
                     where = "degree"
                 else:
+                    if moves_total and ci < len(table.totals):
+                        continue  # its weighted column total is off by weight x delta
                     m = list(row.mults)
                     m[ci] += delta
                     mutated = PlaneCurve(row.name, row.degree, tuple(m), True)
                     where = table.cluster.points[ci]
-                rows[ri] = mutated
-                candidate = ConfigTable(table.cluster, tuple(rows), table.weights,
-                                        table.totals, table.gram)
-                if verify_config_table(candidate)[0]:
+                if passes(mutated):
                     unsharp.append(f"{row.name}@{where}{delta:+d}")
     return unsharp
 

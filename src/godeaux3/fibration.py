@@ -220,13 +220,13 @@ def elim_p_3() -> Elimination:
     return eliminate_by_delta("N")
 
 
-def p1e_meeting_distributions(ell: int) -> list[tuple[int, ...]]:
+def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...]]:
     """In case (1e) every component of B_0 must meet the moving part.
 
-    Enumerates the distributions of A'.B_0 = 3 over the l components and keeps
-    those passing the Euler test; all survivors have every entry positive.
+    ``case`` is the (1e) record of the A'^2 = 1 list.  Enumerates the
+    distributions of A'.B_0 = 3 over the l components and keeps those passing
+    the Euler test; all survivors have every entry positive.
     """
-    case = pencil_case("1e")
     rhs = pencil_delta(case)(ell)
     out = []
 

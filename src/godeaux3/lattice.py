@@ -9,6 +9,7 @@ floats anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 
 class LatticeError(Exception):
@@ -44,8 +45,12 @@ class IntersectionLattice:
         return len(self.basis_labels)
 
     def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        g = self.gram
-        return sum(u[i] * g[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+        # the proof's classes are sparse, so rows with a zero coefficient are skipped
+        total = 0
+        for ui, row in zip(u, self.gram):
+            if ui:
+                total += ui * sum(map(mul, row, v))
+        return total
 
     def divisor(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))
@@ -124,7 +129,7 @@ class DivisorClass:
         return -1 * self
 
     def _same_lattice(self, other: "DivisorClass") -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeError("divisor classes live on different lattices")
 
     def dot(self, other: "DivisorClass") -> int:

@@ -155,18 +155,27 @@ def verify_config_table(table: ConfigTable, totals: tuple[int, ...] | None = Non
                 violations.append(
                     f"column {table.cluster.points[j]}: weighted total {got} != {expected}")
     for (a, b), expected in sorted(table.gram.items()):
-        ra, rb = table.row(a), table.row(b)
-        got = ra.self_int() if a == b else ra.dot(rb)
-        if isinstance(expected, str):  # inequalities like ">=1"
-            bound = int(expected.lstrip(">="))
-            if not got >= bound:
-                violations.append(f"{a}.{b} = {got} not >= {bound}")
-        elif got != expected:
-            violations.append(f"{a}.{b} = {got} != {expected}")
+        violation = product_violation(a, b, table.row(a), table.row(b), expected)
+        if violation:
+            violations.append(violation)
     for r in table.rows:
         if not table.cluster.proximity_ok(r):
             violations.append(f"{r.name}: proximity inequality fails")
     return not violations, violations
+
+
+def product_violation(a: str, b: str, ra: PlaneCurve, rb: PlaneCurve,
+                      expected: int | str) -> str | None:
+    """Check one declared product ``a.b`` of the rows ``ra`` and ``rb``.
+
+    ``expected`` is an integer or a bound such as ``">=1"``; returns the
+    violation, or None when the product meets it.
+    """
+    got = ra.self_int() if a == b else ra.dot(rb)
+    if isinstance(expected, str):  # inequalities like ">=1"
+        bound = int(expected.lstrip(">="))
+        return None if got >= bound else f"{a}.{b} = {got} not >= {bound}"
+    return None if got == expected else f"{a}.{b} = {got} != {expected}"
 
 
 # -- Cremona quadratic transforms ----------------------------------------------

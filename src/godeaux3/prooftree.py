@@ -461,8 +461,9 @@ def _euler_pass(list_node: str, printed: dict | None = None):
 def _p_1(ins) -> Outcome:
     """The A'^2 = 1 pass; in (1e) every component of B_0 meets the moving part."""
     out = _euler_pass("p.list1")(ins)
+    case_1e = next(c for c in ins["p.list1"].value if c.label == "1e")
     for ell in (1, 2, 3):
-        dists = fibration.p1e_meeting_distributions(ell)
+        dists = fibration.p1e_meeting_distributions(case_1e, ell)
         if not dists or any(min(d) < 1 for d in dists):
             out.status = FAILED
         out.trace.append(f"(1e) with l={ell}: admissible B_0 distributions {dists}")

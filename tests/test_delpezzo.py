@@ -1,7 +1,45 @@
+from dataclasses import replace
+
 import pytest
 
 from godeaux3 import delpezzo as dp
-from godeaux3.plane import verify_config_table
+from godeaux3.plane import ConfigTable, PlaneCurve, PlaneError, verify_config_table
+
+
+def full_recheck_sweep(table):
+    """Reference sweep: every +-1 mutant re-verifies the whole table."""
+    unsharp = []
+    assert verify_config_table(table)[0]
+    for ri, row in enumerate(table.rows):
+        for ci in range(len(row.mults) + 1):
+            for delta in (1, -1):
+                rows = list(table.rows)
+                if ci == len(row.mults):
+                    if row.degree + delta < 0:
+                        continue
+                    mutated = PlaneCurve(row.name, row.degree + delta, row.mults, True)
+                    where = "degree"
+                else:
+                    m = list(row.mults)
+                    m[ci] += delta
+                    mutated = PlaneCurve(row.name, row.degree, tuple(m), True)
+                    where = table.cluster.points[ci]
+                rows[ri] = mutated
+                if verify_config_table(replace(table, rows=tuple(rows)))[0]:
+                    unsharp.append(f"{row.name}@{where}{delta:+d}")
+    return unsharp
+
+
+def _weakened():
+    base = dp.table_14pt("lines-lines")
+    yield "gram emptied", replace(base, gram={})
+    # a +-1 mutant moves its row's square by an odd number, so with the squares
+    # declared no mutant survives; without totals, drop them too
+    yield "totals emptied", replace(
+        base, totals=(), gram={(a, b): v for (a, b), v in base.gram.items() if a != b})
+    yield "F products removed", replace(
+        base, gram={k: v for k, v in base.gram.items() if "F" not in k})
+    yield "8pt gram emptied", replace(dp.table_8pt("8-1-1-0-0-0"), gram={})
 
 
 def test_all_printed_tables_pass():
@@ -28,6 +66,29 @@ def test_perturbation_sweep_14pt(variant):
 
 def test_perturbation_sweep_8pt():
     assert dp.perturbation_sweep(dp.table_8pt("8-2-0-0-0-0")) == []
+
+
+@pytest.mark.parametrize("name,table", dp.all_printed_tables())
+def test_incremental_sweep_matches_full_recheck_on_printed_tables(name, table):
+    assert dp.perturbation_sweep(table) == full_recheck_sweep(table)
+
+
+@pytest.mark.parametrize("name,table", list(_weakened()))
+def test_incremental_sweep_matches_full_recheck_on_weakened_tables(name, table):
+    # each weakened table leaves mutants unpinned, so a check the incremental
+    # sweep skipped or misread would show up as a different list
+    unsharp = dp.perturbation_sweep(table)
+    assert unsharp
+    assert unsharp == full_recheck_sweep(table)
+
+
+def test_sweep_rejects_failing_tables_and_repeated_row_names():
+    table = dp.table_14pt("lines-lines")
+    with pytest.raises(PlaneError, match="fails before mutation"):
+        dp.perturbation_sweep(replace(table, totals=(0,) * len(table.totals)))
+    twice = ConfigTable(table.cluster, table.rows + table.rows[-1:])
+    with pytest.raises(PlaneError, match="not unique"):
+        dp.perturbation_sweep(twice)
 
 
 def test_transformed_tables_match_fixtures():

@@ -128,8 +128,11 @@ def test_survivor_composites():
 
 
 def test_1e_distributions_all_positive():
+    from godeaux3.pencil import pencil_case
+
+    case = pencil_case("1e")
     for ell in (1, 2, 3):
-        dists = fib.p1e_meeting_distributions(ell)
+        dists = fib.p1e_meeting_distributions(case, ell)
         assert dists
         assert all(min(d) >= 1 for d in dists)
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -143,6 +145,42 @@ def test_bilinearity(u, v, w, a, b):
     du, dv, dw = lat.divisor(u), lat.divisor(v), lat.divisor(w)
     assert (a * du + b * dv).dot(dw) == a * du.dot(dw) + b * dv.dot(dw)
     assert du.dot(dv) == dv.dot(du)
+
+
+@st.composite
+def _gram_and_pair(draw):
+    """A symmetric integer Gram of rank 1-12 and two vectors with zeros among them."""
+    n = draw(st.integers(1, 12))
+    entries = st.integers(-3, 3)
+    upper = {(i, j): draw(entries) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    vector = st.lists(st.sampled_from((0, 0, -2, -1, 1, 3)), min_size=n, max_size=n)
+    return gram, tuple(draw(vector)), tuple(draw(vector))
+
+
+@given(_gram_and_pair())
+def test_dot_matches_the_double_sum(data):
+    gram, u, v = data
+    n = len(gram)
+    lat = IntersectionLattice(tuple(f"e{i}" for i in range(n)), gram, (0,) * n)
+    naive = sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+    assert lat.dot(u, v) == naive
+    assert lat.divisor(u).dot(lat.divisor(v)) == naive
+
+
+def test_equal_lattices_mix_and_different_ones_raise():
+    a, b = IntersectionLattice.plane_blow_up(5), IntersectionLattice.plane_blow_up(5)
+    assert a is not b and a == b
+    h, e1 = a.basis_class("H"), b.basis_class("E1")
+    assert (h + e1).dot(e1) == -1
+    assert (h - e1).lattice is a
+    heavier = replace(a, gram=tuple(tuple(-2 if i == j == 5 else x for j, x in enumerate(row))
+                                    for i, row in enumerate(a.gram)))
+    for other in (heavier, blow_up(a), IntersectionLattice.hirzebruch(1)):
+        with pytest.raises(LatticeError):
+            h.dot(other.divisor((1,) * other.rank))
+    with pytest.raises(LatticeError):
+        h + heavier.basis_class("H")
 
 
 def test_serialization_round_trip(plane5):

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from godeaux3 import fibration, report as report_mod
+from godeaux3 import fibration, pencil, report as report_mod
 from godeaux3.cli import main
 from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
                                 build_nodes, topological_order)
@@ -202,6 +202,20 @@ def test_each_node_and_the_euler_survivors_run_once(monkeypatch):
     assert report.verdict == "verified"
     assert set(calls) == set(report.order) | {"t_iii_survivors"}
     assert set(calls.values()) == {1}
+
+
+def test_each_pencil_list_is_enumerated_once(monkeypatch):
+    # the four lists and their four unfiltered supersets; p.1 reads (1e) from p.list1
+    calls = Counter()
+    enumerate_cases = pencil.enumerate_pencil_cases
+
+    def counted(aprime2, h2=1, apply_orbit_filters=True):
+        calls[aprime2, apply_orbit_filters] += 1
+        return enumerate_cases(aprime2, h2, apply_orbit_filters)
+
+    monkeypatch.setattr(pencil, "enumerate_pencil_cases", counted)
+    assert run("all").verdict == "verified"
+    assert calls == Counter({(a, f): 1 for a in range(4) for f in (True, False)})
 
 
 def test_case_selectors_follow_closes():

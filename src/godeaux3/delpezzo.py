@@ -111,7 +111,11 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
     weight x delta and a degree mutant leaves alone; each declared product
     naming r, recomputed with the mutated row; and the proximity inequalities
     of the mutated row.  Products are resolved by row name, so the names must
-    be unique.  Mutants are flagged virtual, as in the full check.
+    be unique.  Mutants are flagged virtual, as in the full check, and
+    ``proximity_ok`` accepts every virtual row, so the proximity check never
+    rejects a mutant here, just as it never did there: an empty sweep
+    certifies the column totals and declared products, not the proximity
+    inequalities.
     """
     ok, violations = verify_config_table(table)
     if not ok:

@@ -45,12 +45,9 @@ class IntersectionLattice:
         return len(self.basis_labels)
 
     def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        # the proof's classes are sparse, so rows with a zero coefficient are skipped
-        total = 0
-        for ui, row in zip(u, self.gram):
-            if ui:
-                total += ui * sum(map(mul, row, v))
-        return total
+        if len(u) != self.rank or len(v) != self.rank:
+            raise LatticeError("coefficient vector length does not match the lattice rank")
+        return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.gram))
 
     def divisor(self, coeffs) -> "DivisorClass":
         return DivisorClass(self, tuple(int(c) for c in coeffs))

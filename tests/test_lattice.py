@@ -168,6 +168,15 @@ def test_dot_matches_the_double_sum(data):
     assert lat.divisor(u).dot(lat.divisor(v)) == naive
 
 
+def test_dot_rejects_vectors_of_the_wrong_length(plane5):
+    full = (1,) * plane5.rank
+    for short, long_ in ((full[:-1], full), (full, full + (1,))):
+        with pytest.raises(LatticeError):
+            plane5.dot(short, long_)
+        with pytest.raises(LatticeError):
+            plane5.dot(long_, short)
+
+
 def test_equal_lattices_mix_and_different_ones_raise():
     a, b = IntersectionLattice.plane_blow_up(5), IntersectionLattice.plane_blow_up(5)
     assert a is not b and a == b

@@ -5,7 +5,7 @@ parameters.  The composite pass closes the first two main cases entirely and
 cuts the pencil case down to seven surviving (l, shape) pairs.
 """
 
-from godeaux3 import fibration
+from godeaux3 import fibration, pencil
 
 for prop in ("t.ii", "p.no0", "p.noZ", "p.noN", "p.noN1", "p.no16", "t.no1rul"):
     e = fibration.ALL_DELTA_ELIMINATIONS[prop]()
@@ -14,10 +14,11 @@ for prop in ("t.ii", "p.no0", "p.noZ", "p.noN", "p.noN1", "p.no16", "t.no1rul"):
         print(f"   survivors: {list(e.survivors)}")
 
 print("\nEuler pass over the pencil-case lists:")
-passes = {**fibration.elim_p_0(), **fibration.elim_p_1()}
+passes = {c.label: fibration.eliminate_by_delta(c)
+          for aprime2 in (0, 1) for c in pencil.enumerate_pencil_cases(aprime2)}
 for label, e in sorted(passes.items()):
     print(f"  ({label}): {e.lhs} vs {e.rhs}, surviving l = {list(e.survivors)}")
-passes["N"] = fibration.elim_p_3()
+passes["N"] = fibration.eliminate_by_delta("N")
 print(f"  (N): surviving l = {list(passes['N'].survivors)}")
 
 survivors = fibration.t_iii_survivors(passes)

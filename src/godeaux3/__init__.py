@@ -1,49 +1,32 @@
 """Exact-arithmetic replay of the proof that a numerical Godeaux surface
 admits no automorphism of order three.
 
-The package exposes integer intersection theory on blown-up rational
-surfaces, the invariant-pencil case enumerations, the adjoint-ladder
-identities, the Euler-number eliminations, the plane Cremona endgame, and a
-proof-tree runner that replays every step and reports what was verified and
-what is assumed.
+The whole proof runs through :func:`run`, which replays the proof tree and
+returns a report of what was verified and what is assumed.  The other names
+below are the entry points of single layers: integer intersection theory on
+blown-up rational surfaces, the main-case gate, the invariant-pencil
+enumeration, the adjoint-ladder identities and the plane Cremona endgame.
+Everything else is reached through its module, e.g. ``godeaux3.fibration``.
 """
 
-from .adjoint import (AdjointRow, CycleCounts, adjoint_table,
-                      cycle_structure_check, n_range, verify_ladder_identity,
-                      z_lower_bound)
-from .cover import (CaseRecord, GodeauxContext, RamificationData,
-                    eigenvalue_split, enumerate_main_cases, fixed_point_budget,
-                    h0_pair, kx2, quotient_k2)
-from .delpezzo import eigenvalue_audit, exceptional_curve_solutions, \
-    sixtuple_enumerate
-from .fibration import (Elimination, FibrationModel, delta, eliminate_by_delta,
-                        min_contribution, node_bound)
-from .lattice import (DivisorClass, IntersectionLattice, arithmetic_genus,
-                      blow_up, hodge_index_filter, intersect)
-from .pencil import (DropAtom, PencilCase, ar0_upper, enumerate_pencil_cases,
-                     genus_from_case, subsystem_split)
-from .plane import (BranchAssignment, PlaneCurve, PointCluster,
-                    RuledModel, cremona_orbit_connect,
-                    degree_budget, homaloidal_eliminate, quadratic_transform,
-                    ruled_constraints, singular_fiber_count_bound,
-                    solve_multiplicity_system, verify_config_table)
-from .report import Report, explain, fixtures_check, run
+from .adjoint import CycleCounts, adjoint_table, n_range, verify_ladder_identity
+from .cover import (GodeauxContext, RamificationData, eigenvalue_split,
+                    enumerate_main_cases, fixed_point_budget, h0_pair, kx2,
+                    quotient_k2)
+from .delpezzo import sixtuple_enumerate
+from .lattice import (IntersectionLattice, arithmetic_genus, blow_up,
+                      hodge_index_filter, intersect)
+from .pencil import ar0_upper, enumerate_pencil_cases, subsystem_split
+from .plane import (cremona_orbit_connect, homaloidal_eliminate,
+                    solve_multiplicity_system)
+from .report import run
 
 __all__ = [
-    "AdjointRow", "BranchAssignment", "CaseRecord", "CycleCounts",
-    "DivisorClass", "DropAtom",
-    "Elimination", "FibrationModel", "GodeauxContext", "IntersectionLattice",
-    "PencilCase", "PlaneCurve", "PointCluster", "RamificationData",
-    "Report", "RuledModel",
+    "CycleCounts", "GodeauxContext", "IntersectionLattice", "RamificationData",
     "adjoint_table", "ar0_upper", "arithmetic_genus", "blow_up",
-    "cremona_orbit_connect", "cycle_structure_check", "degree_budget", "delta",
-    "eigenvalue_audit", "eigenvalue_split", "eliminate_by_delta",
-    "enumerate_main_cases", "enumerate_pencil_cases",
-    "exceptional_curve_solutions", "explain", "fixed_point_budget",
-    "fixtures_check", "genus_from_case", "h0_pair", "hodge_index_filter",
-    "homaloidal_eliminate", "intersect", "kx2", "min_contribution", "n_range",
-    "node_bound", "quadratic_transform", "quotient_k2", "ruled_constraints",
-    "run", "singular_fiber_count_bound", "sixtuple_enumerate",
-    "solve_multiplicity_system", "subsystem_split", "verify_config_table",
-    "verify_ladder_identity", "z_lower_bound",
+    "cremona_orbit_connect", "eigenvalue_split", "enumerate_main_cases",
+    "enumerate_pencil_cases", "fixed_point_budget", "h0_pair",
+    "hodge_index_filter", "homaloidal_eliminate", "intersect", "kx2", "n_range",
+    "quotient_k2", "run", "sixtuple_enumerate", "solve_multiplicity_system",
+    "subsystem_split", "verify_ladder_identity",
 ]

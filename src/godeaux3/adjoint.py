@@ -97,19 +97,8 @@ class Cycle:
 
     components: tuple[tuple[str, int], ...]
 
-    @property
-    def support(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.components)
-
     def is_irreducible(self) -> bool:
         return len(self.components) == 1 and self.components[0][1] == 1
-
-    def to_json(self) -> dict:
-        return {"cycle": [{"component": n, "mult": m} for n, m in self.components]}
-
-
-def cycles_to_json(config: list["Cycle"]) -> list[dict]:
-    return [c.to_json() for c in config]
 
 
 def _kind(name: str) -> str:

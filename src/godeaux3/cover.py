@@ -131,42 +131,13 @@ def h0_pair(r0k, h2: int | None = None) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CaseRecord:
-    """One of the main cases of the analysis, optionally instantiated at an ell."""
+    """One of the main cases of the analysis."""
 
     id: str
     r0k: int
     h2: int
     h0_n: int
     h0_2kb: int
-    ell: int | None = None
-    gamma_sq: int | None = None
-
-    def ramification(self) -> RamificationData:
-        if self.ell is None:
-            raise CaseInvalidError("instantiate the record with a concrete ell first")
-        return RamificationData(self.r0k, self.ell, self.h2, gamma_sq=self.gamma_sq)
-
-    def instantiate(self, ell: int, gamma_sq: int | None = None) -> "CaseRecord":
-        return CaseRecord(self.id, self.r0k, self.h2, self.h0_n, self.h0_2kb, ell, gamma_sq)
-
-    def to_json(self) -> dict:
-        data = {
-            "id": self.id,
-            "r0k": self.r0k,
-            "h2": self.h2,
-            "h0_N": self.h0_n,
-            "h0_2KYB": self.h0_2kb,
-            "ell": self.ell,
-            "h1": None,
-            "ky2": None,
-        }
-        if self.gamma_sq is not None:
-            data["gamma_sq"] = self.gamma_sq
-        if self.ell is not None:
-            r = self.ramification()
-            data["h1"] = r.h1
-            data["ky2"] = quotient_k2(GodeauxContext(), r)
-        return data
 
 
 _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
@@ -229,24 +200,3 @@ def eigenvalue_split(ell: int) -> EigenvalueSplit:
     h11 = solutions[0]
     return EigenvalueSplit(h11, h1 - h11, candidates[0] % 3, tuple(rejected))
 
-
-@dataclass(frozen=True)
-class TripleCoverData:
-    """Torsion data of the cover: validated only when a model realizes it.
-
-    ``l1`` must satisfy l1^2 + l1.K = -2 and 3 l1 must equal the branch class
-    weighted by eigenvalue exponents (components with the second exponent
-    counted twice).  The impossible configurations of the endgame are exactly
-    those admitting no such instantiation.
-    """
-
-    l1: object  # DivisorClass
-    weighted_branch: object  # DivisorClass
-
-    def __post_init__(self) -> None:
-        k = self.l1.lattice.k
-        if self.l1.square + self.l1.dot(k) != -2:
-            raise CaseInvalidError("l1^2 + l1.K must be -2")
-        if (3 * self.l1 - self.weighted_branch).coeffs != tuple(
-                0 for _ in self.l1.coeffs):
-            raise CaseInvalidError("3 l1 does not match the weighted branch class")

@@ -109,13 +109,11 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
     passed, so the mutant passes exactly when the checks that read r pass:
     the total of the mutated column, which a multiplicity mutant moves by
     weight x delta and a degree mutant leaves alone; each declared product
-    naming r, recomputed with the mutated row; and the proximity inequalities
-    of the mutated row.  Products are resolved by row name, so the names must
-    be unique.  Mutants are flagged virtual, as in the full check, and
-    ``proximity_ok`` accepts every virtual row, so the proximity check never
-    rejects a mutant here, just as it never did there: an empty sweep
-    certifies the column totals and declared products, not the proximity
-    inequalities.
+    naming r, recomputed with the mutated row.  Products are resolved by row
+    name, so the names must be unique.  An empty sweep certifies the column
+    totals and declared products only: mutants are flagged virtual, and
+    ``proximity_ok`` accepts every virtual row, so the proximity inequalities
+    could never reject one.
     """
     ok, violations = verify_config_table(table)
     if not ok:
@@ -133,9 +131,8 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
 
     def passes(mutated: PlaneCurve) -> bool:
         now = {**rows, mutated.name: mutated}
-        return table.cluster.proximity_ok(mutated) and not any(
-            product_violation(a, b, now[a], now[b], expected)
-            for a, b, expected in products[mutated.name])
+        return not any(product_violation(a, b, now[a], now[b], expected)
+                       for a, b, expected in products[mutated.name])
 
     unsharp = []
     for row in table.rows:
@@ -457,9 +454,6 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Eliminatio
         nu["B0"] = 1
         if all(sum(w * nu.get(name, 0) for name, w in eq.items()) % 3 == 0
                for _, eq in equations):
-            from .plane import BranchAssignment
-
-            BranchAssignment(tuple(sorted(nu.items())))  # conjugacy invariant
             solutions.append(dict(nu))
     for label, eq in equations:
         terms = "+".join(f"{w}*{n}" for n, w in sorted(eq.items()) if w)
@@ -529,36 +523,3 @@ def lines_to_contracted_move() -> bool:
     return h_new.degree == 0 and sorted(h_new.mults) == sorted(
         (0, 0, 0, -1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1))
 
-
-def torsion_class_search(variant: str) -> list:
-    """Try to realize the torsion class on the configuration's lattice model.
-
-    Searches all eigenvalue assignments (two of the five exceptional curves
-    on one side, the F/H pair either way) for one making the weighted branch
-    class divisible by 3; the printed configurations admit none, which is a
-    divisor-class strengthening of the mod-3 audit.
-    """
-    from itertools import combinations
-
-    from .cover import CaseInvalidError, TripleCoverData
-    from .lattice import IntersectionLattice
-
-    table = table_14pt(variant)
-    lat = IntersectionLattice.plane_blow_up(14)
-    cls = {r.name: lat.divisor((r.degree,) + tuple(-m for m in r.mults))
-           for r in table.rows}
-    found = []
-    for swap in (False, True):
-        f, h = (cls["H"], cls["F"]) if swap else (cls["F"], cls["H"])
-        for plus in combinations(_E_NAMES, 2):
-            weighted = cls["B0"] + f + 2 * h
-            for e in _E_NAMES:
-                weighted = weighted + (1 if e in plus else 2) * cls[e]
-            if any(c % 3 for c in weighted.coeffs):
-                continue
-            l1 = lat.divisor(tuple(c // 3 for c in weighted.coeffs))
-            try:
-                found.append(TripleCoverData(l1, weighted))
-            except CaseInvalidError:
-                continue
-    return found

@@ -29,14 +29,6 @@ class LinearForm:
     def __call__(self, value: int) -> int:
         return self.const + self.coef * value
 
-    def __add__(self, other):
-        other = _as_form(other)
-        return LinearForm(self.const + other.const, self.coef + other.coef, self.var)
-
-    def __sub__(self, other):
-        other = _as_form(other)
-        return LinearForm(self.const - other.const, self.coef - other.coef, self.var)
-
     def __str__(self) -> str:
         if self.coef == 0:
             return str(self.const)
@@ -46,35 +38,8 @@ class LinearForm:
         return f"{self.const}+{coef}" if self.coef > 0 else f"{self.const}-{-self.coef}{self.var}"
 
 
-def _as_form(x) -> LinearForm:
-    return x if isinstance(x, LinearForm) else LinearForm(int(x))
-
-
-@dataclass(frozen=True)
-class FibrationModel:
-    """A pencil-induced fibration: ambient Euler number, fibre genus, base points."""
-
-    e_ambient: int
-    fiber_pa: int
-    base_points: int
-    components: tuple[tuple[str, int, int, int], ...] = ()  # (name, self_int, mult, pa)
-
-    def __post_init__(self) -> None:
-        if delta(self) < 0:
-            raise FibrationError("negative Euler excess")
-
-
-def delta(model: FibrationModel) -> int:
-    """Total Euler excess of the singular fibres: e(Y) + base - e(fiber) e(P^1)."""
-    return model.e_ambient + model.base_points - 2 * (2 - 2 * model.fiber_pa)
-
-
-def min_contribution(component) -> int:
-    """An irreducible curve of square -n inside a fibre adds at least n to delta.
-
-    Accepts the self-intersection or a component tuple (name, self_int, ...).
-    """
-    self_int = component[1] if isinstance(component, tuple) else component
+def min_contribution(self_int: int) -> int:
+    """An irreducible curve of square -n inside a fibre adds at least n to delta."""
     if self_int >= 0:
         raise FibrationError("only negative curves are trapped in fibres")
     return -self_int
@@ -122,16 +87,6 @@ class Elimination:
     verdict: str  # "contradiction" or "survives"
     trace: tuple[str, ...] = ()
     survivors: tuple = ()
-
-    def to_json(self) -> dict:
-        return {
-            "prop_id": self.prop_id,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "verdict": self.verdict,
-            "trace": list(self.trace),
-            "survivors": [list(s) if isinstance(s, tuple) else s for s in self.survivors],
-        }
 
 
 # -- case (iii): the pencil |A'| ----------------------------------------------
@@ -204,20 +159,6 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     trace.append(f"surviving l: {survivors}")
     return Elimination(f"delta.{case.label}", str(lhs), str(rhs), verdict,
                        tuple(trace), tuple(survivors))
-
-
-def elim_p_0() -> dict[str, Elimination]:
-    """A'^2 = 0: only (0a), (0c), (0f) with l=0 and (0d) with l=1 survive; also (0g)."""
-    return {lab: eliminate_by_delta(lab) for lab in
-            ("0a", "0b", "0c", "0d", "0e", "0f", "0g", "0h")}
-
-
-def elim_p_1() -> dict[str, Elimination]:
-    return {lab: eliminate_by_delta(lab) for lab in ("1a", "1b", "1c", "1d", "1e", "1f")}
-
-
-def elim_p_3() -> Elimination:
-    return eliminate_by_delta("N")
 
 
 def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...]]:

@@ -85,22 +85,6 @@ class IntersectionLattice:
         gram = ((-a, 1), (1, 0))
         return cls(("c", "f"), gram, (-2, -(a + 2)), name=name or f"F{a}")
 
-    def to_json(self) -> dict:
-        return {
-            "basis": list(self.basis_labels),
-            "gram": [list(row) for row in self.gram],
-            "canonical": list(self.canonical),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, name: str = "") -> "IntersectionLattice":
-        return cls(
-            tuple(data["basis"]),
-            tuple(tuple(int(x) for x in row) for row in data["gram"]),
-            tuple(int(x) for x in data["canonical"]),
-            name=name,
-        )
-
 
 @dataclass(frozen=True)
 class DivisorClass:
@@ -122,9 +106,6 @@ class DivisorClass:
     def __rmul__(self, scalar: int) -> "DivisorClass":
         return DivisorClass(self.lattice, tuple(scalar * a for a in self.coeffs))
 
-    def __neg__(self) -> "DivisorClass":
-        return -1 * self
-
     def _same_lattice(self, other: "DivisorClass") -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeError("divisor classes live on different lattices")
@@ -139,9 +120,6 @@ class DivisorClass:
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
-
-    def to_json(self) -> dict:
-        return {"lattice_id": self.lattice.name, "coeffs": list(self.coeffs)}
 
 
 def intersect(d1: DivisorClass, d2: DivisorClass) -> int:

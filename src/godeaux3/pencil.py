@@ -38,15 +38,13 @@ def _q_dot(d1: dict[str, int], d2: dict[str, int]) -> int:
 
 @dataclass(frozen=True)
 class DropAtom:
-    """One local contribution to the exceptional content D of the pencil."""
+    """How A passes through an A_2-type fixed point q: its share of D over F, G, H."""
 
     kind: str
-    site: str  # "q" (A_2-type fixed point) or "p" (triple-point type)
     mult: int  # multiplicity of A at the point
     d_contribution: tuple[tuple[str, int], ...]
     self_int_drop: int
     dg: int
-    de: int
     singularity: str
     min_a2: int = 0
     requires_a2_9: bool = False
@@ -61,16 +59,8 @@ def _q_atom(kind: str, f: int, g: int, h: int, mult: int, singularity: str,
     # Phi must pass through q whenever the F or H multiplicity of D is not
     # divisible by 3 (branch components pull back with multiplicity 3).
     forces = f % 3 != 0 or h % 3 != 0
-    return DropAtom(kind, "q", mult, tuple(sorted(d.items())), drop, dg, 0,
-                    singularity, min_a2, requires_a2_9, forces)
-
-
-def p_atom(mult: int) -> DropAtom:
-    """A passes with multiplicity ``mult`` through a triple-point type fixed point."""
-    if mult < 1:
-        raise ValueError("multiplicity must be positive")
-    return DropAtom(f"p-mult-{mult}", "p", mult, (("E", mult),), mult * mult, 0, -mult,
-                    "none" if mult == 1 else "multiple")
+    return DropAtom(kind, mult, tuple(sorted(d.items())), drop, dg, singularity,
+                    min_a2, requires_a2_9, forces)
 
 
 Q_SIMPLE = _q_atom("q-simple", 2, 1, 1, 1, "simple")
@@ -151,18 +141,6 @@ class PencilCase:
         for comp, mult in self.d:
             parts.append(comp if mult == 1 else f"{mult}{comp}")
         return "+".join(parts)
-
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "a2": self.a2,
-            "ar0": self.ar0,
-            "g": self.g,
-            "apk": self.apk,
-            "aprime2": self.aprime2,
-            "d": [{"component": c, "mult": m} for c, m in self.d],
-            "phi_zero": self.phi_zero,
-        }
 
 
 def _p_multisets(budget: int, max_parts: int = 9):

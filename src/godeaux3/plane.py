@@ -40,10 +40,6 @@ class PlaneCurve:
         d = self.degree
         return (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for m in self.mults)
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "degree": self.degree, "mults": list(self.mults),
-                "virtual": self.virtual}
-
 
 @dataclass(frozen=True)
 class PointCluster:
@@ -84,9 +80,6 @@ class PointCluster:
     def index(self, p: str) -> int:
         return self.points.index(p)
 
-    def parents(self, p: str) -> list[str]:
-        return [par for ch, par in self.proximity if ch == p]
-
     def children(self, p: str) -> list[str]:
         return [ch for ch, par in self.proximity if par == p]
 
@@ -101,11 +94,6 @@ class PointCluster:
             if curve.mults[self.index(p)] < sum(curve.mults[self.index(k)] for k in kids):
                 return False
         return True
-
-    def to_json(self) -> dict:
-        return {"points": list(self.points),
-                "proximity": [list(e) for e in self.proximity],
-                "planar": list(self.planar)}
 
 
 @dataclass(frozen=True)
@@ -123,17 +111,6 @@ class ConfigTable:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-    def to_json(self) -> dict:
-        return {
-            "points": list(self.cluster.points),
-            "rows": [r.to_json() for r in self.rows],
-            "proximity": [list(e) for e in self.cluster.proximity],
-            "planar": list(self.cluster.planar),
-            "weights": dict(self.weights),
-            "totals": list(self.totals),
-            "gram": {f"{a},{b}": v for (a, b), v in sorted(self.gram.items())},
-        }
 
 
 def verify_config_table(table: ConfigTable, totals: tuple[int, ...] | None = None,
@@ -375,22 +352,6 @@ def degree_budget(k: int) -> int:
 # -- the ruled endgame ----------------------------------------------------------
 
 
-def ruled_constraints(a: int) -> dict:
-    """Nef constraints of the minimal-model ladder over F_a (pencil branch).
-
-    The section class c must meet the pulled-back pencil nonnegatively:
-    c.N = 7 - 3a >= 0, the four E'-curves decompose with alpha_i = 3 and
-    beta_i >= 3a, and the beta-sum is 13 + 6a.
-    """
-    return {
-        "a_ok": 7 - 3 * a >= 0,
-        "c_dot_n": 7 - 3 * a,
-        "alpha": 3,
-        "beta_sum": 13 + 6 * a,
-        "beta_min": 3 * a,
-    }
-
-
 def singular_fiber_count_bound(a: int, beta_i: int) -> int:
     """Least r with Delta-contribution 2 beta_i + 7 - 3a <= 6r."""
     if a not in (0, 1, 2):
@@ -505,55 +466,3 @@ def homaloidal_eliminate(branch: str) -> dict:
             "available": 9, "verdict": "contradiction" if s1 + s2 > 9 else "survives",
             "trace": trace}
 
-
-@dataclass(frozen=True)
-class BranchAssignment:
-    """Eigenvalue exponents of the branch components (powers of the cube root).
-
-    The two exceptional curves over the A_2-type point carry conjugate
-    exponents: exponent(H) = 2 exponent(F) mod 3.
-    """
-
-    exponent: tuple[tuple[str, int], ...]
-
-    def __post_init__(self) -> None:
-        table = dict(self.exponent)
-        for name, value in table.items():
-            if value not in (1, 2):
-                raise PlaneError(f"exponent of {name} must be 1 or 2")
-        if "F" in table and "H" in table:
-            if table["H"] % 3 != (2 * table["F"]) % 3:
-                raise PlaneError("the exceptional pair must carry conjugate exponents")
-
-    def __getitem__(self, name: str) -> int:
-        return dict(self.exponent)[name]
-
-
-@dataclass(frozen=True)
-class RuledModel:
-    """The minimal-model ladder over a Hirzebruch surface.
-
-    ``a`` is the Hirzebruch index and ``steps`` the number of adjoint steps
-    between the base-point-free rational pencil and the tricanonical image.
-    Constructing the model checks the ladder identities exactly.
-    """
-
-    a: int
-    steps: int
-
-    def __post_init__(self) -> None:
-        data = self.data()
-        if data["squares"][0] != 0:
-            raise PlaneError("the pencil class must have square 0")
-        if data["n_square"] != data["squares"][-1]:
-            raise PlaneError("inconsistent ladder data")
-
-    def data(self) -> dict:
-        return fa_ladder_checks(self.a, self.steps)
-
-    @property
-    def section_dot_n(self) -> int:
-        return self.data()["c_dot_n"]
-
-    def is_nef_admissible(self) -> bool:
-        return self.section_dot_n >= 0

@@ -115,7 +115,7 @@ def test_criterion_5_delta_eliminations():
             ok &= elim.verdict == "contradiction"
         if prop in expected_sides:
             ok &= (elim.lhs, elim.rhs) == expected_sides[prop]
-    p0 = fibration.elim_p_0()
+    p0 = {c.label: fibration.eliminate_by_delta(c) for c in pencil.enumerate_pencil_cases(0)}
     ok &= (p0["0a"].lhs, p0["0a"].rhs) == ("12+9l", "14+3l")
     ok &= p0["0a"].survivors == (0,) and p0["0b"].survivors == ()
     ok &= p0["0c"].survivors == (0,)

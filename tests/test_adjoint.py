@@ -102,13 +102,3 @@ def test_ladder_fails_off_branch():
 def test_n_prime_one_contradiction_flag():
     assert n_prime_one_is_contradiction(1)
     assert n_prime_one_is_contradiction(2)
-
-
-def test_cycle_json():
-    from godeaux3.adjoint import cycles_to_json
-
-    config = [Cycle((("Z1", 1),)), Cycle((("Z1", 1), ("E2", 1)))]
-    assert cycles_to_json(config) == [
-        {"cycle": [{"component": "Z1", "mult": 1}]},
-        {"cycle": [{"component": "Z1", "mult": 1}, {"component": "E2", "mult": 1}]},
-    ]

@@ -99,12 +99,6 @@ def test_enumerate_main_cases():
     assert h2_bound_is_monotone()
 
 
-def test_case_record_json():
-    case = enumerate_main_cases()[2].instantiate(ell=1)
-    blob = case.to_json()
-    assert blob["id"] == "iii" and blob["h1"] == 5 and blob["ky2"] == -5
-
-
 def test_eigenvalue_split():
     split = eigenvalue_split(1)
     assert (split.h11, split.h12) == (2, 3)
@@ -117,17 +111,3 @@ def test_eigenvalue_split():
 def test_h0_pair_accepts_ramification_data():
     r = RamificationData(0, 1, 1)
     assert h0_pair(r) == (2, 0)
-
-
-def test_triple_cover_data_validation():
-    from godeaux3.cover import TripleCoverData
-    from godeaux3.lattice import IntersectionLattice
-
-    lat = IntersectionLattice.plane_blow_up(2)
-    l1 = lat.divisor([1, -1, 0])  # l1^2 + l1.K = 0 - 2 = -2
-    TripleCoverData(l1, 3 * l1)
-    bad = lat.divisor([1, 1, 0])  # sum is -4
-    with pytest.raises(CaseInvalidError):
-        TripleCoverData(bad, 3 * bad)
-    with pytest.raises(CaseInvalidError):
-        TripleCoverData(l1, 3 * l1 + lat.divisor([1, 0, 0]))

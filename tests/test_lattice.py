@@ -192,15 +192,6 @@ def test_equal_lattices_mix_and_different_ones_raise():
         h + heavier.basis_class("H")
 
 
-def test_serialization_round_trip(plane5):
-    data = plane5.to_json()
-    back = IntersectionLattice.from_json(data, name=plane5.name)
-    assert back.gram == plane5.gram and back.canonical == plane5.canonical
-    d = plane5.divisor([1, 2, 3, 4, 5, 6])
-    blob = d.to_json()
-    assert blob["coeffs"] == [1, 2, 3, 4, 5, 6]
-
-
 def test_hirzebruch_lattice():
     f2 = IntersectionLattice.hirzebruch(2)
     c, f = f2.basis_class("c"), f2.basis_class("f")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from godeaux3.pencil import (Q_CUSP, Q_NODE, Q_SIMPLE, Q_TRIPLE, ar0_upper,
-                             enumerate_pencil_cases, genus_from_case, p_atom,
+                             enumerate_pencil_cases, genus_from_case,
                              pencil_case, subsystem_split)
 
 PRINTED_0 = [
@@ -56,11 +56,6 @@ def test_atom_catalog():
     # the drop of the cusp shape is computed from its printed composition
     assert Q_CUSP.self_int_drop == 5 and Q_CUSP.dg == -1
     assert Q_TRIPLE.self_int_drop == 9 and Q_TRIPLE.dg == -3
-    for m in (1, 2, 3):
-        atom = p_atom(m)
-        assert atom.self_int_drop == m * m and atom.de == -m
-    with pytest.raises(ValueError):
-        p_atom(0)
 
 
 def test_list_0():
@@ -127,12 +122,9 @@ def test_a_prime_h_vanishes_for_simple_atom():
         assert d.get("H", 0) - d.get("G", 0) == 0
 
 
-def test_pencil_case_lookup_and_json():
+def test_pencil_case_lookup():
     c = pencil_case("0g")
-    blob = c.to_json()
-    assert blob["label"] == "0g" and blob["phi_zero"] is True
-    assert blob["d"] == [{"component": "F", "mult": 3},
-                         {"component": "G", "mult": 3},
-                         {"component": "H", "mult": 3}]
+    assert c.label == "0g" and c.phi_zero is True
+    assert c.d == (("F", 3), ("G", 3), ("H", 3))
     with pytest.raises(KeyError):
         pencil_case("0z")

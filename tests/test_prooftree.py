@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 from dataclasses import replace
@@ -59,6 +60,20 @@ def test_reports_byte_identical():
 
 def test_text_report_deterministic():
     assert run("all").to_text() == run("all").to_text()
+
+
+# A change to the canonical report must update these digests and list the
+# changed rows in CHANGES.md.
+CANONICAL_TEXT_SHA256 = "fa2a2479d1f2dcfca307a09a4161957df06dbcc1fde983b3eee4323aa894dd38"
+CANONICAL_JSON_SHA256 = "8132746f2d43df47b6a89fdcc3ec4d374ee0d6a0d7066daff1e1c83306d930d1"
+
+
+def test_canonical_report_digests():
+    report = run("all")
+    text = report.to_text().encode()
+    blob = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(text).hexdigest() == CANONICAL_TEXT_SHA256
+    assert hashlib.sha256(blob).hexdigest() == CANONICAL_JSON_SHA256
 
 
 def test_subtree_selectors():

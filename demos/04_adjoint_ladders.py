@@ -1,9 +1,11 @@
 """The adjoint ladder of the pencil and its forced cycle counts.
 
 Contracting the cycles orthogonal to the pencil at each adjoint step
-terminates after at most four levels; each displayed linear-equivalence
-ladder holds as an exact identity in a concrete blown-up lattice, and the
-vanishing of the last adjoint pins the remaining cycle counts.
+terminates after at most four levels.  The table prints the rows N_1 ... N_4
+of one recurrence; with the deepest branch's counts the row N_4 is zero.
+Each displayed linear-equivalence ladder holds as an exact identity in a
+concrete blown-up lattice, and the vanishing of the last adjoint pins the
+remaining cycle counts.
 """
 
 from godeaux3 import CycleCounts, adjoint_table, n_range, verify_ladder_identity

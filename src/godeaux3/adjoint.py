@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .lattice import DivisorClass, IntersectionLattice, arithmetic_genus
+from .lattice import DivisorClass, IntersectionLattice, ParityError, arithmetic_genus
 
 
 @dataclass(frozen=True)
@@ -21,9 +21,6 @@ class AdjointRow:
     nik: int
     pa: int
     prev_dot: int
-
-    def consistent(self) -> bool:
-        return 2 * self.pa == 2 + self.ni2 + self.nik
 
 
 @dataclass(frozen=True)
@@ -38,32 +35,30 @@ class CycleCounts:
             raise ValueError("cycle counts are nonnegative")
 
 
+def ladder_top(r0k: int) -> tuple[int, int]:
+    """(N^2, N.K_Y) for the invariant class N at the top of the ladder."""
+    return 3, 1 - 2 * r0k
+
+
 def adjoint_table(r0k: int, ky2: int, h2: int, counts: CycleCounts) -> list[AdjointRow]:
-    """Numerical data of N_1, N_2, N_3 as functions of the raw case invariants."""
-    n, np_, ns = counts.n, counts.nprime, counts.nsecond
-    rows = [
-        AdjointRow(
-            1,
-            5 - 4 * r0k + ky2 + n + h2,
-            1 - 2 * r0k + ky2 + n + h2,
-            4 - 3 * r0k + ky2 + n + h2,
-            4 - 2 * r0k,
-        ),
-        AdjointRow(
-            2,
-            7 - 8 * r0k + 4 * ky2 + 4 * n + 4 * h2 + np_,
-            1 - 2 * r0k + 2 * ky2 + 2 * n + 2 * h2 + np_,
-            5 - 5 * r0k + 3 * ky2 + 3 * n + 3 * h2 + np_,
-            6 - 6 * r0k + 2 * ky2 + 2 * n + 2 * h2,
-        ),
-        AdjointRow(
-            3,
-            9 - 12 * r0k + 9 * ky2 + 9 * h2 + 9 * n + 4 * np_ + ns,
-            1 - 2 * r0k + 3 * ky2 + 3 * h2 + 3 * n + 2 * np_ + ns,
-            6 - 7 * r0k + 6 * ky2 + 6 * h2 + 6 * n + 3 * np_ + ns,
-            8 - 10 * r0k + 6 * ky2 + 6 * h2 + 6 * n + 2 * np_,
-        ),
-    ]
+    """Numerical data of N_1, ..., N_4 as functions of the raw case invariants.
+
+    N_{i+1} = N_i + K_Y - (G' + the cycles contracted at level i), and these
+    m_i = h_2 + n + n' + ... curves are disjoint (-1)-curves orthogonal to N_i,
+    so N_{i+1}^2 = N_i^2 + 2 N_i.K + K^2 + m_i, N_{i+1}.K = N_i.K + K^2 + m_i
+    and N_i.N_{i+1} = N_i^2 + N_i.K.
+    """
+    ni2, nik = ladder_top(r0k)
+    m = h2
+    rows = []
+    levels = (counts.n, counts.nprime, counts.nsecond, counts.nthird)
+    for index, count in enumerate(levels, start=1):
+        m += count
+        prev_dot = ni2 + nik
+        ni2, nik = ni2 + 2 * nik + ky2 + m, nik + ky2 + m
+        if (ni2 + nik) % 2:
+            raise ParityError(f"N_{index}^2 + N_{index}.K = {ni2 + nik} is odd")
+        rows.append(AdjointRow(index, ni2, nik, 1 + (ni2 + nik) // 2, prev_dot))
     return rows
 
 
@@ -214,11 +209,14 @@ def _pencil_model(ell: int, cycle_names: list[str]) -> LadderModel:
 
 
 _BRANCH_DATA = {
-    # branch id: (n - 3 ell offset, cycle symbols beyond the Z_i, ladder rows)
+    # branch id: n - 3 ell offset, cycle symbols beyond the Z_i, the counts
+    # n', ... fixed before the deepest adjoint vanishes, ladder rows
     "s.3l": {
         "offset": 0,
         "extra": ["Z''", "Z'''"],
-        "zero_from": "N4",
+        # (N_1 - N_2)^2 = n' - 1 <= 0, and n' = 1 would make K_Y effective; the
+        # pencil branch takes n'' = 1
+        "given": (0, 1),
         "rows": {
             "N3": {"G": 1, "Z": 1, "Z''": 1, "Z'''": 1, "K": -1},
             "N2": {"G": 2, "Z": 2, "Z''": 2, "Z'''": 1, "K": -2},
@@ -230,7 +228,7 @@ _BRANCH_DATA = {
     "s.3l-1": {
         "offset": -1,
         "extra": ["Z'1", "Z'2", "Z''"],
-        "zero_from": "N3",
+        "given": (2,),
         "rows": {
             "N2": {"G": 1, "Z": 1, "Z'": 1, "Z''": 1, "K": -1},
             "N1": {"G": 2, "Z": 2, "Z'": 2, "Z''": 1, "K": -2},
@@ -241,7 +239,7 @@ _BRANCH_DATA = {
     "s.3l-2": {
         "offset": -2,
         "extra": ["Z'1", "Z'2", "Z'3", "Z'4", "Z'5"],
-        "zero_from": "N2",
+        "given": (),
         "rows": {
             "N1": {"G": 1, "Z": 1, "Z'": 1, "K": -1},
             "N": {"G": 2, "Z": 2, "Z'": 1, "K": -2},
@@ -270,12 +268,10 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     """Check every displayed ladder row of the given branch as a lattice identity.
 
     Builds a concrete model, defines N by the requirement that the deepest
-    adjoint vanishes, and verifies the chain N_{i+1} = N_i + K - (contracted)
-    reproduces each displayed row together with N^2 = 3, N.K = 1 and the
-    forced cycle counts.
+    adjoint vanishes, and verifies that the chain N_{i+1} = N_i + K - (contracted)
+    reproduces each displayed row, starts at (N^2, N.K) = (3, 1) and agrees
+    level by level with the numerical table at the forced cycle counts.
     """
-    if branch not in _BRANCH_DATA:
-        raise KeyError(branch)
     data = _BRANCH_DATA[branch]
     n = 3 * ell + data["offset"]
     report = LadderReport(branch, ok=True)
@@ -284,13 +280,12 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
         report.failures.append(f"n = {n} < 0 is not realizable")
         return report
     z_names = [f"Z{i}" for i in range(1, n + 1)]
-    extra = list(data["extra"])
+    extra = data["extra"]
     zp_names = [nm for nm in extra if nm.startswith("Z'") and not nm.startswith("Z''")]
     model = _pencil_model(ell, z_names + extra)
     rows = data["rows"]
 
-    top = {"s.3l": "N", "s.3l-1": "N", "s.3l-2": "N"}[branch]
-    n_class = _combine(model, rows[top], z_names, zp_names)
+    n_class = _combine(model, rows["N"], z_names, zp_names)
     model.classes["N"] = n_class
 
     def check(label: str, lhs: DivisorClass, rhs: DivisorClass) -> None:
@@ -299,26 +294,18 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
             report.failures.append(f"{label}: ladder row fails as a lattice identity")
 
     # invariants of N in the model
-    if n_class.square != 3:
+    top = (n_class.square, n_class.dot(model.lattice.k))
+    if top != ladder_top(0):
         report.ok = False
-        report.failures.append(f"N^2 = {n_class.square} != 3")
-    if n_class.dot(model.lattice.k) != 1:
-        report.ok = False
-        report.failures.append(f"N.K = {n_class.dot(model.lattice.k)} != 1")
+        report.failures.append(f"(N^2, N.K) = {top} != {ladder_top(0)}")
 
-    # walk the adjoint chain, contracting per level
-    contracted_per_level = {
-        "s.3l": [["G"] + z_names, ["G"] + z_names, ["G"] + z_names + ["Z''"],
-                 ["G"] + z_names + ["Z''", "Z'''"]],
-        "s.3l-1": [["G"] + z_names, ["G"] + z_names + zp_names,
-                   ["G"] + z_names + zp_names + ["Z''"]],
-        "s.3l-2": [["G"] + z_names, ["G"] + z_names + zp_names],
-    }[branch]
+    # walk the adjoint chain: G' and the Z_i are contracted from level 1 on, a
+    # symbol with p primes from level p + 1, down to the vanishing level
     chain = [n_class]
     k = model.lattice.k
-    for level, contracted in enumerate(contracted_per_level, start=1):
+    for level in range(1, len(data["given"]) + 3):
         nxt = chain[-1] + k
-        for name in contracted:
+        for name in ["G"] + z_names + [nm for nm in extra if nm.count("'") < level]:
             nxt = nxt - model.cls(name)
         chain.append(nxt)
         label = f"N{level}"
@@ -326,26 +313,22 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
             check(label, nxt, _combine(model, rows[label], z_names, zp_names))
     if not chain[-1].is_zero():
         report.ok = False
-        report.failures.append(f"{data['zero_from']} does not vanish in the model")
+        report.failures.append(f"N{len(chain) - 1} does not vanish in the model")
 
     two_b0_e = n_class - 3 * k + 3 * model.cls("G")
     check("2B0+E", two_b0_e, _combine(model, rows["2B0+E"], z_names, zp_names))
 
-    # genus/parity sanity for every class in the chain
-    for idx, cls in enumerate(chain):
-        arithmetic_genus(cls)  # raises on parity violation
-        if idx >= 1 and cls.dot(n_class) < 0:
+    for idx, cls in enumerate(chain[1:], start=1):
+        if cls.dot(n_class) < 0:
             report.ok = False
             report.failures.append(f"N{idx}.N < 0")
 
-    # the printed numerical table must agree with the model arithmetic
-    counts = {
-        "s.3l": CycleCounts(n, 0, 1, 1),
-        "s.3l-1": CycleCounts(n, 2, 1),
-        "s.3l-2": CycleCounts(n, 5),
-    }[branch]
+    # every level of the chain, down to the vanishing one, against the table
+    # at the forced counts
+    report.forced = _forced_counts(branch, ell, n)
+    counts = CycleCounts(n, *data["given"], list(report.forced.values())[-1])
     table = adjoint_table(0, model.lattice.k.square, 1, counts)
-    for idx in range(1, min(len(chain), 4)):
+    for idx in range(1, len(chain)):
         row = table[idx - 1]
         got = (chain[idx].square, chain[idx].dot(k), arithmetic_genus(chain[idx]),
                chain[idx - 1].dot(chain[idx]))
@@ -354,32 +337,21 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
             report.ok = False
             report.failures.append(f"N{idx}: model data {got} vs table {want}")
     report.notes.append("model chain agrees with the printed numerical table")
-
-    report.forced = _forced_counts(branch, ell, n)
     report.notes.append(f"model rank {model.lattice.rank}, K^2 = {model.lattice.k.square}")
     return report
 
 
 def _forced_counts(branch: str, ell: int, n: int) -> dict[str, int]:
-    """Solve the vanishing of the deepest adjoint for the last cycle count."""
-    ky2 = -2 - 3 * ell
-    h2 = 1
-    forced: dict[str, int] = {}
-    if branch == "s.3l-2":
-        # N_2 = 0 forces N_2^2 = 0, i.e. n' = N_2^2 - 3 + 12 ell - 4 n = 5
-        forced["n'"] = -(7 + 4 * ky2 + 4 * n + 4 * h2)
-    elif branch == "s.3l-1":
-        forced["n'"] = 2
-        # N_3 = 0 forces N_3^2 = 0, which solves to n'' = 1
-        forced["n''"] = -(9 + 9 * ky2 + 9 * h2 + 9 * n + 4 * 2)
-    elif branch == "s.3l":
-        # (N_1 - N_2)^2 = n' - 1 <= 0, and n' = 1 would make K_Y effective
-        forced["n'"] = 0
-        n_second = 1  # N_3^2 = n'' with the pencil branch taking n'' = 1
-        n3 = AdjointRow(3, 9 + 9 * ky2 + 9 * h2 + 9 * n + n_second,
-                        1 + 3 * ky2 + 3 * h2 + 3 * n + n_second, 0, 0)
-        # N_4 = 0 forces N_4^2 = N_3^2 + K^2 + 2 N_3.K + 1 + n + n' + n'' + n''' = 0
-        forced["n'''"] = -(n3.ni2 + ky2 + 2 * n3.nik + 1 + n + 0 + n_second)
+    """Solve the vanishing of the deepest adjoint for the last cycle count.
+
+    N_last^2 has slope 1 in the last count, so that count is -N_last^2
+    evaluated with it set to 0.  Of the given counts only n' is reported.
+    """
+    given = _BRANCH_DATA[branch]["given"]
+    rows = adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n, *given))
+    names = ("n'", "n''", "n'''")
+    forced = dict(zip(names, given[:1]))
+    forced[names[len(given)]] = -rows[len(given) + 1].ni2
     return forced
 
 

@@ -216,15 +216,20 @@ def elim_l_noa() -> Elimination:
     )
 
 
-def elim_p_no3lirr() -> Elimination:
-    """Deepest branch, option b: both free E'-curves need plane degree >= 3."""
+def elim_p_no3lirr(solved: dict[tuple[int, int, int], list]) -> Elimination:
+    """Deepest branch, option b: both free E'-curves need plane degree >= 3.
+
+    ``solved`` maps a multiplicity system (square, pairing, points) solved
+    elsewhere to its solutions; the other systems are solved here.
+    """
     budget = 21 - 2 * 9  # degree budget after normalizing B_0 to the 9-solution
     demands = []
     trace = []
     for z2, z3 in ((2, 0), (1, 2)):
         square = -3 + z2 * z2 + z3 * z3
         pairing = 3 - z2
-        sols = solve_multiplicity_system(square, pairing, 8)
+        system = (square, pairing, 8)
+        sols = solved[system] if system in solved else solve_multiplicity_system(*system)
         if not sols:
             trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): no plane model at all")
             continue

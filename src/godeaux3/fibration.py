@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
 from .pencil import PencilCase, pencil_case
 
 
@@ -203,12 +204,17 @@ def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]
 # -- case (iii): lattice-based eliminations -----------------------------------
 
 
+def _pencil_n1(ell: int, n: int) -> AdjointRow:
+    """The row N_1 of the pencil case's ladder: R_0.K = 0, h_2 = 1, K_Y^2 = -2 - 3l."""
+    return adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n))[0]
+
+
 def elim_p_l0() -> dict[str, Elimination]:
     """Cases (0a), (0c), (0f) die on exact intersection numbers with N_2 or N_1."""
     out = {}
     # (0a): A'.N = 2 so Phi'.N_2 = N.N_2 - A'.N_2 = 5 - 2 = 3, yet the two
     # E'-components of the fixed part give (E'_1+E'_2).N_2 = 4.
-    nn1, nk = 4, 1
+    nn1, nk = _pencil_n1(0, 0).prev_dot, ladder_top(0)[1]
     a_n = 2
     a_n1 = a_n  # A'(N + K - G') with A'.K = 0, A'.G' = 0
     nn2 = nn1 + nk
@@ -264,7 +270,7 @@ def elim_t_no4() -> Elimination:
     trace = []
     # |N_1| is a net with N_1^2 = 0: the fixed/moving split forces
     # Delta^2 = Delta.T = T^2 = 0, so Delta = 2 Theta for a pencil Theta.
-    nn1 = 4
+    nn1 = _pencil_n1(2, 3 * 2 - 4).prev_dot
     n_theta_cases = [t for t in (1, 2) if 2 * t <= nn1]
     trace.append(f"N.N_1 = {nn1} = 2 N.Theta + N.T")
     # N.Theta = 1 would force Delta = T by the index theorem: rejected.
@@ -290,7 +296,8 @@ def elim_p_1e() -> Elimination:
     """Case (1e) dies for every admissible n - 3l by exact lattice arithmetic."""
     trace = []
     closed = {}
-    nn1_values = {0: 4, -1: 3, -2: 2, -3: 1}  # N_1^2 per n - 3l
+    top = _pencil_n1(1, 3)  # n - 3l = 0; each cycle fewer lowers N_1^2 by one
+    nn1_values = {off: top.ni2 + off for off in (0, -1, -2, -3)}  # N_1^2 per n - 3l
     for off, n1sq in nn1_values.items():
         dim_n1 = 3 + off  # h^0(N_1) - 1
         # s = A'.N_1 satisfies (N_1 - s A')^2 = N_1^2 - s^2 <= 0, so s = 1
@@ -303,7 +310,7 @@ def elim_p_1e() -> Elimination:
             trace.append(f"n-3l={off}: s=1 forces N_1=A', dims {dim_n1} vs 1 differ")
         if off == 0:
             # s = 2 with N_1^2 = 4 forces N_1 = 2A' and 4 = N.N_1 = 2 N.A' = 6
-            nn1, twice_na = 4, 2 * 3
+            nn1, twice_na = top.prev_dot, 2 * 3
             closed[off] = nn1 != twice_na
             trace.append(f"n-3l=0: N_1 = 2A' gives N.N_1 {nn1} != {twice_na}")
             continue
@@ -523,7 +530,8 @@ def elim_p_no16() -> Elimination:
 
 def check_l_n1() -> bool:
     """(3 N_1 - 2 N)^2 = 9 N_1^2 - 12 <= 0 pins N_1^2 to {0, 1}."""
-    n_sq, nn1 = 3, 2
+    # N.N_1 = N^2 + N.K is the same for every K_Y^2 and n; read at Gamma^2 = 1, l = 0
+    n_sq, nn1 = ladder_top(1)[0], adjoint_table(1, -3, 3, CycleCounts(0))[0].prev_dot
     values = [x for x in range(0, 5) if 9 * x - 12 * nn1 + 4 * n_sq <= 0]
     return values == [0, 1]
 

@@ -41,34 +41,31 @@ class DropAtom:
     """How A passes through an A_2-type fixed point q: its share of D over F, G, H."""
 
     kind: str
-    mult: int  # multiplicity of A at the point
     d_contribution: tuple[tuple[str, int], ...]
     self_int_drop: int
     dg: int
-    singularity: str
     min_a2: int = 0
     requires_a2_9: bool = False
     forces_phi_through_q: bool = False
 
 
-def _q_atom(kind: str, f: int, g: int, h: int, mult: int, singularity: str,
-            min_a2: int = 0, requires_a2_9: bool = False) -> DropAtom:
+def _q_atom(kind: str, f: int, g: int, h: int, min_a2: int = 0,
+            requires_a2_9: bool = False) -> DropAtom:
     d = {"F": f, "G": g, "H": h}
     drop = -_q_dot(d, d)
     dg = _q_dot(d, {"G": 1})
     # Phi must pass through q whenever the F or H multiplicity of D is not
     # divisible by 3 (branch components pull back with multiplicity 3).
     forces = f % 3 != 0 or h % 3 != 0
-    return DropAtom(kind, mult, tuple(sorted(d.items())), drop, dg, singularity,
-                    min_a2, requires_a2_9, forces)
+    return DropAtom(kind, tuple(sorted(d.items())), drop, dg, min_a2, requires_a2_9, forces)
 
 
-Q_SIMPLE = _q_atom("q-simple", 2, 1, 1, 1, "simple")
-Q_SIMPLE_ALT = _q_atom("q-simple-alt", 1, 1, 2, 1, "simple")
-Q_NODE = _q_atom("q-node", 3, 2, 3, 2, "node", min_a2=6)
-Q_CUSP = _q_atom("q-cusp", 3, 2, 2, 2, "cusp", min_a2=6)
-Q_DOUBLE_OTHER = _q_atom("q-double-other", 4, 2, 2, 2, "double", requires_a2_9=True)
-Q_TRIPLE = _q_atom("q-triple", 3, 3, 3, 3, "ordinary-triple", requires_a2_9=True)
+Q_SIMPLE = _q_atom("q-simple", 2, 1, 1)
+Q_SIMPLE_ALT = _q_atom("q-simple-alt", 1, 1, 2)
+Q_NODE = _q_atom("q-node", 3, 2, 3, min_a2=6)
+Q_CUSP = _q_atom("q-cusp", 3, 2, 2, min_a2=6)
+Q_DOUBLE_OTHER = _q_atom("q-double-other", 4, 2, 2, requires_a2_9=True)
+Q_TRIPLE = _q_atom("q-triple", 3, 3, 3, requires_a2_9=True)
 
 Q_ATOMS = (Q_SIMPLE, Q_SIMPLE_ALT, Q_NODE, Q_CUSP, Q_DOUBLE_OTHER, Q_TRIPLE)
 

@@ -354,15 +354,27 @@ def _l_n(_) -> Outcome:
 
 
 def _p_comp(ins) -> Outcome:
+    """The ladder table against what its recurrence does not build in: the lower
+    end of each pencil range of n, case (i)'s first row and two spot values."""
     ok = True
+    trace = []
+    first_case = []
     for r, ky2 in ins["e.ky"].value.items():
         if r.h2 == 4:
             continue  # the second main case has no adjoint ladder
-        for n in range(0, 10):
-            for np_ in range(0, 6):
-                rows = adjoint.adjoint_table(r.r0k, ky2, r.h2, adjoint.CycleCounts(n, np_, 1))
-                ok &= all(row.consistent() for row in rows)
-    trace = ["p_a = 1 + (N_i^2 + N_i.K)/2 for every row over the whole parameter grid"]
+        if r.r0k == 1:
+            first_case.append(ky2)
+            continue
+        # N_1^2 grows by one per contracted cycle: the least n is read at n = 0
+        n1sq = adjoint.adjoint_table(0, ky2, 1, adjoint.CycleCounts(0))[0].ni2
+        least = max(0, -n1sq)
+        ok &= least == adjoint.n_range(r.ell)[0]
+        trace.append(f"pencil case l={r.ell}: least n with N_1^2 >= 0 is {least}")
+    ky2 = max(first_case)  # case (i) at the largest K_Y^2 that e.ky emits
+    row = adjoint.adjoint_table(1, ky2, 3, adjoint.CycleCounts(0))[0]
+    ok &= row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
+    trace.append(f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
+                 f"= {row.ni2}, N.N_1 = {row.prev_dot}")
     rows = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(3))
     ok &= rows[0].ni2 == 4 and rows[1].prev_dot == 4
     rows = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(2))
@@ -372,19 +384,20 @@ def _p_comp(ins) -> Outcome:
 
 
 def _ladder(branch: str, expected_forced: dict):
+    """The branch's ladder at l = 1 (and l = 0 for the deepest one); the value
+    maps l to its report."""
     def fn(_) -> Outcome:
-        reports = [adjoint.verify_ladder_identity(branch, ell) for ell in (1,)]
-        if branch == "s.3l":
-            reports.append(adjoint.verify_ladder_identity(branch, 0))
-        ok = all(r.ok for r in reports)
+        ells = (1, 0) if branch == "s.3l" else (1,)
+        reports = {ell: adjoint.verify_ladder_identity(branch, ell) for ell in ells}
+        ok = all(r.ok for r in reports.values())
         trace = []
-        for r in reports:
+        for r in reports.values():
             trace += [f"{branch}: ok={r.ok}, forced counts {r.forced}"] + r.failures
             ok &= all(r.forced.get(k) == v for k, v in expected_forced.items())
         if branch == "s.3l":
             ok &= adjoint.n_prime_one_is_contradiction()
             trace.append("n' = 1 would force N_1 = N_2, i.e. an effective canonical class")
-        return _check(ok, trace)
+        return _check(ok, trace, reports)
 
     return fn
 
@@ -726,7 +739,8 @@ def build_nodes() -> dict[str, ProofNode]:
     add("l.noa", "elimination", "deepest branch, pencil-pinned option",
         ("b0.tables",), _elim(delpezzo.elim_l_noa))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
-        ("b0.tables", "e.sys", "p.equiv0", "e.deg1"), _elim(delpezzo.elim_p_no3lirr))
+        ("b0.tables", "e.sys", "p.equiv0", "e.deg1"),
+        lambda ins: _from_elimination(delpezzo.elim_p_no3lirr({(2, 2, 8): ins["e.sys"].value})))
     add("p.3lred", "elimination", "deepest branch, reducible cycle",
         ("b0.tables", "cycles.shapes"), _elim(delpezzo.elim_p_3lred))
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
@@ -750,7 +764,9 @@ def build_nodes() -> dict[str, ProofNode]:
         ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
         closes=((1, -1, "eight-point"),))
     add("t.no3lDP", "elimination", "remaining eight/thirteen point branches",
-        ("s.3l", "s.3l-1", "s.3l-2", "ax.companion-no3ldp"), _elim(ruled.elim_t_no3ldp),
+        ("s.3l", "s.3l-1", "s.3l-2", "ax.companion-no3ldp"),
+        lambda ins: _from_elimination(ruled.elim_t_no3ldp(
+            {b: ins[b].value for b in ("s.3l", "s.3l-1", "s.3l-2")})),
         closes=((0, 0, "eight-point"), (1, -3), (1, -2)))
 
     add("coverage", "formula-check", "every branch of the case tree is closed",

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .prooftree import (FAILED, SCHEMA_VERSION, Outcome, ProofNode,
+from .prooftree import (FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
                         build_nodes, topological_order)
 
 
@@ -161,23 +161,13 @@ def explain(node_id: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def fixtures_check() -> tuple[bool, list[str]]:
-    """Validate that the shipped fixtures parse and match the live code."""
-    from . import delpezzo, pencil
-    from .plane import verify_config_table
-    from .prooftree import EXPECTED
+# the nodes that compare the live code with the shipped fixtures
+FIXTURE_NODES = ("p.list0", "p.list1", "p.list2", "r.N", "e.sys", "sixtuples",
+                 "tables.printed")
 
-    messages = []
-    ok = True
-    for name, table in delpezzo.all_printed_tables():
-        passed, violations = verify_config_table(table)
-        ok &= passed
-        messages.append(f"{name}: {'ok' if passed else violations}")
-    for ap in (0, 1, 2, 3):
-        got = [[c.label, c.a2, c.ar0, c.g, c.apk, c.d_string()]
-               for c in pencil.enumerate_pencil_cases(ap)]
-        match = got == EXPECTED["pencil_lists"][str(ap)]
-        ok &= match
-        messages.append(f"pencil list A'^2={ap}: {'ok' if match else 'MISMATCH'}")
-    messages.append(f"axiom ledger: {len(EXPECTED['axioms'])} entries")
-    return ok, messages
+
+def fixtures_check() -> tuple[bool, list[str]]:
+    """Evaluate the fixture nodes and report each one's status."""
+    results = run("all").results
+    messages = [f"{nid}: {results[nid].status}" for nid in FIXTURE_NODES]
+    return all(results[nid].status == VERIFIED for nid in FIXTURE_NODES), messages

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from math import isqrt
 
+from .adjoint import LadderReport
 from .fibration import Elimination
 from .plane import (fa_ladder_checks, homaloidal_eliminate,
                     singular_fiber_count_bound)
@@ -159,18 +160,17 @@ def elim_t_no1() -> Elimination:
                        tuple(trace), tuple(sorted(got_open)))
 
 
-def elim_t_no3ldp() -> Elimination:
+def elim_t_no3ldp(ladders: dict[str, dict[int, LadderReport]]) -> Elimination:
     """The three remaining branches over eight or thirteen points.
 
-    The ladder identities and budgets are verified mechanically; the final
-    configuration analysis is not printed and enters as an assumption.
+    ``ladders`` maps each branch to its ladder reports by l, as the ladder
+    nodes verified them; the final configuration analysis is not printed and
+    enters as an assumption.
     """
-    from .adjoint import verify_ladder_identity
-
     trace = []
     checks = []
     for branch, ell in (("s.3l", 0), ("s.3l-2", 1), ("s.3l-1", 1)):
-        rep = verify_ladder_identity(branch, ell)
+        rep = ladders[branch][ell]
         checks.append(rep.ok)
         trace.append(f"{branch} at l={ell}: ladder ok={rep.ok}, forced {rep.forced}")
     trace.append("branch closures delegated to the companion computation "

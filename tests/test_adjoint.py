@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from godeaux3 import adjoint
 from godeaux3.adjoint import (Cycle, CycleCounts, adjoint_table,
                               cycle_structure_check, n_prime_one_is_contradiction,
                               n_range, restriction_dim, verify_ladder_identity,
                               z_lower_bound)
+from godeaux3.lattice import ParityError
 
 
 def test_adjoint_table_pencil_case():
@@ -28,12 +30,46 @@ def test_adjoint_table_first_case():
             assert rows[0].prev_dot == 2
 
 
-def test_table_consistency_over_grid():
+def _typed_rows(r0k, ky2, h2, n, np_, ns):
+    """The hand-typed N_1..N_3 polynomials (N_i^2, N_i.K, p_a, N_{i-1}.N_i)."""
+    return [
+        (5 - 4 * r0k + ky2 + n + h2, 1 - 2 * r0k + ky2 + n + h2,
+         4 - 3 * r0k + ky2 + n + h2, 4 - 2 * r0k),
+        (7 - 8 * r0k + 4 * ky2 + 4 * n + 4 * h2 + np_,
+         1 - 2 * r0k + 2 * ky2 + 2 * n + 2 * h2 + np_,
+         5 - 5 * r0k + 3 * ky2 + 3 * n + 3 * h2 + np_,
+         6 - 6 * r0k + 2 * ky2 + 2 * n + 2 * h2),
+        (9 - 12 * r0k + 9 * ky2 + 9 * h2 + 9 * n + 4 * np_ + ns,
+         1 - 2 * r0k + 3 * ky2 + 3 * h2 + 3 * n + 2 * np_ + ns,
+         6 - 7 * r0k + 6 * ky2 + 6 * h2 + 6 * n + 3 * np_ + ns,
+         8 - 10 * r0k + 6 * ky2 + 6 * h2 + 6 * n + 2 * np_),
+    ]
+
+
+def test_recurrence_matches_the_typed_polynomials():
     for r0k, h2 in ((0, 1), (0, 4), (1, 3)):
         for ky2 in range(-12, 0):
             for n in range(0, 9):
-                rows = adjoint_table(r0k, ky2, h2, CycleCounts(n, 1, 1, 1))
-                assert all(row.consistent() for row in rows)
+                for np_, ns in ((0, 0), (1, 1), (5, 2)):
+                    rows = adjoint_table(r0k, ky2, h2, CycleCounts(n, np_, ns, 1))
+                    got = [(r.ni2, r.nik, r.pa, r.prev_dot) for r in rows]
+                    assert got[:3] == _typed_rows(r0k, ky2, h2, n, np_, ns)
+                    assert [r.index for r in rows] == [1, 2, 3, 4]
+
+
+def test_fourth_row_reads_the_last_count():
+    # the deepest pencil branch at l = 1: n = 3, n' = 0, n'' = 1, n''' = 1 gives N_4 = 0
+    rows = adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 1))
+    assert (rows[3].ni2, rows[3].nik, rows[3].pa) == (0, 0, 1)
+    assert rows[3].prev_dot == rows[2].ni2 + rows[2].nik
+    shifted = adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 2))
+    assert shifted[3].ni2 == 1 and shifted[:3] == rows[:3]
+
+
+def test_odd_start_raises_parity_error(monkeypatch):
+    monkeypatch.setattr(adjoint, "ladder_top", lambda r0k: (4, 1 - 2 * r0k))
+    with pytest.raises(ParityError):
+        adjoint_table(0, -5, 1, CycleCounts(3))
 
 
 def test_z_lower_bound():
@@ -102,3 +138,19 @@ def test_ladder_fails_off_branch():
 def test_n_prime_one_contradiction_flag():
     assert n_prime_one_is_contradiction(1)
     assert n_prime_one_is_contradiction(2)
+
+
+@pytest.mark.parametrize("ell", [1, 2, 3])
+def test_forced_counts_match_the_typed_rows(ell):
+    ky2, h2 = -2 - 3 * ell, 1
+    n = 3 * ell - 2
+    assert adjoint._forced_counts("s.3l-2", ell, n) == {"n'": -(7 + 4 * ky2 + 4 * n + 4 * h2)}
+    n = 3 * ell - 1
+    assert adjoint._forced_counts("s.3l-1", ell, n) == {
+        "n'": 2, "n''": -(9 + 9 * ky2 + 9 * h2 + 9 * n + 4 * 2)}
+    for ell_deep in (ell, 0):
+        ky2, n = -2 - 3 * ell_deep, 3 * ell_deep
+        n3sq = 9 + 9 * ky2 + 9 * h2 + 9 * n + 1
+        n3k = 1 + 3 * ky2 + 3 * h2 + 3 * n + 1
+        assert adjoint._forced_counts("s.3l", ell_deep, n) == {
+            "n'": 0, "n'''": -(n3sq + ky2 + 2 * n3k + 1 + n + 0 + 1)}

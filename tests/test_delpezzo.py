@@ -3,7 +3,8 @@ from dataclasses import replace
 import pytest
 
 from godeaux3 import delpezzo as dp
-from godeaux3.plane import ConfigTable, PlaneCurve, PlaneError, verify_config_table
+from godeaux3.plane import (ConfigTable, PlaneCurve, PlaneError, solve_multiplicity_system,
+                            verify_config_table)
 
 
 def full_recheck_sweep(table):
@@ -118,9 +119,11 @@ def test_index_theorem_kills():
 
 
 def test_p_no3lirr_budget():
-    e = dp.elim_p_no3lirr()
+    # the (2, 2, 8) system comes from e.sys; the (1, 1, 8) one is solved here
+    e = dp.elim_p_no3lirr({(2, 2, 8): solve_multiplicity_system(2, 2, 8)})
     assert e.verdict == "contradiction"
     assert (e.lhs, e.rhs) == ("6", "3")
+    assert dp.elim_p_no3lirr({}) == e
 
 
 def test_sixtuples():

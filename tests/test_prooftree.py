@@ -1,11 +1,12 @@
 import hashlib
 import json
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
-from godeaux3 import fibration, pencil, report as report_mod
+from godeaux3 import adjoint, fibration, pencil, plane, report as report_mod
 from godeaux3.cli import main
 from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
                                 build_nodes, topological_order)
@@ -65,7 +66,7 @@ def test_text_report_deterministic():
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
 CANONICAL_TEXT_SHA256 = "fa2a2479d1f2dcfca307a09a4161957df06dbcc1fde983b3eee4323aa894dd38"
-CANONICAL_JSON_SHA256 = "8132746f2d43df47b6a89fdcc3ec4d374ee0d6a0d7066daff1e1c83306d930d1"
+CANONICAL_JSON_SHA256 = "08b46a80f7cae9f4e1d7bac6ea6e43d182d526ffe8806e6a42e945bb62eb61ec"
 
 
 def test_canonical_report_digests():
@@ -116,7 +117,18 @@ def test_explain():
 def test_fixtures_check():
     ok, messages = fixtures_check()
     assert ok
-    assert any("pencil list" in m for m in messages)
+    assert messages == [f"{nid}: verified" for nid in (
+        "p.list0", "p.list1", "p.list2", "r.N", "e.sys", "sixtuples", "tables.printed")]
+
+
+def test_fixtures_check_fails_with_a_fixture_node(monkeypatch, capsys):
+    registry = build_nodes()
+    registry["e.sys"] = replace(registry["e.sys"], fn=lambda _: Outcome("failed"))
+    monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
+    ok, messages = fixtures_check()
+    assert not ok and "e.sys: failed" in messages
+    assert main(["fixtures", "check"]) == 1
+    assert "fixtures FAILED" in capsys.readouterr().out
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -260,3 +272,45 @@ def test_coverage_needs_closers_with_contradiction_status(monkeypatch):
     assert report.results["t.no1rul"].closes == ((1, 0, "ruled"),)
     assert report.results["coverage"].status == "failed"
     assert report.results["t.final"].status == "failed"
+
+
+def _calls_in_full_run(*fns):
+    """Run the whole tree and record the arguments of every call to ``fns``,
+    however the calling module bound them."""
+    names = {fn.__code__: fn.__name__ for fn in fns}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            args = frame.f_code.co_varnames[:frame.f_code.co_argcount]
+            calls.append((names[frame.f_code], tuple(frame.f_locals[a] for a in args)))
+
+    sys.setprofile(profile)
+    try:
+        report = run("all")
+    finally:
+        sys.setprofile(None)
+    assert report.verdict == "verified"
+    return calls
+
+
+def test_each_ladder_is_verified_once_per_run():
+    calls = _calls_in_full_run(adjoint.verify_ladder_identity, adjoint.adjoint_table,
+                               plane.solve_multiplicity_system)
+    by_name = Counter(name for name, _ in calls)
+    assert by_name["verify_ladder_identity"] == 4
+    assert by_name["adjoint_table"] <= 20
+    solves = [args[:3] for name, args in calls if name == "solve_multiplicity_system"]
+    assert solves.count((2, 2, 8)) == 1
+
+
+def test_p_comp_catches_a_shifted_table(monkeypatch):
+    table = adjoint.adjoint_table
+
+    def shifted(*args):
+        rows = table(*args)
+        return [replace(rows[0], ni2=rows[0].ni2 + 1), *rows[1:]]
+
+    monkeypatch.setattr(adjoint, "adjoint_table", shifted)
+    report = run("p.comp")
+    assert report.results["p.comp"].status == "failed"

@@ -1,4 +1,7 @@
+from dataclasses import replace
+
 from godeaux3 import ruled
+from godeaux3.adjoint import verify_ladder_identity
 
 
 def test_l_a2_admissible_indices():
@@ -29,7 +32,19 @@ def test_t_no1_partial_mechanization():
     assert e.survivors == ((0, 0, 1), (1, 0, 1))
 
 
+def _ladders():
+    return {branch: {ell: verify_ladder_identity(branch, ell) for ell in (0, 1)
+                     if branch == "s.3l" or ell == 1}
+            for branch in ("s.3l", "s.3l-1", "s.3l-2")}
+
+
 def test_t_no3ldp_setup_checks():
-    e = ruled.elim_t_no3ldp()
+    e = ruled.elim_t_no3ldp(_ladders())
     assert e.verdict == "contradiction"
     assert any("delegated" in line or "assumed" in line for line in e.trace)
+
+
+def test_t_no3ldp_reads_the_reports_it_is_given():
+    ladders = _ladders()
+    ladders["s.3l"][0] = replace(ladders["s.3l"][0], ok=False)
+    assert ruled.elim_t_no3ldp(ladders).verdict == "failed"

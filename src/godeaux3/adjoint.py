@@ -8,14 +8,13 @@ in explicit blown-up lattices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import DivisorClass, IntersectionLattice, ParityError, arithmetic_genus
 
 
-@dataclass(frozen=True)
-class AdjointRow:
+class AdjointRow(NamedTuple):
     index: int
     ni2: int
     nik: int
@@ -23,16 +22,13 @@ class AdjointRow:
     prev_dot: int
 
 
-@dataclass(frozen=True)
 class CycleCounts:
-    n: int
-    nprime: int = 0
-    nsecond: int = 0
-    nthird: int = 0
+    __slots__ = ("n", "nprime", "nsecond", "nthird")
 
-    def __post_init__(self) -> None:
-        if min(self.n, self.nprime, self.nsecond, self.nthird) < 0:
+    def __init__(self, n: int, nprime: int = 0, nsecond: int = 0, nthird: int = 0) -> None:
+        if min(n, nprime, nsecond, nthird) < 0:
             raise ValueError("cycle counts are nonnegative")
+        self.n, self.nprime, self.nsecond, self.nthird = n, nprime, nsecond, nthird
 
 
 def ladder_top(r0k: int) -> tuple[int, int]:
@@ -86,8 +82,7 @@ def n_range(ell: int) -> tuple[int, int]:
 _FORBIDDEN_IN_CYCLES = ("G", "F", "H")
 
 
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(NamedTuple):
     """A formal (-1)-cycle: named components with positive multiplicities."""
 
     components: tuple[tuple[str, int], ...]
@@ -168,17 +163,17 @@ def _matches_red_shape(config: list[Cycle]) -> bool:
 # -- ladder identities --------------------------------------------------------
 
 
-@dataclass
 class LadderReport:
-    branch: str
-    ok: bool
-    forced: dict[str, int] = field(default_factory=dict)
-    failures: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("branch", "ok", "forced", "failures", "notes")
+
+    def __init__(self, branch: str, ok: bool) -> None:
+        self.branch, self.ok = branch, ok
+        self.forced: dict[str, int] = {}
+        self.failures: list[str] = []
+        self.notes: list[str] = []
 
 
-@dataclass
-class LadderModel:
+class LadderModel(NamedTuple):
     """Concrete blown-up lattice with classes assigned to every ladder symbol."""
 
     lattice: IntersectionLattice

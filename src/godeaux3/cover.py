@@ -7,58 +7,61 @@ the brute-force enumeration that yields exactly the three main cases.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class CaseInvalidError(Exception):
     """A numerical combination violates one of the constructor identities."""
 
 
-@dataclass(frozen=True)
 class GodeauxContext:
     """Fixed numerical invariants of a numerical Godeaux surface."""
 
-    ks2: int = 1
-    chi: int = 1
-    pg: int = 0
+    __slots__ = ("ks2", "chi", "pg")
 
-    def __post_init__(self) -> None:
-        if (self.ks2, self.chi, self.pg) != (1, 1, 0):
+    def __init__(self, ks2: int = 1, chi: int = 1, pg: int = 0) -> None:
+        if (ks2, chi, pg) != (1, 1, 0):
             raise CaseInvalidError("numerical Godeaux surface requires K^2=1, chi=1, p_g=0")
+        self.ks2, self.chi, self.pg = ks2, chi, pg
 
 
-@dataclass(frozen=True)
 class RamificationData:
     """Divisorial ramification invariants plus the isolated fixed-point counts.
 
     ``r0k`` is R_0.K_S, ``ell`` the number of disjoint (-2)-components of R_0,
     ``gamma_sq`` the square of the positive-degree component (present exactly
     when r0k=1), ``h1``/``h2`` the counts of isolated fixed points over triple
-    points resp. A_2 points of the quotient.
+    points resp. A_2 points of the quotient.  Equal and hashed by value: the
+    K_Y^2 node keys its values by ramification datum.
     """
 
-    r0k: int
-    ell: int
-    h2: int
-    gamma_sq: int | None = None
+    __slots__ = ("r0k", "ell", "h2", "gamma_sq")
 
-    def __post_init__(self) -> None:
-        if self.r0k not in (0, 1):
+    def __init__(self, r0k: int, ell: int, h2: int, gamma_sq: int | None = None) -> None:
+        if r0k not in (0, 1):
             raise CaseInvalidError("R_0.K_S must be 0 or 1")
-        if self.ell < 0 or self.h2 < 0:
+        if ell < 0 or h2 < 0:
             raise CaseInvalidError("counts must be nonnegative")
-        if self.r0k == 1:
-            if self.gamma_sq is None:
+        if r0k == 1:
+            if gamma_sq is None:
                 raise CaseInvalidError("gamma_sq required when R_0.K_S = 1")
-            if self.gamma_sq > 1:
+            if gamma_sq > 1:
                 raise CaseInvalidError("index theorem forces gamma_sq <= 1")
-            if (3 - self.gamma_sq) % 2 != 0:
+            if (3 - gamma_sq) % 2 != 0:
                 raise CaseInvalidError("gamma_sq must be odd when R_0.K_S = 1")
-        elif self.gamma_sq is not None:
+        elif gamma_sq is not None:
             raise CaseInvalidError("gamma_sq only meaningful when R_0.K_S = 1")
+        self.r0k, self.ell, self.h2, self.gamma_sq = r0k, ell, h2, gamma_sq
         if self.h1 < 0:
             raise CaseInvalidError("negative h1")
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RamificationData) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, f) for f in self.__slots__))
 
     @property
     def r0sq(self) -> int:
@@ -129,8 +132,7 @@ def h0_pair(r0k, h2: int | None = None) -> tuple[int, int]:
     return h0_n, h0_2kb
 
 
-@dataclass(frozen=True)
-class CaseRecord:
+class CaseRecord(NamedTuple):
     """One of the main cases of the analysis."""
 
     id: str
@@ -158,18 +160,20 @@ def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
     return out
 
 
-def h2_bound_is_monotone(h2_max: int = 20, probe: int = 60) -> bool:
-    """Above the search bound h^0(2K_Y+B) only grows, so no case is missed."""
+def h2_bound_is_monotone(h2_max: int = 20) -> bool:
+    """Above the search bound h^0(2K_Y+B) only grows, so no case is missed.
+
+    h^0(2K_Y+B) = (2 h_2 - 2 - R_0.K_S)/3 is affine in h_2, so a positive slope
+    and a value above 2 at ``h2_max + 1`` keep it out of [0, 2] from there on.
+    """
     for r0k in (0, 1):
-        for h2 in range(h2_max + 1, probe + 1):
-            value = Fraction(2 * h2 - 2 - r0k, 3)
-            if value <= 2:
-                return False
+        first, second = (Fraction(2 * h2 - 2 - r0k, 3) for h2 in (h2_max + 1, h2_max + 2))
+        if second - first <= 0 or first <= 2:
+            return False
     return True
 
 
-@dataclass(frozen=True)
-class EigenvalueSplit:
+class EigenvalueSplit(NamedTuple):
     h11: int
     h12: int
     congruence_class: int

@@ -501,7 +501,7 @@ def _transformed_elimination(prop_id: str, variant: str) -> Elimination:
         if (got.degree, got.mults) != (want.degree, want.mults):
             return Elimination(prop_id, got.name, "fixture", "failed",
                                (f"transformed row {got.name} differs from the fixture",))
-    transformed = ConfigTable(source.cluster, tuple(rows))
+    transformed = ConfigTable(source.cluster, tuple(rows), {}, (), {})
     planar, why = is_forced_planar(transformed, "P6")
     if not planar:
         return Elimination(prop_id, "P6", "planar", "failed", tuple(why))

@@ -8,8 +8,8 @@ trace.  Rational intermediates are exact; comparisons happen on integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
 from .pencil import PencilCase, pencil_case
@@ -19,8 +19,7 @@ class FibrationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple):
     """Integer-affine expression c0 + c1 * l in the count l of (-2)-components."""
 
     const: int
@@ -80,8 +79,7 @@ def node_bound(fiber: list[tuple[int, int, dict[int, int]]]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Elimination:
+class Elimination(NamedTuple):
     prop_id: str
     lhs: str
     rhs: str
@@ -93,8 +91,7 @@ class Elimination:
 # -- case (iii): the pencil |A'| ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrappedInventory:
+class TrappedInventory(NamedTuple):
     """Which negative curves are forced into singular fibres of |A'|."""
 
     f_trapped: bool

@@ -8,7 +8,6 @@ floats anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul
 
 
@@ -20,25 +19,31 @@ class ParityError(LatticeError):
     """Raised when D^2 + D.K is odd, so the arithmetic genus is not an integer."""
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    """Symmetric integer bilinear form with a distinguished canonical class."""
+    """Symmetric integer bilinear form with a distinguished canonical class.
 
-    basis_labels: tuple[str, ...]
-    gram: tuple[tuple[int, ...], ...]
-    canonical: tuple[int, ...]
-    name: str = ""
+    Lattices compare by value, so classes on two equal lattices combine.
+    """
 
-    def __post_init__(self) -> None:
-        n = len(self.basis_labels)
-        if len(self.gram) != n or any(len(row) != n for row in self.gram):
+    __slots__ = ("basis_labels", "gram", "canonical", "name")
+
+    def __init__(self, basis_labels: tuple[str, ...], gram: tuple[tuple[int, ...], ...],
+                 canonical: tuple[int, ...], name: str = "") -> None:
+        n = len(basis_labels)
+        if len(gram) != n or any(len(row) != n for row in gram):
             raise LatticeError("gram matrix shape does not match basis")
-        if len(self.canonical) != n:
+        if len(canonical) != n:
             raise LatticeError("canonical class length does not match basis")
         for i in range(n):
             for j in range(n):
-                if self.gram[i][j] != self.gram[j][i]:
+                if gram[i][j] != gram[j][i]:
                     raise LatticeError("gram matrix is not symmetric")
+        self.basis_labels, self.gram = basis_labels, gram
+        self.canonical, self.name = canonical, name
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, IntersectionLattice) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
     @property
     def rank(self) -> int:
@@ -86,14 +91,13 @@ class IntersectionLattice:
         return cls(("c", "f"), gram, (-2, -(a + 2)), name=name or f"F{a}")
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    lattice: IntersectionLattice
-    coeffs: tuple[int, ...]
+    __slots__ = ("lattice", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.lattice.rank:
+    def __init__(self, lattice: IntersectionLattice, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != lattice.rank:
             raise LatticeError("coefficient vector length does not match basis")
+        self.lattice, self.coeffs = lattice, coeffs
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._same_lattice(other)

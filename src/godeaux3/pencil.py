@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
+from typing import NamedTuple
 
 # Intersection numbers of the exceptional configuration over an A_2-type
 # fixed point q (curves F, G, H) and over a triple-point type fixed point
@@ -36,8 +37,7 @@ def _q_dot(d1: dict[str, int], d2: dict[str, int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DropAtom:
+class DropAtom(NamedTuple):
     """How A passes through an A_2-type fixed point q: its share of D over F, G, H."""
 
     kind: str
@@ -70,8 +70,7 @@ Q_TRIPLE = _q_atom("q-triple", 3, 3, 3, requires_a2_9=True)
 Q_ATOMS = (Q_SIMPLE, Q_SIMPLE_ALT, Q_NODE, Q_CUSP, Q_DOUBLE_OTHER, Q_TRIPLE)
 
 
-@dataclass(frozen=True)
-class SubsystemBranch:
+class SubsystemBranch(NamedTuple):
     """One branch of the moving-part/fixed-part split of the invariant pencil."""
 
     ak: int
@@ -122,6 +121,13 @@ def genus_from_case(ak: int, ar0: int, dg: int, de: int, aprime2: int) -> Fracti
 
 @dataclass(frozen=True)
 class PencilCase:
+    """One row of a printed pencil case list, and the package's one dataclass.
+
+    The benchmark's tests call ``dataclasses.replace`` on a row, so making it a
+    NamedTuple, which also drops the import of ``dataclasses``, waits for a
+    change to the benchmark.
+    """
+
     label: str
     a2: int
     ar0: int

@@ -8,25 +8,23 @@ genus and proximity checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 
 class PlaneError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class PlaneCurve:
-    name: str
-    degree: int
-    mults: tuple[int, ...]
-    virtual: bool = False
+    __slots__ = ("name", "degree", "mults", "virtual")
 
-    def __post_init__(self) -> None:
-        if self.degree < 0:
+    def __init__(self, name: str, degree: int, mults: tuple[int, ...],
+                 virtual: bool = False) -> None:
+        if degree < 0:
             raise PlaneError("negative degree")
-        if not self.virtual and any(m < 0 for m in self.mults):
-            raise PlaneError(f"{self.name}: negative multiplicity on a non-virtual row")
+        if not virtual and any(m < 0 for m in mults):
+            raise PlaneError(f"{name}: negative multiplicity on a non-virtual row")
+        self.name, self.degree, self.mults, self.virtual = name, degree, mults, virtual
 
     def self_int(self) -> int:
         return self.degree ** 2 - sum(m * m for m in self.mults)
@@ -41,7 +39,6 @@ class PlaneCurve:
         return (d - 1) * (d - 2) // 2 - sum(m * (m - 1) // 2 for m in self.mults)
 
 
-@dataclass(frozen=True)
 class PointCluster:
     """Plane points with proximity relations and planar flags.
 
@@ -50,11 +47,11 @@ class PointCluster:
     known to lie on the plane itself.
     """
 
-    points: tuple[str, ...]
-    proximity: tuple[tuple[str, str], ...] = ()
-    planar: tuple[str, ...] = ()
+    __slots__ = ("points", "proximity", "planar")
 
-    def __post_init__(self) -> None:
+    def __init__(self, points: tuple[str, ...], proximity: tuple[tuple[str, str], ...] = (),
+                 planar: tuple[str, ...] = ()) -> None:
+        self.points, self.proximity, self.planar = points, proximity, planar
         index = {p: i for i, p in enumerate(self.points)}
         for child, parent in self.proximity:
             if child not in index or parent not in index:
@@ -96,15 +93,14 @@ class PointCluster:
         return True
 
 
-@dataclass(frozen=True)
-class ConfigTable:
+class ConfigTable(NamedTuple):
     """A cluster together with tracked curve rows and expected invariants."""
 
     cluster: PointCluster
     rows: tuple[PlaneCurve, ...]
-    weights: dict = field(default_factory=dict)  # row name -> weight in the totals
-    totals: tuple[int, ...] = ()
-    gram: dict = field(default_factory=dict)  # (name, name) -> expected product
+    weights: dict  # row name -> weight in the totals
+    totals: tuple[int, ...]
+    gram: dict  # (name, name) -> expected product
 
     def row(self, name: str) -> PlaneCurve:
         for r in self.rows:
@@ -170,7 +166,7 @@ def _transform_curve(curve: PlaneCurve, idxs: tuple[int, int, int]) -> PlaneCurv
     new_m[j] = d - m[i] - m[k]
     new_m[k] = d - m[i] - m[j]
     virtual = curve.virtual or any(v < 0 for v in new_m)
-    return replace(curve, degree=new_d, mults=tuple(new_m), virtual=virtual)
+    return PlaneCurve(curve.name, new_d, tuple(new_m), virtual)
 
 
 def admissible_base(curves: list[PlaneCurve], cluster: PointCluster,
@@ -401,6 +397,20 @@ def fa_ladder_checks(a: int, steps: int) -> dict:
     }
 
 
+def _double_root(poly: tuple[int, int, int]) -> int:
+    """The double root of a0 + a1 d + a2 d^2, which must be an integer."""
+    a0, a1, a2 = poly
+    if a2 == 0 or a1 * a1 != 4 * a0 * a2 or a1 % (2 * a2):
+        raise PlaneError(f"consistency polynomial {poly} has no integer double root")
+    return -a1 // (2 * a2)
+
+
+def _degree_verdict(poly: tuple[int, int, int], required_degree: int) -> tuple[int, str]:
+    """The degree d the polynomial forces: a contradiction exactly when d != required."""
+    d = _double_root(poly)
+    return d, "contradiction" if d != required_degree else "survives"
+
+
 def homaloidal_eliminate(branch: str) -> dict:
     """Replay the plane-model contradiction for the deepest ruled branch.
 
@@ -434,15 +444,16 @@ def homaloidal_eliminate(branch: str) -> dict:
     if poly != (36, -12, 1):
         raise PlaneError(f"consistency polynomial {poly} is not (d-6)^2")
     trace.append("sum j^2 s - sum j s - sum j(j-1) s = d^2 - 12 d + 36 = (d-6)^2")
-    d = 6
     if branch == "A'=N":
         required_degree = 10  # the pencil class itself has plane degree 10
-        trace.append(f"(d-6)^2 = 0 forces d = 6, but the pencil has degree {required_degree}")
+        d, verdict = _degree_verdict(poly, required_degree)
+        trace.append(f"(d-6)^2 = 0 forces d = {d}, but the pencil has degree {required_degree}")
         return {"branch": branch, "poly": poly, "d": d,
-                "required_degree": required_degree, "verdict": "contradiction",
+                "required_degree": required_degree, "verdict": verdict,
                 "trace": trace}
-    lin6, sq6 = lin(6), sq(6)
-    trace.append(f"d = 6: sum j s_j = {lin6}, sum j^2 s_j = {sq6}")
+    d = _double_root(poly)
+    lin6, sq6 = lin(d), sq(d)
+    trace.append(f"d = {d}: sum j s_j = {lin6}, sum j^2 s_j = {sq6}")
     # subtracting: 20 s5 + 12 s4 + 6 s3 + 2 s2 = 16, so s5 = 0, s4 <= 1 and
     # s1 + s2 = 11 + 2 s4 > 9
     diff = sq6 - lin6

@@ -13,10 +13,9 @@ three main cases are closed, the third one branch by branch.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import adjoint, cover, delpezzo, fibration, pencil, plane, ruled
 
@@ -28,7 +27,6 @@ AXIOM = "axiom-assumed"
 FAILED = "failed"
 
 
-@dataclass
 class Outcome:
     """What a node established.
 
@@ -36,15 +34,16 @@ class Outcome:
     an elimination, and ``closes`` what the node closes once it holds.
     """
 
-    status: str
-    value: object = None
-    sides: tuple[str, str] | None = None
-    trace: list[str] = field(default_factory=list)
-    closes: tuple = ()
+    __slots__ = ("status", "value", "sides", "trace", "closes")
+
+    def __init__(self, status: str, value: object = None, sides: tuple[str, str] | None = None,
+                 trace: list[str] | None = None) -> None:
+        self.status, self.value, self.sides = status, value, sides
+        self.trace = [] if trace is None else trace
+        self.closes: tuple = ()
 
 
-@dataclass(frozen=True)
-class ProofNode:
+class ProofNode(NamedTuple):
     id: str
     kind: str  # formula-check | enumeration | elimination | axiom
     title: str

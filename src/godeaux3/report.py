@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 from .prooftree import (FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
                         build_nodes, topological_order)
 
 
-@dataclass
 class Report:
-    selector: str
-    results: dict[str, Outcome]
-    order: list[str]
-    registry: dict[str, ProofNode]
-    timings: dict[str, float] = field(default_factory=dict)
+    __slots__ = ("selector", "results", "order", "registry", "timings")
+
+    def __init__(self, selector: str, results: dict[str, Outcome], order: list[str],
+                 registry: dict[str, ProofNode], timings: dict[str, float]) -> None:
+        self.selector, self.results, self.order = selector, results, order
+        self.registry, self.timings = registry, timings
 
     @property
     def verdict(self) -> str:

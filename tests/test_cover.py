@@ -99,6 +99,12 @@ def test_enumerate_main_cases():
     assert h2_bound_is_monotone()
 
 
+def test_h2_bound_check_can_fail():
+    # with h_2 <= 3 searched, h_2 = 4 and R_0.K_S = 0 give h^0(2K_Y+B) = 2, in range
+    assert not h2_bound_is_monotone(3)
+    assert h2_bound_is_monotone(4) and h2_bound_is_monotone(20)
+
+
 def test_eigenvalue_split():
     split = eigenvalue_split(1)
     assert (split.h11, split.h12) == (2, 3)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 
 from godeaux3 import delpezzo as dp
@@ -26,21 +24,21 @@ def full_recheck_sweep(table):
                     mutated = PlaneCurve(row.name, row.degree, tuple(m), True)
                     where = table.cluster.points[ci]
                 rows[ri] = mutated
-                if verify_config_table(replace(table, rows=tuple(rows)))[0]:
+                if verify_config_table(table._replace(rows=tuple(rows)))[0]:
                     unsharp.append(f"{row.name}@{where}{delta:+d}")
     return unsharp
 
 
 def _weakened():
     base = dp.table_14pt("lines-lines")
-    yield "gram emptied", replace(base, gram={})
+    yield "gram emptied", base._replace(gram={})
     # a +-1 mutant moves its row's square by an odd number, so with the squares
     # declared no mutant survives; without totals, drop them too
-    yield "totals emptied", replace(
-        base, totals=(), gram={(a, b): v for (a, b), v in base.gram.items() if a != b})
-    yield "F products removed", replace(
-        base, gram={k: v for k, v in base.gram.items() if "F" not in k})
-    yield "8pt gram emptied", replace(dp.table_8pt("8-1-1-0-0-0"), gram={})
+    yield "totals emptied", base._replace(
+        totals=(), gram={(a, b): v for (a, b), v in base.gram.items() if a != b})
+    yield "F products removed", base._replace(
+        gram={k: v for k, v in base.gram.items() if "F" not in k})
+    yield "8pt gram emptied", dp.table_8pt("8-1-1-0-0-0")._replace(gram={})
 
 
 def test_all_printed_tables_pass():
@@ -86,8 +84,8 @@ def test_incremental_sweep_matches_full_recheck_on_weakened_tables(name, table):
 def test_sweep_rejects_failing_tables_and_repeated_row_names():
     table = dp.table_14pt("lines-lines")
     with pytest.raises(PlaneError, match="fails before mutation"):
-        dp.perturbation_sweep(replace(table, totals=(0,) * len(table.totals)))
-    twice = ConfigTable(table.cluster, table.rows + table.rows[-1:])
+        dp.perturbation_sweep(table._replace(totals=(0,) * len(table.totals)))
+    twice = ConfigTable(table.cluster, table.rows + table.rows[-1:], {}, (), {})
     with pytest.raises(PlaneError, match="not unique"):
         dp.perturbation_sweep(twice)
 

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -183,8 +181,10 @@ def test_equal_lattices_mix_and_different_ones_raise():
     h, e1 = a.basis_class("H"), b.basis_class("E1")
     assert (h + e1).dot(e1) == -1
     assert (h - e1).lattice is a
-    heavier = replace(a, gram=tuple(tuple(-2 if i == j == 5 else x for j, x in enumerate(row))
-                                    for i, row in enumerate(a.gram)))
+    heavier = IntersectionLattice(a.basis_labels,
+                                  tuple(tuple(-2 if i == j == 5 else x for j, x in enumerate(row))
+                                        for i, row in enumerate(a.gram)),
+                                  a.canonical, a.name)
     for other in (heavier, blow_up(a), IntersectionLattice.hirzebruch(1)):
         with pytest.raises(LatticeError):
             h.dot(other.divisor((1,) * other.rank))

@@ -6,7 +6,8 @@ from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
                             degree_budget, fa_ladder_checks,
                             homaloidal_eliminate, quadratic_transform,
                             singular_fiber_count_bound,
-                            solve_multiplicity_system, state_from_solution)
+                            solve_multiplicity_system, state_from_solution,
+                            _degree_verdict)
 
 PRINTED_SOLUTIONS = [
     (3, {1: 7}),
@@ -259,6 +260,16 @@ def test_homaloidal_full_system():
     res = homaloidal_eliminate("A'=N")
     assert res["verdict"] == "contradiction"
     assert res["d"] == 6 and res["required_degree"] == 10
+
+
+def test_forced_degree_is_compared_with_the_required_one():
+    assert _degree_verdict((36, -12, 1), 10) == (6, "contradiction")
+    assert _degree_verdict((100, -20, 1), 10) == (10, "survives")  # (d-10)^2
+    assert _degree_verdict((200, -40, 2), 10) == (10, "survives")  # 2 (d-10)^2
+    # not a square, not quadratic, and (2d - 3)^2 with no integer root
+    for poly in ((35, -12, 1), (36, -12, 0), (9, -12, 4)):
+        with pytest.raises(PlaneError):
+            _degree_verdict(poly, 10)
 
 
 def test_singular_fiber_count_bound():

@@ -2,7 +2,6 @@ import hashlib
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -123,7 +122,7 @@ def test_fixtures_check():
 
 def test_fixtures_check_fails_with_a_fixture_node(monkeypatch, capsys):
     registry = build_nodes()
-    registry["e.sys"] = replace(registry["e.sys"], fn=lambda _: Outcome("failed"))
+    registry["e.sys"] = registry["e.sys"]._replace(fn=lambda _: Outcome("failed"))
     monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
     ok, messages = fixtures_check()
     assert not ok and "e.sys: failed" in messages
@@ -161,7 +160,7 @@ def _run_with(monkeypatch, change):
 @pytest.mark.parametrize("nid", COVERAGE_CLOSERS + ("p.1e", "p.no0d", "p.l0"))
 def test_emptied_closes_fails_coverage_and_root(monkeypatch, nid):
     def empty(registry):
-        registry[nid] = replace(registry[nid], closes=())
+        registry[nid] = registry[nid]._replace(closes=())
 
     report = _run_with(monkeypatch, empty)
     assert report.results[nid].status != "failed"
@@ -173,7 +172,7 @@ def test_emptied_closes_fails_coverage_and_root(monkeypatch, nid):
 def test_closer_dropped_from_coverage_fails_root(monkeypatch, nid):
     def drop(registry):
         cov = registry["coverage"]
-        registry["coverage"] = replace(cov, deps=tuple(d for d in cov.deps if d != nid))
+        registry["coverage"] = cov._replace(deps=tuple(d for d in cov.deps if d != nid))
 
     report = _run_with(monkeypatch, drop)
     assert report.results["coverage"].status == "failed"
@@ -183,7 +182,7 @@ def test_closer_dropped_from_coverage_fails_root(monkeypatch, nid):
 
 def test_root_checks_the_status_of_each_main_case(monkeypatch):
     def soften(registry):
-        registry["t.i"] = replace(registry["t.i"], fn=lambda _: Outcome(VERIFIED))
+        registry["t.i"] = registry["t.i"]._replace(fn=lambda _: Outcome(VERIFIED))
 
     report = _run_with(monkeypatch, soften)
     assert report.results["t.i"].status == "verified"
@@ -266,7 +265,7 @@ def test_declared_labels_are_the_ones_closed(full_report):
 
 def test_coverage_needs_closers_with_contradiction_status(monkeypatch):
     def soften(registry):
-        registry["t.no1rul"] = replace(registry["t.no1rul"], fn=lambda _: Outcome(VERIFIED))
+        registry["t.no1rul"] = registry["t.no1rul"]._replace(fn=lambda _: Outcome(VERIFIED))
 
     report = _run_with(monkeypatch, soften)
     assert report.results["t.no1rul"].closes == ((1, 0, "ruled"),)
@@ -309,7 +308,7 @@ def test_p_comp_catches_a_shifted_table(monkeypatch):
 
     def shifted(*args):
         rows = table(*args)
-        return [replace(rows[0], ni2=rows[0].ni2 + 1), *rows[1:]]
+        return [rows[0]._replace(ni2=rows[0].ni2 + 1), *rows[1:]]
 
     monkeypatch.setattr(adjoint, "adjoint_table", shifted)
     report = run("p.comp")

@@ -1,7 +1,5 @@
-from dataclasses import replace
-
 from godeaux3 import ruled
-from godeaux3.adjoint import verify_ladder_identity
+from godeaux3.adjoint import LadderReport, verify_ladder_identity
 
 
 def test_l_a2_admissible_indices():
@@ -46,5 +44,5 @@ def test_t_no3ldp_setup_checks():
 
 def test_t_no3ldp_reads_the_reports_it_is_given():
     ladders = _ladders()
-    ladders["s.3l"][0] = replace(ladders["s.3l"][0], ok=False)
+    ladders["s.3l"][0] = LadderReport("s.3l", ok=False)
     assert ruled.elim_t_no3ldp(ladders).verdict == "failed"

@@ -110,16 +110,13 @@ def kx2_via_blowup(g: GodeauxContext, r: RamificationData) -> int:
     return g.ks2 - (r.h1 + 3 * r.h2)
 
 
-def h0_pair(r0k, h2: int | None = None) -> tuple[int, int]:
+def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
     """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
 
-    Accepts either a :class:`RamificationData` or the bare pair.  Raises
-    :class:`CaseInvalidError` when the pair is not realizable: the second
-    value must be an integer in [0, 2], and h^0(N) = 2 + R_0.K_S may not
-    reach 4 because the tricanonical map is birational.
+    Raises :class:`CaseInvalidError` when the pair is not realizable: the
+    second value must be an integer in [0, 2], and h^0(N) = 2 + R_0.K_S may
+    not reach 4 because the tricanonical map is birational.
     """
-    if isinstance(r0k, RamificationData):
-        r0k, h2 = r0k.r0k, r0k.h2
     h0_n = 2 + r0k
     if h0_n > 3:
         raise CaseInvalidError("h^0(N) = 4 would make the tricanonical map invariant")

@@ -11,7 +11,7 @@ import json
 from importlib import resources
 from itertools import product
 
-from .fibration import Elimination
+from .fibration import Elimination, _partitions
 from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster,
                     product_violation, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
@@ -82,10 +82,7 @@ def table_14pt(variant: str | None) -> ConfigTable:
     with_fh = variant is not None
     if with_fh:
         var = _DATA["fh_variants"][variant]
-        rows.append(PlaneCurve("F", var["F"]["degree"], tuple(var["F"]["mults"]),
-                               var["F"].get("virtual", False)))
-        rows.append(PlaneCurve("H", var["H"]["degree"], tuple(var["H"]["mults"]),
-                               var["H"].get("virtual", False)))
+        rows += _rows_from_json({"name": x, **var[x]} for x in ("F", "H"))
     weights = {"B0": 2, **{e: 1 for e in _E_NAMES}}
     return ConfigTable(cluster, tuple(rows), weights=weights,
                        totals=tuple(base["totals"]), gram=_gram_14pt(with_fh))
@@ -166,7 +163,7 @@ def b0_options_deepest() -> dict:
     index theorem against the genus-one pencil (square 1) removes the option
     with B_0.Z''' = 4 and pins B_0 to the pencil class when B_0.Z'' = 2.
     """
-    b0k, n_cycles = 4, 3
+    n_cycles = 3
     options = []
     for z2 in range(0, 3):
         z3 = 4 - 2 * z2
@@ -178,7 +175,6 @@ def b0_options_deepest() -> dict:
             "pinned-to-pencil" if square == pairing ** 2 else "open")
         options.append({"B0.Z''": z2, "B0.Z'''": z3, "pairing": pairing,
                         "square": square, "verdict": verdict})
-    assert b0k == 4
     return {"options": options}
 
 
@@ -309,17 +305,6 @@ def sixtuple_enumerate() -> dict:
     return {"kept": kept, "excluded": excluded}
 
 
-def _partitions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _partitions(total - first, slots - 1):
-            if rest and rest[0] > first and slots > 1:
-                continue
-            yield (first,) + rest
-
-
 def exceptional_curve_solutions() -> dict:
     """Plane models of the two exceptional (-3)-curves F', H' and their pairs.
 
@@ -353,7 +338,6 @@ def exceptional_curve_solutions() -> dict:
                 pairs.append(tuple(sorted((kind1, kind2))))
     pair_kinds = sorted(set(pairs))
     return {
-        "degrees": sorted({c.degree for _, c in singles}, reverse=True),
         "by_kind": {k: sum(1 for kk, _ in singles if kk == k)
                     for k in ("conic", "line", "contracted")},
         "admissible_pairs": pair_kinds,
@@ -372,17 +356,21 @@ def forced_proximities(table: ConfigTable) -> list[tuple[str, str]]:
     """
     edges = []
     pts = table.cluster.points
-    for row in table.rows:
-        if not row.virtual or row.degree != 0:
-            continue
-        negatives = [i for i, m in enumerate(row.mults) if m < 0]
-        if len(negatives) != 1 or row.mults[negatives[0]] != -1:
-            continue
-        parent = pts[negatives[0]]
+    for parent, row in _exceptional_rows(table):
         for i, m in enumerate(row.mults):
             if m == 1:
                 edges.append((pts[i], parent))
     return edges
+
+
+def _exceptional_rows(table: ConfigTable) -> list[tuple[str, PlaneCurve]]:
+    """(P, row) for each virtual row of degree 0 whose only negative entry is -1 at P."""
+    out = []
+    for row in table.rows:
+        negatives = [i for i, m in enumerate(row.mults) if m < 0]
+        if row.virtual and row.degree == 0 and [row.mults[i] for i in negatives] == [-1]:
+            out.append((table.cluster.points[negatives[0]], row))
+    return out
 
 
 def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
@@ -391,12 +379,7 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     pi = pts.index(point)
     edges = forced_proximities(table)
     reasons = []
-    exceptional_row = {}
-    for row in table.rows:
-        if row.virtual and row.degree == 0:
-            negs = [i for i, m in enumerate(row.mults) if m == -1]
-            if len(negs) == 1 and sum(1 for m in row.mults if m < 0) == 1:
-                exceptional_row[pts[negs[0]]] = row
+    exceptional_row = dict(_exceptional_rows(table))
     for cand in pts:
         if cand == point:
             continue
@@ -417,15 +400,9 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
                 reasons.append(f"{point} absent from the exceptional row over {cand}")
         if ok:
             # adding point > cand must not close a cycle with forced edges
-            reach = {cand}
-            frontier = [cand]
-            while frontier:
-                cur = frontier.pop()
-                for ch, par in edges:
-                    if ch == cur and par not in reach:
-                        reach.add(par)
-                        frontier.append(par)
-            if point in reach:
+            try:
+                PointCluster(pts, (*edges, (point, cand)))
+            except PlaneError:
                 ok = False
                 reasons.append(f"{point} above {cand} would close a proximity cycle")
         if ok:
@@ -494,7 +471,7 @@ def _transformed_elimination(prop_id: str, variant: str) -> Elimination:
     ok, violations = verify_config_table(source)
     if not ok:
         return Elimination(prop_id, "table", "valid", "failed", tuple(violations))
-    _, rows = quadratic_transform(source.cluster, list(source.rows), ("P1", "P2", "P3"))
+    rows = quadratic_transform(source.cluster, list(source.rows), ("P1", "P2", "P3"))
     fixture = _DATA["transformed_14pt"][variant]
     expected = _rows_from_json(fixture["rows"])
     for got, want in zip(rows, expected):
@@ -522,7 +499,7 @@ def lines_to_contracted_move() -> bool:
     """The two-lines table maps onto the line + contracted one under the
     quadratic transformation based at P_3, P_4, P_8 (up to the F/H naming)."""
     table = table_14pt("lines-lines")
-    _, rows = quadratic_transform(table.cluster, list(table.rows), ("P3", "P4", "P8"))
+    rows = quadratic_transform(table.cluster, list(table.rows), ("P3", "P4", "P8"))
     by_name = {r.name: r for r in rows}
     h_new = by_name["H"]
     return h_new.degree == 0 and sorted(h_new.mults) == sorted(

@@ -24,7 +24,6 @@ class LinearForm(NamedTuple):
 
     const: int
     coef: int = 0
-    var: str = "l"
 
     def __call__(self, value: int) -> int:
         return self.const + self.coef * value
@@ -32,10 +31,10 @@ class LinearForm(NamedTuple):
     def __str__(self) -> str:
         if self.coef == 0:
             return str(self.const)
-        coef = f"{self.coef}{self.var}" if self.coef != 1 else self.var
+        coef = f"{self.coef}l" if self.coef != 1 else "l"
         if self.const == 0:
             return coef
-        return f"{self.const}+{coef}" if self.coef > 0 else f"{self.const}-{-self.coef}{self.var}"
+        return f"{self.const}+{coef}" if self.coef > 0 else f"{self.const}-{-self.coef}l"
 
 
 def min_contribution(self_int: int) -> int:
@@ -159,6 +158,18 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
                        tuple(trace), tuple(survivors))
 
 
+def _partitions(total: int, slots: int):
+    """Nonincreasing ``slots``-tuples with sum ``total``, lexicographically decreasing."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total, -1, -1):
+        for rest in _partitions(total - first, slots - 1):
+            if not rest or rest[0] <= first:
+                yield (first,) + rest
+
+
 def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...]]:
     """In case (1e) every component of B_0 must meet the moving part.
 
@@ -168,17 +179,7 @@ def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...
     """
     rhs = pencil_delta(case)(ell)
     out = []
-
-    def distribute(remaining: int, slots: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            if remaining == 0:
-                yield prefix
-            return
-        cap = prefix[-1] if prefix else remaining
-        for v in range(min(remaining, cap), -1, -1):
-            yield from distribute(remaining - v, slots - 1, prefix + (v,))
-
-    for dist in distribute(3, ell, ()):
+    for dist in _partitions(3, ell):
         trapped = sum(1 for v in dist if v == 0)
         lhs = 3 + 3 * (4 + ell) + 6 * trapped  # H' + all E' + trapped B_0 parts
         if lhs <= rhs:
@@ -396,7 +397,7 @@ def elim_p_no0() -> Elimination:
     )
 
 
-def _scan_case_i(prop: str, n1sq: int, case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
+def _scan_case_i(n1sq: int, case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
     """Run a trapped-component scan over the case (i) grid.
 
     ``case_split(gamma_sq, ell, h1, n, delta)`` yields (tag, lhs) pairs; a pair
@@ -434,7 +435,7 @@ def elim_p_noZ() -> Elimination:
         if gamma_sq <= -1 and h1 >= 2:
             yield "II", 18 + 3 * (h1 - 2) - 3 * gamma_sq + 6 * ell
 
-    survivors, trace = _scan_case_i("p.noZ", 1, split)
+    survivors, trace = _scan_case_i(1, split)
     return Elimination(
         "p.noZ", "18+3h1+6l", "15+n",
         "contradiction" if not survivors else "survives",
@@ -450,7 +451,7 @@ def elim_p_noN() -> Elimination:
         if gamma_sq <= -1:
             yield "main", 18 - 3 * gamma_sq + 6 * ell + 3 * (h1 - 1)
 
-    survivors, trace = _scan_case_i("p.noN", 1, split)
+    survivors, trace = _scan_case_i(1, split)
     return Elimination(
         "p.noN", "18-3G^2+6l+3(h1-1)", "15+n",
         "contradiction" if not survivors else "survives",
@@ -480,7 +481,7 @@ def elim_p_noN1() -> Elimination:
                 yield "II/comp-meets", 18 + 3 * (h1 - 3) - 3 * gamma_sq + 6 * (ell - 1)
 
     # delta = 16 + n here: the moving part is N_1 itself with N_1^2 = 1
-    survivors, trace = _scan_case_i("p.noN1", 1, split, delta_sq=1)
+    survivors, trace = _scan_case_i(1, split, delta_sq=1)
     # structural kill (reconstructed): with t trapped E'-curves the cycle
     # catalog admits at most 3t cycles when a reducible one occurs and at
     # most t when all are irreducible; every Case II survivor must satisfy it

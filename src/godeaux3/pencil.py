@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import isqrt
 from typing import NamedTuple
 
@@ -40,7 +41,6 @@ def _q_dot(d1: dict[str, int], d2: dict[str, int]) -> int:
 class DropAtom(NamedTuple):
     """How A passes through an A_2-type fixed point q: its share of D over F, G, H."""
 
-    kind: str
     d_contribution: tuple[tuple[str, int], ...]
     self_int_drop: int
     dg: int
@@ -49,7 +49,7 @@ class DropAtom(NamedTuple):
     forces_phi_through_q: bool = False
 
 
-def _q_atom(kind: str, f: int, g: int, h: int, min_a2: int = 0,
+def _q_atom(f: int, g: int, h: int, min_a2: int = 0,
             requires_a2_9: bool = False) -> DropAtom:
     d = {"F": f, "G": g, "H": h}
     drop = -_q_dot(d, d)
@@ -57,17 +57,18 @@ def _q_atom(kind: str, f: int, g: int, h: int, min_a2: int = 0,
     # Phi must pass through q whenever the F or H multiplicity of D is not
     # divisible by 3 (branch components pull back with multiplicity 3).
     forces = f % 3 != 0 or h % 3 != 0
-    return DropAtom(kind, tuple(sorted(d.items())), drop, dg, min_a2, requires_a2_9, forces)
+    return DropAtom(tuple(sorted(d.items())), drop, dg, min_a2, requires_a2_9, forces)
 
 
-Q_SIMPLE = _q_atom("q-simple", 2, 1, 1)
-Q_SIMPLE_ALT = _q_atom("q-simple-alt", 1, 1, 2)
-Q_NODE = _q_atom("q-node", 3, 2, 3, min_a2=6)
-Q_CUSP = _q_atom("q-cusp", 3, 2, 2, min_a2=6)
-Q_DOUBLE_OTHER = _q_atom("q-double-other", 4, 2, 2, requires_a2_9=True)
-Q_TRIPLE = _q_atom("q-triple", 3, 3, 3, requires_a2_9=True)
+# The mirror (1, 1, 2) of the simple atom differs only by the F/H labels and
+# gives the same rows, so it is not catalogued.
+Q_SIMPLE = _q_atom(2, 1, 1)
+Q_NODE = _q_atom(3, 2, 3, min_a2=6)
+Q_CUSP = _q_atom(3, 2, 2, min_a2=6)
+Q_DOUBLE_OTHER = _q_atom(4, 2, 2, requires_a2_9=True)
+Q_TRIPLE = _q_atom(3, 3, 3, requires_a2_9=True)
 
-Q_ATOMS = (Q_SIMPLE, Q_SIMPLE_ALT, Q_NODE, Q_CUSP, Q_DOUBLE_OTHER, Q_TRIPLE)
+Q_ATOMS = (Q_SIMPLE, Q_NODE, Q_CUSP, Q_DOUBLE_OTHER, Q_TRIPLE)
 
 
 class SubsystemBranch(NamedTuple):
@@ -77,7 +78,6 @@ class SubsystemBranch(NamedTuple):
     phik: int
     a2_options: tuple[int, ...]
     pa_phi_max: int | None  # None means Phi = 0
-    a_is_2k: bool = False
 
 
 def subsystem_split() -> list[SubsystemBranch]:
@@ -146,19 +146,14 @@ class PencilCase:
         return "+".join(parts)
 
 
-def _p_multisets(budget: int, max_parts: int = 9):
+def _p_multisets(budget: int):
     """Nonincreasing tuples of positive multiplicities with sum of squares = budget."""
     def rec(remaining: int, cap: int, prefix: tuple[int, ...]):
         if remaining == 0:
             yield prefix
             return
-        if len(prefix) >= max_parts:
-            return
-        m = min(cap, isqrt(remaining))
-        while m >= 1:
-            if m * m <= remaining:
-                yield from rec(remaining - m * m, m, prefix + (m,))
-            m -= 1
+        for m in range(min(cap, isqrt(remaining)), 0, -1):
+            yield from rec(remaining - m * m, m, prefix + (m,))
     yield from rec(budget, budget, ())
 
 
@@ -174,7 +169,6 @@ def _canonical_d(q_atoms: tuple[DropAtom, ...], p_mults: tuple[int, ...]):
 
 def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[PencilCase]:
     found: list[PencilCase] = []
-    seen: set[tuple] = set()
     for branch in subsystem_split():
         phi_zero = branch.pa_phi_max is None
         for a2 in branch.a2_options:
@@ -182,11 +176,8 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
             if drop_needed < 0:
                 continue
             q_choices: list[tuple[DropAtom, ...]] = [()]
-            if h2 >= 1:
-                from itertools import combinations_with_replacement
-
-                for size in range(1, h2 + 1):
-                    q_choices += list(combinations_with_replacement(Q_ATOMS, size))
+            for size in range(1, h2 + 1):
+                q_choices += list(combinations_with_replacement(Q_ATOMS, size))
             for q_atoms in q_choices:
                 q_drop = sum(a.self_int_drop for a in q_atoms)
                 if q_drop > drop_needed:
@@ -245,20 +236,8 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
                             continue
                         g_int = int(g)
                         apk = 2 * g_int - 2 - aprime2
-                        # the two simple-at-q variants differ only by the F/H labels,
-                        # so normalize the q-part to the sorted {F, H} multiplicities
-                        fh = tuple(sorted(m for a in q_atoms
-                                          for c, m in a.d_contribution if c in ("F", "H")))
-                        gm = tuple(m for a in q_atoms
-                                   for c, m in a.d_contribution if c == "G")
-                        nkey = (a2, ar0, g_int, p_mults, fh, gm)
-                        if nkey in seen:
-                            continue
-                        seen.add(nkey)
-                        rep_q = tuple(Q_SIMPLE if a.kind == "q-simple-alt" else a
-                                      for a in q_atoms)
                         found.append(PencilCase("", a2, ar0, g_int, apk,
-                                                _canonical_d(rep_q, p_mults),
+                                                _canonical_d(q_atoms, p_mults),
                                                 aprime2, phi_zero))
     return found
 
@@ -287,9 +266,10 @@ def enumerate_pencil_cases(aprime2: int, h2: int = 1,
 
 
 def pencil_case(label: str) -> PencilCase:
-    """Look up a case by its label, e.g. ``"0g"`` or ``"N"``."""
-    aprime2 = 3 if label == "N" else int(label[0])
-    for case in enumerate_pencil_cases(aprime2):
-        if case.label == label:
-            return case
+    """Look up a case by its label, e.g. ``"0g"`` or ``"N"``; raises KeyError otherwise."""
+    aprime2 = {"0": 0, "1": 1, "2": 2, "N": 3}.get(label[:1])
+    if aprime2 is not None:
+        for case in enumerate_pencil_cases(aprime2):
+            if case.label == label:
+                return case
     raise KeyError(label)

@@ -40,18 +40,17 @@ class PlaneCurve:
 
 
 class PointCluster:
-    """Plane points with proximity relations and planar flags.
+    """Plane points with proximity relations.
 
     ``proximity`` lists (child, parent) pairs: the child is infinitely near,
-    lying on the exceptional curve of the parent.  ``planar`` marks points
-    known to lie on the plane itself.
+    lying on the exceptional curve of the parent.
     """
 
-    __slots__ = ("points", "proximity", "planar")
+    __slots__ = ("points", "proximity")
 
-    def __init__(self, points: tuple[str, ...], proximity: tuple[tuple[str, str], ...] = (),
-                 planar: tuple[str, ...] = ()) -> None:
-        self.points, self.proximity, self.planar = points, proximity, planar
+    def __init__(self, points: tuple[str, ...],
+                 proximity: tuple[tuple[str, str], ...] = ()) -> None:
+        self.points, self.proximity = points, proximity
         index = {p: i for i, p in enumerate(self.points)}
         for child, parent in self.proximity:
             if child not in index or parent not in index:
@@ -70,9 +69,6 @@ class PointCluster:
 
         for p in self.points:
             visit(p, ())
-        for p in self.planar:
-            if any(ch == p for ch, _ in self.proximity):
-                raise PlaneError(f"planar point {p} cannot be proximate to another point")
 
     def index(self, p: str) -> int:
         return self.points.index(p)
@@ -109,17 +105,8 @@ class ConfigTable(NamedTuple):
         raise KeyError(name)
 
 
-def verify_config_table(table: ConfigTable, totals: tuple[int, ...] | None = None,
-                        intersections: dict | None = None) -> tuple[bool, list[str]]:
-    """Check weighted column totals and all declared intersection numbers.
-
-    ``totals`` and ``intersections`` override the expectations carried by the
-    table when given.
-    """
-    if totals is not None or intersections is not None:
-        table = ConfigTable(table.cluster, table.rows, table.weights,
-                            totals if totals is not None else table.totals,
-                            intersections if intersections is not None else table.gram)
+def verify_config_table(table: ConfigTable) -> tuple[bool, list[str]]:
+    """Check weighted column totals and all declared intersection numbers."""
     violations = []
     if table.totals:
         for j, expected in enumerate(table.totals):
@@ -201,7 +188,7 @@ def admissible_base(curves: list[PlaneCurve], cluster: PointCluster,
 
 def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
                         base: tuple[str, str, str],
-                        check: bool = True) -> tuple[PointCluster, list[PlaneCurve]]:
+                        check: bool = True) -> list[PlaneCurve]:
     """Apply the quadratic transformation based at three cluster points.
 
     Degrees map to 2d - m1 - m2 - m3 and the base multiplicities to
@@ -223,7 +210,7 @@ def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
         for b in range(a + 1, len(curves)):
             if curves[a].dot(curves[b]) != new_curves[a].dot(new_curves[b]):
                 raise PlaneError("pairwise intersection changed")
-    return cluster, new_curves
+    return new_curves
 
 
 # -- the homaloidal-type Diophantine systems ------------------------------------
@@ -268,14 +255,17 @@ def solve_multiplicity_system(c1: int, c2: int, max_points: int,
     return solutions
 
 
-def state_from_solution(d0: int, s: dict[int, int], n_points: int = 8) -> tuple:
+_ORBIT_POINTS, _ORBIT_DEPTH = 8, 12  # points of an orbit state; longest chain searched
+
+
+def state_from_solution(d0: int, s: dict[int, int]) -> tuple:
     """Canonical state for the orbit search: degree plus sorted multiplicities."""
     mults = []
     for j, count in sorted(s.items(), reverse=True):
         mults.extend([j] * count)
-    if len(mults) > n_points:
+    if len(mults) > _ORBIT_POINTS:
         raise PlaneError("more points than available")
-    mults += [0] * (n_points - len(mults))
+    mults += [0] * (_ORBIT_POINTS - len(mults))
     return (d0, tuple(sorted(mults, reverse=True)))
 
 
@@ -309,8 +299,7 @@ def _moves(state: tuple):
                 yield triple, (new_d, tuple(sorted(new, reverse=True)))
 
 
-def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]],
-                          n_points: int = 8, max_depth: int = 12) -> dict:
+def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]]) -> dict:
     """Breadth-first search connecting all solutions by quadratic moves.
 
     Returns move chains from the lexicographically largest state to every
@@ -318,14 +307,14 @@ def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]],
     quadratic transform, hence an involution, so the chains certify mutual
     reachability: the reverse chain applies the same transforms again.
     """
-    states = {state_from_solution(d0, s, n_points): (d0, s) for d0, s in solutions}
+    states = {state_from_solution(d0, s): (d0, s) for d0, s in solutions}
     start = max(states)
     frontier = [start]
     paths: dict[tuple, list] = {start: []}
     while frontier:
         nxt = []
         for state in frontier:
-            if len(paths[state]) >= max_depth:
+            if len(paths[state]) >= _ORBIT_DEPTH:
                 continue
             for triple, new_state in _moves(state):
                 if new_state not in paths:
@@ -360,25 +349,17 @@ def singular_fiber_count_bound(a: int, beta_i: int) -> int:
 
 
 def fa_ladder_checks(a: int, steps: int) -> dict:
-    """Verify the ladder over F_a as exact identities in the (c, f, D_j) lattice.
+    """Verify the ladder over F_a as exact identities on F_a blown up at nine points.
 
     ``steps`` is the number of adjoint steps between the rational pencil and N
     (3 for the deepest branch, 2 for the middle one).  Returns the squares of
     the ladder classes and the section pairings.
     """
-    from .lattice import IntersectionLattice
+    from .lattice import IntersectionLattice, blow_up
 
-    lat_points = 9
-    labels = ("c", "f") + tuple(f"D{i}" for i in range(1, lat_points + 1))
-    size = len(labels)
-    gram = [[0] * size for _ in range(size)]
-    gram[0][0] = -a
-    gram[0][1] = gram[1][0] = 1
-    for i in range(2, size):
-        gram[i][i] = -1
-    canonical = [-2, -(a + 2)] + [1] * lat_points
-    lat = IntersectionLattice(tuple(labels), tuple(tuple(r) for r in gram),
-                              tuple(canonical), name=f"F{a}+{lat_points}")
+    lat = IntersectionLattice.hirzebruch(a)
+    for _ in range(9):
+        lat = blow_up(lat)
     k = lat.k
     pencil = lat.basis_class("f")
     chain = [pencil]

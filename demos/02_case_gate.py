@@ -5,12 +5,10 @@ The fixed-point budget, the two routes to K_Y^2, and the dimension pair
 force over the grid leaves exactly three combinations.
 """
 
-from godeaux3 import (GodeauxContext, RamificationData, eigenvalue_split,
-                      enumerate_main_cases, fixed_point_budget, h0_pair,
-                      kx2, quotient_k2)
+from godeaux3 import (KS2, RamificationData, eigenvalue_split, enumerate_main_cases,
+                      fixed_point_budget, h0_pair, kx2, quotient_k2)
 
-g = GodeauxContext()
-print("surface invariants: K^2 =", g.ks2, " chi =", g.chi, " p_g =", g.pg)
+print("surface invariants: K^2 =", KS2, " chi =", 1, " p_g =", 0)
 
 for case in enumerate_main_cases():
     print(f"case ({case.id}): R_0.K = {case.r0k}, h_2 = {case.h2}, "
@@ -26,7 +24,7 @@ for bad in ((0, 7), (1, 6)):
 # Instantiating the pencil case at each l pins every invariant:
 for ell in range(0, 3):
     r = RamificationData(0, ell, 1)
-    ky2 = quotient_k2(g, r)
+    ky2 = quotient_k2(r)
     print(f"pencil case, l = {ell}: h_1 = {r.h1}, budget = {fixed_point_budget(r)}, "
           f"K_Y^2 = {ky2}, K_X^2 = {kx2(r, ky2)}")
 

@@ -10,9 +10,8 @@ Everything else is reached through its module, e.g. ``godeaux3.fibration``.
 """
 
 from .adjoint import CycleCounts, adjoint_table, n_range, verify_ladder_identity
-from .cover import (GodeauxContext, RamificationData, eigenvalue_split,
-                    enumerate_main_cases, fixed_point_budget, h0_pair, kx2,
-                    quotient_k2)
+from .cover import (KS2, RamificationData, eigenvalue_split, enumerate_main_cases,
+                    fixed_point_budget, h0_pair, kx2, quotient_k2)
 from .delpezzo import sixtuple_enumerate
 from .lattice import (IntersectionLattice, arithmetic_genus, blow_up,
                       hodge_index_filter, intersect)
@@ -22,7 +21,7 @@ from .plane import (cremona_orbit_connect, homaloidal_eliminate,
 from .report import run
 
 __all__ = [
-    "CycleCounts", "GodeauxContext", "IntersectionLattice", "RamificationData",
+    "CycleCounts", "IntersectionLattice", "KS2", "RamificationData",
     "adjoint_table", "ar0_upper", "arithmetic_genus", "blow_up",
     "cremona_orbit_connect", "eigenvalue_split", "enumerate_main_cases",
     "enumerate_pencil_cases", "fixed_point_budget", "h0_pair",

@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
+from .cover import RamificationData, quotient_k2
 from .lattice import DivisorClass, IntersectionLattice, ParityError, arithmetic_genus
 
 
@@ -345,7 +346,8 @@ def _forced_counts(branch: str, ell: int, n: int) -> dict[str, int]:
     evaluated with it set to 0.  Of the given counts only n' is reported.
     """
     given = _BRANCH_DATA[branch]["given"]
-    rows = adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n, *given))
+    ky2 = quotient_k2(RamificationData(0, ell, 1))
+    rows = adjoint_table(0, ky2, 1, CycleCounts(n, *given))
     names = ("n'", "n''", "n'''")
     forced = dict(zip(names, given[:1]))
     forced[names[len(given)]] = -rows[len(given) + 1].ni2
@@ -359,7 +361,7 @@ def n_prime_one_is_contradiction(ell: int = 1) -> bool:
     makes K_Y numerically effective against the rationality of Y.
     """
     n = 3 * ell
-    ky2 = -2 - 3 * ell
+    ky2 = quotient_k2(RamificationData(0, ell, 1))
     rows = adjoint_table(0, ky2, 1, CycleCounts(n, nprime=1))
     n1, n2 = rows[0], rows[1]
     gap = n1.ni2 + n2.ni2 - 2 * n2.prev_dot

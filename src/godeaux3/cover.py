@@ -2,7 +2,8 @@
 
 Fixed-point counts, transfer of K^2 between the surface, the resolved cover
 and the quotient, the dimension formulas that gate the case analysis, and
-the brute-force enumeration that yields exactly the three main cases.
+the brute-force enumeration that yields exactly the three main cases.  The
+other layers read K_S^2, h_1 and K_Y^2 from here.
 """
 
 from __future__ import annotations
@@ -15,15 +16,7 @@ class CaseInvalidError(Exception):
     """A numerical combination violates one of the constructor identities."""
 
 
-class GodeauxContext:
-    """Fixed numerical invariants of a numerical Godeaux surface."""
-
-    __slots__ = ("ks2", "chi", "pg")
-
-    def __init__(self, ks2: int = 1, chi: int = 1, pg: int = 0) -> None:
-        if (ks2, chi, pg) != (1, 1, 0):
-            raise CaseInvalidError("numerical Godeaux surface requires K^2=1, chi=1, p_g=0")
-        self.ks2, self.chi, self.pg = ks2, chi, pg
+KS2 = 1  # K_S^2 of a numerical Godeaux surface, which has chi = 1 and p_g = 0
 
 
 class RamificationData:
@@ -71,10 +64,7 @@ class RamificationData:
 
     @property
     def h1(self) -> int:
-        budget = Fraction(3 * self.r0k - self.r0sq, 2)
-        if budget.denominator != 1:
-            raise CaseInvalidError("fixed point budget is not an integer")
-        return 6 + int(budget) - 2 * self.h2
+        return fixed_point_budget(self) - 2 * self.h2
 
 
 def fixed_point_budget(r: RamificationData) -> int:
@@ -85,11 +75,11 @@ def fixed_point_budget(r: RamificationData) -> int:
     return 6 + num // 2
 
 
-def quotient_k2(g: GodeauxContext, r: RamificationData) -> int:
+def quotient_k2(r: RamificationData) -> int:
     """K_Y^2 computed by two independent routes; they must agree exactly."""
-    via_euler = Fraction(g.ks2 - (r.h1 + 3 * r.h2) + 4 * r.r0sq - 4 * r.r0k, 3)
+    via_euler = Fraction(kx2_via_blowup(r) + 4 * r.r0sq - 4 * r.r0k, 3)
     via_h2 = (
-        Fraction(g.ks2 - 6 - r.h2, 3)
+        Fraction(KS2 - 6 - r.h2, 3)
         + Fraction(3, 2) * r.r0sq
         - Fraction(11, 6) * r.r0k
     )
@@ -105,18 +95,20 @@ def kx2(r: RamificationData, ky2: int) -> int:
     return 3 * ky2 - 4 * r.r0sq + 4 * r.r0k
 
 
-def kx2_via_blowup(g: GodeauxContext, r: RamificationData) -> int:
+def kx2_via_blowup(r: RamificationData) -> int:
     """The cross-check K_X^2 = K_S^2 - (h_1 + 3 h_2)."""
-    return g.ks2 - (r.h1 + 3 * r.h2)
+    return KS2 - (r.h1 + 3 * r.h2)
 
 
 def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
     """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
 
-    Raises :class:`CaseInvalidError` when the pair is not realizable: the
-    second value must be an integer in [0, 2], and h^0(N) = 2 + R_0.K_S may
-    not reach 4 because the tricanonical map is birational.
+    Raises :class:`CaseInvalidError` when the pair is not realizable: K_S is
+    nef and R_0 effective, the second value must be an integer in [0, 2], and
+    h^0(N) = 2 + R_0.K_S may not reach 4: the tricanonical map is birational.
     """
+    if r0k < 0:
+        raise CaseInvalidError("R_0.K_S < 0, but K_S is nef and R_0 effective")
     h0_n = 2 + r0k
     if h0_n > 3:
         raise CaseInvalidError("h^0(N) = 4 would make the tricanonical map invariant")
@@ -151,9 +143,8 @@ def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
                 h0_n, h0_2kb = h0_pair(r0k, h2)
             except CaseInvalidError:
                 continue
-            case_id = _CASE_IDS.get((r0k, h2), f"extra-{r0k}-{h2}")
-            out.append(CaseRecord(case_id, r0k, h2, h0_n, h0_2kb))
-    out.sort(key=lambda c: ("i ii iii".split().index(c.id) if c.id in ("i", "ii", "iii") else 99))
+            out.append(CaseRecord(_CASE_IDS[r0k, h2], r0k, h2, h0_n, h0_2kb))
+    out.sort(key=lambda c: list(_CASE_IDS.values()).index(c.id))
     return out
 
 
@@ -186,7 +177,7 @@ def eigenvalue_split(ell: int) -> EigenvalueSplit:
     """
     if ell != 1:
         raise CaseInvalidError("the split is computed for ell = 1 (h_1 = 5)")
-    h1 = 4 + ell
+    h1 = RamificationData(0, ell, 1).h1
     candidates = [h for h in range(h1 + 1) if (14 - h) % 3 == 0]
     solutions, rejected = [], []
     for h11 in candidates:

@@ -167,8 +167,6 @@ def b0_options_deepest() -> dict:
     options = []
     for z2 in range(0, 3):
         z3 = 4 - 2 * z2
-        if z3 < 0:
-            continue
         pairing = 3 - z2  # B_0 . (genus-one pencil)
         square = -6 + n_cycles + z2 * z2 + z3 * z3
         verdict = "excluded" if square > pairing ** 2 else (
@@ -290,8 +288,6 @@ def sixtuple_enumerate() -> dict:
         for d123 in _partitions(split, 3):
             for d45 in _partitions(budget - split, 2):
                 tup = (8,) + d123 + d45
-                if any(d > 2 for d in d123):
-                    continue
                 if any(d > 1 for d in d45):
                     excluded.append((tup, "d_i + 1 = m_7 + m_8 <= 2 forces d_i <= 1"))
                     continue

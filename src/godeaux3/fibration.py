@@ -8,10 +8,10 @@ trace.  Rational intermediates are exact; comparisons happen on integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
+from .cover import RamificationData, quotient_k2
 from .pencil import PencilCase, pencil_case
 
 
@@ -204,7 +204,8 @@ def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]
 
 def _pencil_n1(ell: int, n: int) -> AdjointRow:
     """The row N_1 of the pencil case's ladder: R_0.K = 0, h_2 = 1, K_Y^2 = -2 - 3l."""
-    return adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n))[0]
+    ky2 = quotient_k2(RamificationData(0, ell, 1))
+    return adjoint_table(0, ky2, 1, CycleCounts(n))[0]
 
 
 def elim_p_l0() -> dict[str, Elimination]:
@@ -244,8 +245,7 @@ def elim_p_l0() -> dict[str, Elimination]:
 def elim_p_no0d() -> Elimination:
     """Case (0d): the vanishing adjoint A_1 forces four (-1)-cycles, then
     B_0.(sum C_j) = 5 makes some C_1.B_0 >= 2 against A'.B_0 = 1."""
-    ell = 1
-    ky2 = -2 - 3 * ell
+    ky2 = quotient_k2(RamificationData(0, 1, 1))
     # 0 = A_1^2 = A'^2 + K^2 + G'^2 + 2 K.G'-corrections + m  ==>  m = 4
     m = -(0 + ky2 + (-1) + 2 * 1)
     a1k = 0 + ky2 + 1 + m
@@ -353,24 +353,9 @@ def t_iii2_survivors(survivors: dict[int, tuple[str, ...]],
 
 
 def case_i_grid() -> list[tuple[int, int]]:
-    """Admissible (Gamma^2, l) pairs in case (i)."""
-    out = []
-    for gamma_sq in (1, -1, -3, -5, -7):
-        for ell in range(0, 5):
-            h1 = (3 - gamma_sq) // 2 + ell
-            ky2 = -4 - 3 * ell + (3 * gamma_sq - 1) // 2
-            if 2 * ell > 5 + gamma_sq:
-                continue
-            if not 1 <= h1 <= 4:
-                continue
-            if ky2 < -12:
-                continue
-            out.append((gamma_sq, ell))
-    return out
-
-
-def _case_i_n(gamma_sq: int, ell: int, n1sq: int) -> Fraction:
-    return n1sq + 3 * ell + Fraction(1 - 3 * gamma_sq, 2)
+    """Admissible (Gamma^2, l) pairs in case (i); h_1 <= 4 gives h_1 >= 1, K_Y^2 >= -12."""
+    return [(gamma_sq, ell) for gamma_sq in (1, -1, -3, -5, -7) for ell in range(0, 5)
+            if RamificationData(1, ell, 3, gamma_sq).h1 <= 4]
 
 
 def elim_p_no0() -> Elimination:
@@ -397,23 +382,20 @@ def elim_p_no0() -> Elimination:
     )
 
 
-def _scan_case_i(n1sq: int, case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
-    """Run a trapped-component scan over the case (i) grid.
+def _scan_case_i(case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
+    """Run a trapped-component scan over the case (i) grid at N_1^2 = 1.
 
     ``case_split(gamma_sq, ell, h1, n, delta)`` yields (tag, lhs) pairs; a pair
     survives when lhs <= delta.  ``delta_sq`` is the self-intersection of the
     moving part (0 when a fixed part splits off, N_1^2 when it does not).
     """
+    n1sq = 1
     survivors = []
     trace = []
     for gamma_sq, ell in case_i_grid():
-        n = _case_i_n(gamma_sq, ell, n1sq)
-        if n.denominator != 1 or n < 0:
-            continue
-        n = int(n)
-        if n % 3 != (n1sq - 1) % 3:
-            continue
-        h1 = (3 - gamma_sq) // 2 + ell
+        r = RamificationData(1, ell, 3, gamma_sq)
+        h1 = r.h1
+        n = n1sq - 4 - quotient_k2(r)  # N_1^2 = 4 + K_Y^2 + n
         delta_val = 12 + 3 * n1sq + n + delta_sq
         for tag, lhs in case_split(gamma_sq, ell, h1, n, delta_val):
             status = "survives" if lhs <= delta_val else "dies"
@@ -435,7 +417,7 @@ def elim_p_noZ() -> Elimination:
         if gamma_sq <= -1 and h1 >= 2:
             yield "II", 18 + 3 * (h1 - 2) - 3 * gamma_sq + 6 * ell
 
-    survivors, trace = _scan_case_i(1, split)
+    survivors, trace = _scan_case_i(split)
     return Elimination(
         "p.noZ", "18+3h1+6l", "15+n",
         "contradiction" if not survivors else "survives",
@@ -451,7 +433,7 @@ def elim_p_noN() -> Elimination:
         if gamma_sq <= -1:
             yield "main", 18 - 3 * gamma_sq + 6 * ell + 3 * (h1 - 1)
 
-    survivors, trace = _scan_case_i(1, split)
+    survivors, trace = _scan_case_i(split)
     return Elimination(
         "p.noN", "18-3G^2+6l+3(h1-1)", "15+n",
         "contradiction" if not survivors else "survives",
@@ -481,13 +463,13 @@ def elim_p_noN1() -> Elimination:
                 yield "II/comp-meets", 18 + 3 * (h1 - 3) - 3 * gamma_sq + 6 * (ell - 1)
 
     # delta = 16 + n here: the moving part is N_1 itself with N_1^2 = 1
-    survivors, trace = _scan_case_i(1, split, delta_sq=1)
+    survivors, trace = _scan_case_i(split, delta_sq=1)
     # structural kill (reconstructed): with t trapped E'-curves the cycle
     # catalog admits at most 3t cycles when a reducible one occurs and at
     # most t when all are irreducible; every Case II survivor must satisfy it
     kept = []
     for gamma_sq, ell, n, tag in survivors:
-        h1 = (3 - gamma_sq) // 2 + ell
+        h1 = RamificationData(1, ell, 3, gamma_sq).h1
         if tag.startswith("I/"):
             kept.append((gamma_sq, ell, n, tag))
             continue
@@ -556,13 +538,7 @@ def check_l_N1() -> tuple[bool, list[str]]:
     # 1 = N_1.Delta + N_1.T with N_1.Delta >= 1 (else Delta = 0): so
     # N_1.Delta = 1, N_1.T = 0, and either T^2 = 0 (no fixed part) or
     # T^2 = -1, Delta.T = 1, Delta^2 = 0.
-    shapes = []
-    for t2 in (0, -1):
-        dt = -t2
-        d2 = 1 - dt
-        if d2 < 0:
-            continue
-        shapes.append((d2, dt, t2))
+    shapes = [(1 + t2, -t2, t2) for t2 in (0, -1)]  # Delta.T = -T^2, Delta^2 = 1 - Delta.T
     trace.append(f"(Delta^2, Delta.T, T^2) in {shapes}")
     ok = shapes == [(1, 0, 0), (0, 1, -1)]
     trace.append("T^2 = -1 branch: N.Delta = 1 gives N = N_1 + Delta;"

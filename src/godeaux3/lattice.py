@@ -85,10 +85,10 @@ class IntersectionLattice:
         return cls(labels, gram, canonical, name=name or f"P2+{n_points}")
 
     @classmethod
-    def hirzebruch(cls, a: int, name: str = "") -> "IntersectionLattice":
+    def hirzebruch(cls, a: int) -> "IntersectionLattice":
         """F_a with basis (c, f): c^2=-a, f^2=0, c.f=1, K=-2c-(a+2)f."""
         gram = ((-a, 1), (1, 0))
-        return cls(("c", "f"), gram, (-2, -(a + 2)), name=name or f"F{a}")
+        return cls(("c", "f"), gram, (-2, -(a + 2)), name=f"F{a}")
 
 
 class DivisorClass:

@@ -15,6 +15,8 @@ from itertools import combinations_with_replacement
 from math import isqrt
 from typing import NamedTuple
 
+from .cover import KS2
+
 # Intersection numbers of the exceptional configuration over an A_2-type
 # fixed point q (curves F, G, H) and over a triple-point type fixed point
 # (curve E), on the resolved cover: F^2 = H^2 = E^2 = -1, G^2 = -3,
@@ -45,19 +47,17 @@ class DropAtom(NamedTuple):
     self_int_drop: int
     dg: int
     min_a2: int = 0
-    requires_a2_9: bool = False
     forces_phi_through_q: bool = False
 
 
-def _q_atom(f: int, g: int, h: int, min_a2: int = 0,
-            requires_a2_9: bool = False) -> DropAtom:
+def _q_atom(f: int, g: int, h: int, min_a2: int = 0) -> DropAtom:
     d = {"F": f, "G": g, "H": h}
     drop = -_q_dot(d, d)
     dg = _q_dot(d, {"G": 1})
     # Phi must pass through q whenever the F or H multiplicity of D is not
     # divisible by 3 (branch components pull back with multiplicity 3).
     forces = f % 3 != 0 or h % 3 != 0
-    return DropAtom(tuple(sorted(d.items())), drop, dg, min_a2, requires_a2_9, forces)
+    return DropAtom(tuple(sorted(d.items())), drop, dg, min_a2, forces)
 
 
 # The mirror (1, 1, 2) of the simple atom differs only by the F/H labels and
@@ -65,8 +65,9 @@ def _q_atom(f: int, g: int, h: int, min_a2: int = 0,
 Q_SIMPLE = _q_atom(2, 1, 1)
 Q_NODE = _q_atom(3, 2, 3, min_a2=6)
 Q_CUSP = _q_atom(3, 2, 2, min_a2=6)
-Q_DOUBLE_OTHER = _q_atom(4, 2, 2, requires_a2_9=True)
-Q_TRIPLE = _q_atom(3, 3, 3, requires_a2_9=True)
+# These two drop 8 and 9, more than any A^2 option but 9 allows.
+Q_DOUBLE_OTHER = _q_atom(4, 2, 2)
+Q_TRIPLE = _q_atom(3, 3, 3)
 
 Q_ATOMS = (Q_SIMPLE, Q_NODE, Q_CUSP, Q_DOUBLE_OTHER, Q_TRIPLE)
 
@@ -86,12 +87,11 @@ def subsystem_split() -> list[SubsystemBranch]:
     Derived from 3 K_S^2 = 3 = A.K + Phi.K, the lower bound A.K >= 2, the
     index theorem against K_S, and the parity of A^2 + A.K.
     """
-    ks2 = 1
     branches = []
     for ak in (2, 3):
-        phik = 3 * ks2 - ak
+        phik = 3 * KS2 - ak
         # (ak.K - K^2.A)^2 <= 0 gives A^2 <= ak^2 / K^2.
-        a2_cap = ak * ak // ks2
+        a2_cap = ak * ak // KS2
         evens = ak % 2 == 0  # A^2 + A.K even
         options = tuple(a2 for a2 in range(0, a2_cap + 1)
                         if (a2 % 2 == 0) == evens)
@@ -184,27 +184,21 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
                     continue
                 if any(a.min_a2 > a2 for a in q_atoms):
                     continue
-                if any(a.requires_a2_9 and a2 != 9 for a in q_atoms):
-                    continue
                 for p_mults in _p_multisets(drop_needed - q_drop):
                     if phi_zero:
                         # every component of D other than G has multiplicity 0 mod 3
                         if any(m % 3 != 0 for m in p_mults):
                             continue
+                        # so each is >= 3 and takes the whole drop of 9: A misses every q
                         if any(m % 3 != 0
                                for a in q_atoms
                                for comp, m in a.d_contribution if comp != "G"):
-                            continue
-                        # nonzero multiplicity at a p-point only if A misses q entirely
-                        if p_mults and q_atoms:
                             continue
                     dg = sum(a.dg for a in q_atoms)
                     if dg % 3 != 0:
                         continue
                     de = -sum(p_mults)
                     aphi = ar0_upper(a2, branch.phik)
-                    if aphi < 0:
-                        continue
                     # Orbit accounting on the intersection cycle A.Phi: each
                     # p-point atom with multiplicity m (m not 0 mod 3) forces a
                     # fixed intersection point of local multiplicity

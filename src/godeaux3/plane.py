@@ -30,6 +30,8 @@ class PlaneCurve:
         return self.degree ** 2 - sum(m * m for m in self.mults)
 
     def dot(self, other: "PlaneCurve") -> int:
+        if len(self.mults) != len(other.mults):
+            raise PlaneError(f"{self.name}.{other.name}: rows over different point sets")
         return self.degree * other.degree - sum(a * b for a, b in zip(self.mults, other.mults))
 
     def genus(self) -> int:
@@ -125,16 +127,12 @@ def verify_config_table(table: ConfigTable) -> tuple[bool, list[str]]:
 
 
 def product_violation(a: str, b: str, ra: PlaneCurve, rb: PlaneCurve,
-                      expected: int | str) -> str | None:
+                      expected: int) -> str | None:
     """Check one declared product ``a.b`` of the rows ``ra`` and ``rb``.
 
-    ``expected`` is an integer or a bound such as ``">=1"``; returns the
-    violation, or None when the product meets it.
+    Returns the violation, or None when the product equals ``expected``.
     """
     got = ra.self_int() if a == b else ra.dot(rb)
-    if isinstance(expected, str):  # inequalities like ">=1"
-        bound = int(expected.lstrip(">="))
-        return None if got >= bound else f"{a}.{b} = {got} not >= {bound}"
     return None if got == expected else f"{a}.{b} = {got} != {expected}"
 
 
@@ -217,10 +215,9 @@ def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
 
 
 def solve_multiplicity_system(c1: int, c2: int, max_points: int,
-                              d_range: tuple[int, int] = (0, 12),
                               ) -> list[tuple[int, dict[int, int]]]:
-    """All (d0, {s_j}) with sum j^2 s_j = d0^2 - c1, sum j s_j = 3 d0 - c2,
-    sum s_j <= max_points and s_j >= 0.
+    """All (d0, {s_j}) with 0 <= d0 <= 12, sum j^2 s_j = d0^2 - c1,
+    sum j s_j = 3 d0 - c2, sum s_j <= max_points and s_j >= 0.
 
     Exhaustive: for each d0 the multiplicity j is bounded by d0, and a
     Cauchy-Schwarz cut prunes infeasible degrees.
@@ -228,7 +225,7 @@ def solve_multiplicity_system(c1: int, c2: int, max_points: int,
     if c1 < 0 or c2 < 0:
         raise PlaneError("c1 and c2 must be nonnegative")
     solutions = []
-    for d0 in range(d_range[0], d_range[1] + 1):
+    for d0 in range(0, 13):
         target_sq = d0 * d0 - c1
         target_lin = 3 * d0 - c2
         if target_sq < 0 or target_lin < 0:
@@ -443,9 +440,7 @@ def homaloidal_eliminate(branch: str) -> dict:
     for s4 in (0, 1):
         rem = diff - 12 * s4
         for s3 in range(rem // 6 + 1):
-            s2 = (rem - 6 * s3) // 2
-            if 6 * s3 + 2 * s2 != rem:
-                continue
+            s2 = (rem - 6 * s3) // 2  # exact: rem is 16 or 4
             s1 = lin6 - 4 * s4 - 3 * s3 - 2 * s2
             count = s1 + s2 + s3 + s4
             if best is None or count < best[0]:

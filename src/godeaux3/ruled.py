@@ -77,21 +77,15 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
             for zp in range(0, 5):
                 if 2 * (z1 + z2) + zp > 4:
                     continue
-                if 4 - (z1 + z2) < 1:
-                    continue
-                k = 5 - 2 * (z1 + z2) - zp
-                if k < 1:
-                    continue
+                k = 5 - 2 * (z1 + z2) - zp  # >= 1 by the filter above
                 abar_sq = 1 + z1 * z1 + z2 * z2 + zp * zp
                 found = None
                 for d in range(1, 30):
                     mu = d - k
                     if mu < 0:
                         continue
-                    twice_sum = 7 * d - 3 * mu - 3 - zp
-                    if twice_sum < 0 or twice_sum % 2:
-                        continue
-                    lin = twice_sum // 2
+                    # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
+                    lin = (7 * d - 3 * mu - 3 - zp) // 2
                     sq = d * d - mu * mu - abar_sq
                     if sq < 0 or sq - lin < 0:
                         continue
@@ -116,8 +110,7 @@ def _mult_vector_exists(lin: int, sq: int, points: int) -> bool:
     def rec(remaining_lin: int, remaining_sq: int, slots: int, cap: int) -> bool:
         if remaining_lin == 0:
             return remaining_sq == 0
-        if slots == 0 or remaining_sq < 0:
-            return False
+        # Cauchy-Schwarz; also fails when no slot is left or remaining_sq < 0
         if remaining_lin * remaining_lin > slots * remaining_sq:
             return False
         top = min(cap, remaining_lin, isqrt(remaining_sq))

@@ -1,15 +1,8 @@
 import pytest
 
-from godeaux3.cover import (CaseInvalidError, GodeauxContext, RamificationData,
-                            eigenvalue_split, enumerate_main_cases,
-                            fixed_point_budget, h0_pair, h2_bound_is_monotone,
-                            kx2, kx2_via_blowup, quotient_k2)
-
-
-def test_context_is_pinned():
-    GodeauxContext()
-    with pytest.raises(CaseInvalidError):
-        GodeauxContext(ks2=2)
+from godeaux3.cover import (CaseInvalidError, RamificationData, eigenvalue_split,
+                            enumerate_main_cases, fixed_point_budget, h0_pair,
+                            h2_bound_is_monotone, kx2, kx2_via_blowup, quotient_k2)
 
 
 def test_fixed_point_budget_trivial_ramification():
@@ -44,28 +37,25 @@ def test_gamma_sq_validation():
 
 
 def test_quotient_k2_agreement():
-    g = GodeauxContext()
     for ell in range(0, 4):
-        assert quotient_k2(g, RamificationData(0, ell, 1)) == -2 - 3 * ell
+        assert quotient_k2(RamificationData(0, ell, 1)) == -2 - 3 * ell
     for ell in range(2, 6):
-        assert quotient_k2(g, RamificationData(0, ell, 4)) == -3 - 3 * ell
-    assert quotient_k2(g, RamificationData(1, 0, 3, gamma_sq=1)) == -3
-    assert quotient_k2(g, RamificationData(1, 1, 3, gamma_sq=-1)) == -9
+        assert quotient_k2(RamificationData(0, ell, 4)) == -3 - 3 * ell
+    assert quotient_k2(RamificationData(1, 0, 3, gamma_sq=1)) == -3
+    assert quotient_k2(RamificationData(1, 1, 3, gamma_sq=-1)) == -9
 
 
 def test_kx2_both_expressions():
-    g = GodeauxContext()
     r = RamificationData(0, 0, 1)
     assert kx2(r, -2) == -6
-    assert kx2_via_blowup(g, r) == 1 - (4 + 3)
+    assert kx2_via_blowup(r) == 1 - (4 + 3)
     for ell in (0, 1, 2):
         r = RamificationData(0, ell, 1)
-        ky2 = quotient_k2(g, r)
-        assert kx2(r, ky2) == kx2_via_blowup(g, r)
+        ky2 = quotient_k2(r)
+        assert kx2(r, ky2) == kx2_via_blowup(r)
 
 
 def test_first_case_euler_inequality():
-    g = GodeauxContext()
     for gamma_sq in (1, -1, -3, -5):
         for ell in range(0, 3):
             if 2 * ell > 5 + gamma_sq:
@@ -73,7 +63,7 @@ def test_first_case_euler_inequality():
             r = RamificationData(1, ell, 3, gamma_sq=gamma_sq)
             if r.h1 < 1 or r.h1 > 4:
                 continue
-            ky2 = quotient_k2(g, r)
+            ky2 = quotient_k2(r)
             assert ky2 >= kx2(r, ky2)
 
 
@@ -83,7 +73,8 @@ def test_h0_pair_values():
     assert h0_pair(0, 1) == (2, 0)
 
 
-@pytest.mark.parametrize("r0k,h2", [(0, 7), (1, 6), (1, 0), (0, 0), (0, 2)])
+@pytest.mark.parametrize("r0k,h2", [(0, 7), (1, 6), (1, 0), (0, 0), (0, 2),
+                                    (-1, 2), (-3, 1)])
 def test_h0_pair_rejections(r0k, h2):
     with pytest.raises(CaseInvalidError):
         h0_pair(r0k, h2)
@@ -97,6 +88,14 @@ def test_enumerate_main_cases():
     # raising the bound does not change the result
     assert len(enumerate_main_cases(h2_max=60)) == 3
     assert h2_bound_is_monotone()
+
+
+def test_main_case_ids_are_the_three_of_the_paper():
+    # h0_pair admits exactly three (R_0.K_S, h_2) pairs, so no other id can occur
+    for h2_max in range(0, 61):
+        ids = [c.id for c in enumerate_main_cases(h2_max)]
+        want = [cid for cid, h2 in (("i", 3), ("ii", 4), ("iii", 1)) if h2 <= h2_max]
+        assert ids == want, h2_max
 
 
 def test_h2_bound_check_can_fail():

@@ -129,6 +129,8 @@ def test_sixtuples():
     assert st["kept"] == [(8, 2, 0, 0, 0, 0), (8, 1, 1, 0, 0, 0), (8, 1, 0, 0, 1, 0)]
     excluded = {t for t, _ in st["excluded"]}
     assert (8, 0, 0, 0, 1, 1) in excluded
+    # the budget sum d_i = 2 alone keeps every d_i <= 2
+    assert all(sum(t[1:]) == 2 and max(t[1:]) <= 2 for t in excluded | set(st["kept"]))
 
 
 def test_exceptional_curve_solutions():

@@ -165,10 +165,19 @@ def test_fixed_part_dichotomies():
 def test_case_i_grid_is_finite_and_consistent():
     grid = fib.case_i_grid()
     assert (1, 0) in grid and (-5, 0) in grid and (-7, 0) not in grid
+    # the grid's one filter h_1 <= 4 implies the other two the grid once had
+    three_filters = [(g, ell) for g in (1, -1, -3, -5, -7) for ell in range(0, 5)
+                     if 2 * ell <= 5 + g and 1 <= (3 - g) // 2 + ell <= 4
+                     and -4 - 3 * ell + (3 * g - 1) // 2 >= -12]
+    assert grid == three_filters
     for gamma_sq, ell in grid:
         assert gamma_sq % 2 == 1 or gamma_sq % 2 == -1
         h1 = (3 - gamma_sq) // 2 + ell
-        assert 1 <= h1 <= 4
+        ky2 = -4 - 3 * ell + (3 * gamma_sq - 1) // 2
+        assert 1 <= h1 <= 4 and ky2 >= -12
+        # the count n of the scans at N_1^2 = 1 = 4 + K_Y^2 + n
+        n = 1 - 4 - ky2
+        assert n >= 0 and n % 3 == 0, (gamma_sq, ell)
 
 
 def test_eliminate_by_delta_accepts_case_objects():

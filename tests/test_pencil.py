@@ -2,8 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from godeaux3.pencil import (Q_CUSP, Q_NODE, Q_SIMPLE, Q_TRIPLE, ar0_upper,
-                             enumerate_pencil_cases, genus_from_case,
+from godeaux3.pencil import (Q_ATOMS, Q_CUSP, Q_NODE, Q_SIMPLE, Q_TRIPLE, _q_dot,
+                             ar0_upper, enumerate_pencil_cases, genus_from_case,
                              pencil_case, subsystem_split)
 
 PRINTED_0 = [
@@ -41,6 +41,46 @@ def test_ar0_upper():
     assert ar0_upper(1, 0) == 8
     assert ar0_upper(9, 0) == 0
     assert ar0_upper(4, 1) == 2
+
+
+# every argument set of the enumeration up to five A_2-type points
+WIDE_LISTS = [(ap, h2, filt, enumerate_pencil_cases(ap, h2, filt))
+              for ap in range(4) for h2 in range(1, 6) for filt in (True, False)]
+
+
+def _q_parts(case):
+    """The F/G/H content of a row, one (F, G, H) triple per q-atom."""
+    q = [m for comp, m in case.d if not comp.startswith("E")]
+    return [dict(zip("FGH", q[i:i + 3])) for i in range(0, len(q), 3)]
+
+
+def test_big_drop_atoms_occur_only_at_a2_9():
+    # an atom dropping 8 or 9 needs A^2 >= 8, and 9 is the only such A^2 option
+    assert sorted(a.self_int_drop for a in Q_ATOMS if a.self_int_drop >= 8) == [8, 9]
+    assert [a2 for b in subsystem_split() for a2 in b.a2_options if a2 >= 8] == [9]
+    for ap, h2, filt, cases in WIDE_LISTS:
+        for case in cases:
+            if any(-_q_dot(d, d) >= 8 for d in _q_parts(case)):
+                assert case.a2 == 9, (ap, h2, filt, case.label)
+
+
+def test_no_phi_zero_row_mixes_p_and_q_content():
+    # with Phi = 0 a p-multiplicity is 0 mod 3, so at least 3, and takes the
+    # whole drop of 9: A then misses every q
+    for ap, h2, filt, cases in WIDE_LISTS:
+        for case in cases:
+            if case.phi_zero:
+                has_e = any(comp.startswith("E") for comp, _ in case.d)
+                assert not (has_e and _q_parts(case)), (ap, h2, filt, case.label)
+
+
+def test_ar0_upper_is_nonnegative_on_every_branch():
+    # the branches' A^2 options are disjoint, so A^2 determines Phi.K_S
+    phik = {a2: b.phik for b in subsystem_split() for a2 in b.a2_options}
+    assert all(ar0_upper(a2, k) >= 0 for a2, k in phik.items())
+    for ap, h2, filt, cases in WIDE_LISTS:
+        for case in cases:
+            assert 0 <= case.ar0 <= ar0_upper(case.a2, phik[case.a2]), (ap, h2, filt, case.label)
 
 
 def test_genus_from_case():

@@ -85,9 +85,14 @@ def test_solver_total_without_duplicates():
 
 
 def test_no_solutions_outside_degree_window():
-    sols = solve_multiplicity_system(2, 2, 8, d_range=(0, 20))
+    sols = solve_multiplicity_system(2, 2, 8)
     assert min(d for d, _ in sols) == 3
     assert max(d for d, _ in sols) == 9
+    # the solver stops at degree 12; beyond degree 10 eight points cannot carry
+    # sum j s_j = 3d - 2 and sum j^2 s_j = d^2 - 2, by Cauchy-Schwarz:
+    # 8(d^2 - 2) - (3d - 2)^2 = -(d - 2)(d - 10)
+    for d in range(11, 200):
+        assert (3 * d - 2) ** 2 > 8 * (d * d - 2), d
 
 
 def test_plane_curve_basics():
@@ -96,6 +101,8 @@ def test_plane_curve_basics():
     assert c.genus() == 28 - 6 - 7 * 3 == 1
     other = PlaneCurve("L", 1, (1, 1, 0, 0, 0, 0, 0, 0))
     assert c.dot(other) == 9 - 7
+    with pytest.raises(PlaneError):
+        PlaneCurve("a", 3, (1, 1, 1)).dot(PlaneCurve("b", 2, (1, 1)))  # not 6 - 2
     with pytest.raises(PlaneError):
         PlaneCurve("bad", 2, (-1, 0, 0))  # negative multiplicity needs the flag
     PlaneCurve("ok", 0, (-1, 1, 0), virtual=True)
@@ -252,6 +259,8 @@ def test_homaloidal_generic():
     assert res["verdict"] == "contradiction"
     assert res["poly"] == (36, -12, 1)  # the exact square (d - 6)^2
     assert res["min_points"] >= 11
+    # 6 s3 + 2 s2 is then 16 - 12 s4 with s4 in {0, 1}: even, so each s3 fixes s2
+    assert "20 s5 + 12 s4 + 6 s3 + 2 s2 = 16" in res["trace"]
 
 
 def test_homaloidal_full_system():

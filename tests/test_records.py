@@ -16,7 +16,7 @@ import pytest
 
 import godeaux3
 from godeaux3.adjoint import CycleCounts, LadderReport
-from godeaux3.cover import CaseInvalidError, GodeauxContext, RamificationData
+from godeaux3.cover import CaseInvalidError, RamificationData
 from godeaux3.lattice import DivisorClass, IntersectionLattice, LatticeError
 from godeaux3.plane import PlaneCurve, PlaneError, PointCluster
 from godeaux3.prooftree import Outcome
@@ -91,8 +91,6 @@ REJECTED = [
     (LatticeError, lambda: IntersectionLattice(("a",), ((1,),), (0, 0))),
     (LatticeError, lambda: IntersectionLattice(("a", "b"), ((1, 2), (3, 1)), (0, 0))),
     (LatticeError, lambda: DivisorClass(_PLANE1, (1,))),
-    (CaseInvalidError, lambda: GodeauxContext(chi=2)),
-    (CaseInvalidError, lambda: GodeauxContext(pg=1)),
     (CaseInvalidError, lambda: RamificationData(2, 0, 1)),
     (CaseInvalidError, lambda: RamificationData(0, -1, 1)),
     (CaseInvalidError, lambda: RamificationData(0, 0, -1)),

@@ -2,6 +2,40 @@ from godeaux3 import ruled
 from godeaux3.adjoint import LadderReport, verify_ladder_identity
 
 
+def _partitions(total, cap):
+    """Nonincreasing tuples of positive integers <= cap with the given sum."""
+    if total == 0:
+        yield ()
+    for first in range(min(total, cap), 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def test_mult_vector_search_matches_a_brute_force():
+    # a vector of nonnegative entries is a partition padded with zeros
+    for lin in range(0, 13):
+        parts = {(len(p), sum(m * m for m in p)) for p in _partitions(lin, lin)}
+        for sq in range(-3, 41):
+            for points in range(0, 10):
+                brute = any(k <= points and s == sq for k, s in parts)
+                assert ruled._mult_vector_exists(lin, sq, points) == brute, (lin, sq, points)
+
+
+def test_t_no1_scan_needs_no_filter_but_the_first():
+    # 2(z1 + z2) + zp <= 4 gives k = 5 - 2(z1 + z2) - zp >= 1, and with
+    # d >= k the value 2 lin = 7d - 3(d - k) - 3 - zp is even and >= 0
+    for z1 in range(0, 3):
+        for z2 in range(0, z1 + 1):
+            for zp in range(0, 5):
+                if 2 * (z1 + z2) + zp > 4:
+                    continue
+                k = 5 - 2 * (z1 + z2) - zp
+                assert 4 - (z1 + z2) >= 1 and k >= 1
+                for d in range(k, 30):
+                    twice_lin = 7 * d - 3 * (d - k) - 3 - zp
+                    assert twice_lin >= 0 and twice_lin % 2 == 0, (z1, z2, zp, d)
+
+
 def test_l_a2_admissible_indices():
     e = ruled.elim_l_a2()
     assert e.survivors == (0, 1, 2)

@@ -90,6 +90,11 @@ def quotient_k2(r: RamificationData) -> int:
     return int(via_euler)
 
 
+def image_square(c_sq: int) -> int:
+    """C'^2 = 3 C^2 for the image C' on Y of a curve C fixed pointwise: pi^* C' = 3 C."""
+    return 3 * c_sq
+
+
 def kx2(r: RamificationData, ky2: int) -> int:
     """K_X^2 = 3 K_Y^2 - 4 R_0^2 + 4 R_0.K_S."""
     return 3 * ky2 - 4 * r.r0sq + 4 * r.r0k
@@ -100,18 +105,23 @@ def kx2_via_blowup(r: RamificationData) -> int:
     return KS2 - (r.h1 + 3 * r.h2)
 
 
-def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
-    """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
-
-    Raises :class:`CaseInvalidError` when the pair is not realizable: K_S is
-    nef and R_0 effective, the second value must be an integer in [0, 2], and
-    h^0(N) = 2 + R_0.K_S may not reach 4: the tricanonical map is birational.
-    """
+def _h0_n(r0k: int) -> int:
+    """h^0(N) = 2 + R_0.K_S, which may not reach 4: the tricanonical map is birational."""
     if r0k < 0:
         raise CaseInvalidError("R_0.K_S < 0, but K_S is nef and R_0 effective")
     h0_n = 2 + r0k
     if h0_n > 3:
         raise CaseInvalidError("h^0(N) = 4 would make the tricanonical map invariant")
+    return h0_n
+
+
+def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
+    """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
+
+    Raises :class:`CaseInvalidError` when ``_h0_n`` rejects R_0.K_S or the
+    second value is not an integer in [0, 2].
+    """
+    h0_n = _h0_n(r0k)
     num = 2 * h2 - 2 - r0k
     if num % 3 != 0:
         raise CaseInvalidError("h^0(2K_Y+B) is not an integer")
@@ -137,7 +147,7 @@ _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
 def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
     """Brute-force the (R_0.K_S, h_2) grid; only three combinations survive."""
     out = []
-    for r0k in (0, 1):
+    for r0k in range(0, 3):  # h^0(N) = 2 + R_0.K_S, so h0_pair rejects R_0.K_S = 2 and up
         for h2 in range(h2_max + 1):
             try:
                 h0_n, h0_2kb = h0_pair(r0k, h2)
@@ -153,8 +163,13 @@ def h2_bound_is_monotone(h2_max: int = 20) -> bool:
 
     h^0(2K_Y+B) = (2 h_2 - 2 - R_0.K_S)/3 is affine in h_2, so a positive slope
     and a value above 2 at ``h2_max + 1`` keep it out of [0, 2] from there on.
+    An R_0.K_S whose h^0(N) is rejected gives no case at any h_2.
     """
-    for r0k in (0, 1):
+    for r0k in range(0, 3):
+        try:
+            _h0_n(r0k)
+        except CaseInvalidError:
+            continue
         first, second = (Fraction(2 * h2 - 2 - r0k, 3) for h2 in (h2_max + 1, h2_max + 2))
         if second - first <= 0 or first <= 2:
             return False

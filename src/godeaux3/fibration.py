@@ -3,7 +3,9 @@
 Every elimination regenerates both sides of its decisive inequality from the
 raw case parameters (counts of trapped negative curves vs the Euler excess
 delta of the singular fibres) and records the verdict with a derivation
-trace.  Rational intermediates are exact; comparisons happen on integers.
+trace.  Each Euler count compares ``trapped``, a sum of ``min_contribution``
+over named curves, with ``euler_excess`` of K_Y^2 read from ``cover``.
+Rational intermediates are exact; comparisons happen on integers.
 """
 
 from __future__ import annotations
@@ -11,8 +13,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
-from .cover import RamificationData, quotient_k2
-from .pencil import PencilCase, pencil_case
+from .cover import RamificationData, image_square, quotient_k2
+from .pencil import _Q_GRAM, PencilCase, pencil_case
 
 
 class FibrationError(Exception):
@@ -78,6 +80,29 @@ def node_bound(fiber: list[tuple[int, int, dict[int, int]]]) -> int:
     return total
 
 
+# Squares of what a fibre can trap: E', F', H' are images of fixed (-1)-curves, a
+# component of B_0 of a (-2)-curve of R_0; the contracted cycles are (-1)-curves.
+EXC_SQ = image_square(_Q_GRAM["F", "F"])
+B0_SQ = image_square(RamificationData(0, 1, 1).r0sq)
+CYCLE_SQ = -1
+
+
+def trapped(*curves: tuple[int, int]) -> int:
+    """The least contribution to delta of trapped curves, given as (count, square) pairs."""
+    return sum(count * min_contribution(sq) for count, sq in curves if count)
+
+
+def euler_excess(ky2: int, f2: int, fk: int) -> int:
+    """delta = e(Y) + 3 F^2 + 2 F.K_Y for a pencil |F|, where e(Y) = 12 - K_Y^2."""
+    return 12 - ky2 + 3 * f2 + 2 * fk
+
+
+def _affine(fn, at: int = 0) -> LinearForm:
+    """The LinearForm of a function affine in l, read off at l = at and at + 1."""
+    lo, hi = fn(at), fn(at + 1)
+    return LinearForm(lo - at * (hi - lo), hi - lo)
+
+
 class Elimination(NamedTuple):
     prop_id: str
     lhs: str
@@ -90,36 +115,23 @@ class Elimination(NamedTuple):
 # -- case (iii): the pencil |A'| ----------------------------------------------
 
 
-class TrappedInventory(NamedTuple):
-    """Which negative curves are forced into singular fibres of |A'|."""
-
-    f_trapped: bool
-    h_trapped: bool
-    e_met: int  # number of E'-curves met by the moving part
-    ar0: int
-
-    def lhs(self) -> LinearForm:
-        # E'-curves: h1 = 4 + l of square -3; B_0: l components of square -6,
-        # of which at most ar0 meet the moving part.
-        base = 3 * (self.f_trapped + self.h_trapped) + 3 * (4 - self.e_met) - 6 * self.ar0
-        return LinearForm(base, 3 + 6)
+# h_1 and K_Y^2 of the pencil case, R_0.K_S = 0 and h_2 = 1, as functions of l
+_PENCIL_H1 = _affine(lambda ell: RamificationData(0, ell, 1).h1)
+_PENCIL_KY2 = _affine(lambda ell: quotient_k2(RamificationData(0, ell, 1)))
 
 
-def case_inventory(case: PencilCase) -> TrappedInventory:
-    """Read the trapped components off the exceptional content of the case."""
+def _pencil_trapped(case: PencilCase) -> tuple[bool, bool, int]:
+    """(F' trapped, H' trapped, E'-curves met) for |A'|: F' lies in a fibre when
+    A'.F' = F - G vanishes (H' likewise), and D meets one E'-curve per E-component."""
     d = dict(case.d)
-    f = d.get("F", 0)
     g = d.get("G", 0)
-    h = d.get("H", 0)
-    a_f = f - g  # A'.F' computed from the blow-up bookkeeping
-    a_h = h - g
-    e_met = sum(1 for comp in d if comp.startswith("E"))
-    return TrappedInventory(a_f == 0, a_h == 0, e_met, case.ar0)
+    return d.get("F", 0) == g, d.get("H", 0) == g, sum(1 for c in d if c.startswith("E"))
 
 
-def pencil_delta(case: PencilCase) -> LinearForm:
-    """delta = 14 + 3 l + 3 A'^2 + 2 A'.K_Y."""
-    return LinearForm(14 + 3 * case.aprime2 + 2 * case.apk, 3)
+def _pencil_sum(inv: tuple[bool, bool, int], ell: int, b0: int) -> int:
+    """What |A'| traps: F'/H' as ``inv`` says, the h_1 E'-curves it misses, ``b0`` of B_0."""
+    f_in, h_in, e_met = inv
+    return trapped((f_in + h_in + _PENCIL_H1(ell) - e_met, EXC_SQ), (b0, B0_SQ))
 
 
 def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
@@ -130,26 +142,18 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     """
     if isinstance(case, str):
         case = pencil_case(case)
-    inv = case_inventory(case)
-    lhs = inv.lhs()
-    rhs = pencil_delta(case)
+    inv = _pencil_trapped(case)
+    # at most A'.R_0 components of B_0 meet the moving part; the rest are trapped
+    lhs = _affine(lambda ell: _pencil_sum(inv, ell, ell - case.ar0))
+    rhs = _affine(lambda ell: euler_excess(_PENCIL_KY2(ell), case.aprime2, case.apk))
     ell_min = 1 if case.ar0 >= 1 else 0
-    survivors = []
     b0_note = (f"at least l-{case.ar0} components of B_0" if case.ar0
                else "all l components of B_0")
-    trace = [
-        f"delta = {rhs}",
-        f"trapped: F'={inv.f_trapped} H'={inv.h_trapped}, "
-        f"E' count (4+l)-{inv.e_met}, {b0_note}",
-        f"contributions >= {lhs}",
-    ]
-    for ell in range(ell_min, ell_max + 1):
-        trapped_b0 = max(0, ell - case.ar0)
-        val = (3 * (inv.f_trapped + inv.h_trapped)
-               + 3 * (4 + ell - inv.e_met)
-               + 6 * trapped_b0)
-        if val <= rhs(ell):
-            survivors.append(ell)
+    trace = [f"delta = {rhs}",
+             f"trapped: F'={inv[0]} H'={inv[1]}, E' count (4+l)-{inv[2]}, {b0_note}",
+             f"contributions >= {lhs}"]
+    survivors = [ell for ell in range(ell_min, ell_max + 1)
+                 if _pencil_sum(inv, ell, max(0, ell - case.ar0)) <= rhs(ell)]
     if lhs.coef <= rhs.coef:
         raise FibrationError("slope comparison fails; survivor scan is not complete")
     verdict = "contradiction" if not survivors else "survives"
@@ -177,14 +181,10 @@ def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...
     distributions of A'.B_0 = 3 over the l components and keeps those passing
     the Euler test; all survivors have every entry positive.
     """
-    rhs = pencil_delta(case)(ell)
-    out = []
-    for dist in _partitions(3, ell):
-        trapped = sum(1 for v in dist if v == 0)
-        lhs = 3 + 3 * (4 + ell) + 6 * trapped  # H' + all E' + trapped B_0 parts
-        if lhs <= rhs:
-            out.append(dist)
-    return out
+    inv = _pencil_trapped(case)
+    rhs = euler_excess(_PENCIL_KY2(ell), case.aprime2, case.apk)
+    # a component of B_0 the moving part misses lies in a fibre
+    return [dist for dist in _partitions(3, ell) if _pencil_sum(inv, ell, dist.count(0)) <= rhs]
 
 
 def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]]:
@@ -358,20 +358,25 @@ def case_i_grid() -> list[tuple[int, int]]:
             if RamificationData(1, ell, 3, gamma_sq).h1 <= 4]
 
 
+_FH_CASE_I = 2 * 3  # F' and H' over the h_2 = 3 points lie in fibres of |N_1|
+_N1_CASE_I = (1, -1)  # (N_1^2, N_1.K_Y) when N_1^2 = 1
+
+
 def elim_p_no0() -> Elimination:
     """Case (i) with N_1^2 = 0: n = 8 and both cycle structures overshoot delta."""
     n1sq = 0
-    # n = N_1^2 - 1 mod 3 and n <= N_1^2 + 8; the six trapped exceptional
-    # pairs force 18 <= delta = 12 + n
-    candidates = [n for n in range(0, n1sq + 8 + 1)
-                  if n % 3 == (n1sq - 1) % 3 and 18 <= 12 + 3 * n1sq + n]
+    # n = N_1^2 - 1 mod 3 and n <= N_1^2 + 8; the six trapped F'/H' must fit in delta
+    # of the rational pencil |N_1| at K_Y^2 = N_1^2 - 4 - n
+    deltas = {n: euler_excess(n1sq - 4 - n, n1sq, -2 - n1sq) for n in range(0, n1sq + 8 + 1)
+              if n % 3 == (n1sq - 1) % 3}
+    candidates = [n for n, delta in deltas.items() if trapped((_FH_CASE_I, EXC_SQ)) <= delta]
     if candidates != [8]:
         return Elimination("p.no0", str(candidates), "[8]", "failed",
                            ("the admissible cycle counts are not pinned to 8",))
     n = candidates[0]
-    delta_val = 12 + n
-    all_irred = 18 + n * 1
-    reducible = 18 + 3
+    delta_val = deltas[n]
+    all_irred = trapped((_FH_CASE_I, EXC_SQ), (n, CYCLE_SQ))
+    reducible = trapped((_FH_CASE_I + 1, EXC_SQ))
     ok = all_irred > delta_val and reducible > delta_val
     return Elimination(
         "p.no0", str(all_irred), str(delta_val),
@@ -382,22 +387,22 @@ def elim_p_no0() -> Elimination:
     )
 
 
-def _scan_case_i(case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
+def _scan_case_i(case_split, moving: tuple[int, int]) -> tuple[list, list[str]]:
     """Run a trapped-component scan over the case (i) grid at N_1^2 = 1.
 
-    ``case_split(gamma_sq, ell, h1, n, delta)`` yields (tag, lhs) pairs; a pair
-    survives when lhs <= delta.  ``delta_sq`` is the self-intersection of the
-    moving part (0 when a fixed part splits off, N_1^2 when it does not).
+    ``case_split(gamma_sq, ell, h1)`` yields (tag, E' count, B_0 count, Gamma
+    count) for what each branch traps besides the six F'/H'; a branch survives
+    when its sum is at most the Euler excess of (F^2, F.K_Y) = ``moving``.
     """
-    n1sq = 1
-    survivors = []
-    trace = []
+    survivors, trace = [], []
     for gamma_sq, ell in case_i_grid():
         r = RamificationData(1, ell, 3, gamma_sq)
-        h1 = r.h1
-        n = n1sq - 4 - quotient_k2(r)  # N_1^2 = 4 + K_Y^2 + n
-        delta_val = 12 + 3 * n1sq + n + delta_sq
-        for tag, lhs in case_split(gamma_sq, ell, h1, n, delta_val):
+        ky2 = quotient_k2(r)
+        n = _N1_CASE_I[0] - 4 - ky2  # N_1^2 = 4 + K_Y^2 + n
+        delta_val = euler_excess(ky2, *moving)
+        for tag, e_count, b0, gamma in case_split(gamma_sq, ell, r.h1):
+            lhs = trapped((_FH_CASE_I + e_count, EXC_SQ), (b0, B0_SQ),
+                          (gamma, image_square(gamma_sq)))
             status = "survives" if lhs <= delta_val else "dies"
             trace.append(f"G^2={gamma_sq} l={ell} n={n} {tag}: {lhs} vs {delta_val} {status}")
             if lhs <= delta_val:
@@ -407,17 +412,16 @@ def _scan_case_i(case_split, delta_sq: int = 0) -> tuple[list, list[str]]:
 
 def elim_p_noZ() -> Elimination:
     """|N_1| = |Delta| + Z_i with a reducible cycle: every branch overshoots."""
-
-    def split(gamma_sq, ell, h1, n, delta_val):
+    def split(gamma_sq, ell, h1):
         # Case I: B_0.Delta = 1, E'.Delta = 0
-        yield "I/Gamma-meets", 18 + 3 * h1 + 6 * ell
+        yield "I/Gamma-meets", h1, ell, 0
         if gamma_sq <= -1 and ell >= 1:
-            yield "I/comp-meets", 18 + 3 * h1 - 3 * gamma_sq + 6 * (ell - 1)
+            yield "I/comp-meets", h1, ell - 1, 1
         # Case II: B_0.Delta = 0, E'.Delta = 2 (reconstructed branch)
         if gamma_sq <= -1 and h1 >= 2:
-            yield "II", 18 + 3 * (h1 - 2) - 3 * gamma_sq + 6 * ell
+            yield "II", h1 - 2, ell, 1
 
-    survivors, trace = _scan_case_i(split)
+    survivors, trace = _scan_case_i(split, (0, 0))
     return Elimination(
         "p.noZ", "18+3h1+6l", "15+n",
         "contradiction" if not survivors else "survives",
@@ -428,12 +432,11 @@ def elim_p_noZ() -> Elimination:
 
 def elim_p_noN() -> Elimination:
     """N = N_1 + Delta: all of B_0 and h1 - 1 of the E' are trapped."""
-
-    def split(gamma_sq, ell, h1, n, delta_val):
+    def split(gamma_sq, ell, h1):
         if gamma_sq <= -1:
-            yield "main", 18 - 3 * gamma_sq + 6 * ell + 3 * (h1 - 1)
+            yield "main", h1 - 1, ell, 1
 
-    survivors, trace = _scan_case_i(split)
+    survivors, trace = _scan_case_i(split, (0, 0))
     return Elimination(
         "p.noN", "18-3G^2+6l+3(h1-1)", "15+n",
         "contradiction" if not survivors else "survives",
@@ -447,42 +450,29 @@ def elim_p_noN1() -> Elimination:
     Case I dies by the Euler count; in case II the structural cycle argument
     (reconstructed) removes n = 9, leaving exactly the printed survivors.
     """
-
-    def split(gamma_sq, ell, h1, n, delta_val):
+    def split(gamma_sq, ell, h1):
         # Case I: B_0.N_1 = 2, E'.N_1 = 1
-        yield "I/Gamma-2", 18 + 3 * (h1 - 1) + 6 * ell
+        yield "I/Gamma-2", h1 - 1, ell, 0
         if ell >= 1:
-            yield "I/Gamma-1", 18 + 3 * (h1 - 1) + 6 * (ell - 1)
+            yield "I/Gamma-1", h1 - 1, ell - 1, 0
         if gamma_sq <= -1 and ell >= 1:
-            extra = 6 * (ell - 2) if ell >= 2 else 0
-            yield "I/Gamma-0", 18 - 3 * gamma_sq + extra + 3 * (h1 - 1)
+            yield "I/Gamma-0", h1 - 1, max(0, ell - 2), 1
         # Case II: B_0.N_1 = 1, E'.N_1 = 3 needs h1 >= 3
         if h1 >= 3:
-            yield "II/Gamma-1", 18 + 3 * (h1 - 3) + 6 * ell
+            yield "II/Gamma-1", h1 - 3, ell, 0
             if gamma_sq <= -1 and ell >= 1:
-                yield "II/comp-meets", 18 + 3 * (h1 - 3) - 3 * gamma_sq + 6 * (ell - 1)
+                yield "II/comp-meets", h1 - 3, ell - 1, 1
 
-    # delta = 16 + n here: the moving part is N_1 itself with N_1^2 = 1
-    survivors, trace = _scan_case_i(split, delta_sq=1)
-    # structural kill (reconstructed): with t trapped E'-curves the cycle
-    # catalog admits at most 3t cycles when a reducible one occurs and at
-    # most t when all are irreducible; every Case II survivor must satisfy it
+    survivors, trace = _scan_case_i(split, _N1_CASE_I)  # the moving part is N_1 itself
+    # structural kill (reconstructed): with t >= 0 trapped E'-curves the cycle catalog
+    # admits at most 3t cycles; the all-meeting n = 6, t = 0 is left to p.no16
     kept = []
     for gamma_sq, ell, n, tag in survivors:
-        h1 = RamificationData(1, ell, 3, gamma_sq).h1
-        if tag.startswith("I/"):
+        t = RamificationData(1, ell, 3, gamma_sq).h1 - 3  # trapped E'-count in case II
+        if tag.startswith("I/") or n <= 3 * t or (n == 6 and t == 0):
             kept.append((gamma_sq, ell, n, tag))
-            continue
-        t = h1 - 3  # trapped E'-count in case II
-        if n <= max(t, 3 * t):
-            kept.append((gamma_sq, ell, n, tag))
-            continue
-        if n == 6 and t == 0:
-            # the all-meeting configuration; its internal tension is resolved
-            # by the dedicated n = 6 elimination
-            kept.append((gamma_sq, ell, n, tag))
-            continue
-        trace = trace + [f"G^2={gamma_sq} l={ell} n={n} {tag}: cycle catalog kills it"]
+        else:
+            trace.append(f"G^2={gamma_sq} l={ell} n={n} {tag}: cycle catalog kills it")
     expected = {(-3, 0, 6), (-1, 1, 6)}
     got = {(g, e, n) for g, e, n, _ in kept}
     verdict = "survives" if got == expected else "failed"
@@ -497,8 +487,8 @@ def elim_p_no16() -> Elimination:
     """n = 6: six irreducible cycles overshoot delta; a reducible one forces
     some E'_k inside a cycle, contradicting that every E'_k meets N_1."""
     n = 6
-    delta_hi = 16 + n
-    all_irred = 18 + n
+    delta_hi = euler_excess(_N1_CASE_I[0] - 4 - n, *_N1_CASE_I)  # N_1^2 = 4 + K_Y^2 + n
+    all_irred = trapped((_FH_CASE_I, EXC_SQ), (n, CYCLE_SQ))
     ok = all_irred > delta_hi
     return Elimination(
         "p.no16", str(all_irred), str(delta_hi),
@@ -552,9 +542,11 @@ def check_l_N1() -> tuple[bool, list[str]]:
 def elim_t_ii() -> Elimination:
     """The elliptic pencil |M'| traps six (-3)-curves and l - 1 components of B_0."""
     # h_1 + 2 h_2 = 6 + l with h_2 = 4 forces h_1 = l - 2 >= 0, so l >= 2.
-    ell_min = 2
-    lhs = LinearForm(18 - 6, 6)  # 6 curves F'/H' (M' meets one q) + 6(l-1)
-    rhs = LinearForm(15, 3)  # delta = e(Y) = 15 + 3l for the elliptic pencil
+    ell_min, h2 = 2, 4
+    # M' meets F', H' over one q: 2(h_2 - 1) trapped; M' elliptic, M'^2 = M'.K_Y = 0
+    lhs = _affine(lambda ell: trapped((2 * (h2 - 1), EXC_SQ), (ell - 1, B0_SQ)), ell_min)
+    rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0, 0),
+                  ell_min)
     survivors = [ell for ell in range(ell_min, 12) if lhs(ell) <= rhs(ell)]
     ok = not survivors and lhs.coef > rhs.coef
     return Elimination(
@@ -572,9 +564,9 @@ def elim_t_ii() -> Elimination:
 def elim_t_no1rul() -> Elimination:
     """n = 3, l = 1, rational pencil |N_3|: both cycle structures trap 15 > 13."""
     ell = 1
-    delta_val = 12 + 2 + 3 * ell - 4
-    irred = 3 * 5  # F', H', and the three E'-curves met by the cycles
-    red = 3 + 3 + 3 + 6  # F', H', one E'_k, and B_0
+    delta_val = euler_excess(_PENCIL_KY2(ell), 0, -2)  # N_3^2 = 0, N_3.K_Y = -2
+    irred = trapped((2 + 3, EXC_SQ))  # F', H', and the three E'-curves met by the cycles
+    red = trapped((2 + 1, EXC_SQ), (1, B0_SQ))  # F', H', one E'_k, and B_0
     ok = irred > delta_val and red > delta_val
     return Elimination(
         "t.no1rul", str(irred), str(delta_val),

@@ -9,8 +9,9 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .adjoint import LadderReport
-from .fibration import Elimination
+from .adjoint import LadderReport, ladder_top
+from .cover import RamificationData, quotient_k2
+from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
 from .plane import (fa_ladder_checks, homaloidal_eliminate,
                     singular_fiber_count_bound)
 
@@ -133,14 +134,14 @@ def elim_t_no1() -> Elimination:
                            (f"unexpected ladder data {ladder}",))
     trace.append(f"two-step ladder over F_1: squares {ladder['squares']}, "
                  f"branch class {ladder['branch_coeffs']}")
-    # A' = N subcase: delta = 14 + 3l + 3 A'^2 + 2 A'.K = 28 while the trapped
-    # curves F', H', five E', B_0 and the two contracted cycles give 29.
-    delta_val = 14 + 3 * 1 + 3 * 3 + 2 * 1
-    trapped = 3 + 3 + 3 * 5 + 6 + 1 + 1
-    if trapped <= delta_val:
-        return Elimination("t.no1", str(trapped), str(delta_val), "failed",
+    # A' = N: delta of |N| against F', H', the h_1 E', B_0 and two contracted cycles
+    r = RamificationData(0, 1, 1)
+    delta_val = euler_excess(quotient_k2(r), *ladder_top(r.r0k))
+    contributions = trapped((2 + r.h1, EXC_SQ), (1, B0_SQ), (2, CYCLE_SQ))
+    if contributions <= delta_val:
+        return Elimination("t.no1", str(contributions), str(delta_val), "failed",
                            ("expected the pencil branch to overshoot",))
-    trace.append(f"A' = N: trapped contributions {trapped} > delta = {delta_val}")
+    trace.append(f"A' = N: trapped contributions {contributions} > delta = {delta_val}")
     open_branches, scan = _t_no1_plane_scan()
     trace += scan
     expected_open = {(0, 0, 1), (1, 0, 1)}
@@ -149,7 +150,7 @@ def elim_t_no1() -> Elimination:
     trace.append(
         "remaining genus-two subcases closed by the companion plane-model analysis "
         "(assumed; see the axiom ledger)")
-    return Elimination("t.no1", str(trapped), str(delta_val), verdict,
+    return Elimination("t.no1", str(contributions), str(delta_val), verdict,
                        tuple(trace), tuple(sorted(got_open)))
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from godeaux3 import cover
 from godeaux3.cover import (CaseInvalidError, RamificationData, eigenvalue_split,
                             enumerate_main_cases, fixed_point_budget, h0_pair,
                             h2_bound_is_monotone, kx2, kx2_via_blowup, quotient_k2)
@@ -96,6 +97,23 @@ def test_main_case_ids_are_the_three_of_the_paper():
         ids = [c.id for c in enumerate_main_cases(h2_max)]
         want = [cid for cid, h2 in (("i", 3), ("ii", 4), ("iii", 1)) if h2 <= h2_max]
         assert ids == want, h2_max
+
+
+def test_enumeration_sees_the_h0_n_rejection(monkeypatch):
+    rejected = set()
+    checked = cover.h0_pair
+
+    def spy(r0k, h2):
+        try:
+            return checked(r0k, h2)
+        except CaseInvalidError as exc:
+            rejected.add((r0k, str(exc)))
+            raise
+
+    monkeypatch.setattr(cover, "h0_pair", spy)
+    assert len(enumerate_main_cases()) == 3
+    assert (2, "h^0(N) = 4 would make the tricanonical map invariant") in rejected
+    assert max(r0k for r0k, _ in rejected) == 2
 
 
 def test_h2_bound_check_can_fail():

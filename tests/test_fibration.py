@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
 from itertools import product
 
 import pytest
 
+import godeaux3
 from godeaux3 import fibration as fib
+from godeaux3 import ruled
+from godeaux3.cover import RamificationData, image_square, quotient_k2
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
 from godeaux3.pencil import enumerate_pencil_cases
+from godeaux3.report import run
 
 
 def test_partitions_match_a_brute_force():
@@ -186,3 +193,82 @@ def test_eliminate_by_delta_accepts_case_objects():
     by_label = fib.eliminate_by_delta("0a")
     by_case = fib.eliminate_by_delta(pencil_case("0a"))
     assert by_label == by_case
+
+
+def test_trapped_sums_min_contribution_over_named_curves():
+    assert fib.trapped() == 0
+    assert fib.trapped((5, fib.EXC_SQ), (2, fib.B0_SQ), (2, fib.CYCLE_SQ)) == 15 + 12 + 2
+    # a curve of positive square is named only when none of it is trapped
+    assert fib.trapped((0, image_square(1)), (1, image_square(-3))) == 9
+    with pytest.raises(FibrationError):
+        fib.trapped((1, image_square(1)))
+
+
+def test_squares_are_read_from_cover_and_the_exceptional_gram():
+    assert image_square(-1) == fib.EXC_SQ == -3
+    assert image_square(-2) == fib.B0_SQ == -6
+    assert [image_square(g) for g in (-3, -5)] == [-9, -15]
+
+
+def test_euler_excess_equals_the_typed_delta_formulas():
+    # the formulas the eliminations typed before they shared euler_excess
+    pencil_rows = [c for ap in (0, 1, 2, 3) for c in enumerate_pencil_cases(ap)]
+    for ell in range(0, 13):
+        r = RamificationData(0, ell, 1)
+        ky2 = quotient_k2(r)
+        # the pencil scans read h_1 and K_Y^2 off forms in l taken at l = 0, 1
+        assert (fib._PENCIL_H1(ell), fib._PENCIL_KY2(ell)) == (r.h1, ky2)
+        for case in pencil_rows:
+            assert fib.euler_excess(ky2, case.aprime2, case.apk) \
+                == 14 + 3 * ell + 3 * case.aprime2 + 2 * case.apk, (case.label, ell)
+    for ell in range(2, 9):
+        assert fib.euler_excess(quotient_k2(RamificationData(0, ell, 4)), 0, 0) == 15 + 3 * ell
+    # case (i): 12 + 3 N_1^2 + n + Delta^2 with N_1^2 = 4 + K_Y^2 + n
+    pencils = {(0, 0): (1, 0), (1, -1): (1, 1), (0, -2): (0, 0)}  # (F^2, F.K) -> (N_1^2, Delta^2)
+    for gamma_sq, ell in fib.case_i_grid():
+        ky2 = quotient_k2(RamificationData(1, ell, 3, gamma_sq))
+        for moving, (n1sq, delta_sq) in pencils.items():
+            n = n1sq - 4 - ky2
+            assert fib.euler_excess(ky2, *moving) == 12 + 3 * n1sq + n + delta_sq
+
+
+@pytest.mark.parametrize("name", ["EXC_SQ", "B0_SQ"])
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_a_shifted_square_fails_the_run(monkeypatch, name, shift):
+    for module in (fib, ruled):
+        monkeypatch.setattr(module, name, getattr(fib, name) + shift)
+    assert run("all").verdict == "failed"
+
+
+@pytest.mark.parametrize("factor", [2, 4])
+def test_a_wrong_image_square_factor_fails_the_run(factor):
+    # the squares are derived when fibration is imported, so re-import it in a
+    # fresh interpreter after patching cover
+    code = (
+        "import importlib\n"
+        "from godeaux3 import cover, fibration, ruled\n"
+        f"cover.image_square = lambda c_sq: {factor} * c_sq\n"
+        "importlib.reload(fibration)\n"
+        "importlib.reload(ruled)\n"
+        "from godeaux3.report import run\n"
+        "print(fibration.EXC_SQ, fibration.B0_SQ, run('all').verdict)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(godeaux3.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert out == [str(-factor), str(-2 * factor), "failed"]
+
+
+def test_node_bound_dominates_every_contribution_a_run_uses(monkeypatch):
+    squares = set()
+    counted = fib.min_contribution
+
+    def spy(self_int):
+        squares.add(self_int)
+        return counted(self_int)
+
+    monkeypatch.setattr(fib, "min_contribution", spy)
+    assert run("all").verdict == "verified"
+    assert squares
+    for sq in squares:
+        n = -sq
+        assert node_bound([(1, 0, {1: n}), (1, 0, {})]) >= counted(sq), sq

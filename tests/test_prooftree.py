@@ -167,6 +167,26 @@ def test_cli_rejects_jobs(capsys):
     capsys.readouterr()
 
 
+def test_cli_run_of_a_failing_tree_exits_1(monkeypatch, capsys):
+    registry = build_nodes()
+    registry["t.ii"] = registry["t.ii"]._replace(fn=lambda _: Outcome("failed"))
+    monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
+    assert main(["run"]) == 1
+    assert "verdict: failed" in capsys.readouterr().out
+
+
+def test_cli_usage_and_io_exit_codes(tmp_path, capsys):
+    assert main(["explain", "bogus"]) == 2
+    assert "unknown node id: " in capsys.readouterr().err
+    missing = tmp_path / "missing" / "report.txt"
+    assert main(["run", "--out", str(missing)]) == 2
+    assert "cannot write report" in capsys.readouterr().err and not missing.exists()
+    assert main(["--help"]) == 0
+    assert "usage: verify" in capsys.readouterr().out
+    assert main([]) == 2
+    assert "required" in capsys.readouterr().err
+
+
 def _run_with(monkeypatch, change):
     """Run the whole tree after ``change`` edits a fresh node table."""
     registry = build_nodes()

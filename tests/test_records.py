@@ -24,7 +24,7 @@ from godeaux3.prooftree import Outcome
 NAMED_TUPLES = {
     "adjoint": {"AdjointRow", "Cycle", "LadderModel"},
     "cover": {"CaseRecord", "EigenvalueSplit"},
-    "fibration": {"Elimination", "LinearForm", "TrappedInventory"},
+    "fibration": {"Elimination", "LinearForm"},
     "pencil": {"DropAtom", "SubsystemBranch"},
     "plane": {"ConfigTable"},
     "prooftree": {"ProofNode"},

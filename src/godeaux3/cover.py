@@ -105,23 +105,22 @@ def kx2_via_blowup(r: RamificationData) -> int:
     return KS2 - (r.h1 + 3 * r.h2)
 
 
-def _h0_n(r0k: int) -> int:
-    """h^0(N) = 2 + R_0.K_S, which may not reach 4: the tricanonical map is birational."""
-    if r0k < 0:
-        raise CaseInvalidError("R_0.K_S < 0, but K_S is nef and R_0 effective")
-    h0_n = 2 + r0k
-    if h0_n > 3:
-        raise CaseInvalidError("h^0(N) = 4 would make the tricanonical map invariant")
-    return h0_n
+# The R_0.K_S that h0_pair admits: R_0.K_S >= 0, as K_S is nef and R_0 effective,
+# and h^0(N) = 2 + R_0.K_S < 4, as the tricanonical map is birational.
+_R0K = range(0, 2)
 
 
 def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
     """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
 
-    Raises :class:`CaseInvalidError` when ``_h0_n`` rejects R_0.K_S or the
+    Raises :class:`CaseInvalidError` when R_0.K_S is outside ``_R0K`` or the
     second value is not an integer in [0, 2].
     """
-    h0_n = _h0_n(r0k)
+    if r0k < _R0K.start:
+        raise CaseInvalidError("R_0.K_S < 0, but K_S is nef and R_0 effective")
+    if r0k >= _R0K.stop:
+        raise CaseInvalidError("h^0(N) = 4 would make the tricanonical map invariant")
+    h0_n = 2 + r0k
     num = 2 * h2 - 2 - r0k
     if num % 3 != 0:
         raise CaseInvalidError("h^0(2K_Y+B) is not an integer")
@@ -147,7 +146,7 @@ _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
 def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
     """Brute-force the (R_0.K_S, h_2) grid; only three combinations survive."""
     out = []
-    for r0k in range(0, 3):  # h^0(N) = 2 + R_0.K_S, so h0_pair rejects R_0.K_S = 2 and up
+    for r0k in range(_R0K.stop + 1):  # one past _R0K, which h0_pair rejects
         for h2 in range(h2_max + 1):
             try:
                 h0_n, h0_2kb = h0_pair(r0k, h2)
@@ -163,13 +162,8 @@ def h2_bound_is_monotone(h2_max: int = 20) -> bool:
 
     h^0(2K_Y+B) = (2 h_2 - 2 - R_0.K_S)/3 is affine in h_2, so a positive slope
     and a value above 2 at ``h2_max + 1`` keep it out of [0, 2] from there on.
-    An R_0.K_S whose h^0(N) is rejected gives no case at any h_2.
     """
-    for r0k in range(0, 3):
-        try:
-            _h0_n(r0k)
-        except CaseInvalidError:
-            continue
+    for r0k in _R0K:
         first, second = (Fraction(2 * h2 - 2 - r0k, 3) for h2 in (h2_max + 1, h2_max + 2))
         if second - first <= 0 or first <= 2:
             return False

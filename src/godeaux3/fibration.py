@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
 from .cover import RamificationData, image_square, quotient_k2
-from .pencil import _Q_GRAM, PencilCase, pencil_case
+from .pencil import EXC_SELF_INT, PencilCase, pencil_case
 
 
 class FibrationError(Exception):
@@ -82,7 +82,7 @@ def node_bound(fiber: list[tuple[int, int, dict[int, int]]]) -> int:
 
 # Squares of what a fibre can trap: E', F', H' are images of fixed (-1)-curves, a
 # component of B_0 of a (-2)-curve of R_0; the contracted cycles are (-1)-curves.
-EXC_SQ = image_square(_Q_GRAM["F", "F"])
+EXC_SQ = image_square(EXC_SELF_INT)
 B0_SQ = image_square(RamificationData(0, 1, 1).r0sq)
 CYCLE_SQ = -1
 
@@ -142,7 +142,7 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     """
     if isinstance(case, str):
         case = pencil_case(case)
-    inv = _pencil_trapped(case)
+    inv = f_in, h_in, e_met = _pencil_trapped(case)
     # at most A'.R_0 components of B_0 meet the moving part; the rest are trapped
     lhs = _affine(lambda ell: _pencil_sum(inv, ell, ell - case.ar0))
     rhs = _affine(lambda ell: euler_excess(_PENCIL_KY2(ell), case.aprime2, case.apk))
@@ -150,7 +150,7 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     b0_note = (f"at least l-{case.ar0} components of B_0" if case.ar0
                else "all l components of B_0")
     trace = [f"delta = {rhs}",
-             f"trapped: F'={inv[0]} H'={inv[1]}, E' count (4+l)-{inv[2]}, {b0_note}",
+             f"trapped: F'={f_in} H'={h_in}, E' count (4+l)-{e_met}, {b0_note}",
              f"contributions >= {lhs}"]
     survivors = [ell for ell in range(ell_min, ell_max + 1)
                  if _pencil_sum(inv, ell, max(0, ell - case.ar0)) <= rhs(ell)]

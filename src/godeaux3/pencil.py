@@ -19,12 +19,13 @@ from .cover import KS2
 
 # Intersection numbers of the exceptional configuration over an A_2-type
 # fixed point q (curves F, G, H) and over a triple-point type fixed point
-# (curve E), on the resolved cover: F^2 = H^2 = E^2 = -1, G^2 = -3,
-# F.G = G.H = 1, F.H = 0.
+# (curve E), on the resolved cover: F^2 = H^2 = E^2 = EXC_SELF_INT = -1,
+# G^2 = -3, F.G = G.H = 1, F.H = 0.
+EXC_SELF_INT = -1
 _Q_GRAM = {
-    ("F", "F"): -1,
+    ("F", "F"): EXC_SELF_INT,
     ("G", "G"): -3,
-    ("H", "H"): -1,
+    ("H", "H"): EXC_SELF_INT,
     ("F", "G"): 1,
     ("G", "H"): 1,
     ("F", "H"): 0,

@@ -16,9 +16,10 @@ with the location of every ``nothing`` mutant.  Literals inside f-strings are
 skipped: they only shape trace text.  Standard library only; this is not part
 of the test suite.
 
-    python tools/mutate.py [--src DIR] [--module NAME ...] [--jobs N] [--timeout S]
+    python tools/mutate.py [--src DIR] [--module NAME ...]
 
-A full sweep of ``fibration`` and ``ruled`` takes a few minutes on two cores.
+Mutants run two at a time, each stopped after 60 s; a full sweep of
+``fibration`` and ``ruled`` takes a few minutes on two cores.
 """
 
 from __future__ import annotations
@@ -39,6 +40,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 OUTCOMES = ("verdict", "report", "nothing")
 MEMORY_LIMIT = 2 << 30  # bytes of address space per mutant run
+JOBS = 2  # mutant runs at a time
+TIMEOUT = 60.0  # seconds per mutant run, counted as a verdict change when exceeded
 
 PROBE = f"""
 import contextlib, hashlib, io, json, resource
@@ -99,13 +102,13 @@ def mutate(source: str, lit: Literal) -> str:
     return "".join(lines)
 
 
-def probe(src: Path, timeout: float):
+def probe(src: Path):
     """The reports of one run on the package under ``src``, or None if it fails."""
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONHASHSEED": "0"}
     try:
         done = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True,
-                              env=env, timeout=timeout)
+                              env=env, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return None
     if done.returncode != 0:
@@ -126,8 +129,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="directory holding the godeaux3 package (default: this repo's src)")
     parser.add_argument("--module", action="append", default=None,
                         help="module to mutate, e.g. fibration (repeatable; default: all)")
-    parser.add_argument("--jobs", type=int, default=2, choices=range(1, 9), metavar="1..8")
-    parser.add_argument("--timeout", type=float, default=60.0, help="seconds per mutant run")
     args = parser.parse_args(argv)
 
     package = args.src / "godeaux3"
@@ -138,14 +139,14 @@ def main(argv: list[str] | None = None) -> int:
     sources = {m: (package / f"{m}.py").read_text() for m in modules}
     mutants = [lit for m in modules for lit in literals(m, sources[m])]
 
-    base = probe(args.src, args.timeout)
+    base = probe(args.src)
     if base is None or base["text"][0] != 0:
         print(f"the unmutated package under {args.src} does not verify", file=sys.stderr)
         return 1
 
     with tempfile.TemporaryDirectory(prefix="godeaux3-mutants-") as tmp:
         copies: queue.Queue[Path] = queue.Queue()
-        for i in range(args.jobs):
+        for i in range(JOBS):
             copy = Path(tmp) / f"w{i}"
             shutil.copytree(args.src / "godeaux3", copy / "godeaux3",
                             ignore=shutil.ignore_patterns("__pycache__"))
@@ -156,12 +157,12 @@ def main(argv: list[str] | None = None) -> int:
             target = copy / "godeaux3" / f"{lit.module}.py"
             try:
                 target.write_text(mutate(sources[lit.module], lit))
-                return classify(base, probe(copy, args.timeout))
+                return classify(base, probe(copy))
             finally:
                 target.write_text(sources[lit.module])
                 copies.put(copy)
 
-        with ThreadPoolExecutor(args.jobs) as pool:
+        with ThreadPoolExecutor(JOBS) as pool:
             outcomes = list(pool.map(judge, mutants))
 
     per_module: dict[str, Counter] = defaultdict(Counter)

@@ -12,7 +12,8 @@ from importlib import resources
 from itertools import product
 
 from .fibration import Elimination, _partitions
-from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster,
+from .lattice import IntersectionLattice, index_slack
+from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster, degree_budget,
                     product_violation, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
 
@@ -155,6 +156,17 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
 
 # -- the two B_0 option tables and their index-theorem filters -------------------
 
+# the genus-one pencil |-K| of the plane blown up at eight points
+_PENCIL_SQ = IntersectionLattice.plane_blow_up(8).k.square
+
+
+def _pencil_index(square: int, pairing: int) -> tuple[int, str]:
+    """The largest square the index theorem allows a class of this pencil
+    pairing, (D.N)^2 as N^2 = 1, and its verdict on ``square``."""
+    slack = index_slack(square, pairing, _PENCIL_SQ)
+    verdict = "excluded" if slack < 0 else "pinned-to-pencil" if slack == 0 else "open"
+    return square + slack, verdict
+
 
 def b0_options_deepest() -> dict:
     """Distribution of B_0 against the contracted cycles in the deepest branch.
@@ -169,10 +181,8 @@ def b0_options_deepest() -> dict:
         z3 = 4 - 2 * z2
         pairing = 3 - z2  # B_0 . (genus-one pencil)
         square = -6 + n_cycles + z2 * z2 + z3 * z3
-        verdict = "excluded" if square > pairing ** 2 else (
-            "pinned-to-pencil" if square == pairing ** 2 else "open")
         options.append({"B0.Z''": z2, "B0.Z'''": z3, "pairing": pairing,
-                        "square": square, "verdict": verdict})
+                        "square": square, "verdict": _pencil_index(square, pairing)[1]})
     return {"options": options}
 
 
@@ -186,10 +196,9 @@ def b0_options_middle() -> dict:
                 continue
             pairing = 4 - (zp1 + zp2)
             square = -6 + 2 + zp1 ** 2 + zp2 ** 2 + z2 ** 2
-            verdict = "excluded" if square > pairing ** 2 else (
-                "pinned-to-pencil" if square == pairing ** 2 else "open")
             options.append({"B0.Z'1": zp1, "B0.Z'2": zp2, "B0.Z''": z2,
-                            "pairing": pairing, "square": square, "verdict": verdict})
+                            "pairing": pairing, "square": square,
+                            "verdict": _pencil_index(square, pairing)[1]})
     return {"options": options}
 
 
@@ -201,10 +210,10 @@ def elim_l_noa() -> Elimination:
     worst = max(max(p) for p in splits)
     square = -3 + (4 - worst) ** 2 // 4 + worst ** 2
     pairing = 3 - (4 - worst) // 2
-    cap = pairing ** 2 * 1
+    cap, verdict = _pencil_index(square, pairing)
     return Elimination(
         "l.noa", str(square), str(cap),
-        "contradiction" if square > cap else "survives",
+        "contradiction" if verdict == "excluded" else "survives",
         (f"(E'_1+E'_2).Z''' = 6 splits as {splits}; some E' has E'.Z''' = {worst}",
          f"its image has square {square} > {cap}, violating the index theorem"),
     )
@@ -216,7 +225,7 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list]) -> Elimination:
     ``solved`` maps a multiplicity system (square, pairing, points) solved
     elsewhere to its solutions; the other systems are solved here.
     """
-    budget = 21 - 2 * 9  # degree budget after normalizing B_0 to the 9-solution
+    budget = degree_budget(7) - 2 * 9  # after normalizing B_0 to the 9-solution
     demands = []
     trace = []
     for z2, z3 in ((2, 0), (1, 2)):
@@ -262,10 +271,10 @@ def elim_l_nob() -> Elimination:
     worst = max(max(c) for c in values)
     square = -3 + worst ** 2
     pairing = 2 - 0
-    cap = pairing ** 2
+    cap, verdict = _pencil_index(square, pairing)
     return Elimination(
         "l.nob", str(square), str(cap),
-        "contradiction" if square > cap else "survives",
+        "contradiction" if verdict == "excluded" else "survives",
         (f"odd splits of 5: {values}; some E'.Z'' = {worst}",
          f"its image has square {square} > {cap} against the index theorem"),
     )
@@ -283,11 +292,12 @@ def sixtuple_enumerate() -> dict:
     lines through both double points.
     """
     kept, excluded = [], []
-    budget = 18 - 2 * 8
+    d0 = 8
+    budget = degree_budget(6) - 2 * d0
     for split in range(budget + 1):
         for d123 in _partitions(split, 3):
             for d45 in _partitions(budget - split, 2):
-                tup = (8,) + d123 + d45
+                tup = (d0,) + d123 + d45
                 if any(d > 1 for d in d45):
                     excluded.append((tup, "d_i + 1 = m_7 + m_8 <= 2 forces d_i <= 1"))
                     continue

@@ -14,6 +14,7 @@ from typing import NamedTuple
 
 from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
 from .cover import RamificationData, image_square, quotient_k2
+from .lattice import index_slack
 from .pencil import EXC_SELF_INT, PencilCase, pencil_case
 
 
@@ -502,7 +503,8 @@ def check_l_n1() -> bool:
     """(3 N_1 - 2 N)^2 = 9 N_1^2 - 12 <= 0 pins N_1^2 to {0, 1}."""
     # N.N_1 = N^2 + N.K is the same for every K_Y^2 and n; read at Gamma^2 = 1, l = 0
     n_sq, nn1 = ladder_top(1)[0], adjoint_table(1, -3, 3, CycleCounts(0))[0].prev_dot
-    values = [x for x in range(0, 5) if 9 * x - 12 * nn1 + 4 * n_sq <= 0]
+    # candidates 0 <= N_1^2 <= (N.N_1)^2, a bound as N^2 >= 1
+    values = [x for x in range(nn1 ** 2 + 1) if index_slack(x, nn1, n_sq) >= 0]
     return values == [0, 1]
 
 

@@ -156,15 +156,21 @@ def blow_up(lattice: IntersectionLattice) -> IntersectionLattice:
     )
 
 
-def hodge_index_filter(d: DivisorClass, n: DivisorClass) -> bool:
-    """Index-theorem rejection predicate.
+def index_slack(d_square: int, d_dot_n: int, n_square: int) -> int:
+    """(D.N)^2 - D^2 N^2, which the index theorem makes >= 0 when N^2 > 0.
 
-    With N^2 > 0, every class D must satisfy (N^2 . D - (D.N) . N)^2 <= 0;
-    returns False for classes that violate it.
+    On a surface it is zero exactly when D is numerically proportional to N.
     """
-    b = n.square
-    if b <= 0:
-        raise LatticeError("index filter needs N^2 > 0")
-    a = d.dot(n)
-    candidate = b * d - a * n
-    return candidate.square <= 0
+    if n_square <= 0:
+        raise LatticeError("index rule needs N^2 > 0")
+    return d_dot_n ** 2 - d_square * n_square
+
+
+def hodge_index_filter(d: DivisorClass, n: DivisorClass) -> bool:
+    """Index-theorem rejection predicate: False for the classes D that violate
+    it against N with N^2 > 0.
+
+    Same as (N^2 D - (D.N) N)^2 <= 0, since that square is N^2 times
+    N^2 D^2 - (D.N)^2.
+    """
+    return index_slack(d.square, d.dot(n), n.square) >= 0

@@ -8,6 +8,7 @@ genus and proximity checks.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import NamedTuple
 
 
@@ -214,39 +215,45 @@ def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
 # -- the homaloidal-type Diophantine systems ------------------------------------
 
 
+def multiplicity_vectors(lin: int, sq: int, points: int):
+    """Yield every {j: s_j} with sum j s_j = lin, sum j^2 s_j = sq and
+    sum s_j <= points, where s_j > 0 and the keys run downwards.
+
+    Exhaustive: j^2 <= sq starts the multiplicities at isqrt(sq), and the
+    Cauchy-Schwarz bound lin^2 <= points * sq prunes every partial vector.
+    For lin = sq = 0 the one solution is the empty dict.
+    """
+    if lin < 0 or sq < 0:
+        return
+    acc: dict[int, int] = {}
+
+    def rec(j: int, lin: int, sq: int, points: int):
+        if lin == 0:
+            if sq == 0:
+                yield dict(acc)
+            return
+        if j == 0 or lin * lin > points * sq:
+            return
+        for s in range(min(points, sq // (j * j), lin // j), -1, -1):
+            if s:
+                acc[j] = s
+            yield from rec(j - 1, lin - s * j, sq - s * j * j, points - s)
+            acc.pop(j, None)
+
+    yield from rec(isqrt(sq), lin, sq, points)
+
+
 def solve_multiplicity_system(c1: int, c2: int, max_points: int,
                               ) -> list[tuple[int, dict[int, int]]]:
     """All (d0, {s_j}) with 0 <= d0 <= 12, sum j^2 s_j = d0^2 - c1,
     sum j s_j = 3 d0 - c2, sum s_j <= max_points and s_j >= 0.
 
-    Exhaustive: for each d0 the multiplicity j is bounded by d0, and a
-    Cauchy-Schwarz cut prunes infeasible degrees.
+    Since c1 >= 0, the multiplicities of degree d0 stay at most d0.
     """
     if c1 < 0 or c2 < 0:
         raise PlaneError("c1 and c2 must be nonnegative")
-    solutions = []
-    for d0 in range(0, 13):
-        target_sq = d0 * d0 - c1
-        target_lin = 3 * d0 - c2
-        if target_sq < 0 or target_lin < 0:
-            continue
-        if target_lin ** 2 > max_points * target_sq:
-            continue
-
-        def rec(j: int, rem_sq: int, rem_lin: int, rem_pts: int, acc: dict):
-            if rem_sq == 0 and rem_lin == 0:
-                solutions.append((d0, dict(acc)))
-                return
-            if j == 0 or rem_sq < 0 or rem_lin < 0 or rem_pts == 0:
-                return
-            max_s = min(rem_pts, rem_sq // (j * j), rem_lin // j)
-            for s in range(max_s, -1, -1):
-                if s:
-                    acc[j] = s
-                rec(j - 1, rem_sq - s * j * j, rem_lin - s * j, rem_pts - s, acc)
-                acc.pop(j, None)
-
-        rec(d0 if d0 > 0 else 1, target_sq, target_lin, max_points, {})
+    solutions = [(d0, s) for d0 in range(0, 13)
+                 for s in multiplicity_vectors(3 * d0 - c2, d0 * d0 - c1, max_points)]
     # two solutions may share d0, so order them by their multiplicities too
     solutions.sort(key=lambda s: (s[0], sorted(s[1].items(), reverse=True)))
     return solutions
@@ -334,11 +341,16 @@ def degree_budget(k: int) -> int:
 # -- the ruled endgame ----------------------------------------------------------
 
 
-def singular_fiber_count_bound(a: int, beta_i: int) -> int:
-    """Least r with Delta-contribution 2 beta_i + 7 - 3a <= 6r."""
+def singular_fiber_need(a: int, beta_i: int) -> int:
+    """Delta-contribution 2 beta_i + 7 - 3a that the singular fibres carry."""
     if a not in (0, 1, 2):
         raise PlaneError("a must be 0, 1 or 2")
-    need = 2 * beta_i + 7 - 3 * a
+    return 2 * beta_i + 7 - 3 * a
+
+
+def singular_fiber_count_bound(a: int, beta_i: int) -> int:
+    """Least r with singular_fiber_need(a, beta_i) <= 6r."""
+    need = singular_fiber_need(a, beta_i)
     r = 0
     while 6 * r < need:
         r += 1
@@ -432,24 +444,14 @@ def homaloidal_eliminate(branch: str) -> dict:
     d = _double_root(poly)
     lin6, sq6 = lin(d), sq(d)
     trace.append(f"d = {d}: sum j s_j = {lin6}, sum j^2 s_j = {sq6}")
-    # subtracting: 20 s5 + 12 s4 + 6 s3 + 2 s2 = 16, so s5 = 0, s4 <= 1 and
-    # s1 + s2 = 11 + 2 s4 > 9
-    diff = sq6 - lin6
-    trace.append(f"20 s5 + 12 s4 + 6 s3 + 2 s2 = {diff}")
-    best = None
-    for s4 in (0, 1):
-        rem = diff - 12 * s4
-        for s3 in range(rem // 6 + 1):
-            s2 = (rem - 6 * s3) // 2  # exact: rem is 16 or 4
-            s1 = lin6 - 4 * s4 - 3 * s3 - 2 * s2
-            count = s1 + s2 + s3 + s4
-            if best is None or count < best[0]:
-                best = (count, s4, s3, s2, s1)
-    count, s4, s3, s2, s1 = best
+    trace.append(f"20 s5 + 12 s4 + 6 s3 + 2 s2 = {sq6 - lin6}")
+    # every point carries multiplicity >= 1, so lin6 bounds the point count
+    least = min(multiplicity_vectors(lin6, sq6, lin6), key=lambda s: sum(s.values()))
+    s4, s2, s1 = (least.get(j, 0) for j in (4, 2, 1))
     trace.append(f"s1 + s2 = {s1 + s2} = 11 + 2 s4 with s4 = {s4}; needs > 9 points")
     if s1 + s2 != 11 + 2 * s4:
         raise PlaneError("count identity fails")
-    return {"branch": branch, "poly": poly, "d": d, "min_points": count,
+    return {"branch": branch, "poly": poly, "d": d, "min_points": sum(least.values()),
             "available": 9, "verdict": "contradiction" if s1 + s2 > 9 else "survives",
             "trace": trace}
 

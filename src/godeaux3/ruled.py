@@ -7,13 +7,11 @@ becomes plane data and the homaloidal systems take over.
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .adjoint import LadderReport, ladder_top
 from .cover import RamificationData, quotient_k2
 from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
-from .plane import (fa_ladder_checks, homaloidal_eliminate,
-                    singular_fiber_count_bound)
+from .plane import (fa_ladder_checks, homaloidal_eliminate, multiplicity_vectors,
+                    singular_fiber_count_bound, singular_fiber_need)
 
 
 def elim_l_a2() -> Elimination:
@@ -31,12 +29,14 @@ def elim_l_a2() -> Elimination:
 
 def elim_p_no2() -> Elimination:
     """a = 2 needs at least three singular fibres, so reduction to a = 1 works."""
-    r_needed = {a: singular_fiber_count_bound(a, 3 * a) for a in (0, 1, 2)}
+    beta = {a: 3 * a for a in (0, 1, 2)}
+    need = {a: singular_fiber_need(a, b) for a, b in beta.items()}
+    r_needed = {a: singular_fiber_count_bound(a, b) for a, b in beta.items()}
     ok = r_needed[2] >= 3
     return Elimination(
-        "p.no2", str(2 * (3 * 2) + 7 - 3 * 2), str(6 * 2),
+        "p.no2", str(need[2]), str(6 * 2),
         "contradiction" if ok else "survives",
-        tuple(f"a={a}: Delta-contribution {2 * 3 * a + 7 - 3 * a} <= 6r needs r >= {r}"
+        tuple(f"a={a}: Delta-contribution {need[a]} <= 6r needs r >= {r}"
               for a, r in sorted(r_needed.items())) + (
             "with at most two singular fibres a = 2 is impossible, so a reduces to 1",),
     )
@@ -88,11 +88,7 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
                     # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
                     lin = (7 * d - 3 * mu - 3 - zp) // 2
                     sq = d * d - mu * mu - abar_sq
-                    if sq < 0 or sq - lin < 0:
-                        continue
-                    if lin * lin > 9 * sq:
-                        continue
-                    if _mult_vector_exists(lin, sq, 9):
+                    if next(multiplicity_vectors(lin, sq, 9), None) is not None:
                         found = (d, mu)
                         break
                 tag = f"(A'.Z1, A'.Z2, A'.Z') = ({z1},{z2},{zp})"
@@ -102,25 +98,6 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
                 else:
                     trace.append(f"{tag}: no plane model over nine points")
     return open_branches, trace
-
-
-def _mult_vector_exists(lin: int, sq: int, points: int) -> bool:
-    """Is there a nonnegative integer vector of the given length with the
-    prescribed sum and sum of squares?"""
-
-    def rec(remaining_lin: int, remaining_sq: int, slots: int, cap: int) -> bool:
-        if remaining_lin == 0:
-            return remaining_sq == 0
-        # Cauchy-Schwarz; also fails when no slot is left or remaining_sq < 0
-        if remaining_lin * remaining_lin > slots * remaining_sq:
-            return False
-        top = min(cap, remaining_lin, isqrt(remaining_sq))
-        for m in range(top, 0, -1):
-            if rec(remaining_lin - m, remaining_sq - m * m, slots - 1, m):
-                return True
-        return False
-
-    return rec(lin, sq, points, lin)
 
 
 def elim_t_no1() -> Elimination:

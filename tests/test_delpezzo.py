@@ -133,6 +133,14 @@ def test_sixtuples():
     assert all(sum(t[1:]) == 2 and max(t[1:]) <= 2 for t in excluded | set(st["kept"]))
 
 
+def test_degree_budgets_reach_both_nodes(monkeypatch):
+    # e.deg1 checks plane.degree_budget; p.no3lirr and the six-tuples read it
+    monkeypatch.setattr(dp, "degree_budget", lambda k: 3 * k + 1)
+    assert dp.elim_p_no3lirr({}).rhs == "4"
+    kept = dp.sixtuple_enumerate()["kept"]
+    assert kept and all(sum(t[1:]) == 3 for t in kept)
+
+
 def test_exceptional_curve_solutions():
     sols = dp.exceptional_curve_solutions()
     assert sols["by_kind"] == {"conic": 3, "line": 6, "contracted": 6}

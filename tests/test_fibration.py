@@ -169,6 +169,22 @@ def test_fixed_part_dichotomies():
     assert fib.check_l_N1()[0]
 
 
+def test_l_n1_reads_the_index_rule_on_every_candidate(monkeypatch):
+    real, seen = fib.index_slack, []
+
+    def spy(x, nn1, n_sq):
+        seen.append((x, nn1, n_sq))
+        return real(x, nn1, n_sq)
+
+    monkeypatch.setattr(fib, "index_slack", spy)
+    assert fib.check_l_n1()
+    # N^2 = 3 and N.N_1 = 2: the candidates run over 0..(N.N_1)^2
+    assert seen == [(x, 2, 3) for x in range(5)]
+    # the index theorem allows equality: N_1^2 = 1 on the boundary stays in
+    monkeypatch.setattr(fib, "index_slack", lambda x, nn1, n_sq: real(x, nn1, n_sq) - (x == 1))
+    assert fib.check_l_n1()
+
+
 def test_case_i_grid_is_finite_and_consistent():
     grid = fib.case_i_grid()
     assert (1, 0) in grid and (-5, 0) in grid and (-7, 0) not in grid

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from godeaux3.lattice import (DivisorClass, IntersectionLattice, LatticeError,
                               ParityError, arithmetic_genus, blow_up,
-                              hodge_index_filter, intersect)
+                              hodge_index_filter, index_slack, intersect)
 
 
 @pytest.fixture
@@ -164,6 +164,27 @@ def test_dot_matches_the_double_sum(data):
     naive = sum(u[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
     assert lat.dot(u, v) == naive
     assert lat.divisor(u).dot(lat.divisor(v)) == naive
+
+
+def _class_form(d, n):
+    """The index test on classes: (N^2 D - (D.N) N)^2 <= 0."""
+    return (n.square * d - d.dot(n) * n).square <= 0
+
+
+@given(_gram_and_pair())
+def test_index_rule_matches_the_class_form(data):
+    gram, u, v = data
+    n = len(gram)
+    lat = IntersectionLattice(tuple(f"e{i}" for i in range(n)), gram, (0,) * n)
+    for d, nn in ((lat.divisor(u), lat.divisor(v)), (lat.divisor(v), lat.divisor(u))):
+        if nn.square <= 0:
+            with pytest.raises(LatticeError):
+                hodge_index_filter(d, nn)
+            continue
+        slack = index_slack(d.square, d.dot(nn), nn.square)
+        # (N^2 D - (D.N) N)^2 = -N^2 (D.N)^2 + N^2 N^2 D^2
+        assert (nn.square * d - d.dot(nn) * nn).square == -nn.square * slack
+        assert hodge_index_filter(d, nn) == _class_form(d, nn) == (slack >= 0)
 
 
 def test_dot_rejects_vectors_of_the_wrong_length(plane5):

@@ -5,7 +5,7 @@ from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
                             admissible_base, cremona_orbit_connect,
                             degree_budget, fa_ladder_checks,
                             homaloidal_eliminate, quadratic_transform,
-                            singular_fiber_count_bound,
+                            singular_fiber_count_bound, singular_fiber_need,
                             solve_multiplicity_system, state_from_solution,
                             _degree_verdict)
 
@@ -285,6 +285,16 @@ def test_singular_fiber_count_bound():
     assert singular_fiber_count_bound(0, 0) == 2
     with pytest.raises(PlaneError):
         singular_fiber_count_bound(3, 9)
+
+
+def test_singular_fiber_need_sets_the_count_bound():
+    for a in (0, 1, 2):
+        for beta in range(0, 10):
+            need, r = singular_fiber_need(a, beta), singular_fiber_count_bound(a, beta)
+            assert need == 2 * beta + 7 - 3 * a
+            assert 6 * (r - 1) < need <= 6 * r
+    with pytest.raises(PlaneError):
+        singular_fiber_need(3, 9)
 
 
 def test_fa_ladder_identities():

@@ -341,6 +341,26 @@ def test_each_ladder_is_verified_once_per_run():
     assert solves.count((2, 2, 8)) == 1
 
 
+def test_every_multiplicity_search_goes_through_one_generator():
+    code = plane.multiplicity_vectors.__code__
+    callers = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            caller = frame.f_back
+            while caller is not None:
+                callers.add(caller.f_code.co_name)
+                caller = caller.f_back
+
+    sys.setprofile(profile)
+    try:
+        report = run("all")
+    finally:
+        sys.setprofile(None)
+    assert report.verdict == "verified"
+    assert {"_t_no1_plane_scan", "homaloidal_eliminate", "_e_sys"} <= callers
+
+
 def test_p_comp_catches_a_shifted_table(monkeypatch):
     table = adjoint.adjoint_table
 

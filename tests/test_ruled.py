@@ -1,4 +1,6 @@
-from godeaux3 import ruled
+from collections import Counter
+
+from godeaux3 import plane, ruled
 from godeaux3.adjoint import LadderReport, verify_ladder_identity
 
 
@@ -14,11 +16,16 @@ def _partitions(total, cap):
 def test_mult_vector_search_matches_a_brute_force():
     # a vector of nonnegative entries is a partition padded with zeros
     for lin in range(0, 13):
-        parts = {(len(p), sum(m * m for m in p)) for p in _partitions(lin, lin)}
+        parts = [(len(p), sum(m * m for m in p), Counter(p)) for p in _partitions(lin, lin)]
         for sq in range(-3, 41):
             for points in range(0, 10):
-                brute = any(k <= points and s == sq for k, s in parts)
-                assert ruled._mult_vector_exists(lin, sq, points) == brute, (lin, sq, points)
+                brute = {frozenset(c.items()) for k, s, c in parts if k <= points and s == sq}
+                got = list(plane.multiplicity_vectors(lin, sq, points))
+                assert {frozenset(v.items()) for v in got} == brute, (lin, sq, points)
+                assert len(got) == len(brute), (lin, sq, points)
+                for v in got:
+                    assert list(v) == sorted(v, reverse=True) and all(v.values())
+    assert list(plane.multiplicity_vectors(0, 0, 0)) == [{}]
 
 
 def test_t_no1_scan_needs_no_filter_but_the_first():

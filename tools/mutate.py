@@ -16,7 +16,9 @@ with the location of every ``nothing`` mutant.  Literals inside f-strings are
 skipped: they only shape trace text.  Standard library only; this is not part
 of the test suite.
 
-    python tools/mutate.py [--src DIR] [--module NAME ...]
+    python tools/mutate.py [--src DIR] [--module NAME [--module NAME ...]]
+
+Repeat ``--module`` once per module: ``--module plane --module ruled``.
 
 Mutants run two at a time, each stopped after 60 s; a full sweep of
 ``fibration`` and ``ruled`` takes a few minutes on two cores.

@@ -8,7 +8,7 @@ floats anywhere.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, index, mul
 
 
 class LatticeError(Exception):
@@ -34,11 +34,10 @@ class IntersectionLattice:
             raise LatticeError("gram matrix shape does not match basis")
         if len(canonical) != n:
             raise LatticeError("canonical class length does not match basis")
-        for i in range(n):
-            for j in range(n):
-                if gram[i][j] != gram[j][i]:
-                    raise LatticeError("gram matrix is not symmetric")
-        self.basis_labels, self.gram = basis_labels, gram
+        rows = tuple(map(tuple, gram))
+        if tuple(zip(*rows)) != rows:
+            raise LatticeError("gram matrix is not symmetric")
+        self.basis_labels, self.gram = basis_labels, rows
         self.canonical, self.name = canonical, name
 
     def __eq__(self, other: object) -> bool:
@@ -49,20 +48,30 @@ class IntersectionLattice:
     def rank(self) -> int:
         return len(self.basis_labels)
 
-    def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
-        if len(u) != self.rank or len(v) != self.rank:
+    def image(self, v: tuple[int, ...]) -> list[int]:
+        """G.v, the row sums: the one Gram product every pairing is read from."""
+        if len(v) != self.rank:
             raise LatticeError("coefficient vector length does not match the lattice rank")
-        return sum(ui * sum(map(mul, row, v)) for ui, row in zip(u, self.gram))
+        return [sum(map(mul, row, v)) for row in self.gram]
+
+    def dot(self, u: tuple[int, ...], v: tuple[int, ...]) -> int:
+        if len(u) != self.rank:
+            raise LatticeError("coefficient vector length does not match the lattice rank")
+        return sum(map(mul, u, self.image(v)))
 
     def divisor(self, coeffs) -> "DivisorClass":
-        return DivisorClass(self, tuple(int(c) for c in coeffs))
+        try:
+            coeffs = tuple(map(index, coeffs))
+        except TypeError:
+            raise LatticeError(f"coefficients {coeffs!r} are not all integers") from None
+        return DivisorClass(self, coeffs)
 
     def by_label(self, **labelled: int) -> "DivisorClass":
         """Build a class from ``label=coefficient`` keyword pairs."""
         coeffs = [0] * self.rank
-        index = {lab: i for i, lab in enumerate(self.basis_labels)}
+        position = {lab: i for i, lab in enumerate(self.basis_labels)}
         for lab, c in labelled.items():
-            coeffs[index[lab]] = int(c)
+            coeffs[position[lab]] = c
         return self.divisor(coeffs)
 
     def basis_class(self, label: str) -> "DivisorClass":
@@ -133,7 +142,8 @@ def intersect(d1: DivisorClass, d2: DivisorClass) -> int:
 
 def arithmetic_genus(d: DivisorClass) -> int:
     """1 + (D^2 + D.K)/2; rejects classes with odd D^2 + D.K."""
-    total = d.square + d.dot(d.lattice.k)
+    lat = d.lattice
+    total = lat.dot(d.coeffs, tuple(map(add, d.coeffs, lat.canonical)))  # D.(D + K)
     if total % 2 != 0:
         raise ParityError(f"D^2 + D.K = {total} is odd")
     return 1 + total // 2
@@ -145,9 +155,7 @@ def blow_up(lattice: IntersectionLattice) -> IntersectionLattice:
     label = f"E{n}"
     while label in lattice.basis_labels:
         label += "'"
-    gram = tuple(tuple(row) + (0,) for row in lattice.gram) + (
-        tuple(0 for _ in range(n)) + (-1,),
-    )
+    gram = tuple(row + (0,) for row in lattice.gram) + ((0,) * n + (-1,),)
     return IntersectionLattice(
         lattice.basis_labels + (label,),
         gram,
@@ -173,4 +181,7 @@ def hodge_index_filter(d: DivisorClass, n: DivisorClass) -> bool:
     Same as (N^2 D - (D.N) N)^2 <= 0, since that square is N^2 times
     N^2 D^2 - (D.N)^2.
     """
-    return index_slack(d.square, d.dot(n), n.square) >= 0
+    d._same_lattice(n)
+    gd = d.lattice.image(d.coeffs)  # G.d gives D^2 and D.N
+    return index_slack(sum(map(mul, d.coeffs, gd)), sum(map(mul, n.coeffs, gd)),
+                       n.square) >= 0

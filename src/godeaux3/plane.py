@@ -340,6 +340,10 @@ def degree_budget(k: int) -> int:
 
 # -- the ruled endgame ----------------------------------------------------------
 
+# Points blown up on F_a in the ruled branches; with a = 1 they are the simple
+# points of every plane model there.
+RULED_POINTS = 9
+
 
 def singular_fiber_need(a: int, beta_i: int) -> int:
     """Delta-contribution 2 beta_i + 7 - 3a that the singular fibres carry."""
@@ -358,7 +362,8 @@ def singular_fiber_count_bound(a: int, beta_i: int) -> int:
 
 
 def fa_ladder_checks(a: int, steps: int) -> dict:
-    """Verify the ladder over F_a as exact identities on F_a blown up at nine points.
+    """Verify the ladder over F_a as exact identities on F_a blown up at the
+    ``RULED_POINTS`` points.
 
     ``steps`` is the number of adjoint steps between the rational pencil and N
     (3 for the deepest branch, 2 for the middle one).  Returns the squares of
@@ -367,7 +372,7 @@ def fa_ladder_checks(a: int, steps: int) -> dict:
     from .lattice import IntersectionLattice, blow_up
 
     lat = IntersectionLattice.hirzebruch(a)
-    for _ in range(9):
+    for _ in range(RULED_POINTS):
         lat = blow_up(lat)
     k = lat.k
     pencil = lat.basis_class("f")
@@ -448,10 +453,12 @@ def homaloidal_eliminate(branch: str) -> dict:
     # every point carries multiplicity >= 1, so lin6 bounds the point count
     least = min(multiplicity_vectors(lin6, sq6, lin6), key=lambda s: sum(s.values()))
     s4, s2, s1 = (least.get(j, 0) for j in (4, 2, 1))
-    trace.append(f"s1 + s2 = {s1 + s2} = 11 + 2 s4 with s4 = {s4}; needs > 9 points")
+    trace.append(f"s1 + s2 = {s1 + s2} = 11 + 2 s4 with s4 = {s4}; "
+                 f"needs > {RULED_POINTS} points")
     if s1 + s2 != 11 + 2 * s4:
         raise PlaneError("count identity fails")
     return {"branch": branch, "poly": poly, "d": d, "min_points": sum(least.values()),
-            "available": 9, "verdict": "contradiction" if s1 + s2 > 9 else "survives",
+            "available": RULED_POINTS,
+            "verdict": "contradiction" if s1 + s2 > RULED_POINTS else "survives",
             "trace": trace}
 

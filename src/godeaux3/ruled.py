@@ -10,8 +10,8 @@ from __future__ import annotations
 from .adjoint import LadderReport, ladder_top
 from .cover import RamificationData, quotient_k2
 from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
-from .plane import (fa_ladder_checks, homaloidal_eliminate, multiplicity_vectors,
-                    singular_fiber_count_bound, singular_fiber_need)
+from .plane import (RULED_POINTS, fa_ladder_checks, homaloidal_eliminate,
+                    multiplicity_vectors, singular_fiber_count_bound, singular_fiber_need)
 
 
 def elim_l_a2() -> Elimination:
@@ -58,7 +58,7 @@ def elim_t_no0() -> Elimination:
     trace += generic["trace"]
     trace += special["trace"]
     return Elimination(
-        "t.no0", "(d-6)^2 = 0", "9 points",
+        "t.no0", "(d-6)^2 = 0", f"{RULED_POINTS} points",
         "contradiction" if ok else "failed", tuple(trace),
     )
 
@@ -68,8 +68,8 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
 
     The moving part may meet the two contracted (-1)-cycles and the extra
     cycle of the middle level; each choice determines the degree data of a
-    putative plane model over nine simple points.  Branches admitting no
-    model are eliminated; the remainder is delegated.
+    putative plane model over the ``RULED_POINTS`` simple points.  Branches
+    admitting no model are eliminated; the remainder is delegated.
     """
     open_branches = []
     trace = []
@@ -88,7 +88,7 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
                     # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
                     lin = (7 * d - 3 * mu - 3 - zp) // 2
                     sq = d * d - mu * mu - abar_sq
-                    if next(multiplicity_vectors(lin, sq, 9), None) is not None:
+                    if next(multiplicity_vectors(lin, sq, RULED_POINTS), None) is not None:
                         found = (d, mu)
                         break
                 tag = f"(A'.Z1, A'.Z2, A'.Z') = ({z1},{z2},{zp})"

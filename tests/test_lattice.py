@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -194,6 +196,9 @@ def test_dot_rejects_vectors_of_the_wrong_length(plane5):
             plane5.dot(short, long_)
         with pytest.raises(LatticeError):
             plane5.dot(long_, short)
+    for wrong in (full[:-1], full + (1,), ()):
+        with pytest.raises(LatticeError):
+            plane5.image(wrong)
 
 
 def test_equal_lattices_mix_and_different_ones_raise():
@@ -219,3 +224,125 @@ def test_hirzebruch_lattice():
     assert c.square == -2 and f.square == 0 and c.dot(f) == 1
     assert f2.k.coeffs == (-2, -4)
     assert f2.k.square == 8
+
+
+# Term-by-term forms of the genus and the index filter, and the n^2 symmetry
+# loop, kept as references for the single-product forms in the module.
+
+def _genus_reference(d):
+    total = d.square + d.dot(d.lattice.k)
+    if total % 2 != 0:
+        raise ParityError(total)
+    return 1 + total // 2
+
+
+def _index_reference(d, n):
+    return index_slack(d.square, d.dot(n), n.square) >= 0
+
+
+def _symmetric_reference(gram):
+    n = len(gram)
+    for i in range(n):
+        for j in range(n):
+            if gram[i][j] != gram[j][i]:
+                return False
+    return True
+
+
+def _lattice(gram, canonical=None):
+    n = len(gram)
+    return IntersectionLattice(tuple(f"e{i}" for i in range(n)), gram,
+                               canonical if canonical is not None else (0,) * n)
+
+
+@given(_gram_and_pair(), st.data())
+def test_single_product_forms_match_the_reference_forms(data, draw):
+    gram, u, v = data
+    n = len(gram)
+    canonical = tuple(draw.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)))
+    lat = _lattice(gram, canonical)
+    du, dv = lat.divisor(u), lat.divisor(v)
+    assert lat.image(v) == [sum(g * x for g, x in zip(row, v)) for row in gram]
+    try:
+        expected = _genus_reference(du)
+    except ParityError:
+        with pytest.raises(ParityError):
+            arithmetic_genus(du)
+    else:
+        assert arithmetic_genus(du) == expected
+    for d, nn in ((du, dv), (dv, du)):
+        if nn.square > 0:
+            assert hodge_index_filter(d, nn) == _index_reference(d, nn)
+        else:
+            with pytest.raises(LatticeError):
+                hodge_index_filter(d, nn)
+    grown = blow_up(lat)
+    assert grown.gram == tuple(tuple(row) + (0,) for row in gram) + (tuple(0 for _ in gram) + (-1,),)
+    assert grown.canonical == canonical + (1,)
+    listed = _lattice([list(row) for row in gram], canonical)  # rows given as lists
+    assert listed == lat and blow_up(listed) == grown
+
+
+@given(_gram_and_pair(), st.integers(0, 143), st.integers(-3, 3))
+def test_symmetry_check_matches_the_double_loop(data, at, shift):
+    gram, _, _ = data
+    n = len(gram)
+    i, j = divmod(at % (n * n), n)
+    bent = tuple(tuple(x + shift if (r, c) == (i, j) else x for c, x in enumerate(row))
+                 for r, row in enumerate(gram))
+    if _symmetric_reference(bent):
+        assert _lattice(bent).gram == bent
+    else:
+        with pytest.raises(LatticeError):
+            _lattice(bent)
+
+
+@pytest.mark.parametrize("rank", range(2, 7))
+def test_one_asymmetric_entry_is_rejected_anywhere(rank):
+    base = tuple(tuple(min(r, c) - 1 for c in range(rank)) for r in range(rank))
+    assert _symmetric_reference(base) and _lattice(base).rank == rank
+    for i in range(rank):
+        for j in range(rank):
+            if i == j:
+                continue
+            bent = tuple(tuple(x + 1 if (r, c) == (i, j) else x for c, x in enumerate(row))
+                         for r, row in enumerate(base))
+            with pytest.raises(LatticeError):
+                _lattice(bent)
+
+
+def test_genus_reads_one_product_and_the_filter_two(monkeypatch, plane5):
+    calls = []
+    image = IntersectionLattice.image
+
+    def spy(self, v):
+        calls.append(tuple(v))
+        return image(self, v)
+
+    monkeypatch.setattr(IntersectionLattice, "image", spy)
+    d = plane5.divisor([3, -1, -1, 0, 0, 0])
+    n = plane5.divisor([2, 1, 0, 0, 0, 0])
+    assert arithmetic_genus(d) == 1
+    assert calls == [(0, 0, 0, 1, 1, 1)]  # D + K
+    calls.clear()
+    assert hodge_index_filter(d, n)
+    assert calls == [d.coeffs, n.coeffs]
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), 0.9, 2.0, Fraction(4, 2), "1"])
+def test_non_integer_coefficients_are_rejected(plane5, bad):
+    with pytest.raises(LatticeError):
+        plane5.divisor([bad] + [0] * (plane5.rank - 1))
+    with pytest.raises(LatticeError):
+        plane5.by_label(H=bad)
+    with pytest.raises(LatticeError):
+        plane5.by_label(E3=bad)
+
+
+def test_coefficients_are_not_truncated():
+    lat = IntersectionLattice.plane_blow_up(1)
+    with pytest.raises(LatticeError):
+        lat.divisor([Fraction(1, 2), 0.9])  # once read as (0, 0)
+    with pytest.raises(LatticeError):
+        lat.by_label(H=2.7)  # once read as (2, 0)
+    assert lat.by_label(H=2, E1=-1).coeffs == (2, -1)

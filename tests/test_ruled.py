@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 from collections import Counter
 
+import godeaux3
 from godeaux3 import plane, ruled
 from godeaux3.adjoint import LadderReport, verify_ladder_identity
 
@@ -87,3 +91,21 @@ def test_t_no3ldp_reads_the_reports_it_is_given():
     ladders = _ladders()
     ladders["s.3l"][0] = LadderReport("s.3l", ok=False)
     assert ruled.elim_t_no3ldp(ladders).verdict == "failed"
+
+
+def test_every_ruled_nine_reads_one_constant():
+    # ruled imports the constant by name, so re-import it in a fresh
+    # interpreter after shifting plane's copy
+    code = (
+        "import importlib\n"
+        "from godeaux3 import plane, ruled\n"
+        "plane.RULED_POINTS += 1\n"
+        "importlib.reload(ruled)\n"
+        "from godeaux3.report import run\n"
+        "print(ruled.elim_t_no0().rhs, plane.homaloidal_eliminate('generic')['available'],\n"
+        "      plane.fa_ladder_checks(1, 3)['squares'] != [0, 3, 4, 3], run('all').verdict)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(godeaux3.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert plane.RULED_POINTS == 9
+    assert out == ["10", "points", "10", "True", "failed"]

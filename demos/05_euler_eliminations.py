@@ -5,10 +5,11 @@ parameters.  The composite pass closes the first two main cases entirely and
 cuts the pencil case down to seven surviving (l, shape) pairs.
 """
 
-from godeaux3 import fibration, pencil
+from godeaux3 import enumerate_main_cases, fibration, pencil
 
+h2_ii = next(c.h2 for c in enumerate_main_cases() if c.id == "ii")
 for prop in ("t.ii", "p.no0", "p.noZ", "p.noN", "p.noN1", "p.no16", "t.no1rul"):
-    e = fibration.ALL_DELTA_ELIMINATIONS[prop]()
+    e = fibration.ALL_DELTA_ELIMINATIONS[prop](*((h2_ii,) if prop == "t.ii" else ()))
     print(f"{e.prop_id}: {e.lhs} vs {e.rhs} -> {e.verdict}")
     if e.survivors:
         print(f"   survivors: {list(e.survivors)}")
@@ -26,9 +27,10 @@ print("\nsurvivors after the Euler pass:", survivors)
 
 print("\nlattice-based eliminations:")
 closed = set()
-for fn, labels in ((fibration.elim_t_no4, ()), (fibration.elim_p_1e, ("1e",)),
-                   (fibration.elim_p_no0d, ("0d",))):
-    e = fn()
+# (1e) at every n - 3l from 0 down to -3 (t.no4 takes -4); (0d) at l = 1, where it survives
+for e, labels in ((fibration.elim_t_no4(), ()),
+                  (fibration.elim_p_1e((0, -1, -2, -3)), ("1e",)),
+                  (fibration.elim_p_no0d(1), ("0d",))):
     print(f"  {e.prop_id}: {e.verdict}")
     if e.verdict == "contradiction":
         closed.update(labels)

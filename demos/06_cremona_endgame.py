@@ -8,6 +8,7 @@ configurations, each of which fails an exact mod-3 eigenvalue audit.
 
 from godeaux3 import (cremona_orbit_connect, homaloidal_eliminate,
                       sixtuple_enumerate, solve_multiplicity_system)
+from godeaux3.cover import eigenvalue_split
 from godeaux3.delpezzo import (all_printed_tables, eigenvalue_audit,
                                elim_p_3l1, elim_p_3l12, elim_p_3l13,
                                table_14pt)
@@ -37,10 +38,12 @@ for name, table in all_printed_tables():
     ok, _ = verify_config_table(table)
     print(f"  {name}: {'passes' if ok else 'FAILS'}")
 
-print("\neigenvalue audits:")
+split = eigenvalue_split(1)
+split = split.h11, split.h12
+print(f"\neigenvalue audits, the five E-curves split {split[0]} : {split[1]}:")
 for fn in (elim_p_3l1, elim_p_3l12, elim_p_3l13):
-    e = fn()
+    e = fn(split)
     print(f"  {e.prop_id}: {e.verdict}")
 
 print("\nthe audit needs the planar-point equations; the degree equation alone")
-print("is satisfiable:", eigenvalue_audit(table_14pt("lines-lines"), []).verdict)
+print("is satisfiable:", eigenvalue_audit(table_14pt("lines-lines"), [], split).verdict)

@@ -35,22 +35,11 @@ def _rows_from_json(rows_json) -> tuple[PlaneCurve, ...]:
 
 
 def _gram_14pt(with_fh: bool) -> dict:
-    # intersection numbers of the branch curves on the quotient surface
-    gram: dict[tuple[str, str], int] = {("B0", "B0"): -6}
-    for e in _E_NAMES:
-        gram[(e, e)] = -3
-        gram[("B0", e)] = 0
-    for i, a in enumerate(_E_NAMES):
-        for b in _E_NAMES[i + 1:]:
-            gram[(a, b)] = 0
-    if with_fh:
-        for x in ("F", "H"):
-            gram[(x, x)] = -3
-            gram[("B0", x)] = 0
-            for e in _E_NAMES:
-                gram[(e, x)] = 0
-        gram[("F", "H")] = 0
-    return gram
+    # intersection numbers of the branch curves on the quotient surface: disjoint
+    # (-3)-curves E'_k (and F', H') and the (-6)-curve B_0
+    names = ("B0", *_E_NAMES, *(("F", "H") if with_fh else ()))
+    gram = {(a, b): 0 for i, a in enumerate(names) for b in names[i + 1:]}
+    return {**gram, **{(n, n): -3 for n in names}, ("B0", "B0"): -6}
 
 
 def table_8pt(key: str) -> ConfigTable:
@@ -219,13 +208,14 @@ def elim_l_noa() -> Elimination:
     )
 
 
-def elim_p_no3lirr(solved: dict[tuple[int, int, int], list]) -> Elimination:
+def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> Elimination:
     """Deepest branch, option b: both free E'-curves need plane degree >= 3.
 
     ``solved`` maps a multiplicity system (square, pairing, points) solved
-    elsewhere to its solutions; the other systems are solved here.
+    elsewhere to its solutions; the other systems are solved here.  B_0 is
+    normalized to the top of its Cremona orbit, of plane degree ``b0_degree``.
     """
-    budget = degree_budget(7) - 2 * 9  # after normalizing B_0 to the 9-solution
+    budget = degree_budget(7) - 2 * b0_degree
     demands = []
     trace = []
     for z2, z3 in ((2, 0), (1, 2)):
@@ -417,13 +407,15 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     return True, reasons
 
 
-def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Elimination:
+def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
+                     split: tuple[int, int]) -> Elimination:
     """Solve the mod-3 branch constraints for the eigenvalue exponents.
 
     The branch curve has total plane degree 0 mod 3, and at each planar point
     total multiplicity 0 mod 3 (entries counted unsigned); the component of
     the divisorial ramification is normalized to exponent 1 and the two
-    exceptional curves over the A_2 point carry conjugate exponents.
+    exceptional curves over the A_2 point carry conjugate exponents.  The
+    E-curves split between the exponents as ``split`` says, in either order.
     """
     pts = table.cluster.points
     free = [r.name for r in table.rows if r.name in _E_NAMES]
@@ -434,8 +426,11 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Eliminatio
         col = pts.index(p)
         equations.append((p, {r.name: abs(r.mults[col]) for r in table.rows}))
     solutions = []
-    trace = [f"unknowns: {free} and F (H = 2F mod 3); ramification curve fixed to 1"]
+    trace = [f"unknowns: {free} and F (H = 2F mod 3); ramification curve fixed to 1",
+             f"the E-curves split {split[0]} : {split[1]} between the two exponents"]
     for combo in product((1, 2), repeat=len(free) + 1):
+        if combo[:-1].count(1) not in split:
+            continue
         nu = dict(zip(free, combo[:-1]))
         nu["F"] = combo[-1]
         nu["H"] = (2 * combo[-1]) % 3
@@ -455,28 +450,31 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Eliminatio
 # -- the three configuration eliminations ---------------------------------------
 
 
-def elim_p_3l1() -> Elimination:
-    """Two-lines configuration: exponents cannot exist at P_2 and P_3."""
-    table = table_14pt("lines-lines")
-    ok, violations = verify_config_table(table)
-    if not ok:
-        return Elimination("p.3l-1", "table", "valid", "failed", tuple(violations))
+# Each runs on a printed table as given; the proof tree verifies the printed
+# tables once, in the node the three eliminations read.
+
+
+def _planar_audit(prop_id: str, table: ConfigTable, points: tuple[str, ...],
+                  split: tuple[int, int]) -> Elimination:
+    """The eigenvalue audit at ``points``, once each is shown to be forced planar."""
     derivations = []
-    for p in ("P2", "P3"):
+    for p in points:
         planar, why = is_forced_planar(table, p)
         if not planar:
-            return Elimination("p.3l-1", p, "planar", "failed", tuple(why))
+            return Elimination(prop_id, p, "planar", "failed", tuple(why))
         derivations.extend(why)
-    audit = eigenvalue_audit(table, ["P2", "P3"])
-    return Elimination("p.3l-1", audit.lhs, audit.rhs, audit.verdict,
+    audit = eigenvalue_audit(table, list(points), split)
+    return Elimination(prop_id, audit.lhs, audit.rhs, audit.verdict,
                        tuple(derivations) + audit.trace)
 
 
-def _transformed_elimination(prop_id: str, variant: str) -> Elimination:
+def elim_p_3l1(split: tuple[int, int]) -> Elimination:
+    """Two-lines configuration: exponents cannot exist at P_2 and P_3."""
+    return _planar_audit("p.3l-1", table_14pt("lines-lines"), ("P2", "P3"), split)
+
+
+def _transformed_elimination(prop_id: str, variant: str, split: tuple[int, int]) -> Elimination:
     source = table_14pt(variant)
-    ok, violations = verify_config_table(source)
-    if not ok:
-        return Elimination(prop_id, "table", "valid", "failed", tuple(violations))
     rows = quadratic_transform(source.cluster, list(source.rows), ("P1", "P2", "P3"))
     fixture = _DATA["transformed_14pt"][variant]
     expected = _rows_from_json(fixture["rows"])
@@ -484,21 +482,16 @@ def _transformed_elimination(prop_id: str, variant: str) -> Elimination:
         if (got.degree, got.mults) != (want.degree, want.mults):
             return Elimination(prop_id, got.name, "fixture", "failed",
                                (f"transformed row {got.name} differs from the fixture",))
-    transformed = ConfigTable(source.cluster, tuple(rows), {}, (), {})
-    planar, why = is_forced_planar(transformed, "P6")
-    if not planar:
-        return Elimination(prop_id, "P6", "planar", "failed", tuple(why))
-    audit = eigenvalue_audit(transformed, ["P6"])
-    return Elimination(prop_id, audit.lhs, audit.rhs, audit.verdict,
-                       tuple(why) + audit.trace)
+    return _planar_audit(prop_id, ConfigTable(source.cluster, tuple(rows), {}, (), {}),
+                         ("P6",), split)
 
 
-def elim_p_3l12() -> Elimination:
-    return _transformed_elimination("p.3l-12", "contracted-conic")
+def elim_p_3l12(split: tuple[int, int]) -> Elimination:
+    return _transformed_elimination("p.3l-12", "contracted-conic", split)
 
 
-def elim_p_3l13() -> Elimination:
-    return _transformed_elimination("p.3l-13", "contracted-contracted")
+def elim_p_3l13(split: tuple[int, int]) -> Elimination:
+    return _transformed_elimination("p.3l-13", "contracted-contracted", split)
 
 
 def lines_to_contracted_move() -> bool:

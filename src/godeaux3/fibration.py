@@ -243,10 +243,10 @@ def elim_p_l0() -> dict[str, Elimination]:
     return out
 
 
-def elim_p_no0d() -> Elimination:
-    """Case (0d): the vanishing adjoint A_1 forces four (-1)-cycles, then
-    B_0.(sum C_j) = 5 makes some C_1.B_0 >= 2 against A'.B_0 = 1."""
-    ky2 = quotient_k2(RamificationData(0, 1, 1))
+def elim_p_no0d(ell: int) -> Elimination:
+    """Case (0d) at the l it survives at: the vanishing adjoint A_1 forces four
+    (-1)-cycles, then B_0.(sum C_j) = 5 makes some C_1.B_0 >= 2 against A'.B_0 = 1."""
+    ky2 = quotient_k2(RamificationData(0, ell, 1))
     # 0 = A_1^2 = A'^2 + K^2 + G'^2 + 2 K.G'-corrections + m  ==>  m = 4
     m = -(0 + ky2 + (-1) + 2 * 1)
     a1k = 0 + ky2 + 1 + m
@@ -291,12 +291,12 @@ def elim_t_no4() -> Elimination:
     )
 
 
-def elim_p_1e() -> Elimination:
-    """Case (1e) dies for every admissible n - 3l by exact lattice arithmetic."""
+def elim_p_1e(offsets: tuple[int, ...]) -> Elimination:
+    """Case (1e) dies for each given n - 3l by exact lattice arithmetic."""
     trace = []
     closed = {}
     top = _pencil_n1(1, 3)  # n - 3l = 0; each cycle fewer lowers N_1^2 by one
-    nn1_values = {off: top.ni2 + off for off in (0, -1, -2, -3)}  # N_1^2 per n - 3l
+    nn1_values = {off: top.ni2 + off for off in offsets}  # N_1^2 per n - 3l
     for off, n1sq in nn1_values.items():
         dim_n1 = 3 + off  # h^0(N_1) - 1
         # s = A'.N_1 satisfies (N_1 - s A')^2 = N_1^2 - s^2 <= 0, so s = 1
@@ -388,7 +388,8 @@ def elim_p_no0() -> Elimination:
     )
 
 
-def _scan_case_i(case_split, moving: tuple[int, int]) -> tuple[list, list[str]]:
+def _scan_case_i(prop_id: str, lhs_text: str, case_split, moving: tuple[int, int],
+                 notes: tuple[str, ...] = ()) -> Elimination:
     """Run a trapped-component scan over the case (i) grid at N_1^2 = 1.
 
     ``case_split(gamma_sq, ell, h1)`` yields (tag, E' count, B_0 count, Gamma
@@ -408,7 +409,10 @@ def _scan_case_i(case_split, moving: tuple[int, int]) -> tuple[list, list[str]]:
             trace.append(f"G^2={gamma_sq} l={ell} n={n} {tag}: {lhs} vs {delta_val} {status}")
             if lhs <= delta_val:
                 survivors.append((gamma_sq, ell, n, tag))
-    return survivors, trace
+    delta_at_n0 = euler_excess(_N1_CASE_I[0] - 4, *moving)  # delta grows by one per cycle
+    return Elimination(prop_id, lhs_text, f"{delta_at_n0}+n",
+                       "contradiction" if not survivors else "survives",
+                       tuple(trace) + notes, tuple(survivors))
 
 
 def elim_p_noZ() -> Elimination:
@@ -422,13 +426,8 @@ def elim_p_noZ() -> Elimination:
         if gamma_sq <= -1 and h1 >= 2:
             yield "II", h1 - 2, ell, 1
 
-    survivors, trace = _scan_case_i(split, (0, 0))
-    return Elimination(
-        "p.noZ", "18+3h1+6l", "15+n",
-        "contradiction" if not survivors else "survives",
-        tuple(trace) + ("Case II reconstructed from the same contribution template",),
-        tuple(survivors),
-    )
+    return _scan_case_i("p.noZ", "18+3h1+6l", split, (0, 0),
+                        ("Case II reconstructed from the same contribution template",))
 
 
 def elim_p_noN() -> Elimination:
@@ -437,12 +436,7 @@ def elim_p_noN() -> Elimination:
         if gamma_sq <= -1:
             yield "main", h1 - 1, ell, 1
 
-    survivors, trace = _scan_case_i(split, (0, 0))
-    return Elimination(
-        "p.noN", "18-3G^2+6l+3(h1-1)", "15+n",
-        "contradiction" if not survivors else "survives",
-        tuple(trace), tuple(survivors),
-    )
+    return _scan_case_i("p.noN", "18-3G^2+6l+3(h1-1)", split, (0, 0))
 
 
 def elim_p_noN1() -> Elimination:
@@ -464,11 +458,12 @@ def elim_p_noN1() -> Elimination:
             if gamma_sq <= -1 and ell >= 1:
                 yield "II/comp-meets", h1 - 3, ell - 1, 1
 
-    survivors, trace = _scan_case_i(split, _N1_CASE_I)  # the moving part is N_1 itself
+    scan = _scan_case_i("p.noN1", "18+3(h1-1)+6l (case I)", split, _N1_CASE_I)  # N_1 moves
+    trace = list(scan.trace)
     # structural kill (reconstructed): with t >= 0 trapped E'-curves the cycle catalog
     # admits at most 3t cycles; the all-meeting n = 6, t = 0 is left to p.no16
     kept = []
-    for gamma_sq, ell, n, tag in survivors:
+    for gamma_sq, ell, n, tag in scan.survivors:
         t = RamificationData(1, ell, 3, gamma_sq).h1 - 3  # trapped E'-count in case II
         if tag.startswith("I/") or n <= 3 * t or (n == 6 and t == 0):
             kept.append((gamma_sq, ell, n, tag))
@@ -478,7 +473,7 @@ def elim_p_noN1() -> Elimination:
     got = {(g, e, n) for g, e, n, _ in kept}
     verdict = "survives" if got == expected else "failed"
     return Elimination(
-        "p.noN1", "18+3(h1-1)+6l (case I)", "16+n", verdict,
+        "p.noN1", scan.lhs, scan.rhs, verdict,
         tuple(trace) + ("survivors must be exactly n=6 with (G^2,l) in {(-3,0),(-1,1)}",),
         tuple(sorted(got)),
     )
@@ -499,16 +494,15 @@ def elim_p_no16() -> Elimination:
     )
 
 
-def check_l_n1() -> bool:
-    """(3 N_1 - 2 N)^2 = 9 N_1^2 - 12 <= 0 pins N_1^2 to {0, 1}."""
-    # N.N_1 = N^2 + N.K is the same for every K_Y^2 and n; read at Gamma^2 = 1, l = 0
-    n_sq, nn1 = ladder_top(1)[0], adjoint_table(1, -3, 3, CycleCounts(0))[0].prev_dot
+def n1_squares(nn1: int) -> list[int]:
+    """The N_1^2 the index theorem leaves against N given N.N_1: with N.N_1 = 2,
+    (3 N_1 - 2 N)^2 = 9 N_1^2 - 12 <= 0 pins N_1^2 to {0, 1}."""
+    n_sq = ladder_top(1)[0]
     # candidates 0 <= N_1^2 <= (N.N_1)^2, a bound as N^2 >= 1
-    values = [x for x in range(nn1 ** 2 + 1) if index_slack(x, nn1, n_sq) >= 0]
-    return values == [0, 1]
+    return [x for x in range(nn1 ** 2 + 1) if index_slack(x, nn1, n_sq) >= 0]
 
 
-def check_l_N10() -> tuple[bool, list[str]]:
+def check_l_N10() -> tuple[bool, list[str], list[tuple[int, int, int]]]:
     """N_1^2 = 0 forces an empty fixed part."""
     trace = []
     # 0 = N_1.Delta = Delta^2 + Delta.T and 0 = N_1.T = Delta.T + T^2 with all
@@ -521,10 +515,10 @@ def check_l_N10() -> tuple[bool, list[str]]:
     # N.Delta + N.T = N.N_1 = 2; the (1,1) split makes Delta = T (index), absurd
     trace.append("N.Delta = N.T = 1 rejected: (Delta-T)^2 = 0 forces Delta = T")
     trace.append("N.Delta = 2: (N_1 - Delta)^2 = T^2 = 0 so T = 0")
-    return ok, trace
+    return ok, trace, solutions
 
 
-def check_l_N1() -> tuple[bool, list[str]]:
+def check_l_N1() -> tuple[bool, list[str], list[tuple[int, int, int]]]:
     """N_1^2 = 1: no fixed part unless Delta^2 = 0 with the two listed shapes."""
     trace = []
     # 1 = N_1.Delta + N_1.T with N_1.Delta >= 1 (else Delta = 0): so
@@ -535,16 +529,16 @@ def check_l_N1() -> tuple[bool, list[str]]:
     ok = shapes == [(1, 0, 0), (0, 1, -1)]
     trace.append("T^2 = -1 branch: N.Delta = 1 gives N = N_1 + Delta;"
                  " N.Delta = 2 gives N_1 = Delta + Z_i (reducible cycle)")
-    return ok, trace
+    return ok, trace, shapes
 
 
 # -- case (ii) -----------------------------------------------------------------
 
 
-def elim_t_ii() -> Elimination:
+def elim_t_ii(h2: int) -> Elimination:
     """The elliptic pencil |M'| traps six (-3)-curves and l - 1 components of B_0."""
-    # h_1 + 2 h_2 = 6 + l with h_2 = 4 forces h_1 = l - 2 >= 0, so l >= 2.
-    ell_min, h2 = 2, 4
+    # h_1 + 2 h_2 = 6 + l forces h_1 = l + 6 - 2 h_2 >= 0, so l >= 2 h_2 - 6.
+    ell_min = 2 * h2 - 6
     # M' meets F', H' over one q: 2(h_2 - 1) trapped; M' elliptic, M'^2 = M'.K_Y = 0
     lhs = _affine(lambda ell: trapped((2 * (h2 - 1), EXC_SQ), (ell - 1, B0_SQ)), ell_min)
     rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0, 0),
@@ -554,7 +548,7 @@ def elim_t_ii() -> Elimination:
     return Elimination(
         "t.ii", str(lhs), str(rhs),
         "contradiction" if ok else "survives",
-        ("R_0 lies in the fixed part of |2K_S|: h_1 = l - 2 >= 0 forces l >= 2",
+        (f"R_0 lies in the fixed part of |2K_S|: h_1 = l - {ell_min} >= 0 forces l >= {ell_min}",
          f"six trapped F'/H' curves and l-1 trapped (-6)-components: {lhs} <= {rhs}",
          f"forces l <= 1, against l >= {ell_min}"),
     )

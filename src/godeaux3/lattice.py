@@ -22,7 +22,7 @@ class ParityError(LatticeError):
 class IntersectionLattice:
     """Symmetric integer bilinear form with a distinguished canonical class.
 
-    Lattices compare by value, so classes on two equal lattices combine.
+    Lattices compare by labels, Gram and canonical class, not by display ``name``.
     """
 
     __slots__ = ("basis_labels", "gram", "canonical", "name")
@@ -42,7 +42,7 @@ class IntersectionLattice:
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntersectionLattice) and all(
-            getattr(self, f) == getattr(other, f) for f in self.__slots__)
+            getattr(self, f) == getattr(other, f) for f in ("basis_labels", "gram", "canonical"))
 
     @property
     def rank(self) -> int:
@@ -71,6 +71,8 @@ class IntersectionLattice:
         coeffs = [0] * self.rank
         position = {lab: i for i, lab in enumerate(self.basis_labels)}
         for lab, c in labelled.items():
+            if lab not in position:
+                raise LatticeError(f"no basis label {lab!r} in {self.basis_labels}")
             coeffs[position[lab]] = c
         return self.divisor(coeffs)
 

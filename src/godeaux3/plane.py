@@ -259,7 +259,7 @@ def solve_multiplicity_system(c1: int, c2: int, max_points: int,
     return solutions
 
 
-_ORBIT_POINTS, _ORBIT_DEPTH = 8, 12  # points of an orbit state; longest chain searched
+_ORBIT_POINTS = 8  # points of an orbit state
 
 
 def state_from_solution(d0: int, s: dict[int, int]) -> tuple:
@@ -274,7 +274,8 @@ def state_from_solution(d0: int, s: dict[int, int]) -> tuple:
 
 
 def _moves(state: tuple):
-    """All admissible quadratic moves out of an abstract (d; mults) state."""
+    """All admissible quadratic moves out of an abstract (d; mults) state; each
+    needs m_i + m_j + m_k = s > d, so it lowers the degree to 2d - s < d."""
     d, mults = state
     n = len(mults)
     seen_triples = set()
@@ -309,7 +310,8 @@ def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]]) -> dict:
     Returns move chains from the lexicographically largest state to every
     other solution; raises when some solution is unreachable.  Each move is a
     quadratic transform, hence an involution, so the chains certify mutual
-    reachability: the reverse chain applies the same transforms again.
+    reachability: the reverse chain applies the same transforms again.  Every
+    move lowers the degree, so the search ends without a depth cap.
     """
     states = {state_from_solution(d0, s): (d0, s) for d0, s in solutions}
     start = max(states)
@@ -318,8 +320,6 @@ def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]]) -> dict:
     while frontier:
         nxt = []
         for state in frontier:
-            if len(paths[state]) >= _ORBIT_DEPTH:
-                continue
             for triple, new_state in _moves(state):
                 if new_state not in paths:
                     paths[new_state] = paths[state] + [(state, triple, new_state)]
@@ -353,12 +353,8 @@ def singular_fiber_need(a: int, beta_i: int) -> int:
 
 
 def singular_fiber_count_bound(a: int, beta_i: int) -> int:
-    """Least r with singular_fiber_need(a, beta_i) <= 6r."""
-    need = singular_fiber_need(a, beta_i)
-    r = 0
-    while 6 * r < need:
-        r += 1
-    return r
+    """Least r >= 0 with singular_fiber_need(a, beta_i) <= 6r."""
+    return max(0, -(-singular_fiber_need(a, beta_i) // 6))
 
 
 def fa_ladder_checks(a: int, steps: int) -> dict:

@@ -2,7 +2,9 @@
 
 A node is ``(id, kind, deps, closes, fn)``.  ``fn`` receives the outcomes of
 its dependencies and returns one :class:`Outcome`; ``closes`` names the case
-ids, pencil labels and ``(l, n - 3l)`` branches the node closes.  A label that
+ids, pencil labels and ``(l, n - 3l)`` branches the node closes.  An edge to a
+computed node is a read: ``fn`` uses that node's outcome.  An edge to an axiom
+is a premise, never read: the node fails when the axiom is withdrawn.  A label that
 the Euler pass and the lattice eliminations leave alive is closed only by
 ``coverage``, once every one of its branches is.  Nodes are formula checks,
 enumerations matched against fixtures, eliminations expected to end in a
@@ -13,6 +15,7 @@ three main cases are closed, the third one branch by branch.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, NamedTuple
@@ -93,6 +96,20 @@ def _elim(fn, expect: str = "contradiction", sides: tuple[str, str] | None = Non
     return lambda _: _from_elimination(fn(), expect, sides)
 
 
+def _given(out: Outcome, ok: bool, premise: str) -> Outcome:
+    """``out`` with a premise it read from a dependency, failed if that does not hold."""
+    out.trace.append(premise if ok else f"premise fails: {premise}")
+    if not ok:
+        out.status = FAILED
+    return out
+
+
+def _traps(out: Outcome, ins: dict[str, Outcome], *squares: int) -> Outcome:
+    """``out``, failed if it traps a curve of a square e.fibre did not verify."""
+    return _given(out, set(squares) <= ins["e.fibre"].value.keys(),
+                  f"e.fibre verified the trapped squares {sorted(set(squares))}")
+
+
 def _all_closed(ins: dict[str, Outcome]) -> Outcome:
     """A composite elimination holds when every sub-elimination it reads does."""
     trace = [f"{d}: {o.status}" for d, o in ins.items()]
@@ -104,49 +121,41 @@ def _all_closed(ins: dict[str, Outcome]) -> Outcome:
 
 
 def _e_fixed(_) -> Outcome:
-    trace = []
+    """h_1 + 2 h_2 on the grid of every main case; the value is that grid."""
+    grid = [cover.RamificationData(0, ell, 1) for ell in range(0, 4)]
+    grid += [cover.RamificationData(0, ell, 4) for ell in range(2, 5)]
+    grid += [cover.RamificationData(1, ell, 3, gamma_sq=g) for g, ell in fibration.case_i_grid()]
     ok = True
-    samples = [
-        (cover.RamificationData(0, 0, 1), 6),
-        (cover.RamificationData(0, 1, 1), 7),
-        (cover.RamificationData(1, 0, 3, gamma_sq=-3), 9),
-        (cover.RamificationData(0, 2, 4), 8),
-    ]
-    for r, expected in samples:
-        got = cover.fixed_point_budget(r)
-        ok &= got == expected
-        trace.append(f"r0k={r.r0k} l={r.ell} h2={r.h2}: h1+2h2 = {got}")
-    iii = cover.RamificationData(0, 3, 1)
-    ok &= iii.h1 == 4 + 3
-    trace.append(f"pencil case: h1 = 4 + l (l=3 gives {iii.h1})")
-    return _check(ok, trace)
+    for r in grid:
+        h1 = 4 + r.ell if r.h2 == 1 else r.ell - 2 if r.h2 == 4 else (3 - r.gamma_sq) // 2 + r.ell
+        ok &= cover.fixed_point_budget(r) == h1 + 2 * r.h2
+    trace = ["pencil case: h1+2h2 = 6 + l, so h1 = 4 + l for l = 0..3",
+             "second case: h1+2h2 = 6 + l, so h1 = l - 2 for l = 2..4",
+             "first case: h1+2h2 = 6 + (3 - Gamma^2)/2 + l over the whole grid"]
+    return _check(ok, trace, grid)
 
 
-def _e_ky(_) -> Outcome:
-    """K_Y^2 on every case grid; the value maps each ramification datum to it."""
+def _e_ky(ins) -> Outcome:
+    """K_Y^2 on e.fixed's grid; the value maps each ramification datum to it."""
     values = {}
     trace = []
     ok = True
-    for ell in range(0, 4):
-        r = cover.RamificationData(0, ell, 1)
+    for r in ins["e.fixed"].value:
         ky2 = values[r] = cover.quotient_k2(r)
-        ok &= ky2 == -2 - 3 * ell
-        trace.append(f"pencil case l={ell}: K_Y^2 = {ky2}")
-    for ell in range(2, 5):
-        r = cover.RamificationData(0, ell, 4)
-        ky2 = values[r] = cover.quotient_k2(r)
-        ok &= ky2 == -3 - 3 * ell
-        trace.append(f"second case l={ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}")
-    for gamma_sq, ell in fibration.case_i_grid():
-        r = cover.RamificationData(1, ell, 3, gamma_sq=gamma_sq)
-        ky2 = values[r] = cover.quotient_k2(r)
-        expected = -4 - 3 * ell + (3 * gamma_sq - 1) // 2
-        ok &= ky2 == expected
+        if r.h2 == 1:
+            ok &= ky2 == -2 - 3 * r.ell
+            trace.append(f"pencil case l={r.ell}: K_Y^2 = {ky2}")
+        elif r.h2 == 4:
+            ok &= ky2 == -3 - 3 * r.ell
+            trace.append(f"second case l={r.ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}")
+        else:
+            ok &= ky2 == -4 - 3 * r.ell + (3 * r.gamma_sq - 1) // 2
     trace.append("first case: K_Y^2 = -4 - 3l + (3 Gamma^2 - 1)/2 over the whole grid")
     return _check(ok, trace, values)
 
 
 def _e_kx(ins) -> Outcome:
+    """K_X^2 two ways on e.ky's grid; the value is that grid, so confirmed."""
     ok = True
     for r, ky2 in ins["e.ky"].value.items():
         via_hurwitz = cover.kx2(r, ky2)
@@ -155,14 +164,16 @@ def _e_kx(ins) -> Outcome:
             ok &= ky2 >= via_hurwitz  # e(X) >= e(Y)
     trace = ["K_X^2 = 3 K_Y^2 - 4 R_0^2 + 4 R_0.K = K_S^2 - (h_1 + 3 h_2) on the K_Y^2 grid"]
     trace.append("case with R_0.K = 1 also satisfies K_Y^2 >= K_X^2")
-    return _check(ok, trace)
+    return _check(ok, trace, ins["e.ky"].value)
 
 
 def _p_rk(_) -> Outcome:
+    """The h^0 pairs of the three main cases; the value maps (R_0.K, h_2) to them."""
+    pairs = {}
     trace = []
     ok = True
     for (r0k, h2), (h0n, h0b) in (((1, 3), (3, 1)), ((0, 4), (2, 2)), ((0, 1), (2, 0))):
-        got = cover.h0_pair(r0k, h2)
+        got = pairs[r0k, h2] = cover.h0_pair(r0k, h2)
         ok &= got == (h0n, h0b)
         trace.append(f"(R_0.K, h_2) = ({r0k}, {h2}): h^0 pair {got}")
     for bad in ((0, 7), (1, 6), (1, 0)):
@@ -171,26 +182,33 @@ def _p_rk(_) -> Outcome:
             ok = False
         except cover.CaseInvalidError:
             trace.append(f"{bad} rejected")
-    return _check(ok, trace)
+    return _check(ok, trace, pairs)
 
 
-def _cases_main(_) -> Outcome:
+def _cases_main(ins) -> Outcome:
+    """The three main cases, each with the h^0 pair p.rk derived for it."""
     cases = cover.enumerate_main_cases()
     got = [[c.r0k, c.h2] for c in cases]
     ok = got == EXPECTED["main_cases"] and [c.id for c in cases] == ["i", "ii", "iii"]
     ok &= cover.h2_bound_is_monotone()
+    ok &= {(c.r0k, c.h2): (c.h0_n, c.h0_2kb) for c in cases} == ins["p.rk"].value
     trace = [f"cases: {[(c.id, c.r0k, c.h2) for c in cases]}",
-             "search bound h_2 <= 20 is stable (monotone beyond the bound)"]
-    return _check(ok, trace)
+             "search bound h_2 <= 20 is stable (monotone beyond the bound)",
+             "each case carries the h^0 pair p.rk derives for it"]
+    return _check(ok, trace, cases)
 
 
-def _p_h0li1(_) -> Outcome:
+def _p_h0li1(ins) -> Outcome:
+    """The split (h11, h12) of the h_1 curves of case (iii) at l = 1."""
     split = cover.eigenvalue_split(1)
+    iii = next(c for c in ins["cases.main"].value if c.id == "iii")
+    h1 = cover.RamificationData(iii.r0k, 1, iii.h2).h1
     ok = (split.h11, split.h12) == (2, 3) and split.rejected == (5,) \
-        and split.congruence_class == 2
+        and split.congruence_class == 2 and split.h11 + split.h12 == h1
     trace = [f"h11 = {split.h11}, h12 = {split.h12}; congruence class "
-             f"{split.congruence_class} mod 3; rejected {list(split.rejected)}"]
-    return _check(ok, trace)
+             f"{split.congruence_class} mod 3; rejected {list(split.rejected)}",
+             f"case (iii) at l = 1 has h1 = {h1} curves to split"]
+    return _check(ok, trace, (split.h11, split.h12))
 
 
 # -- the invariant pencil ----------------------------------------------------------
@@ -238,88 +256,76 @@ def _pencil_list(aprime2: int):
 
 
 def _e_g(ins) -> Outcome:
+    """The genus identity, A.K_S read from le.sub; the value maps each list to its cases."""
+    ak = {a2: b.ak for b in ins["le.sub"].value for a2 in b.a2_options}
+    lists = {dep: ins[dep].value for dep in ("p.list0", "p.list1", "r.N")}
     ok = True
     trace = []
-    for dep in ("p.list0", "p.list1", "r.N"):
-        for c in ins[dep].value:
+    for cases in lists.values():
+        for c in cases:
             d = dict(c.d)
-            dg = 0
-            if "G" in d:
-                fgh = {k: d.get(k, 0) for k in ("F", "G", "H")}
-                dg = fgh["F"] - 3 * fgh["G"] + fgh["H"]
+            dg = d.get("F", 0) - 3 * d.get("G", 0) + d.get("H", 0)  # D.G, with G^2 = -3
             de = -sum(m for comp, m in c.d if comp.startswith("E"))
-            ak = 2 if c.a2 in (0, 2, 4) else 3
-            g = pencil.genus_from_case(ak, c.ar0, dg, de, c.aprime2)
+            g = pencil.genus_from_case(ak[c.a2], c.ar0, dg, de, c.aprime2)
             ok &= g == Fraction(c.g)
             ok &= c.apk == 2 * c.g - 2 - c.aprime2
     trace.append("genus identity and A'.K_Y = 2g - 2 - A'^2 hold on every emitted case")
-    return _check(ok, trace)
+    return _check(ok, trace, lists)
 
 
 # -- the adjoint ladder -----------------------------------------------------------
 
 
-def _le_z(_) -> Outcome:
-    ok = True
-    trace = []
-    b = adjoint.z_lower_bound(0, -2, 1)
-    ok &= b == Fraction(-1)
-    trace.append(f"pencil case l=1: bound {b} (vacuous against n >= 0)")
-    for ell in range(0, 4):
-        lo, hi = adjoint.n_range(ell)
-        bound = adjoint.z_lower_bound(0, -2 * ell, 1)
-        ok &= Fraction(max(0, 3 * ell - 4)) == Fraction(lo) and hi == 3 * ell
-        ok &= bound <= lo
-        trace.append(f"l={ell}: n in [{lo}, {hi}], lower bound {bound}")
-    b_i = adjoint.z_lower_bound(1, -3, 3)
-    ok &= b_i == Fraction(5)
-    trace.append(f"first case (Gamma^2=-3, l=0): bound {b_i}")
-    return _check(ok, trace)
+def _p_comp(ins) -> Outcome:
+    """The ladder's row N_1 at n = 0 on the pencil grid and case (i)'s largest K_Y^2,
+    checked where the recurrence is not; the value maps each datum to that row."""
+    ky2s = ins["e.KX"].value
+    # the second main case, h_2 = 4, has no adjoint ladder
+    data = [r for r in ky2s if r.h2 == 1] + [max((r for r in ky2s if r.r0k == 1), key=ky2s.get)]
+    rows = {r: adjoint.adjoint_table(r.r0k, ky2s[r], r.h2, adjoint.CycleCounts(0))[0]
+            for r in data}
+    ky2, row = ky2s[data[-1]], rows[data[-1]]
+    ok = row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
+    trace = [f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
+             f"= {row.ni2}, N.N_1 = {row.prev_dot}"]
+    spot = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(3))
+    ok &= spot[0].ni2 == 4 and spot[1].prev_dot == 4
+    spot = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(2))
+    ok &= spot[0].ni2 == 3 and spot[1].prev_dot == 2
+    trace.append("spot values: l=1, n=3 gives N_1^2 = 4 = N_1.N_2; n=2 gives 3 and 2")
+    return _check(ok, trace, rows)
 
 
-def _l_n(_) -> Outcome:
-    """h^0(N|_N1) >= 2 on each range of n; the value maps l to that range."""
+def _le_z(ins) -> Outcome:
+    """The cycle-count bound is -N_1^2 at n = 0 on each row of p.comp, by pencil l."""
     ok = True
     trace = []
-    ranges = {ell: adjoint.n_range(ell) for ell in range(0, 4)}
-    for ell, (lo, hi) in ranges.items():
-        for n in range(lo, hi + 1):
-            ok &= adjoint.restriction_dim(ell, n) >= 2
-        ok &= adjoint.restriction_dim(ell, hi) == 2
-        trace.append(f"l={ell}: h^0(N|_N1) = 2+3l-n stays >= 2 on [{lo},{hi}]")
+    bounds = {}
+    for r, row in ins["p.comp"].value.items():
+        bound = adjoint.z_lower_bound(r.r0k, r.r0sq, r.h2)
+        ok &= bound == -row.ni2
+        if r.r0k == 0:
+            bounds[r.ell] = bound
+            trace.append(f"pencil case l={r.ell}: n >= {bound} = -N_1^2 at n = 0")
+        else:
+            trace.append(f"first case (Gamma^2={r.gamma_sq}, l={r.ell}): n >= {bound} "
+                         f"= -N_1^2 at n = 0")
+    return _check(ok, trace, bounds)
+
+
+def _l_n(ins) -> Outcome:
+    """n from le.Z's bound to where h^0(N|_N1) = 2 + 3l - n is 2; by l, that range."""
+    ok = True
+    trace = []
+    ranges = {}
+    for ell, bound in sorted(ins["le.Z"].value.items()):
+        lo = max(0, math.ceil(bound))
+        ranges[ell] = lo, lo + adjoint.restriction_dim(ell, lo) - 2
+        ok &= ranges[ell] == adjoint.n_range(ell)
+        trace.append(f"l={ell}: h^0(N|_N1) = 2+3l-n stays >= 2 on {list(ranges[ell])}")
     ok &= ranges[0] == (0, 0)
     trace.append("l=0 forces n=0")
     return _check(ok, trace, ranges)
-
-
-def _p_comp(ins) -> Outcome:
-    """The ladder table against what its recurrence does not build in: the lower
-    end of each pencil range of n, case (i)'s first row and two spot values."""
-    ok = True
-    trace = []
-    first_case = []
-    for r, ky2 in ins["e.ky"].value.items():
-        if r.h2 == 4:
-            continue  # the second main case has no adjoint ladder
-        if r.r0k == 1:
-            first_case.append(ky2)
-            continue
-        # N_1^2 grows by one per contracted cycle: the least n is read at n = 0
-        n1sq = adjoint.adjoint_table(0, ky2, 1, adjoint.CycleCounts(0))[0].ni2
-        least = max(0, -n1sq)
-        ok &= least == adjoint.n_range(r.ell)[0]
-        trace.append(f"pencil case l={r.ell}: least n with N_1^2 >= 0 is {least}")
-    ky2 = max(first_case)  # case (i) at the largest K_Y^2 that e.ky emits
-    row = adjoint.adjoint_table(1, ky2, 3, adjoint.CycleCounts(0))[0]
-    ok &= row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
-    trace.append(f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
-                 f"= {row.ni2}, N.N_1 = {row.prev_dot}")
-    rows = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(3))
-    ok &= rows[0].ni2 == 4 and rows[1].prev_dot == 4
-    rows = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(2))
-    ok &= rows[0].ni2 == 3 and rows[1].prev_dot == 2
-    trace.append("spot values: l=1, n=3 gives N_1^2 = 4 = N_1.N_2; n=2 gives 3 and 2")
-    return _check(ok, trace)
 
 
 def _ladder(branch: str, expected_forced: dict):
@@ -341,54 +347,69 @@ def _ladder(branch: str, expected_forced: dict):
     return fn
 
 
-def _cycle_shapes(_) -> Outcome:
-    ok1, why1 = adjoint.cycle_structure_check(
-        [adjoint.Cycle((("Z1", 1),)), adjoint.Cycle((("Z2", 1),)),
-         adjoint.Cycle((("Z1", 1), ("Z2", 1), ("E1", 1)))],
-        {("Z1", "B0"): 1, ("Z1", "E"): 1, ("Z2", "B0"): 1, ("Z2", "E"): 1})
-    ok2, why2 = adjoint.cycle_structure_check([adjoint.Cycle((("G1", 1),))])
-    ok3, why3 = adjoint.cycle_structure_check(
-        [adjoint.Cycle((("Z1", 1), ("E1", 1), ("E2", 1)))])
-    ok = ok1 and not ok2 and not ok3
-    trace = ["the catalogued reducible shape is accepted",
-             f"a cycle containing an exceptional pair component is rejected: {why2}",
-             f"a cycle with two E-components is rejected: {why3}"]
-    return _check(ok, trace)
+def _steps(ins, branch: str, ell: int) -> int:
+    """Adjoint steps up to N in ``branch``'s ladder at ``ell``: its last forced level."""
+    return list(ins[branch].value[ell].forced)[-1].count("'")
 
 
 # -- Euler-number eliminations ------------------------------------------------------
 
 
+# the squares of what a fibre traps: the named curves, and case (i)'s Gamma'
+_EXC_B0 = (fibration.EXC_SQ, fibration.B0_SQ)
+_GAMMA_SQS = tuple(cover.image_square(g) for g, _ in fibration.case_i_grid() if g < 0)
+
+
 def _e_fibre(_) -> Outcome:
+    """The node bound against (-n)-curves, n <= 6, and case (i)'s Gamma', by square."""
     ok = True
     trace = []
+    verified = {}
     # a (-n)-curve closed by a transverse component contributes at least n
-    for n in range(1, 7):
+    for n in sorted({*range(1, 7), *(-sq for sq in _GAMMA_SQS)}):
         bound = fibration.node_bound([(1, 0, {1: n}), (1, 0, {})])
-        ok &= bound >= n == fibration.min_contribution(-n)
+        verified[-n] = fibration.min_contribution(-n)
+        ok &= bound >= n == verified[-n]
         trace.append(f"(-{n})-curve: node bound {bound} >= contribution {n}")
     ok &= fibration.node_bound([(1, 0, {1: 1}), (1, 0, {})]) == 1
     ok &= fibration.node_bound([]) == 0
     trace.append("two (-1)-curves meeting once give 1; a smooth fibre gives 0")
-    return _check(ok, trace)
+    return _check(ok, trace, verified)
 
 
 def _p_no16(ins) -> Outcome:
     """n = 6 dies; it must be the only cycle count p.noN1 leaves."""
     out = _from_elimination(fibration.elim_p_no16(), sides=("24", "22"))
     left = sorted({n for _, _, n in ins["p.noN1"].value})
-    out.trace.append(f"cycle counts left by p.noN1: {left}")
-    if left != [6]:
-        out.status = FAILED
-    return out
+    out = _given(out, left == [6], f"cycle counts left by p.noN1: {left}")
+    return _traps(out, ins, fibration.EXC_SQ, fibration.CYCLE_SQ)
+
+
+def _l_n1(ins) -> Outcome:
+    """The N_1^2 left by the index theorem, N.N_1 read from p.comp's case (i) row."""
+    nn1 = next(row.prev_dot for r, row in ins["p.comp"].value.items() if r.r0k == 1)
+    values = fibration.n1_squares(nn1)
+    return _check(values == [0, 1], [f"N.N_1 = {nn1}: (3N_1 - 2N)^2 <= 0 pins N_1^2 to {values}"],
+                  values)
+
+
+def _case_i(fn, shape_node: str, shape: tuple[int, int, int], squares: tuple[int, ...],
+            expect: str = "contradiction", sides: tuple[str, str] | None = None):
+    """Case (i) with a fixed-part shape (Delta^2, Delta.T, T^2) that ``shape_node`` admits."""
+    def run(ins) -> Outcome:
+        out = _given(_from_elimination(fn(), expect, sides), shape in ins[shape_node].value,
+                     f"{shape_node} admits (Delta^2, Delta.T, T^2) = {shape}")
+        return _traps(out, ins, *squares)
+
+    return run
 
 
 def _euler_pass(list_node: str, printed: dict | None = None):
-    """The Euler test over every case of one pencil list, each case keeping the
-    values of l the survivor fixture lists it under; the value maps labels to
-    their eliminations."""
+    """The Euler test over one list of e.g, each case keeping the l the survivor fixture
+    gives it, each with an n-range in l.n; the value maps labels to eliminations."""
     def fn(ins) -> Outcome:
-        results = {c.label: fibration.eliminate_by_delta(c) for c in ins[list_node].value}
+        cases = ins["e.g"].value[list_node]
+        results = {c.label: fibration.eliminate_by_delta(c) for c in cases}
         table = EXPECTED["survivors_after_euler"]
         ok = all(e.survivors == tuple(int(ell) for ell, labs in table.items() if lab in labs)
                  for lab, e in results.items())
@@ -397,7 +418,9 @@ def _euler_pass(list_node: str, printed: dict | None = None):
             trace.append(f"({lab}): {e.lhs} vs {e.rhs} -> surviving l {list(e.survivors)}")
             if printed and lab in printed:
                 ok &= (e.lhs, e.rhs) == printed[lab]
-        return _check(ok, trace, results)
+        ok &= all(ell in ins["l.n"].value for e in results.values() for ell in e.survivors)
+        trace.append("l.n gives a range of n at every surviving l")
+        return _traps(_check(ok, trace, results), ins, *_EXC_B0)
 
     return fn
 
@@ -405,8 +428,8 @@ def _euler_pass(list_node: str, printed: dict | None = None):
 def _p_1(ins) -> Outcome:
     """The A'^2 = 1 pass; in (1e) every component of B_0 meets the moving part."""
     out = _euler_pass("p.list1")(ins)
-    case_1e = next(c for c in ins["p.list1"].value if c.label == "1e")
-    for ell in (1, 2, 3):
+    case_1e = next(c for c in ins["e.g"].value["p.list1"] if c.label == "1e")
+    for ell in out.value["1e"].survivors:
         dists = fibration.p1e_meeting_distributions(case_1e, ell)
         if not dists or any(min(d) < 1 for d in dists):
             out.status = FAILED
@@ -424,11 +447,44 @@ def _t_iii(ins) -> Outcome:
     return _check(got == want and empty, trace, got)
 
 
-def _p_l0(_) -> Outcome:
+def _surviving_ells(ins, label: str) -> list[int]:
+    """The values of l at which ``label`` survives the Euler pass, as t.iii lists them."""
+    return [ell for ell, labs in ins["t.iii"].value.items() if label in labs]
+
+
+def _t_no4(ins) -> Outcome:
+    """n = 3l - 4 needs l >= 2, where the case is (1e), whose moving part it reads."""
+    late = sorted({lab for ell, labs in ins["t.iii"].value.items() if ell >= 2 for lab in labs})
+    return _given(_from_elimination(fibration.elim_t_no4()), late == ["1e"],
+                  f"the cases left at l >= 2 are {late}")
+
+
+def _p_1e(ins) -> Outcome:
+    """(1e) at each n of each l it survives at; t.no4 closes n - 3l = -4."""
+    offsets = sorted({n - 3 * ell for ell in _surviving_ells(ins, "1e")
+                      for n in range(ins["l.n"].value[ell][0], ins["l.n"].value[ell][1] + 1)},
+                     reverse=True)
+    out = _from_elimination(fibration.elim_p_1e(tuple(off for off in offsets if off != -4)))
+    return _given(out, -4 not in offsets or ins["t.no4"].status == CONTRADICTION,
+                  f"n - 3l runs over {offsets}; t.no4 closes -4")
+
+
+def _p_no0d(ins) -> Outcome:
+    """(0d) dies at the one l it survives at."""
+    ells = _surviving_ells(ins, "0d")
+    if len(ells) != 1:
+        return Outcome(FAILED, trace=[f"(0d) survives at l in {ells}, not at one l"])
+    return _from_elimination(fibration.elim_p_no0d(ells[0]))
+
+
+def _p_l0(ins) -> Outcome:
+    """Cases (0a), (0c), (0f) die at n = 0, l = 0, the one l they survive at."""
     table = fibration.elim_p_l0()
     trace = [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}" for k, e in sorted(table.items())]
-    return _check(all(e.verdict == "contradiction" for e in table.values()), trace,
-                  status=CONTRADICTION)
+    ells = sorted({ell for lab in table for ell in _surviving_ells(ins, lab)})
+    out = _check(all(e.verdict == "contradiction" for e in table.values()), trace,
+                 status=CONTRADICTION)
+    return _given(out, ells == [0], f"they survive at l in {ells}")
 
 
 def _t_iii2(ins) -> Outcome:
@@ -438,6 +494,12 @@ def _t_iii2(ins) -> Outcome:
     trace = [f"closed by the lattice eliminations: {sorted(closed)}"]
     trace += [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
     return _check(got == want, trace, got)
+
+
+def _reduced(ins, elim: fibration.Elimination) -> Outcome:
+    """A ruled elimination over F_1, which rests on p.no2 reducing a = 2 to a = 1."""
+    return _given(_from_elimination(elim), ins["p.no2"].status == CONTRADICTION,
+                  "p.no2 reduces a = 2 to a = 1")
 
 
 def _branches(ell: int, n: int) -> list[tuple]:
@@ -486,70 +548,95 @@ def _e_sys(_) -> Outcome:
 
 
 def _p_equiv0(ins) -> Outcome:
-    chains = plane.cremona_orbit_connect(ins["e.sys"].value)
+    """One orbit, no chain longer than the spread of the degrees; the top state's degree."""
+    sols = ins["e.sys"].value
+    chains = plane.cremona_orbit_connect(sols)
     longest = max(len(p) for p in chains.values())
+    spread = max(d for d, _ in sols) - min(d for d, _ in sols)
     trace = [f"all {len(chains)} solutions reachable; longest chain {longest} moves"]
-    for state in sorted(chains):
-        path = chains[state]
-        trace.append(f"d0={state[0]}: {len(path)} moves")
-    return _check(len(chains) == 7 and longest <= 6, trace)
+    trace += [f"d0={state[0]}: {len(chains[state])} moves" for state in sorted(chains)]
+    return _check(len(chains) == 7 and longest <= spread, trace, max(chains)[0])
 
 
-def _degree_budgets(_) -> Outcome:
-    ok = plane.degree_budget(7) == 21 and plane.degree_budget(6) == 18
-    return _check(ok, ["2 d_0 + sum d_i = 21 (deepest branch) and 18 (middle branch)"])
+def _matches_forced(options: list[dict], report) -> bool:
+    """One column per forced cycle of each level: Z'1, Z'2 for n' = 2, Z'' for n'' = 1."""
+    columns = [k.rstrip("0123456789") for k in options[0] if k.startswith("B0.Z")]
+    return all(columns.count("B0.Z" + name[1:]) == count for name, count in report.forced.items())
 
 
-def _b0_tables(_) -> Outcome:
+def _b0_tables(ins) -> Outcome:
+    """Both option tables against their ladders at l = 1; the value maps branch to options."""
     deep = delpezzo.b0_options_deepest()["options"]
     mid = delpezzo.b0_options_middle()["options"]
-    ok = [o["verdict"] for o in deep] == ["excluded", "open", "pinned-to-pencil"]
-    mid_verdicts = {(o["B0.Z'1"], o["B0.Z'2"], o["B0.Z''"]): o["verdict"] for o in mid}
-    ok &= mid_verdicts[(3, 0, 0)] == "excluded"
-    ok &= mid_verdicts[(1, 0, 4)] == "excluded"
-    ok &= mid_verdicts[(0, 0, 6)] == "excluded"
-    ok &= mid_verdicts[(2, 1, 0)] == "pinned-to-pencil"
-    ok &= mid_verdicts[(1, 1, 2)] == "open"
-    trace = [f"deepest branch options: {deep}", f"middle branch options: {mid}"]
-    return _check(ok, trace)
+    ex, op, pin = "excluded", "open", "pinned-to-pencil"
+    ok = [o["verdict"] for o in deep + mid] == [ex, op, pin, ex, ex, op, pin, pin, ex]
+    ok &= _matches_forced(deep, ins["s.3l"].value[1])
+    ok &= _matches_forced(mid, ins["s.3l-1"].value[1])
+    trace = [f"deepest branch options: {deep}", f"middle branch options: {mid}",
+             "each table has one column per cycle its ladder forces"]
+    return _check(ok, trace, {"deepest": deep, "middle": mid})
 
 
-def _sixtuples(_) -> Outcome:
+def _option(fn, branch: str, verdict: str):
+    """``fn``'s outcome, which closes the ``verdict`` options b0.tables leaves in ``branch``."""
+    def run(ins) -> Outcome:
+        left = [o for o in ins["b0.tables"].value[branch] if o["verdict"] == verdict]
+        return _given(fn(ins), bool(left), f"it closes the {branch} {verdict} options {left}")
+
+    return run
+
+
+def _sixtuples(ins) -> Outcome:
+    """The six-tuples; the value lists those kept."""
     st = delpezzo.sixtuple_enumerate()
     got = [list(t) for t in st["kept"]]
     trace = [f"kept {st['kept']}", f"excluded {st['excluded']}"]
-    return _check(got == EXPECTED["sixtuples"] and len(st["excluded"]) == 2, trace)
+    return _check(got == EXPECTED["sixtuples"] and len(st["excluded"]) == 2, trace, st["kept"])
 
 
 def _e_f2(_) -> Outcome:
+    """The plane models of F' and H'; the value lists their admissible pairs."""
     sols = delpezzo.exceptional_curve_solutions()
     ok = sols["by_kind"] == {"conic": 3, "line": 6, "contracted": 6}
-    ok &= sols["admissible_pairs"] == [("conic", "contracted"),
-                                       ("contracted", "contracted"),
-                                       ("contracted", "line"), ("line", "line")]
     trace = [f"solutions by kind: {sols['by_kind']}",
              f"admissible pairs: {sols['admissible_pairs']}"]
-    return _check(ok, trace)
+    return _check(ok, trace, sols["admissible_pairs"])
 
 
-def _tables_printed(_) -> Outcome:
+def _tables_printed(ins) -> Outcome:
+    """Every printed table, one per kept six-tuple and one per admissible F'/H' pair; the
+    value names the tables that verify."""
     ok = True
     trace = []
+    verified = set()
     for name, table in delpezzo.all_printed_tables():
         passed, violations = plane.verify_config_table(table)
         ok &= passed
+        verified |= {name} if passed else set()
         trace.append(f"{name}: {'ok' if passed else violations}")
-    for key in ("8-2-0-0-0-0", "8-1-1-0-0-0", "8-1-0-0-1-0"):
+    eight = {name[4:] for name in verified if name.startswith("8pt:")}
+    ok &= eight == {"-".join(map(str, t)) for t in ins["sixtuples"].value}
+    for key in sorted(eight):
         ok &= delpezzo.check_8pt_pairings(key)
-    trace.append("genus-one pencil pairings match on the three eight-point tables")
-    unsharp = delpezzo.perturbation_sweep(delpezzo.table_14pt("lines-lines"))
-    ok &= not unsharp
-    trace.append(f"single-entry perturbation sweep on the fourteen-point table: "
-                 f"{'all mutations detected' if not unsharp else unsharp}")
+    trace.append("one eight-point table per kept six-tuple; genus-one pencil pairings match")
+    fourteen = {tuple(sorted(k.rstrip("s") for k in name[5:].split("-")))
+                for name in verified if name.startswith("14pt:") and name != "14pt:base"}
+    ok &= fourteen == set(ins["e.f2"].value)
+    trace.append("one fourteen-point table per admissible pair of F'/H' plane models")
     ok &= delpezzo.lines_to_contracted_move()
     trace.append("the quadratic move based at P3, P4, P8 sends the two-lines table "
                  "to the line + contracted one")
-    return _check(ok, trace)
+    return _check(ok, trace, verified)
+
+
+def _audit(fn, variant: str):
+    """``fn`` run on p.h0li1's split, on a table tables.printed verified."""
+    def run(ins) -> Outcome:
+        return _given(_from_elimination(fn(ins["p.h0li1"].value)),
+                      f"14pt:{variant}" in ins["tables.printed"].value,
+                      f"tables.printed verified the {variant} table")
+
+    return run
 
 
 # -- the tree -----------------------------------------------------------------------
@@ -570,8 +657,7 @@ def build_nodes() -> dict[str, ProofNode]:
     add("e.KX", "formula-check", "K_X^2 by Hurwitz and by blow-up count", ("e.ky",), _e_kx)
     add("p.rk", "formula-check", "h^0(N) and h^0(2K_Y+B)",
         ("ax.kv-vanishing", "ax.split", "ax.trican-birational"), _p_rk)
-    add("cases.main", "enumeration", "exactly three main cases",
-        ("p.rk", "e.fixed"), _cases_main)
+    add("cases.main", "enumeration", "exactly three main cases", ("p.rk",), _cases_main)
     add("p.h0li1", "formula-check", "eigenvalue split of the five exceptional curves",
         ("cases.main", "ax.split"), _p_h0li1)
     add("le.sub", "enumeration", "moving/fixed split of the invariant system",
@@ -579,67 +665,71 @@ def build_nodes() -> dict[str, ProofNode]:
     add("r.R0", "formula-check", "upper bound for A.R_0", ("le.sub",), _r_r0)
     for ap in (0, 1, 2):
         add(f"p.list{ap}", "enumeration", f"pencil shapes with A'^2 = {ap}",
-            ("le.sub", "r.R0", "ax.drop-shapes", "ax.orbit-structure"), _pencil_list(ap))
-    add("r.N", "enumeration", "the single shape with A' = N",
-        ("le.sub", "r.R0"), _pencil_list(3))
+            ("r.R0", "ax.drop-shapes", "ax.orbit-structure"), _pencil_list(ap))
+    add("r.N", "enumeration", "the single shape with A' = N", ("r.R0",), _pencil_list(3))
     add("e.g", "formula-check", "genus identity on every emitted case",
-        ("p.list0", "p.list1", "r.N"), _e_g)
-    add("le.Z", "formula-check", "lower bound for the cycle count",
-        ("e.ky", "ax.ccm2-contraction"), _le_z)
-    add("l.n", "formula-check", "3l - 4 <= n <= 3l", ("le.Z",), _l_n)
+        ("le.sub", "p.list0", "p.list1", "r.N"), _e_g)
     add("p.comp", "formula-check", "numerical table of the adjoint ladder",
-        ("ax.ccm2-contraction", "e.ky", "e.KX"), _p_comp)
-    add("cycles.shapes", "formula-check", "structure of the contracted cycles",
-        ("ax.minus3",), _cycle_shapes)
+        ("ax.ccm2-contraction", "e.KX"), _p_comp)
+    add("le.Z", "formula-check", "lower bound for the cycle count",
+        ("p.comp", "ax.ccm2-contraction"), _le_z)
+    add("l.n", "formula-check", "3l - 4 <= n <= 3l", ("le.Z",), _l_n)
     add("s.3l", "formula-check", "deepest ladder as a lattice identity",
-        ("p.comp", "ax.keffective"), _ladder("s.3l", {"n'": 0, "n'''": 1}))
+        ("ax.keffective",), _ladder("s.3l", {"n'": 0, "n'''": 1}))
     add("s.3l-1", "formula-check", "middle ladder as a lattice identity",
-        ("p.comp",), _ladder("s.3l-1", {"n'": 2, "n''": 1}))
+        (), _ladder("s.3l-1", {"n'": 2, "n''": 1}))
     add("s.3l-2", "formula-check", "shallow ladder as a lattice identity",
-        ("p.comp",), _ladder("s.3l-2", {"n'": 5}))
+        (), _ladder("s.3l-2", {"n'": 5}))
     add("e.fibre", "formula-check", "node bound dominates the fibre contributions",
         ("ax.fibre-nodes",), _e_fibre)
 
     # the first and second main cases
-    add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case", ("p.comp",),
-        lambda _: _check(fibration.check_l_n1(), ["(3N_1 - 2N)^2 <= 0 pins N_1^2"]))
+    add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case", ("p.comp",), _l_n1)
     add("l.N10", "formula-check", "no fixed part when N_1^2 = 0",
-        ("l.n1", "ax.rationality"), lambda _: _check(*fibration.check_l_N10()))
+        ("l.n1", "ax.rationality"),
+        lambda ins: _given(_check(*fibration.check_l_N10()), 0 in ins["l.n1"].value,
+                           "l.n1 admits N_1^2 = 0"))
     add("l.N1", "formula-check", "fixed-part dichotomy when N_1^2 = 1",
-        ("l.n1", "ax.rationality"), lambda _: _check(*fibration.check_l_N1()))
+        ("l.n1", "ax.rationality"),
+        lambda ins: _given(_check(*fibration.check_l_N1()), 1 in ins["l.n1"].value,
+                           "l.n1 admits N_1^2 = 1"))
     fibre = ("e.fibre", "ax.euler-fibration")
+    case_i = _EXC_B0 + _GAMMA_SQS
     add("p.no0", "elimination", "first case with N_1^2 = 0", ("l.N10", *fibre),
-        _elim(fibration.elim_p_no0, sides=("26", "20")))
+        _case_i(fibration.elim_p_no0, "l.N10", (0, 0, 0),
+                (fibration.EXC_SQ, fibration.CYCLE_SQ), sides=("26", "20")))
     add("p.noZ", "elimination", "fixed part with a reducible cycle", ("l.N1", *fibre),
-        _elim(fibration.elim_p_noZ))
+        _case_i(fibration.elim_p_noZ, "l.N1", (0, 1, -1), case_i))
     add("p.noN", "elimination", "fixed part with N = N_1 + Delta", ("l.N1", *fibre),
-        _elim(fibration.elim_p_noN))
+        _case_i(fibration.elim_p_noN, "l.N1", (0, 1, -1), case_i))
     add("p.noN1", "elimination", "N_1^2 = 1 survives only n = 6", ("l.N1", *fibre),
-        _elim(fibration.elim_p_noN1, expect="survives"))
-    add("p.no16", "elimination", "n = 6 dies", ("p.noN1", "cycles.shapes"), _p_no16)
+        _case_i(fibration.elim_p_noN1, "l.N1", (1, 0, 0), case_i, expect="survives"))
+    add("p.no16", "elimination", "n = 6 dies", ("p.noN1", "e.fibre", "ax.minus3"), _p_no16)
     add("t.i", "elimination", "the first main case cannot occur",
         ("p.no0", "p.noZ", "p.noN", "p.no16"), _all_closed, closes=("i",))
     add("t.ii", "elimination", "the second main case cannot occur",
         ("cases.main", "ax.miyaoka-bican", "ax.cp-m2", *fibre),
-        _elim(fibration.elim_t_ii, sides=("12+6l", "15+3l")), closes=("ii",))
+        lambda ins: _traps(_from_elimination(
+            fibration.elim_t_ii(next(c.h2 for c in ins["cases.main"].value if c.id == "ii")),
+            sides=("12+6l", "15+3l")), ins, *_EXC_B0),
+        closes=("ii",))
 
     # the pencil case: the Euler pass, then the lattice eliminations
-    add("p.0", "elimination", "Euler pass over the A'^2 = 0 list", ("p.list0", *euler),
+    add("p.0", "elimination", "Euler pass over the A'^2 = 0 list", euler,
         _euler_pass("p.list0", {"0a": ("12+9l", "14+3l"), "0b": ("9+9l", "14+3l"),
                                 "0c": ("9+9l", "14+3l")}),
         closes=("0b", "0e", "0h"))  # the labels left with no value of l
-    add("p.1", "elimination", "Euler pass over the A'^2 = 1 list", ("p.list1", *euler),
+    add("p.1", "elimination", "Euler pass over the A'^2 = 1 list", euler,
         _p_1, closes=("1b", "1c"))
-    add("p.3", "elimination", "Euler pass for A' = N", ("r.N", *euler),
-        _euler_pass("r.N"))
+    add("p.3", "elimination", "Euler pass for A' = N", euler, _euler_pass("r.N"))
     add("t.iii", "enumeration", "survivors of the Euler pass",
         ("p.0", "p.1", "p.3", "p.list2"), _t_iii)
     add("t.no4", "elimination", "n = 3l - 4 cannot occur",
-        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _elim(fibration.elim_t_no4))
+        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _t_no4)
     add("p.1e", "elimination", "case (1e) cannot occur", ("t.iii", "t.no4", "l.n"),
-        _elim(fibration.elim_p_1e), closes=("1e",))
+        _p_1e, closes=("1e",))
     add("p.no0d", "elimination", "case (0d) cannot occur",
-        ("t.iii", "ax.ccm2-contraction"), _elim(fibration.elim_p_no0d), closes=("0d",))
+        ("t.iii", "ax.ccm2-contraction"), _p_no0d, closes=("0d",))
     add("p.l0", "elimination", "cases (0a), (0c), (0f) cannot occur", ("t.iii",), _p_l0,
         closes=("0a", "0c", "0f"))
     add("t.iii2", "enumeration", "final survivor list of the pencil case",
@@ -647,50 +737,57 @@ def build_nodes() -> dict[str, ProofNode]:
 
     # the ruled branches
     add("l.a2", "formula-check", "the ruled model has 0 <= a <= 2", ("s.3l",),
-        lambda _: _from_elimination(ruled.elim_l_a2(), expect="survives"))
+        lambda ins: _from_elimination(ruled.elim_l_a2(_steps(ins, "s.3l", 1)),
+                                      expect="survives"))
     add("p.no2", "elimination", "a = 2 needs three singular fibres",
-        ("l.a2", "ax.a1-reduction"), _elim(ruled.elim_p_no2, sides=("13", "12")))
+        ("l.a2", "ax.a1-reduction"),
+        lambda ins: _from_elimination(ruled.elim_p_no2(ins["l.a2"].value), sides=("13", "12")))
     add("t.no0", "elimination", "deepest ruled branch with l = 0",
-        ("t.iii2", "p.no2", "s.3l", "ax.proximity"), _elim(ruled.elim_t_no0),
+        ("p.no2", "s.3l", "ax.proximity"),
+        lambda ins: _reduced(ins, ruled.elim_t_no0(_steps(ins, "s.3l", 0))),
         closes=((0, 0, "ruled"),))
-    add("t.no1rul", "elimination", "deepest ruled branch with l = 1",
-        ("t.iii2", "s.3l", "e.fibre"), _elim(fibration.elim_t_no1rul, sides=("15", "13")),
+    add("t.no1rul", "elimination", "deepest ruled branch with l = 1", ("s.3l", "e.fibre"),
+        lambda ins: _traps(_given(_from_elimination(fibration.elim_t_no1rul(),
+                                                    sides=("15", "13")),
+                                  ins["s.3l"].value[1].ok, "the deepest ladder holds at l = 1"),
+                           ins, *_EXC_B0),
         closes=((1, 0, "ruled"),))
     add("t.no1", "elimination", "middle ruled branch with l = 1",
-        ("t.iii2", "s.3l-1", "p.no2", "ax.companion-no1"), _elim(ruled.elim_t_no1),
+        ("s.3l-1", "p.no2", "e.fibre", "ax.companion-no1"),
+        lambda ins: _traps(_reduced(ins, ruled.elim_t_no1(_steps(ins, "s.3l-1", 1))), ins,
+                           *_EXC_B0, fibration.CYCLE_SQ),
         closes=((1, -1, "ruled"),))
 
     # the eight-point branches
     add("e.sys", "enumeration", "the seven-solution multiplicity system", (), _e_sys)
     add("p.equiv0", "enumeration", "the seven solutions form one orbit",
         ("e.sys", "ax.proximity"), _p_equiv0)
-    add("e.deg1", "formula-check", "the two degree budgets", (), _degree_budgets)
     add("b0.tables", "formula-check", "index filter on the cycle distributions",
         ("s.3l", "s.3l-1"), _b0_tables)
     add("l.noa", "elimination", "deepest branch, pencil-pinned option",
-        ("b0.tables",), _elim(delpezzo.elim_l_noa))
+        ("b0.tables",), _option(_elim(delpezzo.elim_l_noa), "deepest", "pinned-to-pencil"))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
-        ("b0.tables", "e.sys", "p.equiv0", "e.deg1"),
-        lambda ins: _from_elimination(delpezzo.elim_p_no3lirr({(2, 2, 8): ins["e.sys"].value})))
-    add("p.3lred", "elimination", "deepest branch, reducible cycle",
-        ("b0.tables", "cycles.shapes"), _elim(delpezzo.elim_p_3lred))
+        ("b0.tables", "e.sys", "p.equiv0"),
+        _option(lambda ins: _from_elimination(delpezzo.elim_p_no3lirr(
+            {(2, 2, 8): ins["e.sys"].value}, ins["p.equiv0"].value)), "deepest", "open"))
+    add("p.3lred", "elimination", "deepest branch, reducible cycle", ("b0.tables", "ax.minus3"),
+        _option(_elim(delpezzo.elim_p_3lred), "deepest", "open"))
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
         ("l.noa", "p.no3lirr", "p.3lred"), _all_closed, closes=((1, 0, "eight-point"),))
     add("l.nob", "elimination", "middle branch, pencil-pinned option",
-        ("b0.tables",), _elim(delpezzo.elim_l_nob))
+        ("b0.tables",), _option(_elim(delpezzo.elim_l_nob), "middle", "pinned-to-pencil"))
     add("sixtuples", "enumeration", "admissible degree six-tuples",
-        ("b0.tables", "p.equiv0", "e.deg1"), _sixtuples)
-    add("e.f2", "enumeration", "plane models of the two exceptional curves",
-        ("sixtuples",), _e_f2)
+        ("b0.tables",), _option(_sixtuples, "middle", "open"))
+    add("e.f2", "enumeration", "plane models of the two exceptional curves", (), _e_f2)
     add("tables.printed", "enumeration", "the printed multiplicity tables",
         ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)
     audit = ("tables.printed", "p.h0li1", "ax.split")
     add("p.3l-1", "elimination", "two-lines configuration", audit,
-        _elim(delpezzo.elim_p_3l1))
+        _audit(delpezzo.elim_p_3l1, "lines-lines"))
     add("p.3l-12", "elimination", "conic configuration", (*audit, "ax.proximity"),
-        _elim(delpezzo.elim_p_3l12))
+        _audit(delpezzo.elim_p_3l12, "contracted-conic"))
     add("p.3l-13", "elimination", "doubly-contracted configuration",
-        (*audit, "ax.proximity"), _elim(delpezzo.elim_p_3l13))
+        (*audit, "ax.proximity"), _audit(delpezzo.elim_p_3l13, "contracted-contracted"))
     add("t.3l-1", "elimination", "middle eight-point branch with l = 1",
         ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
         closes=((1, -1, "eight-point"),))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 
 from .prooftree import (EXPECTED, FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
                         build_nodes, topological_order)
@@ -24,11 +25,7 @@ class Report:
         return [nid for nid in self.order if self.results[nid].status == FAILED]
 
     def counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for nid in self.order:
-            status = self.results[nid].status
-            counts[status] = counts.get(status, 0) + 1
-        return counts
+        return dict(Counter(self.results[nid].status for nid in self.order))
 
     def axiom_ledger(self) -> list[dict]:
         out = []

@@ -14,9 +14,10 @@ from .plane import (RULED_POINTS, fa_ladder_checks, homaloidal_eliminate,
                     multiplicity_vectors, singular_fiber_count_bound, singular_fiber_need)
 
 
-def elim_l_a2() -> Elimination:
-    """0 <= a <= 2: the section must meet the nef pencil class nonnegatively."""
-    values = {a: fa_ladder_checks(a, 3)["c_dot_n"] for a in range(0, 4)}
+def elim_l_a2(steps: int) -> Elimination:
+    """0 <= a <= 2 over a ladder of ``steps`` adjoint steps: the section must meet
+    the nef pencil class nonnegatively."""
+    values = {a: fa_ladder_checks(a, steps)["c_dot_n"] for a in range(0, 4)}
     admissible = [a for a, v in values.items() if v >= 0]
     ok = admissible == [0, 1, 2]
     return Elimination(
@@ -27,24 +28,25 @@ def elim_l_a2() -> Elimination:
     )
 
 
-def elim_p_no2() -> Elimination:
-    """a = 2 needs at least three singular fibres, so reduction to a = 1 works."""
-    beta = {a: 3 * a for a in (0, 1, 2)}
+def elim_p_no2(a_values: tuple[int, ...]) -> Elimination:
+    """The largest admissible a needs at least three singular fibres, so a reduces to 1."""
+    beta = {a: 3 * a for a in a_values}
     need = {a: singular_fiber_need(a, b) for a, b in beta.items()}
     r_needed = {a: singular_fiber_count_bound(a, b) for a, b in beta.items()}
-    ok = r_needed[2] >= 3
+    top = max(a_values)
+    ok = r_needed[top] >= 3
     return Elimination(
-        "p.no2", str(need[2]), str(6 * 2),
+        "p.no2", str(need[top]), str(6 * top),
         "contradiction" if ok else "survives",
         tuple(f"a={a}: Delta-contribution {need[a]} <= 6r needs r >= {r}"
               for a, r in sorted(r_needed.items())) + (
-            "with at most two singular fibres a = 2 is impossible, so a reduces to 1",),
+            f"with at most two singular fibres a = {top} is impossible, so a reduces to 1",),
     )
 
 
-def elim_t_no0() -> Elimination:
-    """Deepest ruled branch with l = 0: both plane models are impossible."""
-    ladder = fa_ladder_checks(1, 3)
+def elim_t_no0(steps: int) -> Elimination:
+    """Deepest ruled branch with l = 0, ``steps`` deep: both plane models are impossible."""
+    ladder = fa_ladder_checks(1, steps)
     checks = [
         ladder["n_square"] == 3,
         ladder["squares"] == [0, 3, 4, 3],
@@ -100,12 +102,12 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
     return open_branches, trace
 
 
-def elim_t_no1() -> Elimination:
-    """Middle ruled branch with l = 1: the pencil branch dies by Euler count,
-    the genus-two branch by the plane scan except two delegated subcases."""
+def elim_t_no1(steps: int) -> Elimination:
+    """Middle ruled branch with l = 1, ``steps`` deep: the pencil branch dies by Euler
+    count, the genus-two branch by the plane scan except two delegated subcases."""
     trace = []
     # the two-step ladder over F_1 behind the plane model of this branch
-    ladder = fa_ladder_checks(1, 2)
+    ladder = fa_ladder_checks(1, steps)
     if ladder["squares"] != [0, 3, 4] or ladder["c_dot_n"] != 3:
         return Elimination("t.no1", "ladder", "squares [0, 3, 4]", "failed",
                            (f"unexpected ladder data {ladder}",))

@@ -106,8 +106,9 @@ def test_criterion_5_delta_eliminations():
         "t.no1rul": ("15", "13"),
     }
     ok = True
+    args = {"t.ii": tuple(c.h2 for c in enumerate_main_cases() if c.id == "ii")}
     for prop, fn in fibration.ALL_DELTA_ELIMINATIONS.items():
-        elim = fn()
+        elim = fn(*args.get(prop, ()))
         if prop == "p.noN1":
             ok &= elim.verdict == "survives" and \
                 elim.survivors == ((-3, 0, 6), (-1, 1, 6))
@@ -144,7 +145,7 @@ def test_criterion_7_del_pezzo_tables():
     ok &= delpezzo.perturbation_sweep(delpezzo.table_14pt("lines-lines")) == []
     ok &= delpezzo.perturbation_sweep(delpezzo.table_8pt("8-2-0-0-0-0")) == []
     for fn in (delpezzo.elim_p_3l1, delpezzo.elim_p_3l12, delpezzo.elim_p_3l13):
-        ok &= fn().verdict == "contradiction"
+        ok &= fn((2, 3)).verdict == "contradiction"  # the eigenvalue split of p.h0li1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _criterion(7, f"tables verified, sweeps sharp, three audits contradict, "

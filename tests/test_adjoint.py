@@ -1,15 +1,100 @@
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
 from godeaux3 import adjoint
-from godeaux3.adjoint import (Cycle, CycleCounts, adjoint_table,
-                              cycle_structure_check, n_prime_one_is_contradiction,
+from godeaux3.adjoint import (CycleCounts, adjoint_table, n_prime_one_is_contradiction,
                               n_range, restriction_dim, verify_ladder_identity,
                               z_lower_bound)
 from godeaux3.lattice import ParityError
 
 AGREES = "model chain agrees with the printed numerical table"
+
+
+# -- the shapes of the contracted cycles -------------------------------------
+# The catalogue the ladder assumes (ax.minus3 and the two reducible n = 3
+# shapes), held here as a reference until the package derives it.
+
+_FORBIDDEN_IN_CYCLES = ("G", "F", "H")
+
+
+class Cycle(NamedTuple):
+    """A formal (-1)-cycle: named components with positive multiplicities."""
+
+    components: tuple[tuple[str, int], ...]
+
+    def is_irreducible(self) -> bool:
+        return len(self.components) == 1 and self.components[0][1] == 1
+
+
+def _kind(name: str) -> str:
+    if name.startswith("Z"):
+        return "Z"
+    if name.startswith("C"):
+        return "C"
+    return name[0]
+
+
+def cycle_structure_check(config: list[Cycle],
+                          intersections: dict[tuple[str, str], int] | None = None,
+                          ) -> tuple[bool, str]:
+    """Accept a cycle configuration only in the shapes the ladder allows.
+
+    No G/F/H component may appear in a cycle; no cycle contains two distinct
+    E-components; every irreducible cycle C has C.B_0 = C.E' = 1 (read from
+    ``intersections`` when given); a reducible cycle forces n >= 3, and for
+    n = 3 only the two catalogued shapes occur.
+    """
+    inter = intersections or {}
+    n = len(config)
+    for cyc in config:
+        for name, _ in cyc.components:
+            if _kind(name) in _FORBIDDEN_IN_CYCLES:
+                return False, f"component {name} may not lie in a contracted cycle"
+        e_names = {name for name, _ in cyc.components if _kind(name) == "E"}
+        if len(e_names) >= 2:
+            return False, "a cycle may contain at most one E-component"
+    for cyc in config:
+        if cyc.is_irreducible():
+            name = cyc.components[0][0]
+            for other, expected in (("B0", 1), ("E", 1)):
+                got = inter.get((name, other))
+                if got is not None and got != expected:
+                    return False, f"{name}.{other} = {got}, expected {expected}"
+    reducible = [c for c in config if not c.is_irreducible()]
+    if reducible:
+        if n < 3:
+            return False, "a reducible cycle forces n >= 3"
+        if n == 3:
+            if not _matches_red_shape(config):
+                return False, "n = 3 reducible configuration outside the two allowed shapes"
+    return True, ""
+
+
+def _matches_red_shape(config: list[Cycle]) -> bool:
+    irred = [c for c in config if c.is_irreducible()]
+    red = [c for c in config if not c.is_irreducible()]
+    z_names = sorted({c.components[0][0] for c in irred if _kind(c.components[0][0]) == "Z"})
+    # shape 1: Z_1, Z_2 irreducible and Z_3 = Z_1 + Z_2 + E_k
+    if len(irred) == 2 and len(red) == 1 and len(z_names) == 2:
+        mults = dict(red[0].components)
+        e_parts = [nm for nm in mults if _kind(nm) == "E"]
+        if (len(e_parts) == 1 and all(mults.get(z, 0) == 1 for z in z_names)
+                and mults[e_parts[0]] == 1 and len(mults) == 3):
+            return True
+    # shape 2: Z_1 irreducible, Z_2 = Z_1 + C, Z_3 = 2 Z_1 + C + E_k
+    if len(irred) == 1 and len(red) == 2 and len(z_names) == 1:
+        z = z_names[0]
+        two = sorted(red, key=lambda c: dict(c.components).get(z, 0))
+        m1, m2 = dict(two[0].components), dict(two[1].components)
+        c_parts = [nm for nm in m1 if _kind(nm) == "C"]
+        e_parts = [nm for nm in m2 if _kind(nm) == "E"]
+        if (len(c_parts) == 1 and m1.get(z, 0) == 1 and len(m1) == 2
+                and len(e_parts) == 1 and m2.get(z, 0) == 2
+                and m2.get(c_parts[0], 0) == 1 and len(m2) == 3):
+            return True
+    return False
 
 
 def test_adjoint_table_pencil_case():

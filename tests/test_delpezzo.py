@@ -93,7 +93,7 @@ def test_sweep_rejects_failing_tables_and_repeated_row_names():
 def test_transformed_tables_match_fixtures():
     for variant in ("contracted-conic", "contracted-contracted"):
         elim = {"contracted-conic": dp.elim_p_3l12,
-                "contracted-contracted": dp.elim_p_3l13}[variant]()
+                "contracted-contracted": dp.elim_p_3l13}[variant]((2, 3))
         assert elim.verdict == "contradiction"
 
 
@@ -118,10 +118,12 @@ def test_index_theorem_kills():
 
 def test_p_no3lirr_budget():
     # the (2, 2, 8) system comes from e.sys; the (1, 1, 8) one is solved here
-    e = dp.elim_p_no3lirr({(2, 2, 8): solve_multiplicity_system(2, 2, 8)})
+    e = dp.elim_p_no3lirr({(2, 2, 8): solve_multiplicity_system(2, 2, 8)}, 9)
     assert e.verdict == "contradiction"
     assert (e.lhs, e.rhs) == ("6", "3")
-    assert dp.elim_p_no3lirr({}) == e
+    assert dp.elim_p_no3lirr({}, 9) == e
+    # B_0 at a state of degree 7 would leave a budget the two degrees fit in
+    assert dp.elim_p_no3lirr({}, 7).verdict == "survives"
 
 
 def test_sixtuples():
@@ -134,9 +136,9 @@ def test_sixtuples():
 
 
 def test_degree_budgets_reach_both_nodes(monkeypatch):
-    # e.deg1 checks plane.degree_budget; p.no3lirr and the six-tuples read it
+    # p.no3lirr and the six-tuples read plane.degree_budget, which test_plane checks
     monkeypatch.setattr(dp, "degree_budget", lambda k: 3 * k + 1)
-    assert dp.elim_p_no3lirr({}).rhs == "4"
+    assert dp.elim_p_no3lirr({}, 9).rhs == "4"
     kept = dp.sixtuple_enumerate()["kept"]
     assert kept and all(sum(t[1:]) == 3 for t in kept)
 
@@ -167,12 +169,12 @@ def test_forced_proximities_from_virtual_rows():
 
 
 def test_eigenvalue_audit_contradictions():
-    e1 = dp.elim_p_3l1()
+    e1 = dp.elim_p_3l1((2, 3))
     assert e1.verdict == "contradiction"
     assert any("P2: 3*B0+1*E1+1*E4+1*F" in line for line in e1.trace)
     assert any("P3: 3*B0+1*E1+1*E5+1*H" in line for line in e1.trace)
     for fn in (dp.elim_p_3l12, dp.elim_p_3l13):
-        e = fn()
+        e = fn((2, 3))
         assert e.verdict == "contradiction"
         assert any("P6: 3*B0+1*H" in line for line in e.trace)
 
@@ -180,8 +182,11 @@ def test_eigenvalue_audit_contradictions():
 def test_audit_admits_solutions_when_unconstrained():
     # without the planar-point equations the degree equation alone is solvable
     table = dp.table_14pt("lines-lines")
-    free = dp.eigenvalue_audit(table, [])
+    free = dp.eigenvalue_audit(table, [], (2, 3))
     assert free.verdict == "survives"
+    # the split keeps only assignments with two or three E-curves at exponent 1
+    counts = {sum(v == 1 for k, v in s if k.startswith("E")) for s in free.survivors}
+    assert counts == {2, 3}
 
 
 def test_lines_to_contracted_move():

@@ -67,7 +67,7 @@ def test_linear_form():
 
 
 def test_t_ii_sides_and_verdict():
-    e = fib.elim_t_ii()
+    e = fib.elim_t_ii(4)
     assert (e.lhs, e.rhs) == ("12+6l", "15+3l")
     assert e.verdict == "contradiction"
 
@@ -152,19 +152,21 @@ def test_lattice_eliminations():
     assert {k: e.verdict for k, e in l0.items()} == {
         "0a": "contradiction", "0c": "contradiction", "0f": "contradiction"}
     assert (l0["0a"].lhs, l0["0a"].rhs) == ("4", "3")
-    assert fib.elim_p_no0d().verdict == "contradiction"
+    assert fib.elim_p_no0d(1).verdict == "contradiction"
     assert fib.elim_t_no4().verdict == "contradiction"
-    assert fib.elim_p_1e().verdict == "contradiction"
+    assert fib.elim_p_1e((0, -1, -2, -3)).verdict == "contradiction"
+    # an offset the elimination has no argument for leaves (1e) open
+    assert fib.elim_p_1e((0, 1)).verdict == "survives"
 
 
 def test_p_no0d_trace():
-    e = fib.elim_p_no0d()
+    e = fib.elim_p_no0d(1)
     assert (e.lhs, e.rhs) == ("5", "4")
     assert any("m = 4" in line for line in e.trace)
 
 
 def test_fixed_part_dichotomies():
-    assert fib.check_l_n1()
+    assert fib.n1_squares(2) == [0, 1]
     assert fib.check_l_N10()[0]
     assert fib.check_l_N1()[0]
 
@@ -177,12 +179,12 @@ def test_l_n1_reads_the_index_rule_on_every_candidate(monkeypatch):
         return real(x, nn1, n_sq)
 
     monkeypatch.setattr(fib, "index_slack", spy)
-    assert fib.check_l_n1()
+    assert fib.n1_squares(2) == [0, 1]
     # N^2 = 3 and N.N_1 = 2: the candidates run over 0..(N.N_1)^2
     assert seen == [(x, 2, 3) for x in range(5)]
     # the index theorem allows equality: N_1^2 = 1 on the boundary stays in
     monkeypatch.setattr(fib, "index_slack", lambda x, nn1, n_sq: real(x, nn1, n_sq) - (x == 1))
-    assert fib.check_l_n1()
+    assert fib.n1_squares(2) == [0, 1]
 
 
 def test_case_i_grid_is_finite_and_consistent():
@@ -283,8 +285,11 @@ def test_node_bound_dominates_every_contribution_a_run_uses(monkeypatch):
         return counted(self_int)
 
     monkeypatch.setattr(fib, "min_contribution", spy)
-    assert run("all").verdict == "verified"
+    report = run("all")
+    assert report.verdict == "verified"
     assert squares
+    # e.fibre verifies every square the run passes, -9 and -15 of case (i)'s Gamma' included
+    assert {-9, -15} <= squares <= report.results["e.fibre"].value.keys()
     for sq in squares:
         n = -sq
         assert node_bound([(1, 0, {1: n}), (1, 0, {})]) >= counted(sq), sq

@@ -218,6 +218,25 @@ def test_equal_lattices_mix_and_different_ones_raise():
         h + heavier.basis_class("H")
 
 
+def test_equal_lattices_pair_whatever_their_names():
+    grown, plain = blow_up(IntersectionLattice.plane_blow_up(5)), IntersectionLattice.plane_blow_up(6)
+    assert (grown.name, plain.name) == ("P2+5+1", "P2+6")
+    assert grown.basis_class("H").dot(plain.basis_class("H")) == 1
+    other_gram = IntersectionLattice(plain.basis_labels,
+                                     tuple(tuple(2 if i == j == 0 else x for j, x in enumerate(row))
+                                           for i, row in enumerate(plain.gram)),
+                                     plain.canonical, plain.name)
+    with pytest.raises(LatticeError):
+        grown.basis_class("H").dot(other_gram.basis_class("H"))
+
+
+def test_unknown_labels_raise_a_lattice_error(plane5):
+    with pytest.raises(LatticeError, match="'X'"):
+        IntersectionLattice.plane_blow_up(1).by_label(X=1)
+    with pytest.raises(LatticeError, match="'E6'"):
+        plane5.basis_class("E6")
+
+
 def test_hirzebruch_lattice():
     f2 = IntersectionLattice.hirzebruch(2)
     c, f = f2.basis_class("c"), f2.basis_class("f")

@@ -197,6 +197,55 @@ def test_orbit_connects_all_solutions():
     assert max(len(p) for p in chains.values()) <= 6
 
 
+def _depth_capped_orbit_connect(solutions, depth=12):
+    """The orbit search as it was with a depth cap, kept as a reference."""
+    from godeaux3.plane import PlaneError, _moves
+
+    states = {state_from_solution(d0, s): (d0, s) for d0, s in solutions}
+    start = max(states)
+    frontier = [start]
+    paths = {start: []}
+    while frontier:
+        nxt = []
+        for state in frontier:
+            if len(paths[state]) >= depth:
+                continue
+            for triple, new_state in _moves(state):
+                if new_state not in paths:
+                    paths[new_state] = paths[state] + [(state, triple, new_state)]
+                    nxt.append(new_state)
+        frontier = nxt
+    missing = [s for s in states if s not in paths]
+    if missing:
+        raise PlaneError(f"orbit search exhausted; unreachable: {missing}")
+    return {state: paths[state] for state in states}
+
+
+def test_every_move_lowers_the_degree():
+    from godeaux3.plane import _moves
+
+    sols = solve_multiplicity_system(2, 2, 8)
+    seen = {state_from_solution(d, s) for d, s in sols}
+    frontier = list(seen)
+    while frontier:
+        state = frontier.pop()
+        for _, new in _moves(state):
+            assert new[0] < state[0], (state, new)
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+
+
+def test_orbit_search_without_a_depth_cap_gives_the_capped_chains():
+    from itertools import combinations
+
+    sols = solve_multiplicity_system(2, 2, 8)
+    subsets = [list(c) for k in range(1, len(sols) + 1) for c in combinations(sols, k)]
+    assert len(subsets) == 127
+    for subset in subsets:
+        assert cremona_orbit_connect(subset) == _depth_capped_orbit_connect(subset)
+
+
 def test_orbit_pairwise_within_six_moves():
     # every quadratic transform is an involution, so each certified move is
     # reversible; pairwise distances use the undirected move graph

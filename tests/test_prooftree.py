@@ -72,8 +72,8 @@ def test_text_report_deterministic():
 
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
-CANONICAL_TEXT_SHA256 = "fa2a2479d1f2dcfca307a09a4161957df06dbcc1fde983b3eee4323aa894dd38"
-CANONICAL_JSON_SHA256 = "08b46a80f7cae9f4e1d7bac6ea6e43d182d526ffe8806e6a42e945bb62eb61ec"
+CANONICAL_TEXT_SHA256 = "53373d2ccabfbb0db0bd36d5e070279d83ee60b71e09c4dd2a955ecac18aec89"
+CANONICAL_JSON_SHA256 = "026c011379e7edf632b5bae71969676d057ff81219b3d164b837a37798ec2b51"
 
 
 def test_canonical_report_digests():
@@ -85,7 +85,7 @@ def test_canonical_report_digests():
 
 
 # The sides of each elimination, which neither digest covers (``explain`` prints them).
-NODE_SIDES_SHA256 = "d4e9d0ac5e05f66b75cceef80a862c75d66b9e48aed78adc26d3bc9cf69830bc"
+NODE_SIDES_SHA256 = "54d5532a444dd28a86b9c8661b676bc84540b5cd1f202a7a33dfccdaeaa966d9"
 
 
 def test_node_sides_digest(full_report):
@@ -229,12 +229,62 @@ def test_root_checks_the_status_of_each_main_case(monkeypatch):
 
 def test_root_reads_the_main_cases_and_coverage_only():
     registry = build_nodes()
-    assert len(registry) == 84
+    assert len(registry) == 82
     assert set(registry["t.final"].deps) == {"t.i", "t.ii", "coverage"}
 
 
 def test_every_node_feeds_the_root():
     assert set(run("t.final").order) == set(build_nodes())
+
+
+def test_every_edge_to_a_computed_node_is_read(monkeypatch):
+    """Each node reads the outcome of every computed node it depends on; an
+    axiom is a premise, which no node reads."""
+    read = set()
+    node_run = ProofNode.run
+
+    class Recorded:
+        """An outcome that notes the edge along which a node reads any of its fields."""
+
+        def __init__(self, edge, outcome):
+            self._edge, self._outcome = edge, outcome
+
+        def __getattr__(self, name):
+            read.add(self._edge)
+            return getattr(self._outcome, name)
+
+    def recording_run(node, ins):
+        return node_run(node, {d: Recorded((node.id, d), o) for d, o in ins.items()})
+
+    monkeypatch.setattr(ProofNode, "run", recording_run)
+    report = run("all")
+    assert report.verdict == "verified"
+    registry = report.registry
+    computed = {(nid, d) for nid, node in registry.items() for d in node.deps
+                if registry[d].kind != "axiom"}
+    assert len(computed) == 106
+    assert computed - read == set()
+    assert all(registry[d].kind != "axiom" for _, d in read)
+
+
+@pytest.mark.parametrize("square", [fibration.EXC_SQ, fibration.B0_SQ, -15])
+def test_a_square_e_fibre_did_not_verify_fails_its_eliminations(monkeypatch, square):
+    def narrow(registry):
+        fibre = registry["e.fibre"]
+
+        def fn(ins):
+            out = fibre.fn(ins)
+            out.value = {sq: c for sq, c in out.value.items() if sq != square}
+            return out
+
+        registry["e.fibre"] = fibre._replace(fn=fn)
+
+    report = _run_with(monkeypatch, narrow)
+    assert report.results["e.fibre"].status == VERIFIED
+    failed = set(report.failed_nodes())
+    assert {"p.noZ", "p.noN", "p.noN1"} <= failed
+    assert ({"p.0", "p.1", "p.3", "t.ii", "t.no1rul"} <= failed) == (square != -15)
+    assert "t.final" in failed
 
 
 def test_explain_lists_dependency_statuses():

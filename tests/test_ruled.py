@@ -48,26 +48,26 @@ def test_t_no1_scan_needs_no_filter_but_the_first():
 
 
 def test_l_a2_admissible_indices():
-    e = ruled.elim_l_a2()
+    e = ruled.elim_l_a2(3)
     assert e.survivors == (0, 1, 2)
 
 
 def test_p_no2():
-    e = ruled.elim_p_no2()
+    e = ruled.elim_p_no2((0, 1, 2))
     assert e.verdict == "contradiction"
     assert (e.lhs, e.rhs) == ("13", "12")
     assert any("r >= 3" in line for line in e.trace)
 
 
 def test_t_no0():
-    e = ruled.elim_t_no0()
+    e = ruled.elim_t_no0(3)
     assert e.verdict == "contradiction"
     assert any("(d-6)^2" in line for line in e.trace)
     assert any("s1 + s2 = 11" in line for line in e.trace)
 
 
 def test_t_no1_partial_mechanization():
-    e = ruled.elim_t_no1()
+    e = ruled.elim_t_no1(2)
     assert e.verdict == "contradiction"
     # the pencil branch overshoots the Euler excess
     assert (e.lhs, e.rhs) == ("29", "28")
@@ -102,7 +102,7 @@ def test_every_ruled_nine_reads_one_constant():
         "plane.RULED_POINTS += 1\n"
         "importlib.reload(ruled)\n"
         "from godeaux3.report import run\n"
-        "print(ruled.elim_t_no0().rhs, plane.homaloidal_eliminate('generic')['available'],\n"
+        "print(ruled.elim_t_no0(3).rhs, plane.homaloidal_eliminate('generic')['available'],\n"
         "      plane.fa_ladder_checks(1, 3)['squares'] != [0, 3, 4, 3], run('all').verdict)\n")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(godeaux3.__file__))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

@@ -11,13 +11,14 @@ import json
 from importlib import resources
 from itertools import product
 
-from .fibration import Elimination, _partitions
+from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
 from .lattice import IntersectionLattice, index_slack
 from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster, degree_budget,
                     product_violation, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
 
 _E_NAMES = ("E1", "E2", "E3", "E4", "E5")
+_WEIGHTS = {"B0": 2, **{e: 1 for e in _E_NAMES}}  # the branch curve 2 B_0 + sum E_k
 
 
 def _load() -> dict:
@@ -39,7 +40,7 @@ def _gram_14pt(with_fh: bool) -> dict:
     # (-3)-curves E'_k (and F', H') and the (-6)-curve B_0
     names = ("B0", *_E_NAMES, *(("F", "H") if with_fh else ()))
     gram = {(a, b): 0 for i, a in enumerate(names) for b in names[i + 1:]}
-    return {**gram, **{(n, n): -3 for n in names}, ("B0", "B0"): -6}
+    return {**gram, **{(n, n): EXC_SQ for n in names}, ("B0", "B0"): B0_SQ}
 
 
 def table_8pt(key: str) -> ConfigTable:
@@ -48,8 +49,7 @@ def table_8pt(key: str) -> ConfigTable:
     rows = _rows_from_json(data["rows"])
     gram = {tuple(k.split(",")): v for k, v in data["pairs"].items()}
     gram.update({(n, n): v for n, v in data["self"].items()})
-    return ConfigTable(cluster, rows,
-                       weights={"B0": 2, **{e: 1 for e in _E_NAMES}},
+    return ConfigTable(cluster, rows, weights=_WEIGHTS,
                        totals=tuple(data["totals"]), gram=gram)
 
 
@@ -73,8 +73,7 @@ def table_14pt(variant: str | None) -> ConfigTable:
     if with_fh:
         var = _DATA["fh_variants"][variant]
         rows += _rows_from_json({"name": x, **var[x]} for x in ("F", "H"))
-    weights = {"B0": 2, **{e: 1 for e in _E_NAMES}}
-    return ConfigTable(cluster, tuple(rows), weights=weights,
+    return ConfigTable(cluster, tuple(rows), weights=_WEIGHTS,
                        totals=tuple(base["totals"]), gram=_gram_14pt(with_fh))
 
 
@@ -143,74 +142,84 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
     return unsharp
 
 
-# -- the two B_0 option tables and their index-theorem filters -------------------
+# -- the eight-point options and their index-theorem filters ---------------------
 
+_POINTS = 8
 # the genus-one pencil |-K| of the plane blown up at eight points
-_PENCIL_SQ = IntersectionLattice.plane_blow_up(8).k.square
+_PENCIL_SQ = IntersectionLattice.plane_blow_up(_POINTS).k.square
+
+# per branch: the count n of cycles Z_i, the cycles of the level before the last
+# and the one cycle of the last level
+_LEVELS = {"deepest": (3, ("Z''",), "Z'''"), "middle": (2, ("Z'1", "Z'2"), "Z''")}
+# per curve: its square on Y, how often it meets each Z_i, and per branch the
+# total 2 C.(level before) + C.(last level) the vanishing adjoint forces
+_CURVES = {"B0": (B0_SQ, 1, {"deepest": 4, "middle": 6}),
+           "E'": (EXC_SQ, 0, {"deepest": 4, "middle": 3})}
 
 
-def _pencil_index(square: int, pairing: int) -> tuple[int, str]:
-    """The largest square the index theorem allows a class of this pencil
-    pairing, (D.N)^2 as N^2 = 1, and its verdict on ``square``."""
-    slack = index_slack(square, pairing, _PENCIL_SQ)
-    verdict = "excluded" if slack < 0 else "pinned-to-pencil" if slack == 0 else "open"
-    return square + slack, verdict
+def contraction(square: int, meets: tuple[int, ...]) -> tuple[int, int]:
+    """(C^2, C.(-K_W)) for the image of a smooth rational curve C of ``square`` once
+    the (-1)-cycles it meets ``meets`` times each are contracted: each cycle met m
+    times adds m^2 and m, to C^2 and to -K_Y.C = 2 + C^2 (adjunction)."""
+    return square + sum(m * m for m in meets), 2 + square + sum(meets)
 
 
-def b0_options_deepest() -> dict:
-    """Distribution of B_0 against the contracted cycles in the deepest branch.
-
-    The vanishing of the fourth adjoint forces 2 B_0.Z'' + B_0.Z''' = 4; the
-    index theorem against the genus-one pencil (square 1) removes the option
-    with B_0.Z''' = 4 and pins B_0 to the pencil class when B_0.Z'' = 2.
+def options(curve: str, branch: str) -> list[dict]:
+    """Every distribution of ``curve`` (B0 or E') against the contracted cycles of
+    ``branch``, with the square and pencil pairing of its image and the verdict of
+    the index theorem against the pencil (square 1): excluded above (D.N)^2, pinned
+    to the pencil class at it.  The cycles of one level are interchangeable, so
+    their values are nonincreasing; the last level takes what the total leaves.
     """
-    n_cycles = 3
-    options = []
-    for z2 in range(0, 3):
-        z3 = 4 - 2 * z2
-        pairing = 3 - z2  # B_0 . (genus-one pencil)
-        square = -6 + n_cycles + z2 * z2 + z3 * z3
-        options.append({"B0.Z''": z2, "B0.Z'''": z3, "pairing": pairing,
-                        "square": square, "verdict": _pencil_index(square, pairing)[1]})
-    return {"options": options}
+    square, z_meets, totals = _CURVES[curve]
+    n, before, last = _LEVELS[branch]
+    total = totals[branch]
+    out = []
+    for values in sorted(p for s in range(total // 2 + 1) for p in _partitions(s, len(before))):
+        values += (total - 2 * sum(values),)
+        image, pairing = contraction(square, (z_meets,) * n + values)
+        slack = index_slack(image, pairing, _PENCIL_SQ)
+        verdict = "excluded" if slack < 0 else "pinned-to-pencil" if slack == 0 else "open"
+        out.append({**{f"{curve}.{z}": m for z, m in zip((*before, last), values)},
+                    "pairing": pairing, "square": image, "verdict": verdict})
+    return out
 
 
-def b0_options_middle() -> dict:
-    """Same analysis one level up: 2 B_0 . sum Z' + B_0 . Z'' = 6."""
-    options = []
-    for zp1 in range(0, 4):
-        for zp2 in range(0, zp1 + 1):
-            z2 = 6 - 2 * (zp1 + zp2)
-            if z2 < 0:
-                continue
-            pairing = 4 - (zp1 + zp2)
-            square = -6 + 2 + zp1 ** 2 + zp2 ** 2 + z2 ** 2
-            options.append({"B0.Z'1": zp1, "B0.Z'2": zp2, "B0.Z''": z2,
-                            "pairing": pairing, "square": square,
-                            "verdict": _pencil_index(square, pairing)[1]})
-    return {"options": options}
+# per E' elimination: its branch, the E'-curves sharing one last-level sum, that
+# sum, and the wording of its trace
+_SPLITS = {
+    "l.noa": ("deepest", 2, 6, "(E'_1+E'_2).Z''' = {total} splits as {splits}; "
+              "some E' has E'.Z''' = {worst}", ", violating the index theorem"),
+    "l.nob": ("middle", 3, 5, "odd splits of {total}: {splits}; some E'.Z'' = {worst}",
+              " against the index theorem"),
+}
 
 
-def elim_l_noa() -> Elimination:
-    """Deepest branch, option a: some E'-curve would get square 13 > 9."""
-    # (E'_1 + E'_2).Z''' = 6 while 2 E'_k.Z'' + E'_k.Z''' = 4 allows
-    # E'_k.Z''' in {0, 2, 4}: some curve takes the value 4.
-    splits = [(b1, 6 - b1) for b1 in (0, 2, 4) if (6 - b1) in (0, 2, 4)]
-    worst = max(max(p) for p in splits)
-    square = -3 + (4 - worst) ** 2 // 4 + worst ** 2
-    pairing = 3 - (4 - worst) // 2
-    cap, verdict = _pencil_index(square, pairing)
+def elim_forced_split(prop_id: str) -> Elimination:
+    """l.noa, l.nob: the E'-curves' last-level values, each that of an E' option,
+    add up to the given sum.  Every split forces its largest value, and each option
+    at or above the least of these is excluded."""
+    branch, curves, total, head, tail = _SPLITS[prop_id]
+    last = f"E'.{_LEVELS[branch][2]}"
+    opts = options("E'", branch)
+    splits = [c for c in product(sorted({o[last] for o in opts}), repeat=curves)
+              if sum(c) == total]
+    worst = min(max(c) for c in splits)
+    forced = [o for o in opts if o[last] >= worst]
+    square, pairing = next((o["square"], o["pairing"]) for o in forced if o[last] == worst)
+    cap = square + index_slack(square, pairing, _PENCIL_SQ)
     return Elimination(
-        "l.noa", str(square), str(cap),
-        "contradiction" if verdict == "excluded" else "survives",
-        (f"(E'_1+E'_2).Z''' = 6 splits as {splits}; some E' has E'.Z''' = {worst}",
-         f"its image has square {square} > {cap}, violating the index theorem"),
+        prop_id, str(square), str(cap),
+        "contradiction" if all(o["verdict"] == "excluded" for o in forced) else "survives",
+        (head.format(total=total, splits=splits, worst=worst),
+         f"its image has square {square} > {cap}{tail}"),
     )
 
 
 def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> Elimination:
     """Deepest branch, option b: both free E'-curves need plane degree >= 3.
 
+    Each takes one of the deepest E' options the index theorem leaves.
     ``solved`` maps a multiplicity system (square, pairing, points) solved
     elsewhere to its solutions; the other systems are solved here.  B_0 is
     normalized to the top of its Cremona orbit, of plane degree ``b0_degree``.
@@ -218,10 +227,11 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> 
     budget = degree_budget(7) - 2 * b0_degree
     demands = []
     trace = []
-    for z2, z3 in ((2, 0), (1, 2)):
-        square = -3 + z2 * z2 + z3 * z3
-        pairing = 3 - z2
-        system = (square, pairing, 8)
+    for o in reversed(options("E'", "deepest")):  # pencil-pinned first
+        if o["verdict"] == "excluded":
+            continue  # the index-theorem kill of l.noa
+        z2, z3 = o["E'.Z''"], o["E'.Z'''"]
+        system = (o["square"], o["pairing"], _POINTS)
         sols = solved[system] if system in solved else solve_multiplicity_system(*system)
         if not sols:
             trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): no plane model at all")
@@ -230,7 +240,6 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> 
         demands.append(dmin)
         trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): min degree {dmin}, "
                      f"solutions {[(d, s) for d, s in sols]}")
-    # the third option (0, 4) is the index-theorem kill of l.noa
     lhs = 2 * min(demands)
     return Elimination(
         "p.no3lirr", str(lhs), str(budget),
@@ -242,31 +251,15 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> 
 
 def elim_p_3lred() -> Elimination:
     """Deepest branch with a reducible cycle: B_0 becomes numerically trivial."""
-    square = -6 + 1 + 1 + 4  # B_0.Z_1 = B_0.Z_2 = 1, B_0.Z_3 = 2
-    b0_n3 = 0 + 3 * 4 - 3 * (1 + 1 + 2)  # B_0.N_3 = B_0.N + 3 B_0.K - 3 B_0(sum Z)
-    ok = square == 0 and b0_n3 == 0
+    meets = (1, 1, 2)  # B_0.Z_1 = B_0.Z_2 = 1, B_0.Z_3 = 2
+    square, pairing = contraction(B0_SQ, meets)
+    b0_n3 = 0 + 3 * 4 - 3 * sum(meets)  # B_0.N_3 = B_0.N + 3 B_0.K - 3 B_0(sum Z)
+    ok = square == pairing == 0 and b0_n3 == 0
     return Elimination(
         "p.3lred", str(square), "0",
         "contradiction" if ok else "failed",
         ("after contracting the cycles B_0 has square 0 and meets the pencil in 0",
          "index theorem and rationality force B_0 = 0, impossible for a curve"),
-    )
-
-
-def elim_l_nob() -> Elimination:
-    """Middle branch, option b: some E' has E'.Z'' = 3 and square 6 > 4."""
-    # (E'_1+E'_2+E'_3).Z'' = 5 with each 2 E'.(sum Z') + E'.Z'' = 3, so each
-    # E'.Z'' is odd in {1, 3}; 5 = 1 + 1 + 3 forces a curve with the value 3.
-    values = [combo for combo in product((1, 3), repeat=3) if sum(combo) == 5]
-    worst = max(max(c) for c in values)
-    square = -3 + worst ** 2
-    pairing = 2 - 0
-    cap, verdict = _pencil_index(square, pairing)
-    return Elimination(
-        "l.nob", str(square), str(cap),
-        "contradiction" if verdict == "excluded" else "survives",
-        (f"odd splits of 5: {values}; some E'.Z'' = {worst}",
-         f"its image has square {square} > {cap} against the index theorem"),
     )
 
 
@@ -323,7 +316,7 @@ def exceptional_curve_solutions() -> dict:
                 mults[6], mults[7] = m2, m3
                 mults[13] = 1
                 curve = PlaneCurve(f"d{d}", d, tuple(mults), virtual=True)
-                if curve.self_int() != -3:
+                if curve.self_int() != EXC_SQ:
                     continue
                 kind = {2: "conic", 1: "line", 0: "contracted"}[d]
                 singles.append((kind, curve))

@@ -292,7 +292,10 @@ def elim_t_no4() -> Elimination:
 
 
 def elim_p_1e(offsets: tuple[int, ...]) -> Elimination:
-    """Case (1e) dies for each given n - 3l by exact lattice arithmetic."""
+    """Case (1e) dies for each given n - 3l in -3..0 by exact lattice arithmetic
+    (n = 3l - 4 is t.no4's); any other offset raises ``FibrationError``."""
+    if not set(offsets) <= set(range(-3, 1)):
+        raise FibrationError(f"n - 3l must lie in -3..0, got {offsets}")
     trace = []
     closed = {}
     top = _pencil_n1(1, 3)  # n - 3l = 0; each cycle fewer lowers N_1^2 by one
@@ -502,14 +505,18 @@ def n1_squares(nn1: int) -> list[int]:
     return [x for x in range(nn1 ** 2 + 1) if index_slack(x, nn1, n_sq) >= 0]
 
 
+def _fixed_part_shapes(n1_delta: int, n1_t: int) -> list[tuple[int, int, int]]:
+    """(Delta^2, Delta.T, T^2) with N_1.Delta = Delta^2 + Delta.T and N_1.T =
+    Delta.T + T^2 as given, Delta^2 >= 0, Delta.T >= 0 and T^2 arbitrary."""
+    return sorted(((d2, dt, t2) for d2 in range(0, 3) for dt in range(0, 3)
+                   for t2 in range(-2, 3) if d2 + dt == n1_delta and dt + t2 == n1_t),
+                  reverse=True)
+
+
 def check_l_N10() -> tuple[bool, list[str], list[tuple[int, int, int]]]:
     """N_1^2 = 0 forces an empty fixed part."""
     trace = []
-    # 0 = N_1.Delta = Delta^2 + Delta.T and 0 = N_1.T = Delta.T + T^2 with all
-    # three quantities constrained: Delta^2 >= 0, Delta.T >= 0, T^2 arbitrary.
-    solutions = [(d2, dt, t2) for d2 in range(0, 3) for dt in range(0, 3)
-                 for t2 in range(-2, 3)
-                 if d2 + dt == 0 and dt + t2 == 0]
+    solutions = _fixed_part_shapes(0, 0)
     trace.append(f"Delta^2 = Delta.T = T^2 = 0 from {solutions}")
     ok = solutions == [(0, 0, 0)]
     # N.Delta + N.T = N.N_1 = 2; the (1,1) split makes Delta = T (index), absurd
@@ -522,9 +529,8 @@ def check_l_N1() -> tuple[bool, list[str], list[tuple[int, int, int]]]:
     """N_1^2 = 1: no fixed part unless Delta^2 = 0 with the two listed shapes."""
     trace = []
     # 1 = N_1.Delta + N_1.T with N_1.Delta >= 1 (else Delta = 0): so
-    # N_1.Delta = 1, N_1.T = 0, and either T^2 = 0 (no fixed part) or
-    # T^2 = -1, Delta.T = 1, Delta^2 = 0.
-    shapes = [(1 + t2, -t2, t2) for t2 in (0, -1)]  # Delta.T = -T^2, Delta^2 = 1 - Delta.T
+    # N_1.Delta = 1 and N_1.T = 0
+    shapes = _fixed_part_shapes(1, 0)
     trace.append(f"(Delta^2, Delta.T, T^2) in {shapes}")
     ok = shapes == [(1, 0, 0), (0, 1, -1)]
     trace.append("T^2 = -1 branch: N.Delta = 1 gives N = N_1 + Delta;"

@@ -566,8 +566,7 @@ def _matches_forced(options: list[dict], report) -> bool:
 
 def _b0_tables(ins) -> Outcome:
     """Both option tables against their ladders at l = 1; the value maps branch to options."""
-    deep = delpezzo.b0_options_deepest()["options"]
-    mid = delpezzo.b0_options_middle()["options"]
+    deep, mid = delpezzo.options("B0", "deepest"), delpezzo.options("B0", "middle")
     ex, op, pin = "excluded", "open", "pinned-to-pencil"
     ok = [o["verdict"] for o in deep + mid] == [ex, op, pin, ex, ex, op, pin, pin, ex]
     ok &= _matches_forced(deep, ins["s.3l"].value[1])
@@ -765,7 +764,8 @@ def build_nodes() -> dict[str, ProofNode]:
     add("b0.tables", "formula-check", "index filter on the cycle distributions",
         ("s.3l", "s.3l-1"), _b0_tables)
     add("l.noa", "elimination", "deepest branch, pencil-pinned option",
-        ("b0.tables",), _option(_elim(delpezzo.elim_l_noa), "deepest", "pinned-to-pencil"))
+        ("b0.tables",), _option(_elim(lambda: delpezzo.elim_forced_split("l.noa")), "deepest",
+                                "pinned-to-pencil"))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
         ("b0.tables", "e.sys", "p.equiv0"),
         _option(lambda ins: _from_elimination(delpezzo.elim_p_no3lirr(
@@ -775,7 +775,8 @@ def build_nodes() -> dict[str, ProofNode]:
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
         ("l.noa", "p.no3lirr", "p.3lred"), _all_closed, closes=((1, 0, "eight-point"),))
     add("l.nob", "elimination", "middle branch, pencil-pinned option",
-        ("b0.tables",), _option(_elim(delpezzo.elim_l_nob), "middle", "pinned-to-pencil"))
+        ("b0.tables",), _option(_elim(lambda: delpezzo.elim_forced_split("l.nob")), "middle",
+                                "pinned-to-pencil"))
     add("sixtuples", "enumeration", "admissible degree six-tuples",
         ("b0.tables",), _option(_sixtuples, "middle", "open"))
     add("e.f2", "enumeration", "plane models of the two exceptional curves", (), _e_f2)

@@ -1,6 +1,7 @@
 import pytest
 
 from godeaux3 import delpezzo as dp
+from godeaux3.fibration import B0_SQ, EXC_SQ
 from godeaux3.plane import (ConfigTable, PlaneCurve, PlaneError, solve_multiplicity_system,
                             verify_config_table)
 
@@ -97,12 +98,30 @@ def test_transformed_tables_match_fixtures():
         assert elim.verdict == "contradiction"
 
 
+# The typed tables the option enumeration replaced, kept as references: per
+# option its values against the cycles, then its pencil pairing and square, typed
+# as literal pairing - sum and literal square + sum (C.Z)^2.
+B0_DEEPEST = [((z2, 4 - 2 * z2), 3 - z2, -6 + 3 + z2 ** 2 + (4 - 2 * z2) ** 2)
+              for z2 in range(0, 3)]
+B0_MIDDLE = [((a, b, 6 - 2 * (a + b)), 4 - (a + b),
+              -6 + 2 + a ** 2 + b ** 2 + (6 - 2 * (a + b)) ** 2)
+             for a in range(0, 4) for b in range(0, a + 1) if 6 - 2 * (a + b) >= 0]
+E_DEEPEST_LIVE = [(z2, z3, -3 + z2 * z2 + z3 * z3, 3 - z2) for z2, z3 in ((2, 0), (1, 2))]
+
+
+def _typed(options):
+    return [(tuple(v for k, v in o.items() if ".Z" in k), o["pairing"], o["square"])
+            for o in options]
+
+
 def test_b0_option_tables():
-    deep = dp.b0_options_deepest()["options"]
+    deep = dp.options("B0", "deepest")
+    assert _typed(deep) == B0_DEEPEST
     assert [(o["B0.Z''"], o["B0.Z'''"], o["verdict"]) for o in deep] == [
         (0, 4, "excluded"), (1, 2, "open"), (2, 0, "pinned-to-pencil")]
+    assert _typed(dp.options("B0", "middle")) == B0_MIDDLE
     mid = {(o["B0.Z'1"], o["B0.Z'2"], o["B0.Z''"]): o["verdict"]
-           for o in dp.b0_options_middle()["options"]}
+           for o in dp.options("B0", "middle")}
     assert mid[(3, 0, 0)] == "excluded"
     assert mid[(1, 0, 4)] == "excluded"
     assert mid[(0, 0, 6)] == "excluded"
@@ -110,10 +129,46 @@ def test_b0_option_tables():
     assert mid[(1, 1, 2)] == "open"
 
 
+def test_e_prime_option_tables():
+    deep, mid = dp.options("E'", "deepest"), dp.options("E'", "middle")
+    assert {o["E'.Z'''"] for o in deep} == {0, 2, 4}
+    assert {o["E'.Z''"] for o in mid} == {1, 3}
+    # E' meets no Z_i; its forced totals are 2 E'.Z'' + E'.Z''' = 4 and
+    # 2 E'.(sum Z') + E'.Z'' = 3
+    assert all(2 * o["E'.Z''"] + o["E'.Z'''"] == 4 for o in deep)
+    assert all(2 * (o["E'.Z'1"] + o["E'.Z'2"]) + o["E'.Z''"] == 3 for o in mid)
+    live = [(o["E'.Z''"], o["E'.Z'''"], o["square"], o["pairing"])
+            for o in reversed(deep) if o["verdict"] != "excluded"]
+    assert live == E_DEEPEST_LIVE  # p.no3lirr's two systems, in its order
+
+
+def test_contraction_rule():
+    assert dp.contraction(EXC_SQ, (0, 0, 3)) == (6, 2)  # l.nob's curve
+    assert dp.contraction(B0_SQ, (1, 1, 2)) == (0, 0)  # p.3lred's B_0
+    # a (-1)-curve meeting one (-1)-cycle once becomes a 0-curve of degree 2
+    assert dp.contraction(-1, (1,)) == (0, 2)
+    assert dp.contraction(B0_SQ, ()) == (B0_SQ, 2 + B0_SQ)
+
+
 def test_index_theorem_kills():
-    assert dp.elim_l_noa().verdict == "contradiction"
-    assert dp.elim_l_nob().verdict == "contradiction"
+    noa, nob = dp.elim_forced_split("l.noa"), dp.elim_forced_split("l.nob")
+    assert (noa.lhs, noa.rhs, noa.verdict) == ("13", "9", "contradiction")
+    assert (nob.lhs, nob.rhs, nob.verdict) == ("6", "4", "contradiction")
+    assert noa.trace[0] == ("(E'_1+E'_2).Z''' = 6 splits as [(2, 4), (4, 2)]; "
+                            "some E' has E'.Z''' = 4")
+    assert nob.trace[0] == "odd splits of 5: [(1, 1, 3), (1, 3, 1), (3, 1, 1)]; some E'.Z'' = 3"
     assert dp.elim_p_3lred().verdict == "contradiction"
+
+
+def test_forced_split_survives_when_a_split_avoids_every_excluded_value(monkeypatch):
+    # two deepest E'-curves adding up to 4 could both take the open value 2
+    monkeypatch.setitem(dp._SPLITS, "x", ("deepest", 2, 4, "{splits} {worst}", ""))
+    e = dp.elim_forced_split("x")
+    assert e.trace[0] == "[(0, 4), (2, 2), (4, 0)] 2"
+    assert (e.lhs, e.rhs, e.verdict) == ("2", "4", "survives")
+    # adding up to 8, both take the excluded value 4
+    monkeypatch.setitem(dp._SPLITS, "x", ("deepest", 2, 8, "{splits} {worst}", ""))
+    assert dp.elim_forced_split("x").verdict == "contradiction"
 
 
 def test_p_no3lirr_budget():

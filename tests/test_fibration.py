@@ -155,8 +155,18 @@ def test_lattice_eliminations():
     assert fib.elim_p_no0d(1).verdict == "contradiction"
     assert fib.elim_t_no4().verdict == "contradiction"
     assert fib.elim_p_1e((0, -1, -2, -3)).verdict == "contradiction"
-    # an offset the elimination has no argument for leaves (1e) open
-    assert fib.elim_p_1e((0, 1)).verdict == "survives"
+    # an offset the elimination has no argument for is refused
+    with pytest.raises(FibrationError, match="-3..0"):
+        fib.elim_p_1e((0, 1))
+
+
+@pytest.mark.parametrize("offsets", [(-4,), (1,), (-5, 0), (0, -1, -2, -3, -4)])
+def test_p_1e_refuses_offsets_outside_its_argument(offsets):
+    # n = 3l - 4 is t.no4's; no n - 3l above 0 or below -4 occurs
+    with pytest.raises(FibrationError, match="-3..0"):
+        fib.elim_p_1e(offsets)
+    for off in (0, -1, -2, -3):
+        assert fib.elim_p_1e((off,)).verdict == "contradiction"
 
 
 def test_p_no0d_trace():
@@ -169,6 +179,13 @@ def test_fixed_part_dichotomies():
     assert fib.n1_squares(2) == [0, 1]
     assert fib.check_l_N10()[0]
     assert fib.check_l_N1()[0]
+
+
+def test_fixed_part_shapes_come_from_one_grid_search():
+    # the shapes check_l_N1 typed before: Delta.T = -T^2, Delta^2 = 1 - Delta.T
+    typed = [(1 + t2, -t2, t2) for t2 in (0, -1)]
+    assert fib.check_l_N1()[2] == typed == fib._fixed_part_shapes(1, 0)
+    assert fib.check_l_N10()[2] == [(0, 0, 0)] == fib._fixed_part_shapes(0, 0)
 
 
 def test_l_n1_reads_the_index_rule_on_every_candidate(monkeypatch):

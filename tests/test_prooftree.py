@@ -162,6 +162,23 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_run_timing_appends_one_time_per_node(capsys):
+    order = run("all").order
+    assert len(order) == 82
+    assert main(["run", "--timing"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    start = lines.index("timing (s):\n")
+    block = [line.rsplit(":", 1)[0].strip() for line in lines[start + 1:-1]]
+    assert sorted(block) == sorted(order) and len(set(block)) == len(block)
+    canonical = "".join(lines[:start] + lines[-1:]).encode()
+    assert hashlib.sha256(canonical).hexdigest() == CANONICAL_TEXT_SHA256
+    assert main(["run", "--timing", "--format", "json"]) == 0
+    blob = json.loads(capsys.readouterr().out)
+    assert sorted(blob.pop("timing")) == sorted(order)
+    canonical = json.dumps(blob, sort_keys=True).encode()
+    assert hashlib.sha256(canonical).hexdigest() == CANONICAL_JSON_SHA256
+
+
 def test_cli_rejects_jobs(capsys):
     assert main(["run", "--jobs", "4"]) == 2
     capsys.readouterr()

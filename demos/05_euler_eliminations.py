@@ -27,14 +27,15 @@ print("\nsurvivors after the Euler pass:", survivors)
 
 print("\nlattice-based eliminations:")
 closed = set()
+case = {label: e.case for label, e in passes.items()}  # the record each pass judged
 # (1e) at every n - 3l from 0 down to -3 (t.no4 takes -4); (0d) at l = 1, where it survives
-for e, labels in ((fibration.elim_t_no4(), ()),
-                  (fibration.elim_p_1e((0, -1, -2, -3)), ("1e",)),
-                  (fibration.elim_p_no0d(1), ("0d",))):
+for e, labels in ((fibration.elim_t_no4(case["1e"]), ()),
+                  (fibration.elim_p_1e(case["1e"], (0, -1, -2, -3)), ("1e",)),
+                  (fibration.elim_p_no0d(case["0d"], 1), ("0d",))):
     print(f"  {e.prop_id}: {e.verdict}")
     if e.verdict == "contradiction":
         closed.update(labels)
-for label, e in sorted(fibration.elim_p_l0().items()):
+for label, e in sorted(fibration.elim_p_l0([case[lab] for lab in ("0a", "0c", "0f")]).items()):
     print(f"  {e.prop_id}: {e.verdict}")
     if e.verdict == "contradiction":
         closed.add(label)

@@ -36,22 +36,32 @@ def ladder_top(r0k: int) -> tuple[int, int]:
     return 3, 1 - 2 * r0k
 
 
-def adjoint_table(r0k: int, ky2: int, h2: int, counts: CycleCounts) -> list[AdjointRow]:
-    """Numerical data of N_1, ..., N_4 as functions of the raw case invariants.
+def adjoint_pairing(x_ni: int, x_k: int, x_contracted: int) -> int:
+    """X.N_{i+1} = X.N_i + X.K - X.(G' + the cycles contracted at level i)."""
+    return x_ni + x_k - x_contracted
 
-    N_{i+1} = N_i + K_Y - (G' + the cycles contracted at level i), and these
-    m_i = h_2 + n + n' + ... curves are disjoint (-1)-curves orthogonal to N_i,
-    so N_{i+1}^2 = N_i^2 + 2 N_i.K + K^2 + m_i, N_{i+1}.K = N_i.K + K^2 + m_i
-    and N_i.N_{i+1} = N_i^2 + N_i.K.
+
+def adjoint_step(ni2: int, nik: int, ky2: int, m: int) -> tuple[int, int, int]:
+    """(N_i.N_{i+1}, N_{i+1}^2, N_{i+1}.K) for N_{i+1} = N_i + K_Y - (G' + cycles).
+
+    The m contracted curves are disjoint (-1)-curves, each with C.K = -1, that
+    miss N_i and N_{i+1}: so N_{i+1}^2 = N_i^2 + 2 N_i.K + K^2 + m.
     """
+    prev_dot = adjoint_pairing(ni2, nik, 0)
+    nik = adjoint_pairing(nik, ky2, -m)
+    return prev_dot, prev_dot + nik, nik
+
+
+def adjoint_table(r0k: int, ky2: int, h2: int, counts: CycleCounts) -> list[AdjointRow]:
+    """Numerical data of N_1, ..., N_4 as functions of the raw case invariants,
+    by ``adjoint_step`` with m_i = h_2 + n + n' + ... curves contracted at level i."""
     ni2, nik = ladder_top(r0k)
     m = h2
     rows = []
     levels = (counts.n, counts.nprime, counts.nsecond, counts.nthird)
     for index, count in enumerate(levels, start=1):
         m += count
-        prev_dot = ni2 + nik
-        ni2, nik = ni2 + 2 * nik + ky2 + m, nik + ky2 + m
+        prev_dot, ni2, nik = adjoint_step(ni2, nik, ky2, m)
         if (ni2 + nik) % 2:
             raise ParityError(f"N_{index}^2 + N_{index}.K = {ni2 + nik} is odd")
         rows.append(AdjointRow(index, ni2, nik, 1 + (ni2 + nik) // 2, prev_dot))

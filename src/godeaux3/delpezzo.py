@@ -12,7 +12,7 @@ from importlib import resources
 from itertools import product
 
 from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
-from .lattice import IntersectionLattice, index_slack
+from .lattice import IntersectionLattice, canonical_degree, index_slack
 from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster, degree_budget,
                     product_violation, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
@@ -161,7 +161,7 @@ def contraction(square: int, meets: tuple[int, ...]) -> tuple[int, int]:
     """(C^2, C.(-K_W)) for the image of a smooth rational curve C of ``square`` once
     the (-1)-cycles it meets ``meets`` times each are contracted: each cycle met m
     times adds m^2 and m, to C^2 and to -K_Y.C = 2 + C^2 (adjunction)."""
-    return square + sum(m * m for m in meets), 2 + square + sum(meets)
+    return square + sum(m * m for m in meets), sum(meets) - canonical_degree(square)
 
 
 def options(curve: str, branch: str) -> list[dict]:
@@ -221,15 +221,19 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> 
 
     Each takes one of the deepest E' options the index theorem leaves.
     ``solved`` maps a multiplicity system (square, pairing, points) solved
-    elsewhere to its solutions; the other systems are solved here.  B_0 is
-    normalized to the top of its Cremona orbit, of plane degree ``b0_degree``.
+    elsewhere to its solutions; the other systems are solved here, and a system
+    no option asks for raises ``PlaneError``.  B_0 is normalized to the top of
+    its Cremona orbit, of plane degree ``b0_degree``.
     """
     budget = degree_budget(7) - 2 * b0_degree
     demands = []
     trace = []
-    for o in reversed(options("E'", "deepest")):  # pencil-pinned first
-        if o["verdict"] == "excluded":
-            continue  # the index-theorem kill of l.noa
+    # pencil-pinned first; the excluded options are the index-theorem kill of l.noa
+    live = [o for o in reversed(options("E'", "deepest")) if o["verdict"] != "excluded"]
+    stray = set(solved) - {(o["square"], o["pairing"], _POINTS) for o in live}
+    if stray:
+        raise PlaneError(f"no deepest E' option asks for the systems {sorted(stray)}")
+    for o in live:
         z2, z3 = o["E'.Z''"], o["E'.Z'''"]
         system = (o["square"], o["pairing"], _POINTS)
         sols = solved[system] if system in solved else solve_multiplicity_system(*system)

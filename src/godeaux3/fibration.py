@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .adjoint import AdjointRow, CycleCounts, adjoint_table, ladder_top
+from .adjoint import CycleCounts, adjoint_pairing, adjoint_step, ladder_top
 from .cover import RamificationData, image_square, quotient_k2
-from .lattice import index_slack
-from .pencil import EXC_SELF_INT, PencilCase, pencil_case
+from .lattice import canonical_degree, index_slack
+from .pencil import EXC_SELF_INT, PencilCase, pencil_case, subsystem_split
 
 
 class FibrationError(Exception):
@@ -111,28 +111,30 @@ class Elimination(NamedTuple):
     verdict: str  # "contradiction" or "survives"
     trace: tuple[str, ...] = ()
     survivors: tuple = ()
+    case: PencilCase | None = None  # the pencil case an Euler pass judges
 
 
 # -- case (iii): the pencil |A'| ----------------------------------------------
 
 
-# h_1 and K_Y^2 of the pencil case, R_0.K_S = 0 and h_2 = 1, as functions of l
-_PENCIL_H1 = _affine(lambda ell: RamificationData(0, ell, 1).h1)
-_PENCIL_KY2 = _affine(lambda ell: quotient_k2(RamificationData(0, ell, 1)))
+# h_1 and K_Y^2 of the pencil case, R_0.K_S = 0 and h_2 = 1 (one curve G'), in l
+_H2 = 1
+_PENCIL_H1 = _affine(lambda ell: RamificationData(0, ell, _H2).h1)
+_PENCIL_KY2 = _affine(lambda ell: quotient_k2(RamificationData(0, ell, _H2)))
 
 
-def _pencil_trapped(case: PencilCase) -> tuple[bool, bool, int]:
-    """(F' trapped, H' trapped, E'-curves met) for |A'|: F' lies in a fibre when
-    A'.F' = F - G vanishes (H' likewise), and D meets one E'-curve per E-component."""
+def _pencil_trapped(case: PencilCase) -> tuple[int, int, int]:
+    """(A'.F', A'.H', E'-curves met) for |A'|: pi^* A' = A - D and pi^* F' = 3F give
+    A'.F' = -D.F = F - G (H' likewise), and D meets one E'-curve per E-component."""
     d = dict(case.d)
     g = d.get("G", 0)
-    return d.get("F", 0) == g, d.get("H", 0) == g, sum(1 for c in d if c.startswith("E"))
+    return d.get("F", 0) - g, d.get("H", 0) - g, sum(1 for c in d if c.startswith("E"))
 
 
-def _pencil_sum(inv: tuple[bool, bool, int], ell: int, b0: int) -> int:
-    """What |A'| traps: F'/H' as ``inv`` says, the h_1 E'-curves it misses, ``b0`` of B_0."""
-    f_in, h_in, e_met = inv
-    return trapped((f_in + h_in + _PENCIL_H1(ell) - e_met, EXC_SQ), (b0, B0_SQ))
+def _pencil_sum(inv: tuple[int, int, int], ell: int, b0: int) -> int:
+    """What |A'| traps: F' and H' if A' misses them, the h_1 E'-curves it misses, b0 of B_0."""
+    a_f, a_h, e_met = inv
+    return trapped(((not a_f) + (not a_h) + _PENCIL_H1(ell) - e_met, EXC_SQ), (b0, B0_SQ))
 
 
 def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
@@ -143,7 +145,7 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     """
     if isinstance(case, str):
         case = pencil_case(case)
-    inv = f_in, h_in, e_met = _pencil_trapped(case)
+    inv = a_f, a_h, e_met = _pencil_trapped(case)
     # at most A'.R_0 components of B_0 meet the moving part; the rest are trapped
     lhs = _affine(lambda ell: _pencil_sum(inv, ell, ell - case.ar0))
     rhs = _affine(lambda ell: euler_excess(_PENCIL_KY2(ell), case.aprime2, case.apk))
@@ -151,7 +153,7 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     b0_note = (f"at least l-{case.ar0} components of B_0" if case.ar0
                else "all l components of B_0")
     trace = [f"delta = {rhs}",
-             f"trapped: F'={f_in} H'={h_in}, E' count (4+l)-{e_met}, {b0_note}",
+             f"trapped: F'={not a_f} H'={not a_h}, E' count (4+l)-{e_met}, {b0_note}",
              f"contributions >= {lhs}"]
     survivors = [ell for ell in range(ell_min, ell_max + 1)
                  if _pencil_sum(inv, ell, max(0, ell - case.ar0)) <= rhs(ell)]
@@ -160,7 +162,7 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     verdict = "contradiction" if not survivors else "survives"
     trace.append(f"surviving l: {survivors}")
     return Elimination(f"delta.{case.label}", str(lhs), str(rhs), verdict,
-                       tuple(trace), tuple(survivors))
+                       tuple(trace), tuple(survivors), case)
 
 
 def _partitions(total: int, slots: int):
@@ -179,13 +181,14 @@ def p1e_meeting_distributions(case: PencilCase, ell: int) -> list[tuple[int, ...
     """In case (1e) every component of B_0 must meet the moving part.
 
     ``case`` is the (1e) record of the A'^2 = 1 list.  Enumerates the
-    distributions of A'.B_0 = 3 over the l components and keeps those passing
+    distributions of A'.B_0 = A.R_0 over the l components and keeps those passing
     the Euler test; all survivors have every entry positive.
     """
     inv = _pencil_trapped(case)
     rhs = euler_excess(_PENCIL_KY2(ell), case.aprime2, case.apk)
     # a component of B_0 the moving part misses lies in a fibre
-    return [dist for dist in _partitions(3, ell) if _pencil_sum(inv, ell, dist.count(0)) <= rhs]
+    return [dist for dist in _partitions(case.ar0, ell)
+            if _pencil_sum(inv, ell, dist.count(0)) <= rhs]
 
 
 def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]]:
@@ -202,83 +205,81 @@ def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]
 
 # -- case (iii): lattice-based eliminations -----------------------------------
 
-
-def _pencil_n1(ell: int, n: int) -> AdjointRow:
-    """The row N_1 of the pencil case's ladder: R_0.K = 0, h_2 = 1, K_Y^2 = -2 - 3l."""
-    ky2 = quotient_k2(RamificationData(0, ell, 1))
-    return adjoint_table(0, ky2, 1, CycleCounts(n))[0]
+# N misses G' and the cycles, so N.N_1 = N^2 + N.K_Y
+_N2, _NK = ladder_top(0)
+_NN1 = adjoint_pairing(_N2, _NK, 0)
 
 
-def elim_p_l0() -> dict[str, Elimination]:
-    """Cases (0a), (0c), (0f) die on exact intersection numbers with N_2 or N_1."""
+def _projection(case: PencilCase) -> tuple[int, int, int]:
+    """(A'.N, A'.K_Y, A'.B_0), A'.K_Y as the record has it: pi^* N = 3 K_S (case N has
+    A = 3 K_S and A' = N) and pi^* B_0 = 3 R_0, so A'.N = A.K_S, read from the
+    moving/fixed split, and A'.B_0 = A.R_0."""
+    ak = next(b.ak for b in subsystem_split() if case.a2 in b.a2_options)
+    return ak, case.apk, case.ar0
+
+
+def elim_p_l0(cases: list[PencilCase]) -> dict[str, Elimination]:
+    """Cases (0a), (0c), (0f), at l = n = 0: the E'-curves D meets lie in Phi' = N - A',
+    so they meet each adjoint N_i at most as Phi' does.  Down the ladder from N_0 = N,
+    the first N_i they meet more kills the case.  N, A' and E' miss the contracted curves."""
     out = {}
-    # (0a): A'.N = 2 so Phi'.N_2 = N.N_2 - A'.N_2 = 5 - 2 = 3, yet the two
-    # E'-components of the fixed part give (E'_1+E'_2).N_2 = 4.
-    nn1, nk = _pencil_n1(0, 0).prev_dot, ladder_top(0)[1]
-    a_n = 2
-    a_n1 = a_n  # A'(N + K - G') with A'.K = 0, A'.G' = 0
-    nn2 = nn1 + nk
-    phi_n2 = nn2 - a_n
-    e_n2 = 2  # E'_k(N + 2K - 2G') = 2
-    lhs, rhs = 2 * e_n2, phi_n2
-    out["0a"] = Elimination(
-        "p.l0.0a", str(lhs), str(rhs),
-        "contradiction" if lhs > rhs else "survives",
-        (f"Phi'.N_2 = N.N_2 - A'.N_2 = {nn2} - {a_n1} = {phi_n2}",
-         f"E'_1 + E'_2 <= Phi' and each E'_k.N_2 = {e_n2}",
-         f"{lhs} = (E'_1+E'_2).N_2 <= Phi'.N_2 = {rhs} fails"),
-    )
-    for lab, atoms in (("0c", 3), ("0f", 2)):
-        a_n = 3
-        phi_n1 = nn1 - a_n  # = 1
-        e_n1 = 1
-        lhs = atoms * e_n1  # the D-atoms force that many E'-components inside Phi'
-        out[lab] = Elimination(
-            f"p.l0.{lab}", str(lhs), str(phi_n1),
-            "contradiction" if lhs > phi_n1 else "survives",
-            (f"Phi'.N_1 = N.N_1 - A'.N_1 = {nn1} - {a_n} = {phi_n1}",
-             f"{atoms} E'-components lie in Phi', each with E'.N_1 = {e_n1}",
-             f"{lhs} <= {phi_n1} fails"),
-        )
+    for case in cases:
+        a_n, a_k, _ = _projection(case)
+        e_met = _pencil_trapped(case)[2]
+        steps = (_NK, a_k, canonical_degree(EXC_SQ))  # X.K_Y for X = N, A', E' (rational)
+        nn, an, en = _N2, a_n, 0  # X.N for X = N, A', E': pi^* N = 3 K_S misses E
+        walk = []
+        for _ in CycleCounts.__slots__:  # at most the ladder's four levels
+            lhs, rhs = e_met * en, nn - an
+            walk.append((lhs, rhs))
+            if lhs > rhs:
+                break
+            nn, an, en = (adjoint_pairing(x, k, 0) for x, k in zip((nn, an, en), steps))
+        trace = (f"{e_met} E'-curves lie in Phi' = N - A'; their sum and Phi' meet "
+                 f"N_0 = N, N_1, ... in {walk}", f"{lhs} <= {rhs} fails")
+        out[case.label] = Elimination(f"p.l0.{case.label}", str(lhs), str(rhs),
+                                      "contradiction" if lhs > rhs else "survives", trace)
     return out
 
 
-def elim_p_no0d(ell: int) -> Elimination:
-    """Case (0d) at the l it survives at: the vanishing adjoint A_1 forces four
-    (-1)-cycles, then B_0.(sum C_j) = 5 makes some C_1.B_0 >= 2 against A'.B_0 = 1."""
-    ky2 = quotient_k2(RamificationData(0, ell, 1))
-    # 0 = A_1^2 = A'^2 + K^2 + G'^2 + 2 K.G'-corrections + m  ==>  m = 4
-    m = -(0 + ky2 + (-1) + 2 * 1)
-    a1k = 0 + ky2 + 1 + m
-    b0k = 4  # B_0.K_Y = R_0.K - 2 R_0^2 for a (-2)-curve component
-    b0_sum_c = 1 + b0k  # from 0 = A_1.B_0 = A'.B_0 + B_0.K - B_0.G' - B_0 sum C_j
-    per_cycle_max = 1  # C_j <= fibres of |A'| so C_j.B_0 <= A'.B_0 = 1
-    ok = b0_sum_c > m * per_cycle_max
+def elim_p_no0d(case: PencilCase, ell: int) -> Elimination:
+    """Case (0d) at the l it survives at: the adjoint A_1 = A' + K - G' - sum C_j of the
+    elliptic pencil vanishes, which forces m cycles C_j, each in a fibre of |A'|; then
+    B_0.(sum C_j) exceeds m A'.B_0."""
+    _, a_k, a_b0 = _projection(case)
+    ky2 = _PENCIL_KY2(ell)
+    # A_1^2 has slope 1 in m, so m is -A_1^2 at m = 0, as _forced_counts solves its count
+    _, a1sq0, _ = adjoint_step(case.aprime2, a_k, ky2, _H2)
+    m = -a1sq0
+    _, _, a1k = adjoint_step(case.aprime2, a_k, ky2, _H2 + m)
+    # 0 = A_1.B_0, B_0 misses G' and B_0.K by adjunction, B_0 being rational
+    b0_sum_c = adjoint_pairing(a_b0, canonical_degree(B0_SQ), 0)
+    ok = b0_sum_c > m * a_b0
     return Elimination(
-        "p.no0d", str(b0_sum_c), str(m * per_cycle_max),
+        "p.no0d", str(b0_sum_c), str(m * a_b0),
         "contradiction" if ok else "survives",
-        (f"0 = A_1^2 = -4 + m forces m = {m}; A_1.K = {a1k}",
+        (f"0 = A_1^2 = {a1sq0} + m forces m = {m}; A_1.K = {a1k}",
          f"0 = A_1.B_0 gives B_0 sum C_j = {b0_sum_c}",
-         f"some C_1.B_0 >= 2, but C_1 <= A'-fibre forces C_1.B_0 <= A'.B_0 = 1"),
+         f"some C_1.B_0 >= {a_b0 + 1}, but C_1 <= A'-fibre forces C_1.B_0 <= A'.B_0 = {a_b0}"),
     )
 
 
-def elim_t_no4() -> Elimination:
-    """n = 3l - 4 gives a rational net |N_1| = |2 Theta| and then an elliptic
-    curve would carry a degree-1 pencil; impossible."""
+def elim_t_no4(case: PencilCase) -> Elimination:
+    """n = 3l - 4 gives a rational net |N_1| = |2 Theta| and then the elliptic curve
+    A' of ``case``, (1e), would carry a degree-1 pencil; impossible."""
     trace = []
     # |N_1| is a net with N_1^2 = 0: the fixed/moving split forces
     # Delta^2 = Delta.T = T^2 = 0, so Delta = 2 Theta for a pencil Theta.
-    nn1 = _pencil_n1(2, 3 * 2 - 4).prev_dot
-    n_theta_cases = [t for t in (1, 2) if 2 * t <= nn1]
-    trace.append(f"N.N_1 = {nn1} = 2 N.Theta + N.T")
+    n_theta_cases = [t for t in (1, 2) if 2 * t <= _NN1]
+    trace.append(f"N.N_1 = {_NN1} = 2 N.Theta + N.T")
     # N.Theta = 1 would force Delta = T by the index theorem: rejected.
     trace.append("N.Theta = 1 rejected: (Delta - T)^2 = 0 would make Delta = T")
     n_theta = max(n_theta_cases)
-    theta_k = -2  # p_a(N_1) = -1 = 1 + Theta.K + ... solves Theta.K = -2
+    theta_k = canonical_degree(0)  # Theta^2 = 0 and Theta rational
     trace.append(f"N.Theta = {n_theta}, T = 0, Theta.K_Y = {theta_k}: rational pencil")
-    # (1e) has an elliptic moving part A' with A'^2 = 1 and A'.N_1 = 2.
-    a_theta = 1
+    # A' misses G' and the cycles, so A'.Theta = A'.N_1 / 2
+    a_n, a_k, _ = _projection(case)
+    a_theta = adjoint_pairing(a_n, a_k, 0) // 2
     trace.append(f"A'.Theta = {a_theta} with A' elliptic")
     h0_restriction = 2  # Theta cuts a base-point-free pencil on A'
     h0_elliptic_degree1 = 1  # degree-1 divisor on an elliptic curve
@@ -291,16 +292,20 @@ def elim_t_no4() -> Elimination:
     )
 
 
-def elim_p_1e(offsets: tuple[int, ...]) -> Elimination:
-    """Case (1e) dies for each given n - 3l in -3..0 by exact lattice arithmetic
-    (n = 3l - 4 is t.no4's); any other offset raises ``FibrationError``."""
-    if not set(offsets) <= set(range(-3, 1)):
-        raise FibrationError(f"n - 3l must lie in -3..0, got {offsets}")
+def elim_p_1e(case: PencilCase, offsets: tuple[int, ...]) -> Elimination:
+    """Case (1e) dies for each given n - 3l in -3..0 by exact lattice arithmetic.
+    Any other offset raises ``FibrationError``: n = 3l - 4, where N_1^2 = 0, is
+    t.no4's, and above 0 N_1^2 exceeds what the index theorem allows."""
     trace = []
     closed = {}
-    top = _pencil_n1(1, 3)  # n - 3l = 0; each cycle fewer lowers N_1^2 by one
-    nn1_values = {off: top.ni2 + off for off in offsets}  # N_1^2 per n - 3l
-    for off, n1sq in nn1_values.items():
+    a_n, a_k, a_b0 = _projection(case)
+    s = adjoint_pairing(a_n, a_k, 0)  # A'.N_1, as A' misses G' and the cycles
+    for off in offsets:
+        # with K_Y^2 = -2 - 3l, N_1^2 and N_1.K depend on n - 3l only: read them at l = 0
+        _, n1sq, n1k = adjoint_step(_N2, _NK, _PENCIL_KY2(0), _H2 + off)
+        slack = index_slack(n1sq, s, case.aprime2)
+        if n1sq < 1 or slack < 0:
+            raise FibrationError(f"n - 3l must lie in -3..0, got {offsets}")
         dim_n1 = 3 + off  # h^0(N_1) - 1
         # s = A'.N_1 satisfies (N_1 - s A')^2 = N_1^2 - s^2 <= 0, so s = 1
         # needs N_1^2 = 1 and then N_1 = A'
@@ -310,34 +315,33 @@ def elim_p_1e(offsets: tuple[int, ...]) -> Elimination:
                 trace.append(f"n-3l={off}: s = 1 not excluded")
                 continue
             trace.append(f"n-3l={off}: s=1 forces N_1=A', dims {dim_n1} vs 1 differ")
-        if off == 0:
-            # s = 2 with N_1^2 = 4 forces N_1 = 2A' and 4 = N.N_1 = 2 N.A' = 6
-            nn1, twice_na = top.prev_dot, 2 * 3
-            closed[off] = nn1 != twice_na
-            trace.append(f"n-3l=0: N_1 = 2A' gives N.N_1 {nn1} != {twice_na}")
+        if slack == 0:
+            # equality in the index theorem: N_1 = s A', and then N.N_1 = s N.A'
+            closed[off] = _NN1 != s * a_n
+            trace.append(f"n-3l={off}: N_1 = {s}A' gives N.N_1 {_NN1} != {s * a_n}")
             continue
         m = -off + 2  # A_1 = 0 forces m = 3l - n + 2 contracted cycles
-        n1_sum_c = 2 + off  # 0 = A_1.N_1 = 2 + (n - 3l) - N_1 sum C_j
+        n1_sum_c = adjoint_pairing(s, n1k, 0)  # 0 = A_1.N_1, and N_1 misses G'
         if n1_sum_c < 0:
             closed[off] = True
             trace.append(f"n-3l={off}: N_1 sum C_j = {n1_sum_c} < 0, excluded")
             continue
         if off == -2:
             # the four cycles C_j sit among the five Z'; N_1 = A' + Z'_5 and then
-            # 0 = F'.N_1 = F'.A' + F'.Z'_5 = 1
-            f_n1 = 1 + 0
+            # 0 = F'.N_1 = F'.A' + F'.Z'_5, with F'.Z'_5 = 0
+            f_n1 = _pencil_trapped(case)[0]
             closed[off] = f_n1 != 0
             trace.append(f"n-3l=-2: m={m}, 0 = F'.N_1 = F'.A' + F'.Z'_5 = {f_n1}")
         if off == -1:
             # one C-cycle meets N_1, the other two sit among the n' <= 2 extra
             # cycles; n' = 1 leaves too few, n' = 2 makes A' = N_2 and then
-            # Phi'.N_2 = 2 against B_0 <= Phi' with B_0.A' = 3
+            # Phi'.N_2 = Phi'.A' = N.A' - A'^2 against B_0 <= Phi' with B_0.A'
             needed, available = m - 1, 2
-            b0_n2, phi_n2 = 3, 2
+            b0_n2, phi_n2 = a_b0, a_n - case.aprime2
             closed[off] = needed <= available and b0_n2 > phi_n2
             trace.append(f"n-3l=-1: m={m}, n'=1 leaves {needed} cycles for 1 slot; "
                          f"n'=2: B_0.N_2 = {b0_n2} > Phi'.N_2 = {phi_n2}")
-    ok = all(closed.get(off, False) for off in nn1_values)
+    ok = all(closed.get(off, False) for off in offsets)
     return Elimination("p.1e", "per-branch", "per-branch",
                        "contradiction" if ok else "survives", tuple(trace))
 
@@ -363,7 +367,7 @@ def case_i_grid() -> list[tuple[int, int]]:
 
 
 _FH_CASE_I = 2 * 3  # F' and H' over the h_2 = 3 points lie in fibres of |N_1|
-_N1_CASE_I = (1, -1)  # (N_1^2, N_1.K_Y) when N_1^2 = 1
+_N1_CASE_I = (1, canonical_degree(1, 1))  # (N_1^2, N_1.K_Y) when N_1^2 = p_a(N_1) = 1
 
 
 def elim_p_no0() -> Elimination:
@@ -371,7 +375,8 @@ def elim_p_no0() -> Elimination:
     n1sq = 0
     # n = N_1^2 - 1 mod 3 and n <= N_1^2 + 8; the six trapped F'/H' must fit in delta
     # of the rational pencil |N_1| at K_Y^2 = N_1^2 - 4 - n
-    deltas = {n: euler_excess(n1sq - 4 - n, n1sq, -2 - n1sq) for n in range(0, n1sq + 8 + 1)
+    deltas = {n: euler_excess(n1sq - 4 - n, n1sq, canonical_degree(n1sq))
+              for n in range(0, n1sq + 8 + 1)
               if n % 3 == (n1sq - 1) % 3}
     candidates = [n for n, delta in deltas.items() if trapped((_FH_CASE_I, EXC_SQ)) <= delta]
     if candidates != [8]:
@@ -545,10 +550,10 @@ def elim_t_ii(h2: int) -> Elimination:
     """The elliptic pencil |M'| traps six (-3)-curves and l - 1 components of B_0."""
     # h_1 + 2 h_2 = 6 + l forces h_1 = l + 6 - 2 h_2 >= 0, so l >= 2 h_2 - 6.
     ell_min = 2 * h2 - 6
-    # M' meets F', H' over one q: 2(h_2 - 1) trapped; M' elliptic, M'^2 = M'.K_Y = 0
+    # M' meets F', H' over one q: 2(h_2 - 1) trapped; M' elliptic with M'^2 = 0
     lhs = _affine(lambda ell: trapped((2 * (h2 - 1), EXC_SQ), (ell - 1, B0_SQ)), ell_min)
-    rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0, 0),
-                  ell_min)
+    rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0,
+                                           canonical_degree(0, 1)), ell_min)
     survivors = [ell for ell in range(ell_min, 12) if lhs(ell) <= rhs(ell)]
     ok = not survivors and lhs.coef > rhs.coef
     return Elimination(
@@ -566,7 +571,7 @@ def elim_t_ii(h2: int) -> Elimination:
 def elim_t_no1rul() -> Elimination:
     """n = 3, l = 1, rational pencil |N_3|: both cycle structures trap 15 > 13."""
     ell = 1
-    delta_val = euler_excess(_PENCIL_KY2(ell), 0, -2)  # N_3^2 = 0, N_3.K_Y = -2
+    delta_val = euler_excess(_PENCIL_KY2(ell), 0, canonical_degree(0))  # N_3^2 = 0, rational
     irred = trapped((2 + 3, EXC_SQ))  # F', H', and the three E'-curves met by the cycles
     red = trapped((2 + 1, EXC_SQ), (1, B0_SQ))  # F', H', one E'_k, and B_0
     ok = irred > delta_val and red > delta_val

@@ -151,6 +151,11 @@ def arithmetic_genus(d: DivisorClass) -> int:
     return 1 + total // 2
 
 
+def canonical_degree(square: int, genus: int = 0) -> int:
+    """C.K = 2 p_a - 2 - C^2, adjunction: ``arithmetic_genus`` solved for C.K."""
+    return 2 * genus - 2 - square
+
+
 def blow_up(lattice: IntersectionLattice) -> IntersectionLattice:
     """Append one exceptional basis vector of square -1, orthogonal to the rest."""
     n = lattice.rank

@@ -428,9 +428,8 @@ def _euler_pass(list_node: str, printed: dict | None = None):
 def _p_1(ins) -> Outcome:
     """The A'^2 = 1 pass; in (1e) every component of B_0 meets the moving part."""
     out = _euler_pass("p.list1")(ins)
-    case_1e = next(c for c in ins["e.g"].value["p.list1"] if c.label == "1e")
     for ell in out.value["1e"].survivors:
-        dists = fibration.p1e_meeting_distributions(case_1e, ell)
+        dists = fibration.p1e_meeting_distributions(out.value["1e"].case, ell)
         if not dists or any(min(d) < 1 for d in dists):
             out.status = FAILED
         out.trace.append(f"(1e) with l={ell}: admissible B_0 distributions {dists}")
@@ -438,50 +437,57 @@ def _p_1(ins) -> Outcome:
 
 
 def _t_iii(ins) -> Outcome:
+    """The value maps each surviving l to the records of the cases left there, by label."""
     passes = {**ins["p.0"].value, **ins["p.1"].value, **ins["p.3"].value}
     got = fibration.t_iii_survivors(passes)
     want = {int(k): tuple(v) for k, v in EXPECTED["survivors_after_euler"].items()}
     trace = [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
     empty = not ins["p.list2"].value
     trace.append("A'^2 = 2 has no shapes" if empty else "A'^2 = 2 has shapes no pass reads")
-    return _check(got == want and empty, trace, got)
+    records = {ell: {lab: passes[lab].case for lab in labs} for ell, labs in got.items()}
+    return _check(got == want and empty, trace, records)
 
 
-def _surviving_ells(ins, label: str) -> list[int]:
-    """The values of l at which ``label`` survives the Euler pass, as t.iii lists them."""
-    return [ell for ell, labs in ins["t.iii"].value.items() if label in labs]
+def _survivals(ins, label: str) -> dict[int, pencil.PencilCase]:
+    """Each l at which ``label`` survives the Euler pass, with the record t.iii hands on."""
+    return {ell: cases[label] for ell, cases in ins["t.iii"].value.items() if label in cases}
 
 
 def _t_no4(ins) -> Outcome:
     """n = 3l - 4 needs l >= 2, where the case is (1e), whose moving part it reads."""
-    late = sorted({lab for ell, labs in ins["t.iii"].value.items() if ell >= 2 for lab in labs})
-    return _given(_from_elimination(fibration.elim_t_no4()), late == ["1e"],
-                  f"the cases left at l >= 2 are {late}")
+    late = {lab: case for ell, cases in ins["t.iii"].value.items() if ell >= 2
+            for lab, case in cases.items()}
+    return _given(_from_elimination(fibration.elim_t_no4(late["1e"])), sorted(late) == ["1e"],
+                  f"the cases left at l >= 2 are {sorted(late)}")
 
 
 def _p_1e(ins) -> Outcome:
     """(1e) at each n of each l it survives at; t.no4 closes n - 3l = -4."""
-    offsets = sorted({n - 3 * ell for ell in _surviving_ells(ins, "1e")
+    left = _survivals(ins, "1e")
+    offsets = sorted({n - 3 * ell for ell in left
                       for n in range(ins["l.n"].value[ell][0], ins["l.n"].value[ell][1] + 1)},
                      reverse=True)
-    out = _from_elimination(fibration.elim_p_1e(tuple(off for off in offsets if off != -4)))
+    out = _from_elimination(fibration.elim_p_1e(left[min(left)],
+                                                tuple(off for off in offsets if off != -4)))
     return _given(out, -4 not in offsets or ins["t.no4"].status == CONTRADICTION,
                   f"n - 3l runs over {offsets}; t.no4 closes -4")
 
 
 def _p_no0d(ins) -> Outcome:
     """(0d) dies at the one l it survives at."""
-    ells = _surviving_ells(ins, "0d")
-    if len(ells) != 1:
-        return Outcome(FAILED, trace=[f"(0d) survives at l in {ells}, not at one l"])
-    return _from_elimination(fibration.elim_p_no0d(ells[0]))
+    left = _survivals(ins, "0d")
+    if len(left) != 1:
+        return Outcome(FAILED, trace=[f"(0d) survives at l in {list(left)}, not at one l"])
+    (ell, case), = left.items()
+    return _from_elimination(fibration.elim_p_no0d(case, ell))
 
 
 def _p_l0(ins) -> Outcome:
     """Cases (0a), (0c), (0f) die at n = 0, l = 0, the one l they survive at."""
-    table = fibration.elim_p_l0()
+    left = {lab: _survivals(ins, lab) for lab in ("0a", "0c", "0f")}
+    table = fibration.elim_p_l0([cases[min(cases)] for cases in left.values()])
     trace = [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}" for k, e in sorted(table.items())]
-    ells = sorted({ell for lab in table for ell in _surviving_ells(ins, lab)})
+    ells = sorted({ell for cases in left.values() for ell in cases})
     out = _check(all(e.verdict == "contradiction" for e in table.values()), trace,
                  status=CONTRADICTION)
     return _given(out, ells == [0], f"they survive at l in {ells}")

@@ -181,6 +181,12 @@ def test_p_no3lirr_budget():
     assert dp.elim_p_no3lirr({}, 7).verdict == "survives"
 
 
+def test_p_no3lirr_refuses_a_system_no_option_asks_for():
+    # e.sys solves (2, 2, 8); a stale key would otherwise drop its read silently
+    with pytest.raises(PlaneError, match=r"\(2, 2, 9\)"):
+        dp.elim_p_no3lirr({(2, 2, 9): solve_multiplicity_system(2, 2, 8)}, 9)
+
+
 def test_sixtuples():
     st = dp.sixtuple_enumerate()
     assert st["kept"] == [(8, 2, 0, 0, 0, 0), (8, 1, 1, 0, 0, 0), (8, 1, 0, 0, 1, 0)]

@@ -6,11 +6,13 @@ from itertools import product
 import pytest
 
 import godeaux3
-from godeaux3 import fibration as fib
+from godeaux3 import delpezzo, fibration as fib
 from godeaux3 import ruled
+from godeaux3.adjoint import CycleCounts, adjoint_pairing, adjoint_step, adjoint_table, ladder_top
 from godeaux3.cover import RamificationData, image_square, quotient_k2
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
-from godeaux3.pencil import enumerate_pencil_cases
+from godeaux3.lattice import canonical_degree
+from godeaux3.pencil import enumerate_pencil_cases, pencil_case
 from godeaux3.report import run
 
 
@@ -64,6 +66,13 @@ def test_linear_form():
     assert str(f) == "12+6l" and f(2) == 24
     assert str(LinearForm(26)) == "26"
     assert str(LinearForm(-3, 3)) == "-3+3l"
+
+
+def test_printed_forms_and_a_one_component_fibre():
+    # a +1 on the literals of LinearForm.__str__ or of node_bound changes one of these
+    forms = [LinearForm(5, 1), LinearForm(12, 9), LinearForm(0, 1), LinearForm(14, -3)]
+    assert [str(f) for f in forms] == ["5+l", "12+9l", "l", "14-3l"]
+    assert node_bound([(2, 2, {})]) == 2  # (h - 1)(2 p_a - 2) of one double genus-2 curve
 
 
 def test_t_ii_sides_and_verdict():
@@ -138,8 +147,6 @@ def test_survivor_composites():
 
 
 def test_1e_distributions_all_positive():
-    from godeaux3.pencil import pencil_case
-
     case = pencil_case("1e")
     for ell in (1, 2, 3):
         dists = fib.p1e_meeting_distributions(case, ell)
@@ -148,31 +155,42 @@ def test_1e_distributions_all_positive():
 
 
 def test_lattice_eliminations():
-    l0 = fib.elim_p_l0()
+    l0 = fib.elim_p_l0([pencil_case(lab) for lab in ("0a", "0c", "0f")])
     assert {k: e.verdict for k, e in l0.items()} == {
         "0a": "contradiction", "0c": "contradiction", "0f": "contradiction"}
-    assert (l0["0a"].lhs, l0["0a"].rhs) == ("4", "3")
-    assert fib.elim_p_no0d(1).verdict == "contradiction"
-    assert fib.elim_t_no4().verdict == "contradiction"
-    assert fib.elim_p_1e((0, -1, -2, -3)).verdict == "contradiction"
+    assert {lab: (e.lhs, e.rhs) for lab, e in l0.items()} == {
+        "0a": ("4", "3"), "0c": ("3", "1"), "0f": ("2", "1")}
+    assert fib.elim_p_no0d(pencil_case("0d"), 1).verdict == "contradiction"
+    e = fib.elim_t_no4(pencil_case("1e"))
+    assert e.verdict == "contradiction"
+    assert "N.Theta = 2, T = 0, Theta.K_Y = -2: rational pencil" in e.trace
+    assert "A'.Theta = 1 with A' elliptic" in e.trace
+    e = fib.elim_p_1e(pencil_case("1e"), (0, -1, -2, -3))
+    assert e.verdict == "contradiction"
+    assert e.trace[:3] == (
+        "n-3l=0: N_1 = 2A' gives N.N_1 4 != 6",
+        "n-3l=-1: m=3, n'=1 leaves 2 cycles for 1 slot; n'=2: B_0.N_2 = 3 > Phi'.N_2 = 2",
+        "n-3l=-2: m=4, 0 = F'.N_1 = F'.A' + F'.Z'_5 = 1")
     # an offset the elimination has no argument for is refused
     with pytest.raises(FibrationError, match="-3..0"):
-        fib.elim_p_1e((0, 1))
+        fib.elim_p_1e(pencil_case("1e"), (0, 1))
 
 
 @pytest.mark.parametrize("offsets", [(-4,), (1,), (-5, 0), (0, -1, -2, -3, -4)])
 def test_p_1e_refuses_offsets_outside_its_argument(offsets):
     # n = 3l - 4 is t.no4's; no n - 3l above 0 or below -4 occurs
+    case = pencil_case("1e")
     with pytest.raises(FibrationError, match="-3..0"):
-        fib.elim_p_1e(offsets)
+        fib.elim_p_1e(case, offsets)
     for off in (0, -1, -2, -3):
-        assert fib.elim_p_1e((off,)).verdict == "contradiction"
+        assert fib.elim_p_1e(case, (off,)).verdict == "contradiction"
 
 
 def test_p_no0d_trace():
-    e = fib.elim_p_no0d(1)
+    e = fib.elim_p_no0d(pencil_case("0d"), 1)
     assert (e.lhs, e.rhs) == ("5", "4")
-    assert any("m = 4" in line for line in e.trace)
+    assert e.trace[0] == "0 = A_1^2 = -4 + m forces m = 4; A_1.K = 0"
+    assert e.trace[2].endswith("C_1.B_0 <= A'.B_0 = 1")
 
 
 def test_fixed_part_dichotomies():
@@ -223,8 +241,6 @@ def test_case_i_grid_is_finite_and_consistent():
 
 
 def test_eliminate_by_delta_accepts_case_objects():
-    from godeaux3.pencil import pencil_case
-
     by_label = fib.eliminate_by_delta("0a")
     by_case = fib.eliminate_by_delta(pencil_case("0a"))
     assert by_label == by_case
@@ -310,3 +326,75 @@ def test_node_bound_dominates_every_contribution_a_run_uses(monkeypatch):
     for sq in squares:
         n = -sq
         assert node_bound([(1, 0, {1: n}), (1, 0, {})]) >= counted(sq), sq
+
+
+# The pairings the pencil-case eliminations typed before the adjunction rule, the
+# adjoint step and the projection computed them, kept as references.
+TYPED_PAIRINGS = {
+    "0a": {"A'.N": 2, "A'.N_1": 2, "N.N_2": 5, "Phi'.N_2": 3, "E'.N_2": 2, "E'-curves": 2},
+    "0c": {"A'.N_1": 3, "Phi'.N_1": 1, "E'.N_1": 1, "E'-curves": 3},
+    "0f": {"A'.N_1": 3, "Phi'.N_1": 1, "E'.N_1": 1, "E'-curves": 2},
+    "0d": {"m": 4, "A_1.K": 0, "B_0.K": 4, "B_0.sum C": 5, "C.B_0 max": 1},
+    "1e": {"N.N_1": 4, "2 N.A'": 6, "B_0.A'": 3, "Phi'.A'": 2, "F'.A'": 1, "A'.Theta": 1,
+           "Theta.K": -2},
+}
+
+
+def _down(x_n, x_k, levels):
+    """X.N_levels for a curve X that misses every contracted curve."""
+    for _ in range(levels):
+        x_n = adjoint_pairing(x_n, x_k, 0)
+    return x_n
+
+
+def _computed_pairings(case):
+    n2, nk = ladder_top(0)
+    a_n, a_k, a_b0 = fib._projection(case)
+    e_k = canonical_degree(fib.EXC_SQ)
+    if case.label == "0a":
+        return {"A'.N": a_n, "A'.N_1": _down(a_n, a_k, 1), "N.N_2": _down(n2, nk, 2),
+                "Phi'.N_2": _down(n2, nk, 2) - _down(a_n, a_k, 2), "E'.N_2": _down(0, e_k, 2),
+                "E'-curves": fib._pencil_trapped(case)[2]}
+    if case.label in ("0c", "0f"):
+        return {"A'.N_1": _down(a_n, a_k, 1), "Phi'.N_1": _down(n2, nk, 1) - _down(a_n, a_k, 1),
+                "E'.N_1": _down(0, e_k, 1), "E'-curves": fib._pencil_trapped(case)[2]}
+    if case.label == "0d":  # at l = 1, where it survives
+        ky2 = quotient_k2(RamificationData(0, 1, 1))
+        _, a1sq0, _ = adjoint_step(case.aprime2, a_k, ky2, 1)
+        _, a1sq, a1k = adjoint_step(case.aprime2, a_k, ky2, 1 - a1sq0)
+        assert a1sq == 0
+        b0_k = canonical_degree(fib.B0_SQ)
+        return {"m": -a1sq0, "A_1.K": a1k, "B_0.K": b0_k,
+                "B_0.sum C": adjoint_pairing(a_b0, b0_k, 0), "C.B_0 max": a_b0}
+    return {"N.N_1": _down(n2, nk, 1), "2 N.A'": 2 * a_n, "B_0.A'": a_b0,
+            "Phi'.A'": a_n - case.aprime2, "F'.A'": fib._pencil_trapped(case)[0],
+            "A'.Theta": _down(a_n, a_k, 1) // 2, "Theta.K": canonical_degree(0)}
+
+
+@pytest.mark.parametrize("label", sorted(TYPED_PAIRINGS))
+def test_computed_pairings_match_the_typed_references(label):
+    assert _computed_pairings(pencil_case(label)) == TYPED_PAIRINGS[label]
+
+
+def test_p_1e_reads_n1_off_the_ladder_at_every_l():
+    # (1e)'s N_1^2 = 4 + (n - 3l), N_1.K = n - 3l and N_1.(sum C_j) = A'.N_1 + N_1.K
+    # = 2 + (n - 3l) hold at each l it survives at
+    a_n, a_k, _ = fib._projection(pencil_case("1e"))
+    for ell in (1, 2, 3):
+        ky2 = quotient_k2(RamificationData(0, ell, 1))
+        for off in range(0, -4, -1):
+            row = adjoint_table(0, ky2, 1, CycleCounts(3 * ell + off))[0]
+            assert (row.ni2, row.nik) == (4 + off, off)
+            assert adjoint_pairing(_down(a_n, a_k, 1), row.nik, 0) == 2 + off
+
+
+def test_adjunction_replaces_the_typed_canonical_degrees():
+    assert canonical_degree(fib.EXC_SQ) == 1 and canonical_degree(fib.B0_SQ) == 4
+    for n1sq in range(0, 9):  # elim_p_no0's rational pencil |N_1|
+        assert canonical_degree(n1sq) == -2 - n1sq
+    # t.no1rul's N_3 and t.no4's Theta (rational, square 0), case (i)'s N_1 with
+    # N_1^2 = p_a(N_1) = 1, and t.ii's elliptic M' of square 0
+    assert [canonical_degree(0), canonical_degree(1, 1), canonical_degree(0, 1)] == [-2, -1, 0]
+    for square in (fib.EXC_SQ, fib.B0_SQ, -1):  # delpezzo.contraction's 2 + C^2
+        for meets in ((), (1,), (0, 0, 3), (1, 1, 2)):
+            assert delpezzo.contraction(square, meets)[1] == 2 + square + sum(meets)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from godeaux3.lattice import (DivisorClass, IntersectionLattice, LatticeError,
-                              ParityError, arithmetic_genus, blow_up,
+                              ParityError, arithmetic_genus, blow_up, canonical_degree,
                               hodge_index_filter, index_slack, intersect)
 
 
@@ -40,6 +40,13 @@ def test_case_iii_model_has_n_square_3():
     assert n.square == 3
     assert n.dot(lat.k) == 1
     assert arithmetic_genus(n) == 3
+
+
+def test_canonical_degree_is_arithmetic_genus_solved_for_d_dot_k(plane5):
+    for coeffs in ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (2, -1, -1, 0, 0, 0),
+                   (3, -1, -1, -1, -1, -1), (4, -2, -1, 0, 0, 0)):
+        d = plane5.divisor(coeffs)
+        assert canonical_degree(d.square, arithmetic_genus(d)) == d.dot(plane5.k)
 
 
 def test_arithmetic_genus_examples(plane5):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -210,6 +211,38 @@ def _run_with(monkeypatch, change):
     change(registry)
     monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
     return run("all")
+
+
+def test_t_iii_hands_on_the_records_the_euler_passes_judged(full_report):
+    value = full_report.results["t.iii"].value
+    want = {int(k): tuple(v) for k, v in EXPECTED["survivors_after_euler"].items()}
+    assert {ell: tuple(cases) for ell, cases in value.items()} == want
+    assert all(case == pencil.pencil_case(lab) for cases in value.values()
+               for lab, case in cases.items())
+
+
+@pytest.mark.parametrize("label, changes, nid", [
+    ("0a", {"d": ()}, "p.l0"),  # D meets no E'-curve
+    ("0d", {"ar0": 2}, "p.no0d"),  # A'.B_0 = A.R_0 = 2
+    ("1e", {"apk": 0}, "p.1e"),  # A'.K_Y = 0, so A'.N_1 = 3
+])
+def test_the_lattice_eliminations_read_the_records_of_t_iii(monkeypatch, label, changes, nid):
+    def change(registry):
+        node = registry["t.iii"]
+
+        def fn(ins):
+            out = node.fn(ins)
+            for cases in out.value.values():
+                if label in cases:
+                    cases[label] = dataclasses.replace(cases[label], **changes)
+            return out
+
+        registry["t.iii"] = node._replace(fn=fn)
+
+    report = _run_with(monkeypatch, change)
+    assert report.results["t.iii"].status == VERIFIED
+    assert report.results[nid].status == "failed"
+    assert not any("exception" in line for line in report.results[nid].trace)
 
 
 @pytest.mark.parametrize("nid", COVERAGE_CLOSERS + ("p.1e", "p.no0d", "p.l0"))

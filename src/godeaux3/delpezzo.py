@@ -13,8 +13,8 @@ from itertools import product
 
 from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
 from .lattice import IntersectionLattice, canonical_degree, index_slack
-from .plane import (ConfigTable, PlaneCurve, PlaneError, PointCluster, degree_budget,
-                    product_violation, quadratic_transform,
+from .plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError, PointCluster,
+                    degree_budget, product_violation, proximity_holds, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
 
 _E_NAMES = ("E1", "E2", "E3", "E4", "E5")
@@ -144,9 +144,8 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
 
 # -- the eight-point options and their index-theorem filters ---------------------
 
-_POINTS = 8
 # the genus-one pencil |-K| of the plane blown up at eight points
-_PENCIL_SQ = IntersectionLattice.plane_blow_up(_POINTS).k.square
+_PENCIL_SQ = IntersectionLattice.plane_blow_up(DEL_PEZZO_POINTS).k.square
 
 # per branch: the count n of cycles Z_i, the cycles of the level before the last
 # and the one cycle of the last level
@@ -230,12 +229,12 @@ def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> 
     trace = []
     # pencil-pinned first; the excluded options are the index-theorem kill of l.noa
     live = [o for o in reversed(options("E'", "deepest")) if o["verdict"] != "excluded"]
-    stray = set(solved) - {(o["square"], o["pairing"], _POINTS) for o in live}
+    stray = set(solved) - {(o["square"], o["pairing"], DEL_PEZZO_POINTS) for o in live}
     if stray:
         raise PlaneError(f"no deepest E' option asks for the systems {sorted(stray)}")
     for o in live:
         z2, z3 = o["E'.Z''"], o["E'.Z'''"]
-        system = (o["square"], o["pairing"], _POINTS)
+        system = (o["square"], o["pairing"], DEL_PEZZO_POINTS)
         sols = solved[system] if system in solved else solve_multiplicity_system(*system)
         if not sols:
             trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): no plane model at all")
@@ -376,17 +375,10 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     for cand in pts:
         if cand == point:
             continue
-        ok = True
-        # every non-virtual row must allow m_cand >= m_point (+ forced children)
-        ci = pts.index(cand)
-        for row in table.rows:
-            if row.virtual:
-                continue
-            forced_kids = sum(row.mults[pts.index(ch)]
-                              for ch, par in edges if par == cand and ch != point)
-            if row.mults[ci] < row.mults[pi] + max(forced_kids, 0):
-                ok = False
-                break
+        # every non-virtual row must meet the inequality at cand, point among its children
+        kids = [pi] + [pts.index(ch) for ch, par in edges if par == cand and ch != point]
+        ok = all(proximity_holds(row, pts.index(cand), kids)
+                 for row in table.rows if not row.virtual)
         if ok and cand in exceptional_row:
             if exceptional_row[cand].mults[pi] != 1:
                 ok = False

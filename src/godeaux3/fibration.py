@@ -15,7 +15,7 @@ from typing import NamedTuple
 from .adjoint import CycleCounts, adjoint_pairing, adjoint_step, ladder_top
 from .cover import RamificationData, image_square, quotient_k2
 from .lattice import canonical_degree, index_slack
-from .pencil import EXC_SELF_INT, PencilCase, pencil_case, subsystem_split
+from .pencil import EXC_SELF_INT, PencilCase, pencil_case
 
 
 class FibrationError(Exception):
@@ -212,10 +212,9 @@ _NN1 = adjoint_pairing(_N2, _NK, 0)
 
 def _projection(case: PencilCase) -> tuple[int, int, int]:
     """(A'.N, A'.K_Y, A'.B_0), A'.K_Y as the record has it: pi^* N = 3 K_S (case N has
-    A = 3 K_S and A' = N) and pi^* B_0 = 3 R_0, so A'.N = A.K_S, read from the
-    moving/fixed split, and A'.B_0 = A.R_0."""
-    ak = next(b.ak for b in subsystem_split() if case.a2 in b.a2_options)
-    return ak, case.apk, case.ar0
+    A = 3 K_S and A' = N) and pi^* B_0 = 3 R_0, so A'.N = A.K_S, the record's
+    moving/fixed branch, and A'.B_0 = A.R_0."""
+    return case.ak, case.apk, case.ar0
 
 
 def elim_p_l0(cases: list[PencilCase]) -> dict[str, Elimination]:

@@ -9,7 +9,7 @@ multisets reproduces the printed case lists verbatim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
@@ -131,6 +131,7 @@ class PencilCase:
 
     label: str
     a2: int
+    ak: int  # A.K_S, from the moving/fixed branch that allows a2
     ar0: int
     g: int
     apk: int
@@ -231,7 +232,7 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
                             continue
                         g_int = int(g)
                         apk = 2 * g_int - 2 - aprime2
-                        found.append(PencilCase("", a2, ar0, g_int, apk,
+                        found.append(PencilCase("", a2, branch.ak, ar0, g_int, apk,
                                                 _canonical_d(q_atoms, p_mults),
                                                 aprime2, phi_zero))
     return found
@@ -255,8 +256,7 @@ def enumerate_pencil_cases(aprime2: int, h2: int = 1,
             label = "N"
         else:
             label = f"{aprime2}{chr(ord('a') + idx)}"
-        labelled.append(PencilCase(label, case.a2, case.ar0, case.g, case.apk,
-                                   case.d, case.aprime2, case.phi_zero))
+        labelled.append(replace(case, label=label))
     return labelled
 
 

@@ -8,6 +8,8 @@ genus and proximity checks.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
 
@@ -58,17 +60,17 @@ class PointCluster:
         for child, parent in self.proximity:
             if child not in index or parent not in index:
                 raise PlaneError("proximity edge outside the cluster")
-        state: dict[str, int] = {}
+        done: set[str] = set()
 
         def visit(p: str, stack: tuple[str, ...]) -> None:
             if p in stack:
                 raise PlaneError("proximity relation has a cycle")
-            if state.get(p):
+            if p in done:
                 return
             for ch, par in self.proximity:
                 if ch == p:
                     visit(par, stack + (p,))
-            state[p] = 1
+            done.add(p)
 
         for p in self.points:
             visit(p, ())
@@ -80,16 +82,16 @@ class PointCluster:
         return [ch for ch, par in self.proximity if par == p]
 
     def proximity_ok(self, curve: PlaneCurve) -> bool:
-        """m_P >= sum of multiplicities at the points proximate to P."""
-        if curve.virtual:
-            return True
-        for p in self.points:
-            kids = self.children(p)
-            if not kids:
-                continue
-            if curve.mults[self.index(p)] < sum(curve.mults[self.index(k)] for k in kids):
-                return False
-        return True
+        """The proximity inequality at every point of the cluster."""
+        return curve.virtual or all(
+            proximity_holds(curve, self.index(p), map(self.index, self.children(p)))
+            for p in self.points)
+
+
+def proximity_holds(curve: PlaneCurve, parent: int, children: Iterable[int]) -> bool:
+    """m_P >= sum of m_Q over the points Q proximate to P, for the multiplicities of
+    ``curve`` at the point of index ``parent`` and at the points of index ``children``."""
+    return curve.mults[parent] >= sum(curve.mults[q] for q in children)
 
 
 class ConfigTable(NamedTuple):
@@ -109,14 +111,17 @@ class ConfigTable(NamedTuple):
 
 
 def verify_config_table(table: ConfigTable) -> tuple[bool, list[str]]:
-    """Check weighted column totals and all declared intersection numbers."""
-    violations = []
-    if table.totals:
-        for j, expected in enumerate(table.totals):
-            got = sum(table.weights.get(r.name, 0) * r.mults[j] for r in table.rows)
-            if got != expected:
-                violations.append(
-                    f"column {table.cluster.points[j]}: weighted total {got} != {expected}")
+    """Check row lengths, weighted column totals and all declared intersection numbers."""
+    points = len(table.cluster.points)
+    violations = [f"{r.name}: {len(r.mults)} multiplicities for {points} points"
+                  for r in table.rows if len(r.mults) != points]
+    if violations:
+        return False, violations
+    for j, expected in enumerate(table.totals):
+        got = sum(table.weights.get(r.name, 0) * r.mults[j] for r in table.rows)
+        if got != expected:
+            violations.append(
+                f"column {table.cluster.points[j]}: weighted total {got} != {expected}")
     for (a, b), expected in sorted(table.gram.items()):
         violation = product_violation(a, b, table.row(a), table.row(b), expected)
         if violation:
@@ -137,16 +142,28 @@ def product_violation(a: str, b: str, ra: PlaneCurve, rb: PlaneCurve,
     return None if got == expected else f"{a}.{b} = {got} != {expected}"
 
 
+# Points blown up on the plane in the Del Pezzo endgame: the states of the
+# Cremona orbit search and the genus-one pencil |-K| live on P^2 blown up at them.
+DEL_PEZZO_POINTS = 8
+# Points blown up on F_a in the ruled branches; with a = 1 they are the simple
+# points of every plane model there.
+RULED_POINTS = 9
+
+
 # -- Cremona quadratic transforms ----------------------------------------------
 
 
-def _transform_curve(curve: PlaneCurve, idxs: tuple[int, int, int]) -> PlaneCurve:
+def _transform_curve(curve: PlaneCurve, idxs: tuple[int, int, int]) -> PlaneCurve | None:
+    """The image of ``curve`` under the quadratic transform based at the points of
+    index ``idxs``: degree 2d - m_i - m_j - m_k, and d - m_j - m_k at the base point
+    i.  None when the degree would be negative; a negative multiplicity makes the
+    image virtual."""
     i, j, k = idxs
     m = curve.mults
     d = curve.degree
     new_d = 2 * d - m[i] - m[j] - m[k]
     if new_d < 0:
-        raise PlaneError(f"{curve.name}: transform would give negative degree")
+        return None
     new_m = list(m)
     new_m[i] = d - m[j] - m[k]
     new_m[j] = d - m[i] - m[k]
@@ -177,38 +194,34 @@ def admissible_base(curves: list[PlaneCurve], cluster: PointCluster,
     for x in base:
         others = [p for p in base if p != x]
         ix = cluster.index(x)
-        refuted = any(
-            c.mults[ix] < sum(c.mults[cluster.index(o)] for o in others)
-            for c in real)
+        refuted = any(not proximity_holds(c, ix, map(cluster.index, others)) for c in real)
         if not refuted:
             return False, f"cannot refute both base points proximate to {x}"
     return True, ""
 
 
 def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
-                        base: tuple[str, str, str],
-                        check: bool = True) -> list[PlaneCurve]:
-    """Apply the quadratic transformation based at three cluster points.
+                        base: tuple[str, str, str]) -> list[PlaneCurve]:
+    """Apply the quadratic transformation based at an admissible base triple.
 
-    Degrees map to 2d - m1 - m2 - m3 and the base multiplicities to
-    d - mj - mk; all pairwise products, self-intersections and genera are
-    preserved (asserted).
+    Each curve maps as ``_transform_curve`` says; all pairwise products,
+    self-intersections and genera are preserved (asserted).
     """
-    if check:
-        ok, why = admissible_base(curves, cluster, base)
-        if not ok:
-            raise PlaneError(f"inadmissible base triple: {why}")
+    ok, why = admissible_base(curves, cluster, base)
+    if not ok:
+        raise PlaneError(f"inadmissible base triple: {why}")
     idxs = tuple(cluster.index(p) for p in base)
     new_curves = [_transform_curve(c, idxs) for c in curves]
     for old, new in zip(curves, new_curves):
+        if new is None:
+            raise PlaneError(f"{old.name}: transform would give negative degree")
         if old.self_int() != new.self_int():
             raise PlaneError(f"{old.name}: self-intersection changed")
         if not old.virtual and not new.virtual and old.genus() != new.genus():
             raise PlaneError(f"{old.name}: genus changed")
-    for a in range(len(curves)):
-        for b in range(a + 1, len(curves)):
-            if curves[a].dot(curves[b]) != new_curves[a].dot(new_curves[b]):
-                raise PlaneError("pairwise intersection changed")
+    for (a, new_a), (b, new_b) in combinations(zip(curves, new_curves), 2):
+        if a.dot(b) != new_a.dot(new_b):
+            raise PlaneError("pairwise intersection changed")
     return new_curves
 
 
@@ -259,49 +272,34 @@ def solve_multiplicity_system(c1: int, c2: int, max_points: int,
     return solutions
 
 
-_ORBIT_POINTS = 8  # points of an orbit state
-
-
 def state_from_solution(d0: int, s: dict[int, int]) -> tuple:
     """Canonical state for the orbit search: degree plus sorted multiplicities."""
     mults = []
     for j, count in sorted(s.items(), reverse=True):
         mults.extend([j] * count)
-    if len(mults) > _ORBIT_POINTS:
+    if len(mults) > DEL_PEZZO_POINTS:
         raise PlaneError("more points than available")
-    mults += [0] * (_ORBIT_POINTS - len(mults))
+    mults += [0] * (DEL_PEZZO_POINTS - len(mults))
     return (d0, tuple(sorted(mults, reverse=True)))
 
 
 def _moves(state: tuple):
-    """All admissible quadratic moves out of an abstract (d; mults) state; each
-    needs m_i + m_j + m_k = s > d, so it lowers the degree to 2d - s < d."""
+    """The quadratic moves out of an abstract (d; mults) state, one per multiplicity
+    triple: images of its one curve at bases ``admissible_base`` accepts, where the
+    image is a curve.  The certificate s > d makes every move lower the degree."""
     d, mults = state
-    n = len(mults)
+    cluster = PointCluster(tuple(f"P{i + 1}" for i in range(len(mults))))
+    curve = PlaneCurve("C", d, mults)
     seen_triples = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                triple = (mults[i], mults[j], mults[k])
-                if triple in seen_triples:
-                    continue
-                seen_triples.add(triple)
-                s = sum(triple)
-                if s <= d:
-                    continue  # no non-collinearity certificate
-                # refute "both others proximate to x" for each point of the triple
-                if any(triple[x] >= s - triple[x] for x in range(3)):
-                    continue
-                new_d = 2 * d - s
-                if new_d < 0:
-                    continue
-                new = list(mults)
-                new[i] = d - triple[1] - triple[2]
-                new[j] = d - triple[0] - triple[2]
-                new[k] = d - triple[0] - triple[1]
-                if any(v < 0 for v in new):
-                    continue
-                yield triple, (new_d, tuple(sorted(new, reverse=True)))
+    for idxs in combinations(range(len(mults)), 3):
+        triple = tuple(mults[i] for i in idxs)
+        if triple in seen_triples:
+            continue
+        seen_triples.add(triple)
+        ok, _ = admissible_base([curve], cluster, tuple(cluster.points[i] for i in idxs))
+        image = _transform_curve(curve, idxs) if ok else None
+        if image is not None and not image.virtual:
+            yield triple, (image.degree, tuple(sorted(image.mults, reverse=True)))
 
 
 def cremona_orbit_connect(solutions: list[tuple[int, dict[int, int]]]) -> dict:
@@ -339,10 +337,6 @@ def degree_budget(k: int) -> int:
 
 
 # -- the ruled endgame ----------------------------------------------------------
-
-# Points blown up on F_a in the ruled branches; with a = 1 they are the simple
-# points of every plane model there.
-RULED_POINTS = 9
 
 
 def singular_fiber_need(a: int, beta_i: int) -> int:

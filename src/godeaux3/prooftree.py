@@ -256,7 +256,8 @@ def _pencil_list(aprime2: int):
 
 
 def _e_g(ins) -> Outcome:
-    """The genus identity, A.K_S read from le.sub; the value maps each list to its cases."""
+    """The genus identity, A.K_S read from le.sub, which each record's ``ak`` must match;
+    the value maps each list to its cases."""
     ak = {a2: b.ak for b in ins["le.sub"].value for a2 in b.a2_options}
     lists = {dep: ins[dep].value for dep in ("p.list0", "p.list1", "r.N")}
     ok = True
@@ -267,7 +268,7 @@ def _e_g(ins) -> Outcome:
             dg = d.get("F", 0) - 3 * d.get("G", 0) + d.get("H", 0)  # D.G, with G^2 = -3
             de = -sum(m for comp, m in c.d if comp.startswith("E"))
             g = pencil.genus_from_case(ak[c.a2], c.ar0, dg, de, c.aprime2)
-            ok &= g == Fraction(c.g)
+            ok &= c.ak == ak[c.a2] and g == Fraction(c.g)
             ok &= c.apk == 2 * c.g - 2 - c.aprime2
     trace.append("genus identity and A'.K_Y = 2g - 2 - A'^2 hold on every emitted case")
     return _check(ok, trace, lists)

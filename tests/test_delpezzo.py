@@ -1,8 +1,14 @@
+import copy
+import os
+import subprocess
+import sys
+
 import pytest
 
 from godeaux3 import delpezzo as dp
 from godeaux3.fibration import B0_SQ, EXC_SQ
-from godeaux3.plane import (ConfigTable, PlaneCurve, PlaneError, solve_multiplicity_system,
+from godeaux3.plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError,
+                            PointCluster, quadratic_transform, solve_multiplicity_system,
                             verify_config_table)
 
 
@@ -264,3 +270,99 @@ def test_degree_budget_invariant_under_moves():
     rows = quadratic_transform(table.cluster, list(table.rows), ("P1", "P2", "P3"))
     after = sum(weights.get(r.name, 0) * r.degree for r in rows)
     assert before == after == 18
+
+
+def _inline_is_forced_planar(table, point):
+    """``is_forced_planar`` with the proximity inequality written out inline, kept
+    as a reference."""
+    pts = table.cluster.points
+    pi = pts.index(point)
+    edges = dp.forced_proximities(table)
+    reasons = []
+    exceptional_row = dict(dp._exceptional_rows(table))
+    for cand in pts:
+        if cand == point:
+            continue
+        ok = True
+        ci = pts.index(cand)
+        for row in table.rows:
+            if row.virtual:
+                continue
+            forced_kids = sum(row.mults[pts.index(ch)]
+                              for ch, par in edges if par == cand and ch != point)
+            if row.mults[ci] < row.mults[pi] + max(forced_kids, 0):
+                ok = False
+                break
+        if ok and cand in exceptional_row:
+            if exceptional_row[cand].mults[pi] != 1:
+                ok = False
+                reasons.append(f"{point} absent from the exceptional row over {cand}")
+        if ok:
+            try:
+                PointCluster(pts, (*edges, (point, cand)))
+            except PlaneError:
+                ok = False
+                reasons.append(f"{point} above {cand} would close a proximity cycle")
+        if ok:
+            return False, [f"{cand} admissible as parent of {point}"]
+    reasons.append(f"no admissible parent: {point} is planar")
+    return True, reasons
+
+
+def _audited_tables():
+    """The printed tables, and the fourteen-point ones moved by the quadratic
+    transforms the audits use, wherever the base is admissible."""
+    printed = dp.all_printed_tables()
+    yield from printed
+    for name, table in (t for t in printed if t[0].startswith("14pt")):
+        for base in (("P1", "P2", "P3"), ("P3", "P4", "P8")):
+            try:
+                rows = quadratic_transform(table.cluster, list(table.rows), base)
+            except PlaneError:
+                continue  # 4 of the 5 tables refuse the second base
+            yield f"{name}@{base}", table._replace(rows=tuple(rows))
+
+
+def test_forced_planar_points_match_the_inline_inequality():
+    pairs = [(table, p) for _, table in _audited_tables() for p in table.cluster.points]
+    verdicts = [dp.is_forced_planar(table, p) for table, p in pairs]
+    assert verdicts == [_inline_is_forced_planar(table, p) for table, p in pairs]
+    assert (len(pairs), sum(planar for planar, _ in verdicts)) == (178, 42)
+
+
+def test_one_constant_counts_the_eight_points():
+    # delpezzo imports the constant by name, so re-import it in a fresh interpreter
+    # after shifting plane's copy
+    code = (
+        "import importlib\n"
+        "from godeaux3 import delpezzo, plane\n"
+        "plane.DEL_PEZZO_POINTS += 1\n"
+        "importlib.reload(delpezzo)\n"
+        "from godeaux3.report import run\n"
+        "print(len(plane.state_from_solution(3, {1: 7})[1]), delpezzo._PENCIL_SQ,\n"
+        "      run('all').verdict)\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(dp.__file__))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.split()
+    assert DEL_PEZZO_POINTS == 8
+    assert out == ["9", "0", "failed"]
+
+
+@pytest.mark.parametrize("width, changed", [
+    (9, slice(None)),  # a zero appended to every row moves no total or product
+    (7, slice(1)),  # one row an entry short
+])
+def test_rows_must_cover_the_cluster(monkeypatch, width, changed):
+    from godeaux3.report import run
+
+    data = copy.deepcopy(dp._DATA)
+    rows = data["tables_8pt"]["8-1-0-0-1-0"]["rows"][changed]
+    for r in rows:
+        r["mults"] = (r["mults"] + [0])[:width]
+    monkeypatch.setattr(dp, "_DATA", data)
+    ok, violations = verify_config_table(dp.table_8pt("8-1-0-0-1-0"))
+    assert not ok
+    assert violations == [f"{r['name']}: {width} multiplicities for 8 points" for r in rows]
+    result = run("tables.printed").results["tables.printed"]
+    assert result.status == "failed"
+    assert not any("exception" in line for line in result.trace)

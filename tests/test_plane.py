@@ -7,7 +7,7 @@ from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
                             homaloidal_eliminate, quadratic_transform,
                             singular_fiber_count_bound, singular_fiber_need,
                             solve_multiplicity_system, state_from_solution,
-                            _degree_verdict)
+                            _degree_verdict, _transform_curve)
 
 PRINTED_SOLUTIONS = [
     (3, {1: 7}),
@@ -139,20 +139,19 @@ def test_quadratic_transform_printed_move():
 def test_quadratic_transform_involution():
     cluster, curves = _single_curve_setup(9, (4, 3, 3, 3, 3, 3, 3, 3))
     once = quadratic_transform(cluster, curves, ("P1", "P2", "P3"))
-    twice = quadratic_transform(cluster, once, ("P1", "P2", "P3"), check=False)
-    assert twice[0].degree == curves[0].degree
-    assert twice[0].mults == curves[0].mults
+    # the image's triple (3, 2, 2) has no certificate, so apply the formula itself
+    twice = _transform_curve(once[0], (0, 1, 2))
+    assert twice.degree == curves[0].degree
+    assert twice.mults == curves[0].mults
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 def test_transform_involution_random(m1, m2, m3):
     d = 7
     mults = (m1, m2, m3, 1, 1)
-    cluster = PointCluster(("P1", "P2", "P3", "P4", "P5"))
     curve = PlaneCurve("C", d, mults, virtual=True)
-    once = quadratic_transform(cluster, [curve], ("P1", "P2", "P3"), check=False)
-    twice = quadratic_transform(cluster, once, ("P1", "P2", "P3"), check=False)
-    assert twice[0].mults == curve.mults and twice[0].degree == d
+    twice = _transform_curve(_transform_curve(curve, (0, 1, 2)), (0, 1, 2))
+    assert twice.mults == curve.mults and twice.degree == d
 
 
 def test_transform_preserves_invariants():
@@ -234,6 +233,71 @@ def test_every_move_lowers_the_degree():
             if new not in seen:
                 seen.add(new)
                 frontier.append(new)
+
+
+def _inline_moves(state: tuple):
+    """The orbit search's moves with the transform, its certificate and the
+    proximity refutation written out inline, kept as a reference."""
+    d, mults = state
+    n = len(mults)
+    seen_triples = set()
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                triple = (mults[i], mults[j], mults[k])
+                if triple in seen_triples:
+                    continue
+                seen_triples.add(triple)
+                s = sum(triple)
+                if s <= d:
+                    continue  # no non-collinearity certificate
+                if any(triple[x] >= s - triple[x] for x in range(3)):
+                    continue
+                new_d = 2 * d - s
+                if new_d < 0:
+                    continue
+                new = list(mults)
+                new[i] = d - triple[1] - triple[2]
+                new[j] = d - triple[0] - triple[2]
+                new[k] = d - triple[0] - triple[1]
+                if any(v < 0 for v in new):
+                    continue
+                yield triple, (new_d, tuple(sorted(new, reverse=True)))
+
+
+def test_moves_match_the_inline_formula():
+    # every state the orbit search reaches from the systems with c1, c2 in 0..5,
+    # and every eight-point state of degree <= 5, where bases with a negative
+    # degree or multiplicity occur
+    from itertools import combinations_with_replacement
+
+    from godeaux3.plane import _moves
+
+    seen = {state_from_solution(d, s) for c1 in range(6) for c2 in range(6)
+            for d, s in solve_multiplicity_system(c1, c2, 8)}
+    frontier = list(seen)
+    while frontier:
+        for _, new in _moves(frontier.pop()):
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    reached = len(seen)
+    seen |= {(d, m[::-1]) for d in range(6) for m in combinations_with_replacement(range(d + 1), 8)}
+    states = sorted(seen)
+    moves = [list(_moves(s)) for s in states]
+    assert moves == [list(_inline_moves(s)) for s in states]
+    assert (reached, len(states), sum(map(len, moves))) == (400, 2343, 1706)
+
+
+def test_moves_skip_what_would_not_be_a_curve():
+    from godeaux3.plane import _moves
+
+    # s = 9 > 2d: the image would have degree -3
+    assert _transform_curve(PlaneCurve("C", 3, (3, 3, 3)), (0, 1, 2)) is None
+    assert list(_moves((3, (3, 3, 3, 0, 0, 0, 0, 0)))) == []
+    # s = 7 > d = 4, but d - 3 - 3 < 0 at the simple point
+    assert _transform_curve(PlaneCurve("C", 4, (3, 3, 1)), (0, 1, 2)).virtual
+    assert (3, 3, 1) not in {t for t, _ in _moves((4, (3, 3, 1, 0, 0, 0, 0, 0)))}
 
 
 def test_orbit_search_without_a_depth_cap_gives_the_capped_chains():

@@ -225,6 +225,7 @@ def test_t_iii_hands_on_the_records_the_euler_passes_judged(full_report):
     ("0a", {"d": ()}, "p.l0"),  # D meets no E'-curve
     ("0d", {"ar0": 2}, "p.no0d"),  # A'.B_0 = A.R_0 = 2
     ("1e", {"apk": 0}, "p.1e"),  # A'.K_Y = 0, so A'.N_1 = 3
+    ("1e", {"ak": 4}, "p.1e"),  # A'.N = A.K_S = 4, so A'.N_1 = 3
 ])
 def test_the_lattice_eliminations_read_the_records_of_t_iii(monkeypatch, label, changes, nid):
     def change(registry):
@@ -243,6 +244,22 @@ def test_the_lattice_eliminations_read_the_records_of_t_iii(monkeypatch, label, 
     assert report.results["t.iii"].status == VERIFIED
     assert report.results[nid].status == "failed"
     assert not any("exception" in line for line in report.results[nid].trace)
+
+
+def test_e_g_checks_the_a_k_of_every_record(monkeypatch):
+    def change(registry):
+        node = registry["p.list1"]
+
+        def fn(ins):
+            out = node.fn(ins)
+            out.value = [dataclasses.replace(c, ak=5 - c.ak) for c in out.value]  # 2 <-> 3
+            return out
+
+        registry["p.list1"] = node._replace(fn=fn)
+
+    report = _run_with(monkeypatch, change)
+    assert report.results["p.list1"].status == VERIFIED
+    assert report.results["e.g"].status == "failed"
 
 
 @pytest.mark.parametrize("nid", COVERAGE_CLOSERS + ("p.1e", "p.no0d", "p.l0"))
@@ -441,15 +458,16 @@ def test_each_ladder_is_verified_once_per_run():
     assert solves.count((2, 2, 8)) == 1
 
 
-def test_every_multiplicity_search_goes_through_one_generator():
-    code = plane.multiplicity_vectors.__code__
+def _callers_during_run(fn) -> set[str]:
+    """``module.function`` of every frame on the stack of a call to ``fn`` in a full run."""
+    code = fn.__code__
     callers = set()
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is code:
             caller = frame.f_back
             while caller is not None:
-                callers.add(caller.f_code.co_name)
+                callers.add(f"{caller.f_globals['__name__']}.{caller.f_code.co_name}")
                 caller = caller.f_back
 
     sys.setprofile(profile)
@@ -458,7 +476,27 @@ def test_every_multiplicity_search_goes_through_one_generator():
     finally:
         sys.setprofile(None)
     assert report.verdict == "verified"
-    assert {"_t_no1_plane_scan", "homaloidal_eliminate", "_e_sys"} <= callers
+    return callers
+
+
+def test_every_multiplicity_search_goes_through_one_generator():
+    callers = _callers_during_run(plane.multiplicity_vectors)
+    assert {"godeaux3.ruled._t_no1_plane_scan", "godeaux3.plane.homaloidal_eliminate",
+            "godeaux3.prooftree._e_sys"} <= callers
+
+
+def test_every_cremona_move_goes_through_one_transform():
+    callers = _callers_during_run(plane._transform_curve)
+    assert {"godeaux3.plane.cremona_orbit_connect", "godeaux3.plane._moves",
+            "godeaux3.delpezzo.lines_to_contracted_move",
+            "godeaux3.delpezzo.elim_p_3l12", "godeaux3.delpezzo.elim_p_3l13"} <= callers
+
+
+def test_fibration_reads_a_k_off_the_records():
+    # A.K_S comes from the branch each record was enumerated in, which e.g checks
+    callers = _callers_during_run(pencil.subsystem_split)
+    assert {"godeaux3.prooftree._le_sub", "godeaux3.pencil._candidate_cases"} <= callers
+    assert not any(c.startswith("godeaux3.fibration.") for c in callers)
 
 
 def test_p_comp_catches_a_shifted_table(monkeypatch):

@@ -91,51 +91,37 @@ def n_range(ell: int) -> tuple[int, int]:
 
 
 class LadderReport:
-    __slots__ = ("branch", "ok", "forced", "failures", "notes")
+    """``counts`` holds the cycles per level, n first and the forced last count
+    last; ``forced`` names n' and the last count."""
 
-    def __init__(self, branch: str, ok: bool) -> None:
-        self.branch, self.ok = branch, ok
+    __slots__ = ("branch", "ok", "counts", "forced", "failures", "notes")
+
+    def __init__(self, branch: str, ok: bool, counts: tuple[int, ...] = ()) -> None:
+        self.branch, self.ok, self.counts = branch, ok, counts
         self.forced: dict[str, int] = {}
         self.failures: list[str] = []
         self.notes: list[str] = []
 
 
-class LadderModel(NamedTuple):
-    """Concrete blown-up lattice with classes assigned to every ladder symbol."""
-
-    lattice: IntersectionLattice
-    classes: dict[str, DivisorClass]
-
-    def cls(self, name: str) -> DivisorClass:
-        try:
-            return self.classes[name]
-        except KeyError:
-            raise KeyError(f"unassigned symbol {name}") from None
+def level_symbol(letter: str, primes: int) -> str:
+    """The naming rule: the cycles of level k, contracted from the k-th adjoint
+    step on, carry k - 1 primes (Z, Z', Z'', ...), and so does their count (n, n', ...)."""
+    return letter + "'" * primes
 
 
-def _pencil_model(ell: int, cycle_names: list[str]) -> LadderModel:
-    """Rational model for the pencil case: rank 12 + 3 ell, K^2 = -2 - 3 ell.
-
-    The contracted cycles (and G') are modelled as disjoint exceptional
-    classes; the remaining points are anonymous.
-    """
-    points = 11 + 3 * ell
-    if len(cycle_names) + 1 > points:
-        raise ValueError("not enough rank for the requested cycles")
-    lat = IntersectionLattice.plane_blow_up(points, name=f"pencil-model-l{ell}")
-    classes: dict[str, DivisorClass] = {"K": lat.k}
-    classes["G"] = lat.basis_class("E1")
-    for i, name in enumerate(cycle_names, start=2):
-        classes[name] = lat.basis_class(f"E{i}")
-    return LadderModel(lat, classes)
+def cycle_names(counts: tuple[int, ...]) -> list[list[str]]:
+    """Per level, its cycles: level 1 holds Z1..Zn, a later level numbers its
+    cycles only when it holds more than one."""
+    return [[level_symbol("Z", primes) + (str(i) if count > 1 or not primes else "")
+             for i in range(1, count + 1)] for primes, count in enumerate(counts)]
 
 
 _BRANCH_DATA = {
-    # branch id: n - 3 ell offset, cycle symbols beyond the Z_i, the counts
-    # n', ... fixed before the deepest adjoint vanishes, ladder rows
+    # branch id: n - 3 ell offset, the counts n', ... fixed before the deepest
+    # adjoint vanishes, and the ladder rows: the coefficients of G', K and, by
+    # level symbol, of each cycle of that level
     "s.3l": {
         "offset": 0,
-        "extra": ["Z''", "Z'''"],
         # (N_1 - N_2)^2 = n' - 1 <= 0, and n' = 1 would make K_Y effective; the
         # pencil branch takes n'' = 1
         "given": (0, 1),
@@ -149,7 +135,6 @@ _BRANCH_DATA = {
     },
     "s.3l-1": {
         "offset": -1,
-        "extra": ["Z'1", "Z'2", "Z''"],
         "given": (2,),
         "rows": {
             "N2": {"G": 1, "Z": 1, "Z'": 1, "Z''": 1, "K": -1},
@@ -160,7 +145,6 @@ _BRANCH_DATA = {
     },
     "s.3l-2": {
         "offset": -2,
-        "extra": ["Z'1", "Z'2", "Z'3", "Z'4", "Z'5"],
         "given": (),
         "rows": {
             "N1": {"G": 1, "Z": 1, "Z'": 1, "K": -1},
@@ -171,19 +155,18 @@ _BRANCH_DATA = {
 }
 
 
-def _combine(model: LadderModel, spec: dict[str, int], z_names: list[str],
-             zp_names: list[str]) -> DivisorClass:
-    acc = 0 * model.cls("K")
-    for sym, coef in spec.items():
-        if sym == "Z":
-            for name in z_names:
-                acc = acc + coef * model.cls(name)
-        elif sym == "Z'":
-            for name in zp_names:
-                acc = acc + coef * model.cls(name)
-        else:
-            acc = acc + coef * model.cls(sym)
-    return acc
+def ladder_counts(branch: str, ell: int) -> tuple[int, ...]:
+    """The cycles per level of ``branch``'s ladder at ``ell``: n = 3 ell + offset,
+    the given counts, then the last count, which the vanishing of the deepest
+    adjoint forces.  N_last^2 has slope 1 in that count, so it is -N_last^2
+    evaluated with it set to 0.  A negative count ends the tuple early.
+    """
+    data = _BRANCH_DATA[branch]
+    counts = (3 * ell + data["offset"], *data["given"])
+    if min(counts) < 0:
+        return counts
+    rows = adjoint_table(0, quotient_k2(RamificationData(0, ell, 1)), 1, CycleCounts(*counts))
+    return (*counts, -rows[len(counts)].ni2)
 
 
 def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
@@ -194,90 +177,88 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     reproduces each displayed row, starts at (N^2, N.K) = (3, 1) and agrees
     level by level with the numerical table at the forced cycle counts.
     """
-    data = _BRANCH_DATA[branch]
-    n = 3 * ell + data["offset"]
-    report = LadderReport(branch, ok=True)
-    if n < 0:
+    counts = ladder_counts(branch, ell)
+    report = LadderReport(branch, ok=True, counts=counts)
+
+    def fail(line: str) -> None:
         report.ok = False
-        report.failures.append(f"n = {n} < 0 is not realizable")
+        report.failures.append(line)
+
+    for primes, count in enumerate(counts):
+        if count < 0:
+            fail(f"{level_symbol('n', primes)} = {count} < 0 is not realizable")
+    # the rational model: the plane blown up at 11 + 3 ell points, rank 12 + 3 ell
+    # and K^2 = -2 - 3 ell; G' is E_1, the cycles follow level by level and the
+    # remaining points are anonymous
+    points = 11 + 3 * ell
+    if report.ok and sum(counts) >= points:
+        fail(f"G' and {sum(counts)} cycles need more than the model's {points} points")
+    if not report.ok:
         return report
-    z_names = [f"Z{i}" for i in range(1, n + 1)]
-    extra = data["extra"]
-    zp_names = [nm for nm in extra if nm.startswith("Z'") and not nm.startswith("Z''")]
-    model = _pencil_model(ell, z_names + extra)
-    rows = data["rows"]
+    report.forced = {"n'": counts[1], level_symbol("n", len(counts) - 1): counts[-1]}
+    lat = IntersectionLattice.plane_blow_up(points, name=f"pencil-model-l{ell}")
+    k = lat.k
+    # per symbol, the (position, coefficient) pairs of its class: K, G' = E_1, and
+    # the cycles of each level, which follow level by level
+    span = {"K": list(enumerate(lat.canonical)), "G": [(1, 1)]}
+    start = 2
+    for primes, count in enumerate(counts):
+        span[level_symbol("Z", primes)] = [(i, 1) for i in range(start, start + count)]
+        start += count
+    rows = _BRANCH_DATA[branch]["rows"]
 
-    n_class = _combine(model, rows["N"], z_names, zp_names)
-    model.classes["N"] = n_class
+    def exceptional(m: int) -> DivisorClass:
+        """E_1 + ... + E_m: G' and the first m - 1 cycles."""
+        return lat.divisor((0,) + (1,) * m + (0,) * (points - m))
 
-    def check(label: str, lhs: DivisorClass, rhs: DivisorClass) -> None:
-        if lhs.coeffs != rhs.coeffs:
-            report.ok = False
-            report.failures.append(f"{label}: ladder row fails as a lattice identity")
+    def row_class(label: str) -> DivisorClass:
+        """The displayed row ``label`` as one coefficient vector."""
+        coeffs = [0] * lat.rank
+        for sym, coef in rows[label].items():
+            if sym not in span:
+                fail(f"{label}: {sym} is no level of the ladder")
+            for i, c in span.get(sym, ()):
+                coeffs[i] += coef * c
+        return lat.divisor(coeffs)
+
+    def check(label: str, lhs: DivisorClass) -> None:
+        if lhs.coeffs != row_class(label).coeffs:
+            fail(f"{label}: ladder row fails as a lattice identity")
 
     # invariants of N in the model
-    top = (n_class.square, n_class.dot(model.lattice.k))
+    n_class = row_class("N")
+    top = (n_class.square, n_class.dot(k))
     if top != ladder_top(0):
-        report.ok = False
-        report.failures.append(f"(N^2, N.K) = {top} != {ladder_top(0)}")
+        fail(f"(N^2, N.K) = {top} != {ladder_top(0)}")
 
-    # walk the adjoint chain: G' and the Z_i are contracted from level 1 on, a
-    # symbol with p primes from level p + 1, down to the vanishing level
+    # walk the adjoint chain: G' and the cycles of level 1 are contracted from
+    # the first step on, those of level j from the j-th, down to the vanishing level
     chain = [n_class]
-    k = model.lattice.k
-    for level in range(1, len(data["given"]) + 3):
-        nxt = chain[-1] + k
-        for name in ["G"] + z_names + [nm for nm in extra if nm.count("'") < level]:
-            nxt = nxt - model.cls(name)
-        chain.append(nxt)
-        label = f"N{level}"
-        if label in rows:
-            check(label, nxt, _combine(model, rows[label], z_names, zp_names))
+    for level in range(1, len(counts) + 1):
+        chain.append(chain[-1] + k - exceptional(1 + sum(counts[:level])))
+        if f"N{level}" in rows:
+            check(f"N{level}", chain[-1])
     if not chain[-1].is_zero():
-        report.ok = False
-        report.failures.append(f"N{len(chain) - 1} does not vanish in the model")
+        fail(f"N{len(chain) - 1} does not vanish in the model")
 
-    two_b0_e = n_class - 3 * k + 3 * model.cls("G")
-    check("2B0+E", two_b0_e, _combine(model, rows["2B0+E"], z_names, zp_names))
+    check("2B0+E", n_class - 3 * k + 3 * exceptional(1))
 
-    for idx, cls in enumerate(chain[1:], start=1):
-        if cls.dot(n_class) < 0:
-            report.ok = False
-            report.failures.append(f"N{idx}.N < 0")
-
-    # every level of the chain, down to the vanishing one, against the table
-    # at the forced counts
-    report.forced = _forced_counts(branch, ell, n)
-    counts = CycleCounts(n, *data["given"], list(report.forced.values())[-1])
-    table = adjoint_table(0, model.lattice.k.square, 1, counts)
+    # every level of the chain, down to the vanishing one, meets N nonnegatively
+    # and agrees with the table at the forced counts
+    table = adjoint_table(0, k.square, 1, CycleCounts(*counts))
     agrees = True
-    for idx in range(1, len(chain)):
-        row = table[idx - 1]
-        got = (chain[idx].square, chain[idx].dot(k), arithmetic_genus(chain[idx]),
-               chain[idx - 1].dot(chain[idx]))
+    for row, prev, cls in zip(table, chain, chain[1:]):
+        if cls.dot(n_class) < 0:
+            fail(f"N{row.index}.N < 0")
+        got = (cls.square, cls.dot(k), arithmetic_genus(cls), prev.dot(cls))
         want = (row.ni2, row.nik, row.pa, row.prev_dot)
         if got != want:
-            agrees = report.ok = False
-            report.failures.append(f"N{idx}: model data {got} vs table {want}")
+            agrees = False
+            fail(f"N{row.index}: model data {got} vs table {want}")
     if agrees:
         report.notes.append("model chain agrees with the printed numerical table")
-    report.notes.append(f"model rank {model.lattice.rank}, K^2 = {model.lattice.k.square}")
+    report.notes.append(f"model rank {lat.rank}, K^2 = {k.square}")
     return report
-
-
-def _forced_counts(branch: str, ell: int, n: int) -> dict[str, int]:
-    """Solve the vanishing of the deepest adjoint for the last cycle count.
-
-    N_last^2 has slope 1 in the last count, so that count is -N_last^2
-    evaluated with it set to 0.  Of the given counts only n' is reported.
-    """
-    given = _BRANCH_DATA[branch]["given"]
-    ky2 = quotient_k2(RamificationData(0, ell, 1))
-    rows = adjoint_table(0, ky2, 1, CycleCounts(n, *given))
-    names = ("n'", "n''", "n'''")
-    forced = dict(zip(names, given[:1]))
-    forced[names[len(given)]] = -rows[len(given) + 1].ni2
-    return forced
 
 
 def n_prime_one_is_contradiction(ell: int = 1) -> bool:

@@ -11,6 +11,7 @@ import json
 from importlib import resources
 from itertools import product
 
+from .adjoint import cycle_names
 from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
 from .lattice import IntersectionLattice, canonical_degree, index_slack
 from .plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError, PointCluster,
@@ -147,13 +148,10 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
 # the genus-one pencil |-K| of the plane blown up at eight points
 _PENCIL_SQ = IntersectionLattice.plane_blow_up(DEL_PEZZO_POINTS).k.square
 
-# per branch: the count n of cycles Z_i, the cycles of the level before the last
-# and the one cycle of the last level
-_LEVELS = {"deepest": (3, ("Z''",), "Z'''"), "middle": (2, ("Z'1", "Z'2"), "Z''")}
-# per curve: its square on Y, how often it meets each Z_i, and per branch the
-# total 2 C.(level before) + C.(last level) the vanishing adjoint forces
-_CURVES = {"B0": (B0_SQ, 1, {"deepest": 4, "middle": 6}),
-           "E'": (EXC_SQ, 0, {"deepest": 4, "middle": 3})}
+# per curve: its square on Y, how often it meets each Z_i, and per ladder depth,
+# its levels but the last (3 deepest, 2 middle), the total
+# 2 C.(level before the last) + C.(last level) the vanishing adjoint forces
+_CURVES = {"B0": (B0_SQ, 1, {3: 4, 2: 6}), "E'": (EXC_SQ, 0, {3: 4, 2: 3})}
 
 
 def contraction(square: int, meets: tuple[int, ...]) -> tuple[int, int]:
@@ -163,44 +161,53 @@ def contraction(square: int, meets: tuple[int, ...]) -> tuple[int, int]:
     return square + sum(m * m for m in meets), sum(meets) - canonical_degree(square)
 
 
-def options(curve: str, branch: str) -> list[dict]:
+def _columns(curve: str, counts: tuple[int, ...]) -> list[str]:
+    """One option column per cycle of the last two levels of the ladder with ``counts``."""
+    *_, before, last = cycle_names(counts)
+    return [f"{curve}.{z}" for z in (*before, *last)]
+
+
+def options(curve: str, counts: tuple[int, ...]) -> list[dict]:
     """Every distribution of ``curve`` (B0 or E') against the contracted cycles of
-    ``branch``, with the square and pencil pairing of its image and the verdict of
-    the index theorem against the pencil (square 1): excluded above (D.N)^2, pinned
-    to the pencil class at it.  The cycles of one level are interchangeable, so
-    their values are nonincreasing; the last level takes what the total leaves.
+    the ladder with ``counts`` cycles per level, with the square and pencil pairing
+    of its image and the verdict of the index theorem against the pencil (square
+    1): excluded above (D.N)^2, pinned to the pencil class at it.  The cycles of
+    one level are interchangeable, so their values are nonincreasing; the one
+    cycle of the last level takes what the total leaves.
     """
+    if counts[-1] != 1 or sum(counts) != counts[0] + counts[-2] + 1:
+        raise ValueError(f"{counts}: options need one cycle on the last level, none in between")
     square, z_meets, totals = _CURVES[curve]
-    n, before, last = _LEVELS[branch]
-    total = totals[branch]
+    total = totals[len(counts) - 1]
+    columns = _columns(curve, counts)
     out = []
-    for values in sorted(p for s in range(total // 2 + 1) for p in _partitions(s, len(before))):
+    for values in sorted(p for s in range(total // 2 + 1) for p in _partitions(s, counts[-2])):
         values += (total - 2 * sum(values),)
-        image, pairing = contraction(square, (z_meets,) * n + values)
+        image, pairing = contraction(square, (z_meets,) * counts[0] + values)
         slack = index_slack(image, pairing, _PENCIL_SQ)
         verdict = "excluded" if slack < 0 else "pinned-to-pencil" if slack == 0 else "open"
-        out.append({**{f"{curve}.{z}": m for z, m in zip((*before, last), values)},
+        out.append({**dict(zip(columns, values)),
                     "pairing": pairing, "square": image, "verdict": verdict})
     return out
 
 
-# per E' elimination: its branch, the E'-curves sharing one last-level sum, that
-# sum, and the wording of its trace
+# per E' elimination: the E'-curves sharing one last-level sum, that sum, and the
+# wording of its trace
 _SPLITS = {
-    "l.noa": ("deepest", 2, 6, "(E'_1+E'_2).Z''' = {total} splits as {splits}; "
+    "l.noa": (2, 6, "(E'_1+E'_2).Z''' = {total} splits as {splits}; "
               "some E' has E'.Z''' = {worst}", ", violating the index theorem"),
-    "l.nob": ("middle", 3, 5, "odd splits of {total}: {splits}; some E'.Z'' = {worst}",
+    "l.nob": (3, 5, "odd splits of {total}: {splits}; some E'.Z'' = {worst}",
               " against the index theorem"),
 }
 
 
-def elim_forced_split(prop_id: str) -> Elimination:
-    """l.noa, l.nob: the E'-curves' last-level values, each that of an E' option,
-    add up to the given sum.  Every split forces its largest value, and each option
-    at or above the least of these is excluded."""
-    branch, curves, total, head, tail = _SPLITS[prop_id]
-    last = f"E'.{_LEVELS[branch][2]}"
-    opts = options("E'", branch)
+def elim_forced_split(prop_id: str, counts: tuple[int, ...]) -> Elimination:
+    """l.noa, l.nob: the E'-curves' last-level values, each that of an E' option of
+    the ladder with ``counts``, add up to the given sum.  Every split forces its
+    largest value, and each option at or above the least of these is excluded."""
+    curves, total, head, tail = _SPLITS[prop_id]
+    last = _columns("E'", counts)[-1]
+    opts = options("E'", counts)
     splits = [c for c in product(sorted({o[last] for o in opts}), repeat=curves)
               if sum(c) == total]
     worst = min(max(c) for c in splits)
@@ -215,34 +222,36 @@ def elim_forced_split(prop_id: str) -> Elimination:
     )
 
 
-def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int) -> Elimination:
+def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int,
+                   counts: tuple[int, ...]) -> Elimination:
     """Deepest branch, option b: both free E'-curves need plane degree >= 3.
 
-    Each takes one of the deepest E' options the index theorem leaves.
-    ``solved`` maps a multiplicity system (square, pairing, points) solved
-    elsewhere to its solutions; the other systems are solved here, and a system
-    no option asks for raises ``PlaneError``.  B_0 is normalized to the top of
-    its Cremona orbit, of plane degree ``b0_degree``.
+    Each takes one of the E' options the index theorem leaves on the deepest
+    ladder, with ``counts`` cycles per level.  ``solved`` maps a multiplicity
+    system (square, pairing, points) solved elsewhere to its solutions; the other
+    systems are solved here, and a system no option asks for raises
+    ``PlaneError``.  B_0 is normalized to the top of its Cremona orbit, of plane
+    degree ``b0_degree``.
     """
     budget = degree_budget(7) - 2 * b0_degree
     demands = []
     trace = []
     # pencil-pinned first; the excluded options are the index-theorem kill of l.noa
-    live = [o for o in reversed(options("E'", "deepest")) if o["verdict"] != "excluded"]
+    live = [o for o in reversed(options("E'", counts)) if o["verdict"] != "excluded"]
     stray = set(solved) - {(o["square"], o["pairing"], DEL_PEZZO_POINTS) for o in live}
     if stray:
         raise PlaneError(f"no deepest E' option asks for the systems {sorted(stray)}")
+    columns = _columns("E'", counts)
     for o in live:
-        z2, z3 = o["E'.Z''"], o["E'.Z'''"]
+        at = f"({', '.join(columns)}) = ({','.join(str(o[c]) for c in columns)})"
         system = (o["square"], o["pairing"], DEL_PEZZO_POINTS)
         sols = solved[system] if system in solved else solve_multiplicity_system(*system)
         if not sols:
-            trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): no plane model at all")
+            trace.append(f"{at}: no plane model at all")
             continue
         dmin = min(d for d, _ in sols)
         demands.append(dmin)
-        trace.append(f"(E'.Z'', E'.Z''') = ({z2},{z3}): min degree {dmin}, "
-                     f"solutions {[(d, s) for d, s in sols]}")
+        trace.append(f"{at}: min degree {dmin}, solutions {[(d, s) for d, s in sols]}")
     lhs = 2 * min(demands)
     return Elimination(
         "p.no3lirr", str(lhs), str(budget),
@@ -467,6 +476,10 @@ def _transformed_elimination(prop_id: str, variant: str, split: tuple[int, int])
     rows = quadratic_transform(source.cluster, list(source.rows), ("P1", "P2", "P3"))
     fixture = _DATA["transformed_14pt"][variant]
     expected = _rows_from_json(fixture["rows"])
+    names = [r.name for r in rows]
+    if names != [r.name for r in expected]:
+        return Elimination(prop_id, "rows", "fixture", "failed",
+                           (f"transformed rows {names} differ from the fixture's",))
     for got, want in zip(rows, expected):
         if (got.degree, got.mults) != (want.degree, want.mults):
             return Elimination(prop_id, got.name, "fixture", "failed",

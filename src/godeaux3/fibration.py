@@ -247,7 +247,7 @@ def elim_p_no0d(case: PencilCase, ell: int) -> Elimination:
     B_0.(sum C_j) exceeds m A'.B_0."""
     _, a_k, a_b0 = _projection(case)
     ky2 = _PENCIL_KY2(ell)
-    # A_1^2 has slope 1 in m, so m is -A_1^2 at m = 0, as _forced_counts solves its count
+    # A_1^2 has slope 1 in m, so m is -A_1^2 at m = 0, as ladder_counts solves its last count
     _, a1sq0, _ = adjoint_step(case.aprime2, a_k, ky2, _H2)
     m = -a1sq0
     _, _, a1k = adjoint_step(case.aprime2, a_k, ky2, _H2 + m)
@@ -553,8 +553,8 @@ def elim_t_ii(h2: int) -> Elimination:
     lhs = _affine(lambda ell: trapped((2 * (h2 - 1), EXC_SQ), (ell - 1, B0_SQ)), ell_min)
     rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0,
                                            canonical_degree(0, 1)), ell_min)
-    survivors = [ell for ell in range(ell_min, 12) if lhs(ell) <= rhs(ell)]
-    ok = not survivors and lhs.coef > rhs.coef
+    # lhs > rhs at l_min, and lhs grows faster: so for every l >= l_min
+    ok = lhs(ell_min) > rhs(ell_min) and lhs.coef > rhs.coef
     return Elimination(
         "t.ii", str(lhs), str(rhs),
         "contradiction" if ok else "survives",

@@ -100,7 +100,7 @@ class ConfigTable(NamedTuple):
     cluster: PointCluster
     rows: tuple[PlaneCurve, ...]
     weights: dict  # row name -> weight in the totals
-    totals: tuple[int, ...]
+    totals: tuple[int, ...]  # one weighted total per point, or () for none declared
     gram: dict  # (name, name) -> expected product
 
     def row(self, name: str) -> PlaneCurve:
@@ -111,10 +111,12 @@ class ConfigTable(NamedTuple):
 
 
 def verify_config_table(table: ConfigTable) -> tuple[bool, list[str]]:
-    """Check row lengths, weighted column totals and all declared intersection numbers."""
+    """Check the lengths, the weighted column totals and all declared intersection numbers."""
     points = len(table.cluster.points)
     violations = [f"{r.name}: {len(r.mults)} multiplicities for {points} points"
                   for r in table.rows if len(r.mults) != points]
+    if table.totals and len(table.totals) != points:
+        violations.append(f"totals: {len(table.totals)} entries for {points} points")
     if violations:
         return False, violations
     for j, expected in enumerate(table.totals):

@@ -349,8 +349,8 @@ def _ladder(branch: str, expected_forced: dict):
 
 
 def _steps(ins, branch: str, ell: int) -> int:
-    """Adjoint steps up to N in ``branch``'s ladder at ``ell``: its last forced level."""
-    return list(ins[branch].value[ell].forced)[-1].count("'")
+    """Adjoint steps up to N in ``branch``'s ladder at ``ell``: its levels but the last."""
+    return len(ins[branch].value[ell].counts) - 1
 
 
 # -- Euler-number eliminations ------------------------------------------------------
@@ -565,29 +565,27 @@ def _p_equiv0(ins) -> Outcome:
     return _check(len(chains) == 7 and longest <= spread, trace, max(chains)[0])
 
 
-def _matches_forced(options: list[dict], report) -> bool:
-    """One column per forced cycle of each level: Z'1, Z'2 for n' = 2, Z'' for n'' = 1."""
-    columns = [k.rstrip("0123456789") for k in options[0] if k.startswith("B0.Z")]
-    return all(columns.count("B0.Z" + name[1:]) == count for name, count in report.forced.items())
-
-
 def _b0_tables(ins) -> Outcome:
-    """Both option tables against their ladders at l = 1; the value maps branch to options."""
-    deep, mid = delpezzo.options("B0", "deepest"), delpezzo.options("B0", "middle")
+    """Both option tables from the cycle counts their ladders verified at l = 1; the
+    value maps branch to those counts and its options."""
+    counts = {"deepest": ins["s.3l"].value[1].counts, "middle": ins["s.3l-1"].value[1].counts}
+    value = {branch: (c, delpezzo.options("B0", c)) for branch, c in counts.items()}
+    deep, mid = value["deepest"][1], value["middle"][1]
     ex, op, pin = "excluded", "open", "pinned-to-pencil"
     ok = [o["verdict"] for o in deep + mid] == [ex, op, pin, ex, ex, op, pin, pin, ex]
-    ok &= _matches_forced(deep, ins["s.3l"].value[1])
-    ok &= _matches_forced(mid, ins["s.3l-1"].value[1])
     trace = [f"deepest branch options: {deep}", f"middle branch options: {mid}",
              "each table has one column per cycle its ladder forces"]
-    return _check(ok, trace, {"deepest": deep, "middle": mid})
+    return _check(ok, trace, value)
 
 
 def _option(fn, branch: str, verdict: str):
-    """``fn``'s outcome, which closes the ``verdict`` options b0.tables leaves in ``branch``."""
+    """``fn``'s outcome, which closes the ``verdict`` options b0.tables leaves in
+    ``branch``; ``fn`` reads the cycle counts of that branch's ladder."""
     def run(ins) -> Outcome:
-        left = [o for o in ins["b0.tables"].value[branch] if o["verdict"] == verdict]
-        return _given(fn(ins), bool(left), f"it closes the {branch} {verdict} options {left}")
+        counts, options = ins["b0.tables"].value[branch]
+        left = [o for o in options if o["verdict"] == verdict]
+        return _given(fn(ins, counts), bool(left),
+                      f"it closes the {branch} {verdict} options {left}")
 
     return run
 
@@ -771,21 +769,21 @@ def build_nodes() -> dict[str, ProofNode]:
     add("b0.tables", "formula-check", "index filter on the cycle distributions",
         ("s.3l", "s.3l-1"), _b0_tables)
     add("l.noa", "elimination", "deepest branch, pencil-pinned option",
-        ("b0.tables",), _option(_elim(lambda: delpezzo.elim_forced_split("l.noa")), "deepest",
-                                "pinned-to-pencil"))
+        ("b0.tables",), _option(lambda _, counts: _from_elimination(
+            delpezzo.elim_forced_split("l.noa", counts)), "deepest", "pinned-to-pencil"))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
         ("b0.tables", "e.sys", "p.equiv0"),
-        _option(lambda ins: _from_elimination(delpezzo.elim_p_no3lirr(
-            {(2, 2, 8): ins["e.sys"].value}, ins["p.equiv0"].value)), "deepest", "open"))
+        _option(lambda ins, counts: _from_elimination(delpezzo.elim_p_no3lirr(
+            {(2, 2, 8): ins["e.sys"].value}, ins["p.equiv0"].value, counts)), "deepest", "open"))
     add("p.3lred", "elimination", "deepest branch, reducible cycle", ("b0.tables", "ax.minus3"),
-        _option(_elim(delpezzo.elim_p_3lred), "deepest", "open"))
+        _option(lambda *_: _from_elimination(delpezzo.elim_p_3lred()), "deepest", "open"))
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
         ("l.noa", "p.no3lirr", "p.3lred"), _all_closed, closes=((1, 0, "eight-point"),))
     add("l.nob", "elimination", "middle branch, pencil-pinned option",
-        ("b0.tables",), _option(_elim(lambda: delpezzo.elim_forced_split("l.nob")), "middle",
-                                "pinned-to-pencil"))
+        ("b0.tables",), _option(lambda _, counts: _from_elimination(
+            delpezzo.elim_forced_split("l.nob", counts)), "middle", "pinned-to-pencil"))
     add("sixtuples", "enumeration", "admissible degree six-tuples",
-        ("b0.tables",), _option(_sixtuples, "middle", "open"))
+        ("b0.tables",), _option(lambda ins, _: _sixtuples(ins), "middle", "open"))
     add("e.f2", "enumeration", "plane models of the two exceptional curves", (), _e_f2)
     add("tables.printed", "enumeration", "the printed multiplicity tables",
         ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)

@@ -1,3 +1,4 @@
+import copy
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -231,16 +232,16 @@ def test_n_prime_one_contradiction_flag():
 def test_forced_counts_match_the_typed_rows(ell):
     ky2, h2 = -2 - 3 * ell, 1
     n = 3 * ell - 2
-    assert adjoint._forced_counts("s.3l-2", ell, n) == {"n'": -(7 + 4 * ky2 + 4 * n + 4 * h2)}
+    assert adjoint.ladder_counts("s.3l-2", ell) == (n, -(7 + 4 * ky2 + 4 * n + 4 * h2))
     n = 3 * ell - 1
-    assert adjoint._forced_counts("s.3l-1", ell, n) == {
-        "n'": 2, "n''": -(9 + 9 * ky2 + 9 * h2 + 9 * n + 4 * 2)}
+    assert adjoint.ladder_counts("s.3l-1", ell) == (
+        n, 2, -(9 + 9 * ky2 + 9 * h2 + 9 * n + 4 * 2))
     for ell_deep in (ell, 0):
         ky2, n = -2 - 3 * ell_deep, 3 * ell_deep
         n3sq = 9 + 9 * ky2 + 9 * h2 + 9 * n + 1
         n3k = 1 + 3 * ky2 + 3 * h2 + 3 * n + 1
-        assert adjoint._forced_counts("s.3l", ell_deep, n) == {
-            "n'": 0, "n'''": -(n3sq + ky2 + 2 * n3k + 1 + n + 0 + 1)}
+        assert adjoint.ladder_counts("s.3l", ell_deep) == (
+            n, 0, 1, -(n3sq + ky2 + 2 * n3k + 1 + n + 0 + 1))
 
 
 def test_agreement_note_only_when_every_level_agrees(monkeypatch):
@@ -255,3 +256,69 @@ def test_agreement_note_only_when_every_level_agrees(monkeypatch):
     report = verify_ladder_identity("s.3l", ell=1)
     assert not report.ok and any("vs table" in f for f in report.failures)
     assert AGREES not in report.notes
+
+
+# The cycle names beyond the Z_i that the ladder once typed per branch, and the
+# eight-point levels (n, the level before the last, the last cycle) typed beside
+# the option tables: references for the one naming rule.
+EXTRA = {("s.3l", 1): ["Z''", "Z'''"], ("s.3l", 0): ["Z''", "Z'''"],
+         ("s.3l-1", 1): ["Z'1", "Z'2", "Z''"],
+         ("s.3l-2", 1): ["Z'1", "Z'2", "Z'3", "Z'4", "Z'5"]}
+LEVELS = {"s.3l": (3, ("Z''",), "Z'''"), "s.3l-1": (2, ("Z'1", "Z'2"), "Z''")}
+
+
+@pytest.mark.parametrize("branch,ell", sorted(EXTRA))
+def test_cycle_names_reproduce_the_typed_lists(branch, ell):
+    counts = adjoint.ladder_counts(branch, ell)
+    names = adjoint.cycle_names(counts)
+    assert names[0] == [f"Z{i}" for i in range(1, counts[0] + 1)]
+    assert [name for level in names[1:] for name in level] == EXTRA[branch, ell]
+
+
+@pytest.mark.parametrize("branch", sorted(LEVELS))
+def test_cycle_names_reproduce_the_typed_eight_point_levels(branch):
+    counts = adjoint.ladder_counts(branch, 1)
+    *_, before, last = adjoint.cycle_names(counts)
+    assert (counts[0], tuple(before), *last) == LEVELS[branch]
+
+
+def _parent_report(branch, ell):
+    """(ok, failures, forced, notes) as the ladder reported them with typed names."""
+    n = 3 * ell + {"s.3l": 0, "s.3l-1": -1, "s.3l-2": -2}[branch]
+    if n < 0:
+        return False, [f"n = {n} < 0 is not realizable"], {}, []
+    forced = {"s.3l": {"n'": 0, "n'''": 1}, "s.3l-1": {"n'": 2, "n''": 1},
+              "s.3l-2": {"n'": 5}}[branch]
+    return True, [], forced, [AGREES, f"model rank {12 + 3 * ell}, K^2 = {-2 - 3 * ell}"]
+
+
+@pytest.mark.parametrize("branch", ["s.3l", "s.3l-1", "s.3l-2"])
+@pytest.mark.parametrize("ell", [0, 1, 2, 3])
+def test_reports_match_the_typed_names(branch, ell):
+    report = verify_ladder_identity(branch, ell)
+    got = (report.ok, report.failures, report.forced, report.notes)
+    assert got == _parent_report(branch, ell)
+    assert list(report.forced.items()) == list(_parent_report(branch, ell)[2].items())
+    if report.ok:  # the depth the ruled nodes read: its levels but the last
+        assert len(report.counts) - 1 == {"s.3l": 3, "s.3l-1": 2, "s.3l-2": 1}[branch]
+
+
+@pytest.mark.parametrize("branch,path,value,failure", [
+    ("s.3l-1", ("given",), (3,), "n'' = -3 < 0 is not realizable"),
+    ("s.3l-1", ("given",), (1,), "(N^2, N.K) = (15, -1) != (3, 1)"),
+    ("s.3l", ("given",), (1, 1), "n''' = -8 < 0 is not realizable"),
+    ("s.3l", ("offset",), -1, "G' and 20 cycles need more than the model's 14 points"),
+    ("s.3l", ("rows", "N2", "Z"), 3, "N2: ladder row fails as a lattice identity"),
+    ("s.3l-1", ("rows", "N", "G"), 4, "(N^2, N.K) = (2, 0) != (3, 1)"),
+    ("s.3l-1", ("rows", "N1", "Z'''"), 1, "N1: Z''' is no level of the ladder"),
+])
+def test_perturbed_ladders_fail_without_raising(monkeypatch, branch, path, value, failure):
+    data = copy.deepcopy(adjoint._BRANCH_DATA)
+    target = data[branch]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    monkeypatch.setattr(adjoint, "_BRANCH_DATA", data)
+    report = verify_ladder_identity(branch, ell=1)
+    assert not report.ok
+    assert failure in report.failures

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from godeaux3 import delpezzo as dp
+from godeaux3.adjoint import ladder_counts
 from godeaux3.fibration import B0_SQ, EXC_SQ
 from godeaux3.plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError,
                             PointCluster, quadratic_transform, solve_multiplicity_system,
@@ -115,19 +116,23 @@ B0_MIDDLE = [((a, b, 6 - 2 * (a + b)), 4 - (a + b),
 E_DEEPEST_LIVE = [(z2, z3, -3 + z2 * z2 + z3 * z3, 3 - z2) for z2, z3 in ((2, 0), (1, 2))]
 
 
+# the cycles per level of the deepest and the middle ladder at l = 1
+DEEPEST, MIDDLE = ladder_counts("s.3l", 1), ladder_counts("s.3l-1", 1)
+
+
 def _typed(options):
     return [(tuple(v for k, v in o.items() if ".Z" in k), o["pairing"], o["square"])
             for o in options]
 
 
 def test_b0_option_tables():
-    deep = dp.options("B0", "deepest")
+    deep = dp.options("B0", DEEPEST)
     assert _typed(deep) == B0_DEEPEST
     assert [(o["B0.Z''"], o["B0.Z'''"], o["verdict"]) for o in deep] == [
         (0, 4, "excluded"), (1, 2, "open"), (2, 0, "pinned-to-pencil")]
-    assert _typed(dp.options("B0", "middle")) == B0_MIDDLE
+    assert _typed(dp.options("B0", MIDDLE)) == B0_MIDDLE
     mid = {(o["B0.Z'1"], o["B0.Z'2"], o["B0.Z''"]): o["verdict"]
-           for o in dp.options("B0", "middle")}
+           for o in dp.options("B0", MIDDLE)}
     assert mid[(3, 0, 0)] == "excluded"
     assert mid[(1, 0, 4)] == "excluded"
     assert mid[(0, 0, 6)] == "excluded"
@@ -136,7 +141,7 @@ def test_b0_option_tables():
 
 
 def test_e_prime_option_tables():
-    deep, mid = dp.options("E'", "deepest"), dp.options("E'", "middle")
+    deep, mid = dp.options("E'", DEEPEST), dp.options("E'", MIDDLE)
     assert {o["E'.Z'''"] for o in deep} == {0, 2, 4}
     assert {o["E'.Z''"] for o in mid} == {1, 3}
     # E' meets no Z_i; its forced totals are 2 E'.Z'' + E'.Z''' = 4 and
@@ -157,7 +162,7 @@ def test_contraction_rule():
 
 
 def test_index_theorem_kills():
-    noa, nob = dp.elim_forced_split("l.noa"), dp.elim_forced_split("l.nob")
+    noa, nob = dp.elim_forced_split("l.noa", DEEPEST), dp.elim_forced_split("l.nob", MIDDLE)
     assert (noa.lhs, noa.rhs, noa.verdict) == ("13", "9", "contradiction")
     assert (nob.lhs, nob.rhs, nob.verdict) == ("6", "4", "contradiction")
     assert noa.trace[0] == ("(E'_1+E'_2).Z''' = 6 splits as [(2, 4), (4, 2)]; "
@@ -168,29 +173,29 @@ def test_index_theorem_kills():
 
 def test_forced_split_survives_when_a_split_avoids_every_excluded_value(monkeypatch):
     # two deepest E'-curves adding up to 4 could both take the open value 2
-    monkeypatch.setitem(dp._SPLITS, "x", ("deepest", 2, 4, "{splits} {worst}", ""))
-    e = dp.elim_forced_split("x")
+    monkeypatch.setitem(dp._SPLITS, "x", (2, 4, "{splits} {worst}", ""))
+    e = dp.elim_forced_split("x", DEEPEST)
     assert e.trace[0] == "[(0, 4), (2, 2), (4, 0)] 2"
     assert (e.lhs, e.rhs, e.verdict) == ("2", "4", "survives")
     # adding up to 8, both take the excluded value 4
-    monkeypatch.setitem(dp._SPLITS, "x", ("deepest", 2, 8, "{splits} {worst}", ""))
-    assert dp.elim_forced_split("x").verdict == "contradiction"
+    monkeypatch.setitem(dp._SPLITS, "x", (2, 8, "{splits} {worst}", ""))
+    assert dp.elim_forced_split("x", DEEPEST).verdict == "contradiction"
 
 
 def test_p_no3lirr_budget():
     # the (2, 2, 8) system comes from e.sys; the (1, 1, 8) one is solved here
-    e = dp.elim_p_no3lirr({(2, 2, 8): solve_multiplicity_system(2, 2, 8)}, 9)
+    e = dp.elim_p_no3lirr({(2, 2, 8): solve_multiplicity_system(2, 2, 8)}, 9, DEEPEST)
     assert e.verdict == "contradiction"
     assert (e.lhs, e.rhs) == ("6", "3")
-    assert dp.elim_p_no3lirr({}, 9) == e
+    assert dp.elim_p_no3lirr({}, 9, DEEPEST) == e
     # B_0 at a state of degree 7 would leave a budget the two degrees fit in
-    assert dp.elim_p_no3lirr({}, 7).verdict == "survives"
+    assert dp.elim_p_no3lirr({}, 7, DEEPEST).verdict == "survives"
 
 
 def test_p_no3lirr_refuses_a_system_no_option_asks_for():
     # e.sys solves (2, 2, 8); a stale key would otherwise drop its read silently
     with pytest.raises(PlaneError, match=r"\(2, 2, 9\)"):
-        dp.elim_p_no3lirr({(2, 2, 9): solve_multiplicity_system(2, 2, 8)}, 9)
+        dp.elim_p_no3lirr({(2, 2, 9): solve_multiplicity_system(2, 2, 8)}, 9, DEEPEST)
 
 
 def test_sixtuples():
@@ -205,7 +210,7 @@ def test_sixtuples():
 def test_degree_budgets_reach_both_nodes(monkeypatch):
     # p.no3lirr and the six-tuples read plane.degree_budget, which test_plane checks
     monkeypatch.setattr(dp, "degree_budget", lambda k: 3 * k + 1)
-    assert dp.elim_p_no3lirr({}, 9).rhs == "4"
+    assert dp.elim_p_no3lirr({}, 9, DEEPEST).rhs == "4"
     kept = dp.sixtuple_enumerate()["kept"]
     assert kept and all(sum(t[1:]) == 3 for t in kept)
 
@@ -366,3 +371,43 @@ def test_rows_must_cover_the_cluster(monkeypatch, width, changed):
     result = run("tables.printed").results["tables.printed"]
     assert result.status == "failed"
     assert not any("exception" in line for line in result.trace)
+
+
+@pytest.mark.parametrize("width", [7, 9])
+def test_totals_must_cover_the_cluster(monkeypatch, width):
+    from godeaux3.report import run
+
+    data = copy.deepcopy(dp._DATA)
+    table = data["tables_8pt"]["8-1-0-0-1-0"]
+    table["totals"] = (table["totals"] + [0])[:width]
+    monkeypatch.setattr(dp, "_DATA", data)
+    ok, violations = verify_config_table(dp.table_8pt("8-1-0-0-1-0"))
+    assert not ok
+    assert violations == [f"totals: {width} entries for 8 points"]
+    report = run("all")
+    result = report.results["tables.printed"]
+    assert result.status == "failed" and report.verdict != "verified"
+    assert not any("exception" in line for line in result.trace)
+
+
+def test_transformed_rows_must_match_the_fixture_row_for_row(monkeypatch):
+    data = copy.deepcopy(dp._DATA)
+    fixture = data["transformed_14pt"]["contracted-conic"]
+    fixture["rows"] = [r for r in fixture["rows"] if r["name"] not in ("F", "H")]
+    monkeypatch.setattr(dp, "_DATA", data)
+    e = dp.elim_p_3l12((2, 3))
+    assert e.verdict == "failed"
+    assert e.trace == ("transformed rows ['B0', 'E1', 'E2', 'E3', 'E4', 'E5', 'F', 'H'] "
+                       "differ from the fixture's",)
+
+
+def test_options_follow_the_counts():
+    # three cycles before the last level: one column each, values nonincreasing
+    opts = dp.options("B0", (2, 3, 1))
+    assert [k for k in opts[0] if ".Z" in k] == ["B0.Z'1", "B0.Z'2", "B0.Z'3", "B0.Z''"]
+    assert all(o["B0.Z'1"] >= o["B0.Z'2"] >= o["B0.Z'3"] for o in opts)
+    assert all(2 * (o["B0.Z'1"] + o["B0.Z'2"] + o["B0.Z'3"]) + o["B0.Z''"] == 6 for o in opts)
+    # total - 2 sum assumes one cycle on the last level and none in between
+    for counts in ((2, 2, 2), (3, 1, 1, 1)):
+        with pytest.raises(ValueError, match="one cycle on the last level"):
+            dp.options("B0", counts)

@@ -9,7 +9,7 @@ import godeaux3
 from godeaux3 import delpezzo, fibration as fib
 from godeaux3 import ruled
 from godeaux3.adjoint import CycleCounts, adjoint_pairing, adjoint_step, adjoint_table, ladder_top
-from godeaux3.cover import RamificationData, image_square, quotient_k2
+from godeaux3.cover import CaseInvalidError, RamificationData, image_square, quotient_k2
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
 from godeaux3.lattice import canonical_degree
 from godeaux3.pencil import enumerate_pencil_cases, pencil_case
@@ -398,3 +398,30 @@ def test_adjunction_replaces_the_typed_canonical_degrees():
     for square in (fib.EXC_SQ, fib.B0_SQ, -1):  # delpezzo.contraction's 2 + C^2
         for meets in ((), (1,), (0, 0, 3), (1, 1, 2)):
             assert delpezzo.contraction(square, meets)[1] == 2 + square + sum(meets)
+
+
+@pytest.mark.parametrize("shift", [0, 10])
+def test_t_ii_verdict_matches_a_brute_scan(monkeypatch, shift):
+    # every h_2 in 4..13 whose K_Y^2 is an integer at l_min = 2 h_2 - 6
+    accepted = []
+    for h2 in range(4, 14):
+        try:
+            quotient_k2(RamificationData(0, 2 * h2 - 6, h2))
+        except CaseInvalidError:
+            continue
+        accepted.append(h2)
+    assert accepted == [4, 7, 10, 13]
+    # lowering what the fibre traps by ``shift`` lets small l survive for h_2 = 4
+    trapped = fib.trapped
+    monkeypatch.setattr(fib, "trapped", lambda *curves: trapped(*curves) - shift)
+    for h2 in accepted:
+        def excess(ell):
+            ky2 = quotient_k2(RamificationData(0, ell, h2))
+            return fib.euler_excess(ky2, 0, canonical_degree(0, 1))
+
+        survivors = [ell for ell in range(2 * h2 - 6, 201)
+                     if fib.trapped((2 * (h2 - 1), fib.EXC_SQ), (ell - 1, fib.B0_SQ))
+                     <= excess(ell)]
+        verdict = fib.elim_t_ii(h2).verdict
+        assert verdict == ("survives" if survivors else "contradiction"), (h2, survivors)
+        assert bool(survivors) == (shift > 0 and h2 == 4)

@@ -213,6 +213,31 @@ def _run_with(monkeypatch, change):
     return run("all")
 
 
+@pytest.mark.parametrize("branch, counts, nid", [
+    ("deepest", (3, 0, 2, 1), "p.no3lirr"),  # two cycles before the last level
+    ("middle", (3, 0, 1, 1), "l.nob"),  # the deepest ladder's counts: no odd split of 5
+])
+def test_the_e_prime_eliminations_read_the_counts_b0_tables_passes_on(
+        monkeypatch, full_report, branch, counts, nid):
+    value = full_report.results["b0.tables"].value
+    assert {b: c for b, (c, _) in value.items()} == {"deepest": (3, 0, 1, 1),
+                                                     "middle": (2, 2, 1)}
+
+    def change(registry):
+        node = registry["b0.tables"]
+
+        def fn(ins):
+            out = node.fn(ins)
+            out.value[branch] = (counts, out.value[branch][1])
+            return out
+
+        registry["b0.tables"] = node._replace(fn=fn)
+
+    report = _run_with(monkeypatch, change)
+    assert report.results["b0.tables"].status == VERIFIED
+    assert report.results[nid].status == "failed"
+
+
 def test_t_iii_hands_on_the_records_the_euler_passes_judged(full_report):
     value = full_report.results["t.iii"].value
     want = {int(k): tuple(v) for k, v in EXPECTED["survivors_after_euler"].items()}

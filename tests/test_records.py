@@ -22,7 +22,7 @@ from godeaux3.plane import PlaneCurve, PlaneError, PointCluster
 from godeaux3.prooftree import Outcome
 
 NAMED_TUPLES = {
-    "adjoint": {"AdjointRow", "LadderModel"},
+    "adjoint": {"AdjointRow"},
     "cover": {"CaseRecord", "EigenvalueSplit"},
     "fibration": {"Elimination", "LinearForm"},
     "pencil": {"DropAtom", "SubsystemBranch"},

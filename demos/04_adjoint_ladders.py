@@ -8,7 +8,7 @@ concrete blown-up lattice, and the vanishing of the last adjoint pins the
 remaining cycle counts.
 """
 
-from godeaux3 import CycleCounts, adjoint_table, n_range, verify_ladder_identity
+from godeaux3 import adjoint_table, n_range, verify_ladder_identity
 from godeaux3.adjoint import n_prime_one_is_contradiction
 
 print("admissible cycle counts n per l:")
@@ -16,7 +16,7 @@ for ell in range(0, 4):
     print(f"  l = {ell}: n in {n_range(ell)}")
 
 print("\nadjoint table in the pencil case with l = 1, n = 3:")
-for row in adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 1)):
+for row in adjoint_table(0, -5, 1, (3, 0, 1, 1)):
     print(f"  N_{row.index}: square {row.ni2}, K-degree {row.nik}, "
           f"genus {row.pa}, previous dot {row.prev_dot}")
 

@@ -9,7 +9,7 @@ enumeration, the adjoint-ladder identities and the plane Cremona endgame.
 Everything else is reached through its module, e.g. ``godeaux3.fibration``.
 """
 
-from .adjoint import CycleCounts, adjoint_table, n_range, verify_ladder_identity
+from .adjoint import adjoint_table, n_range, verify_ladder_identity
 from .cover import (KS2, RamificationData, eigenvalue_split, enumerate_main_cases,
                     fixed_point_budget, h0_pair, kx2, quotient_k2)
 from .delpezzo import sixtuple_enumerate
@@ -21,8 +21,8 @@ from .plane import (cremona_orbit_connect, homaloidal_eliminate,
 from .report import run
 
 __all__ = [
-    "CycleCounts", "IntersectionLattice", "KS2", "RamificationData",
-    "adjoint_table", "ar0_upper", "arithmetic_genus", "blow_up",
+    "IntersectionLattice", "KS2", "RamificationData", "adjoint_table",
+    "ar0_upper", "arithmetic_genus", "blow_up",
     "cremona_orbit_connect", "eigenvalue_split", "enumerate_main_cases",
     "enumerate_pencil_cases", "fixed_point_budget", "h0_pair",
     "hodge_index_filter", "homaloidal_eliminate", "intersect", "kx2", "n_range",

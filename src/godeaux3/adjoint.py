@@ -22,15 +22,6 @@ class AdjointRow(NamedTuple):
     prev_dot: int
 
 
-class CycleCounts:
-    __slots__ = ("n", "nprime", "nsecond", "nthird")
-
-    def __init__(self, n: int, nprime: int = 0, nsecond: int = 0, nthird: int = 0) -> None:
-        if min(n, nprime, nsecond, nthird) < 0:
-            raise ValueError("cycle counts are nonnegative")
-        self.n, self.nprime, self.nsecond, self.nthird = n, nprime, nsecond, nthird
-
-
 def ladder_top(r0k: int) -> tuple[int, int]:
     """(N^2, N.K_Y) for the invariant class N at the top of the ladder."""
     return 3, 1 - 2 * r0k
@@ -52,14 +43,15 @@ def adjoint_step(ni2: int, nik: int, ky2: int, m: int) -> tuple[int, int, int]:
     return prev_dot, prev_dot + nik, nik
 
 
-def adjoint_table(r0k: int, ky2: int, h2: int, counts: CycleCounts) -> list[AdjointRow]:
-    """Numerical data of N_1, ..., N_4 as functions of the raw case invariants,
+def adjoint_table(r0k: int, ky2: int, h2: int, counts: tuple[int, ...]) -> list[AdjointRow]:
+    """Numerical data of N_1, ..., N_len(counts) as functions of the raw case invariants,
     by ``adjoint_step`` with m_i = h_2 + n + n' + ... curves contracted at level i."""
+    if any(count < 0 for count in counts):
+        raise ValueError("cycle counts are nonnegative")
     ni2, nik = ladder_top(r0k)
     m = h2
     rows = []
-    levels = (counts.n, counts.nprime, counts.nsecond, counts.nthird)
-    for index, count in enumerate(levels, start=1):
+    for index, count in enumerate(counts, start=1):
         m += count
         prev_dot, ni2, nik = adjoint_step(ni2, nik, ky2, m)
         if (ni2 + nik) % 2:
@@ -165,8 +157,8 @@ def ladder_counts(branch: str, ell: int) -> tuple[int, ...]:
     counts = (3 * ell + data["offset"], *data["given"])
     if min(counts) < 0:
         return counts
-    rows = adjoint_table(0, quotient_k2(RamificationData(0, ell, 1)), 1, CycleCounts(*counts))
-    return (*counts, -rows[len(counts)].ni2)
+    rows = adjoint_table(0, quotient_k2(RamificationData(0, ell, 1)), 1, (*counts, 0))
+    return (*counts, -rows[-1].ni2)
 
 
 def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
@@ -245,7 +237,7 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
 
     # every level of the chain, down to the vanishing one, meets N nonnegatively
     # and agrees with the table at the forced counts
-    table = adjoint_table(0, k.square, 1, CycleCounts(*counts))
+    table = adjoint_table(0, k.square, 1, counts)
     agrees = True
     for row, prev, cls in zip(table, chain, chain[1:]):
         if cls.dot(n_class) < 0:
@@ -269,7 +261,6 @@ def n_prime_one_is_contradiction(ell: int = 1) -> bool:
     """
     n = 3 * ell
     ky2 = quotient_k2(RamificationData(0, ell, 1))
-    rows = adjoint_table(0, ky2, 1, CycleCounts(n, nprime=1))
-    n1, n2 = rows[0], rows[1]
+    n1, n2 = adjoint_table(0, ky2, 1, (n, 1))
     gap = n1.ni2 + n2.ni2 - 2 * n2.prev_dot
     return gap == 0

@@ -148,10 +148,9 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
 # the genus-one pencil |-K| of the plane blown up at eight points
 _PENCIL_SQ = IntersectionLattice.plane_blow_up(DEL_PEZZO_POINTS).k.square
 
-# per curve: its square on Y, how often it meets each Z_i, and per ladder depth,
-# its levels but the last (3 deepest, 2 middle), the total
-# 2 C.(level before the last) + C.(last level) the vanishing adjoint forces
-_CURVES = {"B0": (B0_SQ, 1, {3: 4, 2: 6}), "E'": (EXC_SQ, 0, {3: 4, 2: 3})}
+# per curve: its square on Y, how often it meets each Z_i, and C.(2 B_0 + E), as
+# B_0 and the E'_k are disjoint (see _gram_14pt)
+_CURVES = {"B0": (B0_SQ, 1, 2 * B0_SQ), "E'": (EXC_SQ, 0, EXC_SQ)}
 
 
 def contraction(square: int, meets: tuple[int, ...]) -> tuple[int, int]:
@@ -174,11 +173,18 @@ def options(curve: str, counts: tuple[int, ...]) -> list[dict]:
     1): excluded above (D.N)^2, pinned to the pencil class at it.  The cycles of
     one level are interchangeable, so their values are nonincreasing; the one
     cycle of the last level takes what the total leaves.
+
+    The total 2 C.(level before the last) + C.(last level) comes from the ladder
+    identity 2 B_0 + E = N - 3K + 3G' that ``verify_ladder_identity`` checks: down to
+    N_L = 0, N = sum_k (G' + the cycles of levels <= k) - L K, so a cycle of level k
+    has weight L - k + 1, and C misses G'.  A B0 option is one of B_0's l components,
+    so the rule holds for l >= 1.
     """
     if counts[-1] != 1 or sum(counts) != counts[0] + counts[-2] + 1:
         raise ValueError(f"{counts}: options need one cycle on the last level, none in between")
-    square, z_meets, totals = _CURVES[curve]
-    total = totals[len(counts) - 1]
+    square, z_meets, branch = _CURVES[curve]
+    depth = len(counts)
+    total = branch + (depth + 3) * canonical_degree(square) - depth * counts[0] * z_meets
     columns = _columns(curve, counts)
     out = []
     for values in sorted(p for s in range(total // 2 + 1) for p in _partitions(s, counts[-2])):
@@ -473,8 +479,8 @@ def elim_p_3l1(split: tuple[int, int]) -> Elimination:
 
 def _transformed_elimination(prop_id: str, variant: str, split: tuple[int, int]) -> Elimination:
     source = table_14pt(variant)
-    rows = quadratic_transform(source.cluster, list(source.rows), ("P1", "P2", "P3"))
     fixture = _DATA["transformed_14pt"][variant]
+    rows = quadratic_transform(source.cluster, list(source.rows), tuple(fixture["base"]))
     expected = _rows_from_json(fixture["rows"])
     names = [r.name for r in rows]
     if names != [r.name for r in expected]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .adjoint import CycleCounts, adjoint_pairing, adjoint_step, ladder_top
+from .adjoint import adjoint_pairing, adjoint_step, ladder_counts, ladder_top
 from .cover import RamificationData, image_square, quotient_k2
 from .lattice import canonical_degree, index_slack
 from .pencil import EXC_SELF_INT, PencilCase, pencil_case
@@ -220,15 +220,17 @@ def _projection(case: PencilCase) -> tuple[int, int, int]:
 def elim_p_l0(cases: list[PencilCase]) -> dict[str, Elimination]:
     """Cases (0a), (0c), (0f), at l = n = 0: the E'-curves D meets lie in Phi' = N - A',
     so they meet each adjoint N_i at most as Phi' does.  Down the ladder from N_0 = N,
-    the first N_i they meet more kills the case.  N, A' and E' miss the contracted curves."""
+    the first N_i they meet more kills the case, at most as deep as the ladder at
+    l = n = 0 goes.  N, A' and E' miss the contracted curves."""
     out = {}
+    levels = len(ladder_counts("s.3l", 0))
     for case in cases:
         a_n, a_k, _ = _projection(case)
         e_met = _pencil_trapped(case)[2]
         steps = (_NK, a_k, canonical_degree(EXC_SQ))  # X.K_Y for X = N, A', E' (rational)
         nn, an, en = _N2, a_n, 0  # X.N for X = N, A', E': pi^* N = 3 K_S misses E
         walk = []
-        for _ in CycleCounts.__slots__:  # at most the ladder's four levels
+        for _ in range(levels):
             lhs, rhs = e_met * en, nn - an
             walk.append((lhs, rhs))
             if lhs > rhs:

@@ -92,10 +92,6 @@ def _from_elimination(elim: fibration.Elimination, expect: str = "contradiction"
     return Outcome(status if ok else FAILED, elim.survivors, (elim.lhs, elim.rhs), trace)
 
 
-def _elim(fn, expect: str = "contradiction", sides: tuple[str, str] | None = None):
-    return lambda _: _from_elimination(fn(), expect, sides)
-
-
 def _given(out: Outcome, ok: bool, premise: str) -> Outcome:
     """``out`` with a premise it read from a dependency, failed if that does not hold."""
     out.trace.append(premise if ok else f"premise fails: {premise}")
@@ -283,15 +279,14 @@ def _p_comp(ins) -> Outcome:
     ky2s = ins["e.KX"].value
     # the second main case, h_2 = 4, has no adjoint ladder
     data = [r for r in ky2s if r.h2 == 1] + [max((r for r in ky2s if r.r0k == 1), key=ky2s.get)]
-    rows = {r: adjoint.adjoint_table(r.r0k, ky2s[r], r.h2, adjoint.CycleCounts(0))[0]
-            for r in data}
+    rows = {r: adjoint.adjoint_table(r.r0k, ky2s[r], r.h2, (0,))[0] for r in data}
     ky2, row = ky2s[data[-1]], rows[data[-1]]
     ok = row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
     trace = [f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
              f"= {row.ni2}, N.N_1 = {row.prev_dot}"]
-    spot = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(3))
+    spot = adjoint.adjoint_table(0, -5, 1, (3, 0))
     ok &= spot[0].ni2 == 4 and spot[1].prev_dot == 4
-    spot = adjoint.adjoint_table(0, -5, 1, adjoint.CycleCounts(2))
+    spot = adjoint.adjoint_table(0, -5, 1, (2, 0))
     ok &= spot[0].ni2 == 3 and spot[1].prev_dot == 2
     trace.append("spot values: l=1, n=3 gives N_1^2 = 4 = N_1.N_2; n=2 gives 3 and 2")
     return _check(ok, trace, rows)

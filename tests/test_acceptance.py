@@ -202,10 +202,10 @@ def test_criterion_10_property_suites():
         fiber = [(1, 0, {1: n}), (1, 0, {})]
         ok &= fibration.node_bound(fiber) >= fibration.min_contribution(-n)
     # parity of D^2 + D.K on every ladder class
-    from godeaux3.adjoint import CycleCounts, adjoint_table
+    from godeaux3.adjoint import adjoint_table
 
     for ell in range(0, 4):
         for n in range(max(0, 3 * ell - 4), 3 * ell + 1):
-            for row in adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n, 1, 1, 1)):
+            for row in adjoint_table(0, -2 - 3 * ell, 1, (n, 1, 1, 1)):
                 ok &= (row.ni2 + row.nik) % 2 == 0
     _criterion(10, "bilinearity x1000, involution x100, node bounds, parity", ok)

@@ -5,7 +5,7 @@ from typing import NamedTuple
 import pytest
 
 from godeaux3 import adjoint
-from godeaux3.adjoint import (CycleCounts, adjoint_table, n_prime_one_is_contradiction,
+from godeaux3.adjoint import (adjoint_table, n_prime_one_is_contradiction,
                               n_range, restriction_dim, verify_ladder_identity,
                               z_lower_bound)
 from godeaux3.lattice import ParityError
@@ -100,12 +100,12 @@ def _matches_red_shape(config: list[Cycle]) -> bool:
 
 def test_adjoint_table_pencil_case():
     # l = 1 (K_Y^2 = -5), n = 3: the deepest branch numbers
-    rows = adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 0))
+    rows = adjoint_table(0, -5, 1, (3, 0, 1, 0))
     assert rows[0].ni2 == 4 and rows[0].pa == 3 and rows[0].prev_dot == 4
     assert rows[1].ni2 == 3 and rows[1].prev_dot == 4
     assert rows[2].ni2 == 1 and rows[2].pa == 1
     # n = 2 instead: N_1^2 = 3 and N_1.N_2 = 2
-    rows = adjoint_table(0, -5, 1, CycleCounts(2))
+    rows = adjoint_table(0, -5, 1, (2, 0))
     assert rows[0].ni2 == 3 and rows[1].prev_dot == 2
 
 
@@ -113,7 +113,7 @@ def test_adjoint_table_first_case():
     # p_a(N_1) = 4 + K_Y^2 + n = N_1^2 when R_0.K = 1, h_2 = 3
     for ky2 in (-3, -6, -9):
         for n in range(0, 7):
-            rows = adjoint_table(1, ky2, 3, CycleCounts(n))
+            rows = adjoint_table(1, ky2, 3, (n,))
             assert rows[0].pa == 4 + ky2 + n == rows[0].ni2
             assert rows[0].prev_dot == 2
 
@@ -139,7 +139,7 @@ def test_recurrence_matches_the_typed_polynomials():
         for ky2 in range(-12, 0):
             for n in range(0, 9):
                 for np_, ns in ((0, 0), (1, 1), (5, 2)):
-                    rows = adjoint_table(r0k, ky2, h2, CycleCounts(n, np_, ns, 1))
+                    rows = adjoint_table(r0k, ky2, h2, (n, np_, ns, 1))
                     got = [(r.ni2, r.nik, r.pa, r.prev_dot) for r in rows]
                     assert got[:3] == _typed_rows(r0k, ky2, h2, n, np_, ns)
                     assert [r.index for r in rows] == [1, 2, 3, 4]
@@ -147,17 +147,29 @@ def test_recurrence_matches_the_typed_polynomials():
 
 def test_fourth_row_reads_the_last_count():
     # the deepest pencil branch at l = 1: n = 3, n' = 0, n'' = 1, n''' = 1 gives N_4 = 0
-    rows = adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 1))
+    rows = adjoint_table(0, -5, 1, (3, 0, 1, 1))
     assert (rows[3].ni2, rows[3].nik, rows[3].pa) == (0, 0, 1)
     assert rows[3].prev_dot == rows[2].ni2 + rows[2].nik
-    shifted = adjoint_table(0, -5, 1, CycleCounts(3, 0, 1, 2))
+    shifted = adjoint_table(0, -5, 1, (3, 0, 1, 2))
     assert shifted[3].ni2 == 1 and shifted[:3] == rows[:3]
 
 
 def test_odd_start_raises_parity_error(monkeypatch):
     monkeypatch.setattr(adjoint, "ladder_top", lambda r0k: (4, 1 - 2 * r0k))
     with pytest.raises(ParityError):
-        adjoint_table(0, -5, 1, CycleCounts(3))
+        adjoint_table(0, -5, 1, (3,))
+
+
+def test_adjoint_table_gives_one_row_per_level():
+    for counts in ((), (3,), (2, 5), (2, 2, 1), (3, 0, 1, 1), (3, 0, 1, 1, 0)):
+        rows = adjoint_table(0, -5, 1, counts)
+        assert [r.index for r in rows] == list(range(1, len(counts) + 1))
+
+
+@pytest.mark.parametrize("counts", [(-1,), (3, 0, 0, -1)], ids=["n", "nthird"])
+def test_adjoint_table_rejects_a_negative_count(counts):
+    with pytest.raises(ValueError, match="nonnegative"):
+        adjoint_table(0, -5, 1, counts)
 
 
 def test_z_lower_bound():

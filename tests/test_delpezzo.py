@@ -120,6 +120,21 @@ E_DEEPEST_LIVE = [(z2, z3, -3 + z2 * z2 + z3 * z3, 3 - z2) for z2, z3 in ((2, 0)
 DEEPEST, MIDDLE = ladder_counts("s.3l", 1), ladder_counts("s.3l-1", 1)
 
 
+# the totals 2 C.(level before the last) + C.(last level) as printed, which
+# ``options`` computes from the ladder identity
+PRINTED_TOTALS = {("B0", (3, 0, 1, 1)): 4, ("B0", (2, 2, 1)): 6,
+                  ("E'", (3, 0, 1, 1)): 4, ("E'", (2, 2, 1)): 3}
+
+
+@pytest.mark.parametrize("curve, counts", list(PRINTED_TOTALS))
+def test_options_meet_the_printed_totals(curve, counts):
+    *before, last = dp._columns(curve, counts)
+    opts = dp.options(curve, counts)
+    assert opts
+    for o in opts:
+        assert 2 * sum(o[c] for c in before) + o[last] == PRINTED_TOTALS[curve, counts]
+
+
 def _typed(options):
     return [(tuple(v for k, v in o.items() if ".Z" in k), o["pairing"], o["square"])
             for o in options]
@@ -399,6 +414,17 @@ def test_transformed_rows_must_match_the_fixture_row_for_row(monkeypatch):
     assert e.verdict == "failed"
     assert e.trace == ("transformed rows ['B0', 'E1', 'E2', 'E3', 'E4', 'E5', 'F', 'H'] "
                        "differ from the fixture's",)
+
+
+def test_transform_is_based_where_the_fixture_says(monkeypatch):
+    data = copy.deepcopy(dp._DATA)
+    for fixture in data["transformed_14pt"].values():
+        fixture["base"] = ["P4", "P5", "P6"]
+    monkeypatch.setattr(dp, "_DATA", data)
+    for elim in (dp.elim_p_3l12, dp.elim_p_3l13):
+        e = elim((2, 3))
+        assert e.verdict == "failed"
+        assert e.trace == ("transformed row B0 differs from the fixture",)
 
 
 def test_options_follow_the_counts():

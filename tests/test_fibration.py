@@ -8,7 +8,7 @@ import pytest
 import godeaux3
 from godeaux3 import delpezzo, fibration as fib
 from godeaux3 import ruled
-from godeaux3.adjoint import CycleCounts, adjoint_pairing, adjoint_step, adjoint_table, ladder_top
+from godeaux3.adjoint import adjoint_pairing, adjoint_step, adjoint_table, ladder_top
 from godeaux3.cover import CaseInvalidError, RamificationData, image_square, quotient_k2
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
 from godeaux3.lattice import canonical_degree
@@ -383,7 +383,7 @@ def test_p_1e_reads_n1_off_the_ladder_at_every_l():
     for ell in (1, 2, 3):
         ky2 = quotient_k2(RamificationData(0, ell, 1))
         for off in range(0, -4, -1):
-            row = adjoint_table(0, ky2, 1, CycleCounts(3 * ell + off))[0]
+            row = adjoint_table(0, ky2, 1, (3 * ell + off,))[0]
             assert (row.ni2, row.nik) == (4 + off, off)
             assert adjoint_pairing(_down(a_n, a_k, 1), row.nik, 0) == 2 + off
 

@@ -75,11 +75,11 @@ def test_parity_error():
 
 def test_parity_holds_on_ladder_classes():
     # every class in the adjoint chains has even D^2 + D.K
-    from godeaux3.adjoint import adjoint_table, CycleCounts
+    from godeaux3.adjoint import adjoint_table
 
     for ell in range(0, 4):
         for n in range(max(0, 3 * ell - 4), 3 * ell + 1):
-            rows = adjoint_table(0, -2 - 3 * ell, 1, CycleCounts(n, 0, 1, 1))
+            rows = adjoint_table(0, -2 - 3 * ell, 1, (n, 0, 1, 1))
             for row in rows:
                 assert (row.ni2 + row.nik) % 2 == 0
 

@@ -15,7 +15,7 @@ import pkgutil
 import pytest
 
 import godeaux3
-from godeaux3.adjoint import CycleCounts, LadderReport
+from godeaux3.adjoint import LadderReport
 from godeaux3.cover import CaseInvalidError, RamificationData
 from godeaux3.lattice import DivisorClass, IntersectionLattice, LatticeError
 from godeaux3.plane import PlaneCurve, PlaneError, PointCluster
@@ -97,8 +97,6 @@ REJECTED = [
     (CaseInvalidError, lambda: RamificationData(0, 0, 4)),  # h1 = 6 - 8 < 0
     (PlaneError, lambda: PlaneCurve("c", -1, ())),
     (PlaneError, lambda: PointCluster(("P1",), (("P2", "P1"),))),
-    (ValueError, lambda: CycleCounts(-1)),
-    (ValueError, lambda: CycleCounts(3, nthird=-1)),
 ]
 
 

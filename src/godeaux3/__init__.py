@@ -16,9 +16,9 @@ from .delpezzo import sixtuple_enumerate
 from .lattice import (IntersectionLattice, arithmetic_genus, blow_up,
                       hodge_index_filter, intersect)
 from .pencil import ar0_upper, enumerate_pencil_cases, subsystem_split
-from .plane import (cremona_orbit_connect, homaloidal_eliminate,
-                    solve_multiplicity_system)
+from .plane import cremona_orbit_connect, solve_multiplicity_system
 from .report import run
+from .ruled import homaloidal_eliminate
 
 __all__ = [
     "IntersectionLattice", "KS2", "RamificationData", "adjoint_table",

@@ -15,7 +15,7 @@ from .adjoint import cycle_names
 from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
 from .lattice import IntersectionLattice, canonical_degree, index_slack
 from .plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError, PointCluster,
-                    degree_budget, product_violation, proximity_holds, quadratic_transform,
+                    product_violation, proximity_holds, quadratic_transform,
                     solve_multiplicity_system, verify_config_table)
 
 _E_NAMES = ("E1", "E2", "E3", "E4", "E5")
@@ -97,17 +97,15 @@ def perturbation_sweep(table: ConfigTable) -> list[str]:
     the total of the mutated column, which a multiplicity mutant moves by
     weight x delta and a degree mutant leaves alone; each declared product
     naming r, recomputed with the mutated row.  Products are resolved by row
-    name, so the names must be unique.  An empty sweep certifies the column
-    totals and declared products only: mutants are flagged virtual, and
-    ``proximity_ok`` accepts every virtual row, so the proximity inequalities
-    could never reject one.
+    name, which ``verify_config_table`` requires to be unique.  An empty sweep
+    certifies the column totals and declared products only: mutants are
+    flagged virtual, and ``proximity_ok`` accepts every virtual row, so the
+    proximity inequalities could never reject one.
     """
     ok, violations = verify_config_table(table)
     if not ok:
         raise PlaneError(f"table fails before mutation: {violations}")
     rows = {r.name: r for r in table.rows}
-    if len(rows) != len(table.rows):
-        raise PlaneError("row names are not unique")
     products: dict[str, list] = {name: [] for name in rows}
     for (a, b), expected in sorted(table.gram.items()):
         if a == b:  # first: a +-1 mutant moves its own square by an odd number
@@ -226,6 +224,13 @@ def elim_forced_split(prop_id: str, counts: tuple[int, ...]) -> Elimination:
         (head.format(total=total, splits=splits, worst=worst),
          f"its image has square {square} > {cap}{tail}"),
     )
+
+
+def degree_budget(k: int) -> int:
+    """Total plane degree 2 d_0 + sum d_i of the branch configuration: 3k."""
+    if k not in (6, 7):
+        raise PlaneError("the anticanonical multiple is 6 or 7 here")
+    return 3 * k
 
 
 def elim_p_no3lirr(solved: dict[tuple[int, int, int], list], b0_degree: int,

@@ -10,8 +10,121 @@ from __future__ import annotations
 from .adjoint import LadderReport, ladder_top
 from .cover import RamificationData, quotient_k2
 from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
-from .plane import (RULED_POINTS, fa_ladder_checks, homaloidal_eliminate,
-                    multiplicity_vectors, singular_fiber_count_bound, singular_fiber_need)
+from .lattice import IntersectionLattice, blow_up
+from .plane import PlaneError, multiplicity_vectors
+
+# Points blown up on F_a in the ruled branches; with a = 1 they are the simple
+# points of every plane model there.
+RULED_POINTS = 9
+
+
+def singular_fiber_need(a: int, beta_i: int) -> int:
+    """Delta-contribution 2 beta_i + 7 - 3a that the singular fibres carry."""
+    if a not in (0, 1, 2):
+        raise PlaneError("a must be 0, 1 or 2")
+    return 2 * beta_i + 7 - 3 * a
+
+
+def singular_fiber_count_bound(a: int, beta_i: int) -> int:
+    """Least r >= 0 with singular_fiber_need(a, beta_i) <= 6r."""
+    return max(0, -(-singular_fiber_need(a, beta_i) // 6))
+
+
+def fa_ladder_checks(a: int, steps: int) -> dict:
+    """Verify the ladder over F_a as exact identities on F_a blown up at the
+    ``RULED_POINTS`` points.
+
+    ``steps`` is the number of adjoint steps between the rational pencil and N
+    (3 for the deepest branch, 2 for the middle one).  Returns the squares of
+    the ladder classes, the section's pairing with N and the branch class N - 3K.
+    """
+    lat = IntersectionLattice.hirzebruch(a)
+    for _ in range(RULED_POINTS):
+        lat = blow_up(lat)
+    k = lat.k
+    pencil = lat.basis_class("f")
+    chain = [pencil]
+    for _ in range(steps):
+        chain.append(chain[-1] - k)
+    n_class = chain[-1]
+    branch = n_class - 3 * k
+    return {
+        "squares": [cls.square for cls in chain],
+        "c_dot_n": lat.basis_class("c").dot(n_class),
+        "branch_coeffs": {"c": branch.coeffs[0], "f": branch.coeffs[1],
+                          "delta": branch.coeffs[2]},
+    }
+
+
+def _double_root(poly: tuple[int, int, int]) -> int:
+    """The double root of a0 + a1 d + a2 d^2, which must be an integer."""
+    a0, a1, a2 = poly
+    if a2 == 0 or a1 * a1 != 4 * a0 * a2 or a1 % (2 * a2):
+        raise PlaneError(f"consistency polynomial {poly} has no integer double root")
+    return -a1 // (2 * a2)
+
+
+def _degree_verdict(poly: tuple[int, int, int], required_degree: int) -> tuple[int, str]:
+    """The degree d the polynomial forces: a contradiction exactly when d != required."""
+    d = _double_root(poly)
+    return d, "contradiction" if d != required_degree else "survives"
+
+
+def homaloidal_eliminate(branch: str) -> dict:
+    """Replay the plane-model contradiction for the deepest ruled branch.
+
+    ``branch`` is "generic" (moving part with square 1 and genus 2, covering
+    the surviving cases with an exceptional part) or "A'=N" (no exceptional
+    part, where the pencil itself has degree 10).  The three multiplicity
+    equations overdetermine the degree: their resultant is the exact square
+    (d - 6)^2, and d = 6 then violates the count of available points.
+    """
+    if branch == "generic":
+        abar_sq, pa = 1, 2
+    elif branch == "A'=N":
+        abar_sq, pa = 3, 3
+    else:
+        raise PlaneError("branch must be 'generic' or \"A'=N\"")
+    trace = []
+    # mu = d - 6 from A'.(pencil) = 6; then for each d:
+    #   sum j s_j       = 2d + 7
+    #   sum j^2 s_j     = d^2 - abar_sq
+    #   sum j(j-1) s_j  = (d-1)(d-2) - (d-6)(d-7) - 2 pa = 10d - 44 - 2(pa - 2)
+    lin = lambda d: 2 * d + 7
+    sq = lambda d: d * d - abar_sq
+    jj = lambda d: 10 * d - 44 - 2 * (pa - 2)
+    # consistency polynomial sq - lin - jj must be the square (d - 6)^2;
+    # evaluate at three points and interpolate exactly
+    vals = {d: sq(d) - lin(d) - jj(d) for d in (0, 1, 2)}
+    a2 = (vals[0] - 2 * vals[1] + vals[2]) // 2
+    a1 = vals[1] - vals[0] - a2
+    a0 = vals[0]
+    poly = (a0, a1, a2)
+    if poly != (36, -12, 1):
+        raise PlaneError(f"consistency polynomial {poly} is not (d-6)^2")
+    trace.append("sum j^2 s - sum j s - sum j(j-1) s = d^2 - 12 d + 36 = (d-6)^2")
+    if branch == "A'=N":
+        required_degree = 10  # the pencil class itself has plane degree 10
+        d, verdict = _degree_verdict(poly, required_degree)
+        trace.append(f"(d-6)^2 = 0 forces d = {d}, but the pencil has degree {required_degree}")
+        return {"branch": branch, "poly": poly, "d": d,
+                "required_degree": required_degree, "verdict": verdict,
+                "trace": trace}
+    d = _double_root(poly)
+    lin6, sq6 = lin(d), sq(d)
+    trace.append(f"d = {d}: sum j s_j = {lin6}, sum j^2 s_j = {sq6}")
+    trace.append(f"20 s5 + 12 s4 + 6 s3 + 2 s2 = {sq6 - lin6}")
+    # every point carries multiplicity >= 1, so lin6 bounds the point count
+    least = min(multiplicity_vectors(lin6, sq6, lin6), key=lambda s: sum(s.values()))
+    s4, s2, s1 = (least.get(j, 0) for j in (4, 2, 1))
+    trace.append(f"s1 + s2 = {s1 + s2} = 11 + 2 s4 with s4 = {s4}; "
+                 f"needs > {RULED_POINTS} points")
+    if s1 + s2 != 11 + 2 * s4:
+        raise PlaneError("count identity fails")
+    return {"branch": branch, "poly": poly, "d": d, "min_points": sum(least.values()),
+            "available": RULED_POINTS,
+            "verdict": "contradiction" if s1 + s2 > RULED_POINTS else "survives",
+            "trace": trace}
 
 
 def elim_l_a2(steps: int) -> Elimination:
@@ -48,7 +161,6 @@ def elim_t_no0(steps: int) -> Elimination:
     """Deepest ruled branch with l = 0, ``steps`` deep: both plane models are impossible."""
     ladder = fa_ladder_checks(1, steps)
     checks = [
-        ladder["n_square"] == 3,
         ladder["squares"] == [0, 3, 4, 3],
         ladder["branch_coeffs"] == {"c": 12, "f": 19, "delta": -6},
     ]

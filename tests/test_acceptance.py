@@ -126,8 +126,8 @@ def test_criterion_5_delta_eliminations():
 
 
 def test_criterion_6_homaloidal_contradiction():
-    generic = plane.homaloidal_eliminate("generic")
-    special = plane.homaloidal_eliminate("A'=N")
+    generic = ruled.homaloidal_eliminate("generic")
+    special = ruled.homaloidal_eliminate("A'=N")
     ok = generic["poly"] == (36, -12, 1)
     ok &= generic["verdict"] == "contradiction"
     ok &= any("s1 + s2 = 11" in line for line in generic["trace"])

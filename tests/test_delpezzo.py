@@ -98,6 +98,16 @@ def test_sweep_rejects_failing_tables_and_repeated_row_names():
         dp.perturbation_sweep(twice)
 
 
+def test_table_check_rejects_a_repeated_row_name():
+    # ConfigTable.row finds the first F, and F carries no weight in the column
+    # totals, so a second F row escapes every check but the name check
+    table = dp.table_14pt("contracted-conic")
+    extra = PlaneCurve("F", 5, (1,) * len(table.cluster.points))
+    ok, violations = verify_config_table(table._replace(rows=table.rows + (extra,)))
+    assert not ok
+    assert violations == ["rows: names ['F'] are not unique"]
+
+
 def test_transformed_tables_match_fixtures():
     for variant in ("contracted-conic", "contracted-contracted"):
         elim = {"contracted-conic": dp.elim_p_3l12,
@@ -222,8 +232,15 @@ def test_sixtuples():
     assert all(sum(t[1:]) == 2 and max(t[1:]) <= 2 for t in excluded | set(st["kept"]))
 
 
+def test_degree_budget():
+    assert dp.degree_budget(7) == 21
+    assert dp.degree_budget(6) == 18
+    with pytest.raises(PlaneError):
+        dp.degree_budget(5)
+
+
 def test_degree_budgets_reach_both_nodes(monkeypatch):
-    # p.no3lirr and the six-tuples read plane.degree_budget, which test_plane checks
+    # p.no3lirr and the six-tuples read degree_budget, which test_degree_budget checks
     monkeypatch.setattr(dp, "degree_budget", lambda k: 3 * k + 1)
     assert dp.elim_p_no3lirr({}, 9, DEEPEST).rhs == "4"
     kept = dp.sixtuple_enumerate()["kept"]

@@ -2,12 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
-                            admissible_base, cremona_orbit_connect,
-                            degree_budget, fa_ladder_checks,
-                            homaloidal_eliminate, quadratic_transform,
-                            singular_fiber_count_bound, singular_fiber_need,
+                            admissible_base, cremona_orbit_connect, quadratic_transform,
                             solve_multiplicity_system, state_from_solution,
-                            _degree_verdict, _transform_curve)
+                            _transform_curve)
 
 PRINTED_SOLUTIONS = [
     (3, {1: 7}),
@@ -358,69 +355,4 @@ def test_orbit_moves_preserve_budget():
                     seen.add(t)
                     nxt.append(t)
         frontier = nxt
-
-
-def test_degree_budget():
-    assert degree_budget(7) == 21
-    assert degree_budget(6) == 18
-    with pytest.raises(PlaneError):
-        degree_budget(5)
-
-
-def test_homaloidal_generic():
-    res = homaloidal_eliminate("generic")
-    assert res["verdict"] == "contradiction"
-    assert res["poly"] == (36, -12, 1)  # the exact square (d - 6)^2
-    assert res["min_points"] >= 11
-    # 6 s3 + 2 s2 is then 16 - 12 s4 with s4 in {0, 1}: even, so each s3 fixes s2
-    assert "20 s5 + 12 s4 + 6 s3 + 2 s2 = 16" in res["trace"]
-
-
-def test_homaloidal_full_system():
-    res = homaloidal_eliminate("A'=N")
-    assert res["verdict"] == "contradiction"
-    assert res["d"] == 6 and res["required_degree"] == 10
-
-
-def test_forced_degree_is_compared_with_the_required_one():
-    assert _degree_verdict((36, -12, 1), 10) == (6, "contradiction")
-    assert _degree_verdict((100, -20, 1), 10) == (10, "survives")  # (d-10)^2
-    assert _degree_verdict((200, -40, 2), 10) == (10, "survives")  # 2 (d-10)^2
-    # not a square, not quadratic, and (2d - 3)^2 with no integer root
-    for poly in ((35, -12, 1), (36, -12, 0), (9, -12, 4)):
-        with pytest.raises(PlaneError):
-            _degree_verdict(poly, 10)
-
-
-def test_singular_fiber_count_bound():
-    assert singular_fiber_count_bound(2, 6) == 3
-    assert singular_fiber_count_bound(1, 3) == 2
-    assert singular_fiber_count_bound(0, 0) == 2
-    with pytest.raises(PlaneError):
-        singular_fiber_count_bound(3, 9)
-
-
-def test_singular_fiber_need_sets_the_count_bound():
-    for a in (0, 1, 2):
-        for beta in range(0, 10):
-            need, r = singular_fiber_need(a, beta), singular_fiber_count_bound(a, beta)
-            assert need == 2 * beta + 7 - 3 * a
-            assert 6 * (r - 1) < need <= 6 * r
-    with pytest.raises(PlaneError):
-        singular_fiber_need(3, 9)
-
-
-def test_fa_ladder_identities():
-    deep = fa_ladder_checks(1, 3)
-    assert deep["squares"] == [0, 3, 4, 3]
-    assert deep["c_dot_n"] == 4
-    assert deep["branch_coeffs"] == {"c": 12, "f": 19, "delta": -6}
-    for a in (0, 1, 2):
-        assert fa_ladder_checks(a, 3)["c_dot_n"] == 7 - 3 * a
-        assert fa_ladder_checks(a, 3)["branch_coeffs"]["f"] == 6 * a + 13
-    assert fa_ladder_checks(3, 3)["c_dot_n"] < 0  # F_3 is not nef-admissible
-    middle = fa_ladder_checks(1, 2)
-    assert middle["n_square"] == 4
-    assert middle["c_dot_n"] == 3
-    assert fa_ladder_checks(2, 2)["c_dot_n"] == 5 - 2 * 2
 

@@ -506,7 +506,7 @@ def _callers_during_run(fn) -> set[str]:
 
 def test_every_multiplicity_search_goes_through_one_generator():
     callers = _callers_during_run(plane.multiplicity_vectors)
-    assert {"godeaux3.ruled._t_no1_plane_scan", "godeaux3.plane.homaloidal_eliminate",
+    assert {"godeaux3.ruled._t_no1_plane_scan", "godeaux3.ruled.homaloidal_eliminate",
             "godeaux3.prooftree._e_sys"} <= callers
 
 

@@ -7,7 +7,6 @@ linear-equivalence ladders as exact identities in explicit blown-up lattices.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .cover import RamificationData, quotient_k2
@@ -60,9 +59,13 @@ def adjoint_table(r0k: int, ky2: int, h2: int, counts: tuple[int, ...]) -> list[
     return rows
 
 
-def z_lower_bound(r0k: int, r0sq: int, h2: int) -> Fraction:
-    """Lower bound for the count n of contracted (-1)-cycles orthogonal to N."""
-    return Fraction(35, 6) * r0k - Fraction(3, 2) * r0sq - Fraction(10 + 2 * h2, 3)
+def z_lower_bound(r0k: int, r0sq: int, h2: int) -> int:
+    """Lower bound 35/6 R_0.K - 3/2 R_0^2 - (10 + 2 h_2)/3 for the count n of
+    contracted (-1)-cycles orthogonal to N; raises where it is not an integer."""
+    six = 35 * r0k - 9 * r0sq - 20 - 4 * h2
+    if six % 6:
+        raise ValueError(f"the cycle-count bound {six}/6 is not an integer")
+    return six // 6
 
 
 def restriction_dim(ell: int, n: int) -> int:

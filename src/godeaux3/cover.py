@@ -8,7 +8,6 @@ other layers read K_S^2, h_1 and K_Y^2 from here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 
@@ -76,18 +75,18 @@ def fixed_point_budget(r: RamificationData) -> int:
 
 
 def quotient_k2(r: RamificationData) -> int:
-    """K_Y^2 computed by two independent routes; they must agree exactly."""
-    via_euler = Fraction(kx2_via_blowup(r) + 4 * r.r0sq - 4 * r.r0k, 3)
-    via_h2 = (
-        Fraction(KS2 - 6 - r.h2, 3)
-        + Fraction(3, 2) * r.r0sq
-        - Fraction(11, 6) * r.r0k
-    )
+    """K_Y^2 computed by two independent routes; they must agree exactly.
+
+    The Euler-number route (K_X^2 + 4 R_0^2 - 4 R_0.K)/3 and the h_2 route
+    (K_S^2 - 6 - h_2)/3 + 3/2 R_0^2 - 11/6 R_0.K are compared as 6 K_Y^2.
+    """
+    via_euler = 2 * (kx2_via_blowup(r) + 4 * r.r0sq - 4 * r.r0k)
+    via_h2 = 2 * (KS2 - 6 - r.h2) + 9 * r.r0sq - 11 * r.r0k
     if via_euler != via_h2:
-        raise CaseInvalidError(f"K_Y^2 formulas disagree: {via_euler} vs {via_h2}")
-    if via_euler.denominator != 1:
-        raise CaseInvalidError(f"K_Y^2 = {via_euler} is not an integer")
-    return int(via_euler)
+        raise CaseInvalidError(f"K_Y^2 formulas disagree: {via_euler}/6 vs {via_h2}/6")
+    if via_euler % 6:
+        raise CaseInvalidError(f"K_Y^2 = {via_euler}/6 is not an integer")
+    return via_euler // 6
 
 
 def image_square(c_sq: int) -> int:
@@ -160,12 +159,12 @@ def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
 def h2_bound_is_monotone(h2_max: int = 20) -> bool:
     """Above the search bound h^0(2K_Y+B) only grows, so no case is missed.
 
-    h^0(2K_Y+B) = (2 h_2 - 2 - R_0.K_S)/3 is affine in h_2, so a positive slope
-    and a value above 2 at ``h2_max + 1`` keep it out of [0, 2] from there on.
+    3 h^0(2K_Y+B) = 2 h_2 - 2 - R_0.K_S is affine in h_2, so a positive slope
+    and a value above 3 * 2 = 6 at ``h2_max + 1`` keep h^0 out of [0, 2] from there on.
     """
     for r0k in _R0K:
-        first, second = (Fraction(2 * h2 - 2 - r0k, 3) for h2 in (h2_max + 1, h2_max + 2))
-        if second - first <= 0 or first <= 2:
+        first, second = (2 * h2 - 2 - r0k for h2 in (h2_max + 1, h2_max + 2))
+        if second - first <= 0 or first <= 6:
             return False
     return True
 

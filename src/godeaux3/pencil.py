@@ -10,7 +10,6 @@ multisets reproduces the printed case lists verbatim.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import isqrt
 from typing import NamedTuple
@@ -111,13 +110,14 @@ def ar0_upper(a2: int, phik: int) -> int:
     return 9 - a2 - 3 * phik
 
 
-def genus_from_case(ak: int, ar0: int, dg: int, de: int, aprime2: int) -> Fraction:
+def genus_from_case(ak: int, ar0: int, dg: int, de: int, aprime2: int) -> int | None:
     """Genus of the quotient pencil member from the cover/blow-up bookkeeping.
 
-    A.K_S - 2 A.R_0 - D.G + D.E = 6g - 6 - 3 A'^2; non-integral or negative
-    values are rejected by the caller.
+    A.K_S - 2 A.R_0 - D.G + D.E = 6g - 6 - 3 A'^2; ``None`` where g is not an
+    integer.  The caller rejects a negative genus.
     """
-    return Fraction(ak - 2 * ar0 - dg + de + 6 + 3 * aprime2, 6)
+    six_g = ak - 2 * ar0 - dg + de + 6 + 3 * aprime2
+    return None if six_g % 6 else six_g // 6
 
 
 @dataclass(frozen=True)
@@ -228,11 +228,10 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
                             ar0_values = [v for v in ar0_values if v % 3 == target]
                     for ar0 in ar0_values:
                         g = genus_from_case(branch.ak, ar0, dg, de, aprime2)
-                        if g.denominator != 1 or g < 0:
+                        if g is None or g < 0:
                             continue
-                        g_int = int(g)
-                        apk = 2 * g_int - 2 - aprime2
-                        found.append(PencilCase("", a2, branch.ak, ar0, g_int, apk,
+                        apk = 2 * g - 2 - aprime2
+                        found.append(PencilCase("", a2, branch.ak, ar0, g, apk,
                                                 _canonical_d(q_atoms, p_mults),
                                                 aprime2, phi_zero))
     return found

@@ -1,10 +1,12 @@
 """The full proof tree: every check as a node of one data-flow graph.
 
-A node is ``(id, kind, deps, closes, fn)``.  ``fn`` receives the outcomes of
-its dependencies and returns one :class:`Outcome`; ``closes`` names the case
-ids, pencil labels and ``(l, n - 3l)`` branches the node closes.  An edge to a
-computed node is a read: ``fn`` uses that node's outcome.  An edge to an axiom
-is a premise, never read: the node fails when the axiom is withdrawn.  A label that
+A node is ``(id, kind, deps, closes, fn, premises)``.  ``fn`` receives the
+outcomes of its dependencies and returns one :class:`Outcome`; each premise reads
+them as ``(ok, text)``, and ``ProofNode.run`` appends ``text`` as a premise line,
+or ``premise fails: text`` and fails the node.  ``closes`` names the case ids,
+pencil labels and ``(l, n - 3l)`` branches the node closes.  An edge to a
+computed node is a read: ``fn`` or a premise uses its outcome.  An edge to an
+axiom is never read: the node fails when the axiom is withdrawn.  A label that
 the Euler pass and the lattice eliminations leave alive is closed only by
 ``coverage``, once every one of its branches is.  Nodes are formula checks,
 enumerations matched against fixtures, eliminations expected to end in a
@@ -15,8 +17,6 @@ three main cases are closed, the third one branch by branch.
 from __future__ import annotations
 
 import json
-import math
-from fractions import Fraction
 from importlib import resources
 from typing import Callable, NamedTuple
 
@@ -53,20 +53,22 @@ class ProofNode(NamedTuple):
     deps: tuple[str, ...]
     closes: tuple
     fn: Callable[[dict[str, Outcome]], Outcome]
+    premises: tuple[Callable[[dict[str, Outcome]], tuple[bool, str]], ...] = ()
 
     def run(self, ins: dict[str, Outcome]) -> Outcome:
+        """``fn``'s outcome with one premise line per premise, in order."""
         out = self.fn(ins)
+        for premise in self.premises:
+            ok, text = premise(ins)
+            out.trace.append(text if ok else f"premise fails: {text}")
+            if not ok:
+                out.status = FAILED
         if out.status != FAILED:
             out.closes = self.closes
         return out
 
 
-def _expected() -> dict:
-    with resources.files("godeaux3.fixtures").joinpath("expected.json").open() as fh:
-        return json.load(fh)
-
-
-EXPECTED = _expected()
+EXPECTED = json.loads(resources.files("godeaux3.fixtures").joinpath("expected.json").read_text())
 
 
 def _axiom(ax_id: str):
@@ -92,18 +94,39 @@ def _from_elimination(elim: fibration.Elimination, expect: str = "contradiction"
     return Outcome(status if ok else FAILED, elim.survivors, (elim.lhs, elim.rhs), trace)
 
 
-def _given(out: Outcome, ok: bool, premise: str) -> Outcome:
-    """``out`` with a premise it read from a dependency, failed if that does not hold."""
-    out.trace.append(premise if ok else f"premise fails: {premise}")
-    if not ok:
-        out.status = FAILED
-    return out
+# -- premises: readers ins -> (ok, text) ---------------------------------------------
 
 
-def _traps(out: Outcome, ins: dict[str, Outcome], *squares: int) -> Outcome:
-    """``out``, failed if it traps a curve of a square e.fibre did not verify."""
-    return _given(out, set(squares) <= ins["e.fibre"].value.keys(),
-                  f"e.fibre verified the trapped squares {sorted(set(squares))}")
+def _traps(*squares: int):
+    """The node traps curves of these squares, each of which e.fibre verified."""
+    want = sorted(set(squares))
+    return lambda ins: (set(want) <= ins["e.fibre"].value.keys(),
+                        f"e.fibre verified the trapped squares {want}")
+
+
+def _admits(node: str, name: str, value):
+    """``node``'s value admits ``value`` of ``name``."""
+    return lambda ins: (value in ins[node].value, f"{node} admits {name} = {value}")
+
+
+def _options_left(branch: str, verdict: str):
+    """b0.tables leaves ``verdict`` options in ``branch``, which the node closes."""
+    def read(ins):
+        left = [o for o in ins["b0.tables"].value[branch][1] if o["verdict"] == verdict]
+        return bool(left), f"it closes the {branch} {verdict} options {left}"
+
+    return read
+
+
+def _verified_table(variant: str):
+    """tables.printed verified the fourteen-point table the audit reads."""
+    return lambda ins: (f"14pt:{variant}" in ins["tables.printed"].value,
+                        f"tables.printed verified the {variant} table")
+
+
+def _reads(read, want, text: str):
+    """What ``read`` takes from the node's inputs is ``want``; ``text`` shows it."""
+    return lambda ins: ((got := read(ins)) == want, text.format(got))
 
 
 def _all_closed(ins: dict[str, Outcome]) -> Outcome:
@@ -264,7 +287,7 @@ def _e_g(ins) -> Outcome:
             dg = d.get("F", 0) - 3 * d.get("G", 0) + d.get("H", 0)  # D.G, with G^2 = -3
             de = -sum(m for comp, m in c.d if comp.startswith("E"))
             g = pencil.genus_from_case(ak[c.a2], c.ar0, dg, de, c.aprime2)
-            ok &= c.ak == ak[c.a2] and g == Fraction(c.g)
+            ok &= c.ak == ak[c.a2] and g == c.g
             ok &= c.apk == 2 * c.g - 2 - c.aprime2
     trace.append("genus identity and A'.K_Y = 2g - 2 - A'^2 hold on every emitted case")
     return _check(ok, trace, lists)
@@ -315,7 +338,7 @@ def _l_n(ins) -> Outcome:
     trace = []
     ranges = {}
     for ell, bound in sorted(ins["le.Z"].value.items()):
-        lo = max(0, math.ceil(bound))
+        lo = max(0, bound)
         ranges[ell] = lo, lo + adjoint.restriction_dim(ell, lo) - 2
         ok &= ranges[ell] == adjoint.n_range(ell)
         trace.append(f"l={ell}: h^0(N|_N1) = 2+3l-n stays >= 2 on {list(ranges[ell])}")
@@ -373,31 +396,12 @@ def _e_fibre(_) -> Outcome:
     return _check(ok, trace, verified)
 
 
-def _p_no16(ins) -> Outcome:
-    """n = 6 dies; it must be the only cycle count p.noN1 leaves."""
-    out = _from_elimination(fibration.elim_p_no16(), sides=("24", "22"))
-    left = sorted({n for _, _, n in ins["p.noN1"].value})
-    out = _given(out, left == [6], f"cycle counts left by p.noN1: {left}")
-    return _traps(out, ins, fibration.EXC_SQ, fibration.CYCLE_SQ)
-
-
 def _l_n1(ins) -> Outcome:
     """The N_1^2 left by the index theorem, N.N_1 read from p.comp's case (i) row."""
     nn1 = next(row.prev_dot for r, row in ins["p.comp"].value.items() if r.r0k == 1)
     values = fibration.n1_squares(nn1)
     return _check(values == [0, 1], [f"N.N_1 = {nn1}: (3N_1 - 2N)^2 <= 0 pins N_1^2 to {values}"],
                   values)
-
-
-def _case_i(fn, shape_node: str, shape: tuple[int, int, int], squares: tuple[int, ...],
-            expect: str = "contradiction", sides: tuple[str, str] | None = None):
-    """Case (i) with a fixed-part shape (Delta^2, Delta.T, T^2) that ``shape_node`` admits."""
-    def run(ins) -> Outcome:
-        out = _given(_from_elimination(fn(), expect, sides), shape in ins[shape_node].value,
-                     f"{shape_node} admits (Delta^2, Delta.T, T^2) = {shape}")
-        return _traps(out, ins, *squares)
-
-    return run
 
 
 def _euler_pass(list_node: str, printed: dict | None = None):
@@ -416,7 +420,7 @@ def _euler_pass(list_node: str, printed: dict | None = None):
                 ok &= (e.lhs, e.rhs) == printed[lab]
         ok &= all(ell in ins["l.n"].value for e in results.values() for ell in e.survivors)
         trace.append("l.n gives a range of n at every surviving l")
-        return _traps(_check(ok, trace, results), ins, *_EXC_B0)
+        return _check(ok, trace, results)
 
     return fn
 
@@ -438,10 +442,8 @@ def _t_iii(ins) -> Outcome:
     got = fibration.t_iii_survivors(passes)
     want = {int(k): tuple(v) for k, v in EXPECTED["survivors_after_euler"].items()}
     trace = [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
-    empty = not ins["p.list2"].value
-    trace.append("A'^2 = 2 has no shapes" if empty else "A'^2 = 2 has shapes no pass reads")
     records = {ell: {lab: passes[lab].case for lab in labs} for ell, labs in got.items()}
-    return _check(got == want and empty, trace, records)
+    return _check(got == want, trace, records)
 
 
 def _survivals(ins, label: str) -> dict[int, pencil.PencilCase]:
@@ -450,23 +452,29 @@ def _survivals(ins, label: str) -> dict[int, pencil.PencilCase]:
 
 
 def _t_no4(ins) -> Outcome:
-    """n = 3l - 4 needs l >= 2, where the case is (1e), whose moving part it reads."""
-    late = {lab: case for ell, cases in ins["t.iii"].value.items() if ell >= 2
-            for lab, case in cases.items()}
-    return _given(_from_elimination(fibration.elim_t_no4(late["1e"])), sorted(late) == ["1e"],
-                  f"the cases left at l >= 2 are {sorted(late)}")
+    """n = 3l - 4 at the largest l at which (1e) survives, whose moving part it reads."""
+    left = _survivals(ins, "1e")
+    return _from_elimination(fibration.elim_t_no4(left[max(left)]))
+
+
+def _offsets(ins) -> list[int]:
+    """n - 3l over each n of each l at which (1e) survives, largest first."""
+    return sorted({n - 3 * ell for ell in _survivals(ins, "1e")
+                   for n in range(ins["l.n"].value[ell][0], ins["l.n"].value[ell][1] + 1)},
+                  reverse=True)
 
 
 def _p_1e(ins) -> Outcome:
-    """(1e) at each n of each l it survives at; t.no4 closes n - 3l = -4."""
+    """(1e) at each n of each l it survives at, but n - 3l = -4, which t.no4 closes."""
     left = _survivals(ins, "1e")
-    offsets = sorted({n - 3 * ell for ell in left
-                      for n in range(ins["l.n"].value[ell][0], ins["l.n"].value[ell][1] + 1)},
-                     reverse=True)
-    out = _from_elimination(fibration.elim_p_1e(left[min(left)],
-                                                tuple(off for off in offsets if off != -4)))
-    return _given(out, -4 not in offsets or ins["t.no4"].status == CONTRADICTION,
-                  f"n - 3l runs over {offsets}; t.no4 closes -4")
+    return _from_elimination(fibration.elim_p_1e(
+        left[min(left)], tuple(off for off in _offsets(ins) if off != -4)))
+
+
+def _t_no4_closes(ins) -> tuple[bool, str]:
+    offsets = _offsets(ins)
+    return (-4 not in offsets or ins["t.no4"].status == CONTRADICTION,
+            f"n - 3l runs over {offsets}; t.no4 closes -4")
 
 
 def _p_no0d(ins) -> Outcome:
@@ -478,30 +486,28 @@ def _p_no0d(ins) -> Outcome:
     return _from_elimination(fibration.elim_p_no0d(case, ell))
 
 
+_L0 = ("0a", "0c", "0f")
+
+
 def _p_l0(ins) -> Outcome:
     """Cases (0a), (0c), (0f) die at n = 0, l = 0, the one l they survive at."""
-    left = {lab: _survivals(ins, lab) for lab in ("0a", "0c", "0f")}
-    table = fibration.elim_p_l0([cases[min(cases)] for cases in left.values()])
+    left = [_survivals(ins, lab) for lab in _L0]
+    table = fibration.elim_p_l0([cases[min(cases)] for cases in left])
     trace = [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}" for k, e in sorted(table.items())]
-    ells = sorted({ell for cases in left.values() for ell in cases})
-    out = _check(all(e.verdict == "contradiction" for e in table.values()), trace,
-                 status=CONTRADICTION)
-    return _given(out, ells == [0], f"they survive at l in {ells}")
+    return _check(all(e.verdict == "contradiction" for e in table.values()), trace,
+                  status=CONTRADICTION)
 
 
 def _t_iii2(ins) -> Outcome:
-    closed = {lab for d, o in ins.items() if d != "t.iii" for lab in o.closes}
+    """The survivors of t.iii less the labels that a closer read here closes as a
+    contradiction."""
+    closed = {lab for d, o in ins.items() if d != "t.iii" and o.status == CONTRADICTION
+              for lab in o.closes}
     got = fibration.t_iii2_survivors(ins["t.iii"].value, closed)
     want = {int(k): tuple(v) for k, v in EXPECTED["survivors_final"].items()}
     trace = [f"closed by the lattice eliminations: {sorted(closed)}"]
     trace += [f"l={ell}: {list(labs)}" for ell, labs in sorted(got.items())]
     return _check(got == want, trace, got)
-
-
-def _reduced(ins, elim: fibration.Elimination) -> Outcome:
-    """A ruled elimination over F_1, which rests on p.no2 reducing a = 2 to a = 1."""
-    return _given(_from_elimination(elim), ins["p.no2"].status == CONTRADICTION,
-                  "p.no2 reduces a = 2 to a = 1")
 
 
 def _branches(ell: int, n: int) -> list[tuple]:
@@ -573,18 +579,6 @@ def _b0_tables(ins) -> Outcome:
     return _check(ok, trace, value)
 
 
-def _option(fn, branch: str, verdict: str):
-    """``fn``'s outcome, which closes the ``verdict`` options b0.tables leaves in
-    ``branch``; ``fn`` reads the cycle counts of that branch's ladder."""
-    def run(ins) -> Outcome:
-        counts, options = ins["b0.tables"].value[branch]
-        left = [o for o in options if o["verdict"] == verdict]
-        return _given(fn(ins, counts), bool(left),
-                      f"it closes the {branch} {verdict} options {left}")
-
-    return run
-
-
 def _sixtuples(ins) -> Outcome:
     """The six-tuples; the value lists those kept."""
     st = delpezzo.sixtuple_enumerate()
@@ -628,16 +622,6 @@ def _tables_printed(ins) -> Outcome:
     return _check(ok, trace, verified)
 
 
-def _audit(fn, variant: str):
-    """``fn`` run on p.h0li1's split, on a table tables.printed verified."""
-    def run(ins) -> Outcome:
-        return _given(_from_elimination(fn(ins["p.h0li1"].value)),
-                      f"14pt:{variant}" in ins["tables.printed"].value,
-                      f"tables.printed verified the {variant} table")
-
-    return run
-
-
 # -- the tree -----------------------------------------------------------------------
 
 
@@ -645,8 +629,8 @@ def build_nodes() -> dict[str, ProofNode]:
     nodes = [ProofNode(ax_id, "axiom", statement, (), (), _axiom(ax_id))
              for ax_id, (statement, _) in EXPECTED["axioms"].items()]
 
-    def add(node_id, kind, title, deps, fn, closes=()):
-        nodes.append(ProofNode(node_id, kind, title, tuple(deps), tuple(closes), fn))
+    def add(node_id, kind, title, deps, fn, *premises, closes=()):
+        nodes.append(ProofNode(node_id, kind, title, tuple(deps), tuple(closes), fn, premises))
 
     euler = ("e.g", "e.fibre", "ax.euler-fibration", "l.n")
     final_labels = sorted({lab for labs in EXPECTED["survivors_final"].values() for lab in labs})
@@ -684,57 +668,64 @@ def build_nodes() -> dict[str, ProofNode]:
 
     # the first and second main cases
     add("l.n1", "formula-check", "N_1^2 is 0 or 1 in the first case", ("p.comp",), _l_n1)
-    add("l.N10", "formula-check", "no fixed part when N_1^2 = 0",
-        ("l.n1", "ax.rationality"),
-        lambda ins: _given(_check(*fibration.check_l_N10()), 0 in ins["l.n1"].value,
-                           "l.n1 admits N_1^2 = 0"))
-    add("l.N1", "formula-check", "fixed-part dichotomy when N_1^2 = 1",
-        ("l.n1", "ax.rationality"),
-        lambda ins: _given(_check(*fibration.check_l_N1()), 1 in ins["l.n1"].value,
-                           "l.n1 admits N_1^2 = 1"))
+    add("l.N10", "formula-check", "no fixed part when N_1^2 = 0", ("l.n1", "ax.rationality"),
+        lambda _: _check(*fibration.check_l_N10()), _admits("l.n1", "N_1^2", 0))
+    add("l.N1", "formula-check", "fixed-part dichotomy when N_1^2 = 1", ("l.n1", "ax.rationality"),
+        lambda _: _check(*fibration.check_l_N1()), _admits("l.n1", "N_1^2", 1))
     fibre = ("e.fibre", "ax.euler-fibration")
-    case_i = _EXC_B0 + _GAMMA_SQS
+    traps_b0, traps_cycle = _traps(*_EXC_B0), _traps(fibration.EXC_SQ, fibration.CYCLE_SQ)
+    shape, traps_i = "(Delta^2, Delta.T, T^2)", _traps(*_EXC_B0, *_GAMMA_SQS)
     add("p.no0", "elimination", "first case with N_1^2 = 0", ("l.N10", *fibre),
-        _case_i(fibration.elim_p_no0, "l.N10", (0, 0, 0),
-                (fibration.EXC_SQ, fibration.CYCLE_SQ), sides=("26", "20")))
+        lambda _: _from_elimination(fibration.elim_p_no0(), sides=("26", "20")),
+        _admits("l.N10", shape, (0, 0, 0)), traps_cycle)
     add("p.noZ", "elimination", "fixed part with a reducible cycle", ("l.N1", *fibre),
-        _case_i(fibration.elim_p_noZ, "l.N1", (0, 1, -1), case_i))
+        lambda _: _from_elimination(fibration.elim_p_noZ()),
+        _admits("l.N1", shape, (0, 1, -1)), traps_i)
     add("p.noN", "elimination", "fixed part with N = N_1 + Delta", ("l.N1", *fibre),
-        _case_i(fibration.elim_p_noN, "l.N1", (0, 1, -1), case_i))
+        lambda _: _from_elimination(fibration.elim_p_noN()),
+        _admits("l.N1", shape, (0, 1, -1)), traps_i)
     add("p.noN1", "elimination", "N_1^2 = 1 survives only n = 6", ("l.N1", *fibre),
-        _case_i(fibration.elim_p_noN1, "l.N1", (1, 0, 0), case_i, expect="survives"))
-    add("p.no16", "elimination", "n = 6 dies", ("p.noN1", "e.fibre", "ax.minus3"), _p_no16)
+        lambda _: _from_elimination(fibration.elim_p_noN1(), expect="survives"),
+        _admits("l.N1", shape, (1, 0, 0)), traps_i)
+    add("p.no16", "elimination", "n = 6 dies", ("p.noN1", "e.fibre", "ax.minus3"),
+        lambda _: _from_elimination(fibration.elim_p_no16(), sides=("24", "22")),
+        _reads(lambda ins: sorted({n for _, _, n in ins["p.noN1"].value}), [6],
+               "cycle counts left by p.noN1: {}"), traps_cycle)
     add("t.i", "elimination", "the first main case cannot occur",
         ("p.no0", "p.noZ", "p.noN", "p.no16"), _all_closed, closes=("i",))
     add("t.ii", "elimination", "the second main case cannot occur",
         ("cases.main", "ax.miyaoka-bican", "ax.cp-m2", *fibre),
-        lambda ins: _traps(_from_elimination(
+        lambda ins: _from_elimination(
             fibration.elim_t_ii(next(c.h2 for c in ins["cases.main"].value if c.id == "ii")),
-            sides=("12+6l", "15+3l")), ins, *_EXC_B0),
-        closes=("ii",))
+            sides=("12+6l", "15+3l")), traps_b0, closes=("ii",))
 
     # the pencil case: the Euler pass, then the lattice eliminations
     add("p.0", "elimination", "Euler pass over the A'^2 = 0 list", euler,
         _euler_pass("p.list0", {"0a": ("12+9l", "14+3l"), "0b": ("9+9l", "14+3l"),
                                 "0c": ("9+9l", "14+3l")}),
-        closes=("0b", "0e", "0h"))  # the labels left with no value of l
+        traps_b0, closes=("0b", "0e", "0h"))  # the labels left with no value of l
     add("p.1", "elimination", "Euler pass over the A'^2 = 1 list", euler,
-        _p_1, closes=("1b", "1c"))
-    add("p.3", "elimination", "Euler pass for A' = N", euler, _euler_pass("r.N"))
+        _p_1, traps_b0, closes=("1b", "1c"))
+    add("p.3", "elimination", "Euler pass for A' = N", euler, _euler_pass("r.N"), traps_b0)
     add("t.iii", "enumeration", "survivors of the Euler pass",
-        ("p.0", "p.1", "p.3", "p.list2"), _t_iii)
+        ("p.0", "p.1", "p.3", "p.list2"), _t_iii,
+        _reads(lambda ins: ins["p.list2"].value, [], "A'^2 = 2 has no shapes"))
     add("t.no4", "elimination", "n = 3l - 4 cannot occur",
-        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _t_no4)
+        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _t_no4,
+        _reads(lambda ins: sorted({lab for ell, cases in ins["t.iii"].value.items() if ell >= 2
+                                   for lab in cases}), ["1e"], "the cases left at l >= 2 are {}"))
     add("p.1e", "elimination", "case (1e) cannot occur", ("t.iii", "t.no4", "l.n"),
-        _p_1e, closes=("1e",))
+        _p_1e, _t_no4_closes, closes=("1e",))
     add("p.no0d", "elimination", "case (0d) cannot occur",
         ("t.iii", "ax.ccm2-contraction"), _p_no0d, closes=("0d",))
     add("p.l0", "elimination", "cases (0a), (0c), (0f) cannot occur", ("t.iii",), _p_l0,
-        closes=("0a", "0c", "0f"))
+        _reads(lambda ins: sorted({ell for lab in _L0 for ell in _survivals(ins, lab)}), [0],
+               "they survive at l in {}"), closes=_L0)
     add("t.iii2", "enumeration", "final survivor list of the pencil case",
         ("t.iii", "p.1e", "p.no0d", "p.l0"), _t_iii2)
 
     # the ruled branches
+    reduced = _reads(lambda ins: ins["p.no2"].status, CONTRADICTION, "p.no2 reduces a = 2 to a = 1")
     add("l.a2", "formula-check", "the ruled model has 0 <= a <= 2", ("s.3l",),
         lambda ins: _from_elimination(ruled.elim_l_a2(_steps(ins, "s.3l", 1)),
                                       expect="survives"))
@@ -743,19 +734,16 @@ def build_nodes() -> dict[str, ProofNode]:
         lambda ins: _from_elimination(ruled.elim_p_no2(ins["l.a2"].value), sides=("13", "12")))
     add("t.no0", "elimination", "deepest ruled branch with l = 0",
         ("p.no2", "s.3l", "ax.proximity"),
-        lambda ins: _reduced(ins, ruled.elim_t_no0(_steps(ins, "s.3l", 0))),
-        closes=((0, 0, "ruled"),))
+        lambda ins: _from_elimination(ruled.elim_t_no0(_steps(ins, "s.3l", 0))),
+        reduced, closes=((0, 0, "ruled"),))
     add("t.no1rul", "elimination", "deepest ruled branch with l = 1", ("s.3l", "e.fibre"),
-        lambda ins: _traps(_given(_from_elimination(fibration.elim_t_no1rul(),
-                                                    sides=("15", "13")),
-                                  ins["s.3l"].value[1].ok, "the deepest ladder holds at l = 1"),
-                           ins, *_EXC_B0),
-        closes=((1, 0, "ruled"),))
+        lambda _: _from_elimination(fibration.elim_t_no1rul(), sides=("15", "13")),
+        _reads(lambda ins: ins["s.3l"].value[1].ok, True, "the deepest ladder holds at l = 1"),
+        traps_b0, closes=((1, 0, "ruled"),))
     add("t.no1", "elimination", "middle ruled branch with l = 1",
         ("s.3l-1", "p.no2", "e.fibre", "ax.companion-no1"),
-        lambda ins: _traps(_reduced(ins, ruled.elim_t_no1(_steps(ins, "s.3l-1", 1))), ins,
-                           *_EXC_B0, fibration.CYCLE_SQ),
-        closes=((1, -1, "ruled"),))
+        lambda ins: _from_elimination(ruled.elim_t_no1(_steps(ins, "s.3l-1", 1))),
+        reduced, _traps(*_EXC_B0, fibration.CYCLE_SQ), closes=((1, -1, "ruled"),))
 
     # the eight-point branches
     add("e.sys", "enumeration", "the seven-solution multiplicity system", (), _e_sys)
@@ -763,32 +751,39 @@ def build_nodes() -> dict[str, ProofNode]:
         ("e.sys", "ax.proximity"), _p_equiv0)
     add("b0.tables", "formula-check", "index filter on the cycle distributions",
         ("s.3l", "s.3l-1"), _b0_tables)
-    add("l.noa", "elimination", "deepest branch, pencil-pinned option",
-        ("b0.tables",), _option(lambda _, counts: _from_elimination(
-            delpezzo.elim_forced_split("l.noa", counts)), "deepest", "pinned-to-pencil"))
+    add("l.noa", "elimination", "deepest branch, pencil-pinned option", ("b0.tables",),
+        lambda ins: _from_elimination(delpezzo.elim_forced_split(
+            "l.noa", ins["b0.tables"].value["deepest"][0])),
+        _options_left("deepest", "pinned-to-pencil"))
     add("p.no3lirr", "elimination", "deepest branch, irreducible cycles",
         ("b0.tables", "e.sys", "p.equiv0"),
-        _option(lambda ins, counts: _from_elimination(delpezzo.elim_p_no3lirr(
-            {(2, 2, 8): ins["e.sys"].value}, ins["p.equiv0"].value, counts)), "deepest", "open"))
+        lambda ins: _from_elimination(delpezzo.elim_p_no3lirr(
+            {(2, 2, 8): ins["e.sys"].value}, ins["p.equiv0"].value,
+            ins["b0.tables"].value["deepest"][0])),
+        _options_left("deepest", "open"))
     add("p.3lred", "elimination", "deepest branch, reducible cycle", ("b0.tables", "ax.minus3"),
-        _option(lambda *_: _from_elimination(delpezzo.elim_p_3lred()), "deepest", "open"))
+        lambda _: _from_elimination(delpezzo.elim_p_3lred()), _options_left("deepest", "open"))
     add("t.no3lDP1", "elimination", "deepest eight-point branch with l = 1",
         ("l.noa", "p.no3lirr", "p.3lred"), _all_closed, closes=((1, 0, "eight-point"),))
-    add("l.nob", "elimination", "middle branch, pencil-pinned option",
-        ("b0.tables",), _option(lambda _, counts: _from_elimination(
-            delpezzo.elim_forced_split("l.nob", counts)), "middle", "pinned-to-pencil"))
-    add("sixtuples", "enumeration", "admissible degree six-tuples",
-        ("b0.tables",), _option(lambda ins, _: _sixtuples(ins), "middle", "open"))
+    add("l.nob", "elimination", "middle branch, pencil-pinned option", ("b0.tables",),
+        lambda ins: _from_elimination(delpezzo.elim_forced_split(
+            "l.nob", ins["b0.tables"].value["middle"][0])),
+        _options_left("middle", "pinned-to-pencil"))
+    add("sixtuples", "enumeration", "admissible degree six-tuples", ("b0.tables",), _sixtuples,
+        _options_left("middle", "open"))
     add("e.f2", "enumeration", "plane models of the two exceptional curves", (), _e_f2)
     add("tables.printed", "enumeration", "the printed multiplicity tables",
         ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)
     audit = ("tables.printed", "p.h0li1", "ax.split")
     add("p.3l-1", "elimination", "two-lines configuration", audit,
-        _audit(delpezzo.elim_p_3l1, "lines-lines"))
+        lambda ins: _from_elimination(delpezzo.elim_p_3l1(ins["p.h0li1"].value)),
+        _verified_table("lines-lines"))
     add("p.3l-12", "elimination", "conic configuration", (*audit, "ax.proximity"),
-        _audit(delpezzo.elim_p_3l12, "contracted-conic"))
-    add("p.3l-13", "elimination", "doubly-contracted configuration",
-        (*audit, "ax.proximity"), _audit(delpezzo.elim_p_3l13, "contracted-contracted"))
+        lambda ins: _from_elimination(delpezzo.elim_p_3l12(ins["p.h0li1"].value)),
+        _verified_table("contracted-conic"))
+    add("p.3l-13", "elimination", "doubly-contracted configuration", (*audit, "ax.proximity"),
+        lambda ins: _from_elimination(delpezzo.elim_p_3l13(ins["p.h0li1"].value)),
+        _verified_table("contracted-contracted"))
     add("t.3l-1", "elimination", "middle eight-point branch with l = 1",
         ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
         closes=((1, -1, "eight-point"),))
@@ -805,8 +800,7 @@ def build_nodes() -> dict[str, ProofNode]:
         ("t.i", "t.ii", "coverage"), _t_final)
 
     registry = {n.id: n for n in nodes}
-    topological_order(registry)  # rejects cycles and unknown dependencies
-    return registry
+    return {nid: registry[nid] for nid in topological_order(registry)}
 
 
 def topological_order(registry: dict[str, ProofNode]) -> list[str]:

@@ -6,7 +6,7 @@ import time
 from collections import Counter
 
 from .prooftree import (EXPECTED, FAILED, SCHEMA_VERSION, VERIFIED, Outcome, ProofNode,
-                        build_nodes, topological_order)
+                        build_nodes)
 
 
 class Report:
@@ -88,7 +88,7 @@ class UnknownSelector(KeyError):
 
 
 def _select(registry: dict[str, ProofNode], selector: str) -> list[str]:
-    """The closure of the selected nodes, in canonical order.
+    """The closure of the selected nodes, in the canonical order of ``registry``.
 
     A selector is ``all``, a node id, or a case id (``i``, ``1e``, ``N``, ...),
     which picks every node whose ``closes`` names it.
@@ -108,7 +108,7 @@ def _select(registry: dict[str, ProofNode], selector: str) -> list[str]:
         if nid not in wanted:
             wanted.add(nid)
             stack.extend(registry[nid].deps)
-    return [nid for nid in topological_order(registry) if nid in wanted]
+    return [nid for nid in registry if nid in wanted]
 
 
 def run(selector: str = "all", excluded: tuple[str, ...] = ()) -> Report:

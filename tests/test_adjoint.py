@@ -1,5 +1,4 @@
 import copy
-from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
@@ -173,10 +172,18 @@ def test_adjoint_table_rejects_a_negative_count(counts):
 
 
 def test_z_lower_bound():
-    assert z_lower_bound(0, -2, 1) == Fraction(-1)     # vacuous against n >= 0
-    assert z_lower_bound(0, 0, 1) == Fraction(-4)
-    assert z_lower_bound(1, -3, 3) == Fraction(5)
-    assert z_lower_bound(1, 1 - 2 * 1, 3) == Fraction(2)
+    assert z_lower_bound(0, -2, 1) == -1     # vacuous against n >= 0
+    assert z_lower_bound(0, 0, 1) == -4
+    assert z_lower_bound(1, -3, 3) == 5
+    assert z_lower_bound(1, 1 - 2 * 1, 3) == 2
+    assert all(type(z_lower_bound(0, -2 * ell, 1)) is int for ell in range(4))
+
+
+@pytest.mark.parametrize("r0k, r0sq, h2", [(0, 0, 0), (0, -1, 1), (1, 0, 3), (0, -2, 2)])
+def test_z_lower_bound_rejects_a_bound_that_is_not_an_integer(r0k, r0sq, h2):
+    # 6 times the bound is 35 R_0.K - 9 R_0^2 - 20 - 4 h_2; it is never rounded
+    with pytest.raises(ValueError, match="not an integer"):
+        z_lower_bound(r0k, r0sq, h2)
 
 
 def test_n_range():

@@ -44,6 +44,20 @@ def test_quotient_k2_agreement():
         assert quotient_k2(RamificationData(0, ell, 4)) == -3 - 3 * ell
     assert quotient_k2(RamificationData(1, 0, 3, gamma_sq=1)) == -3
     assert quotient_k2(RamificationData(1, 1, 3, gamma_sq=-1)) == -9
+    assert all(type(quotient_k2(RamificationData(0, ell, 1))) is int for ell in range(4))
+
+
+def test_quotient_k2_rejects_a_remainder_mod_6():
+    # h_2 = 2 with R_0 = 0: both routes give 6 K_Y^2 = -14
+    with pytest.raises(CaseInvalidError, match="-14/6 is not an integer"):
+        quotient_k2(RamificationData(0, 0, 2))
+
+
+def test_quotient_k2_rejects_routes_that_disagree(monkeypatch):
+    blowup = cover.kx2_via_blowup
+    monkeypatch.setattr(cover, "kx2_via_blowup", lambda r: blowup(r) + 1)  # the Euler route
+    with pytest.raises(CaseInvalidError, match="disagree"):
+        quotient_k2(RamificationData(0, 0, 1))
 
 
 def test_kx2_both_expressions():

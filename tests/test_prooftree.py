@@ -1,11 +1,14 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 
 import pytest
 
+import godeaux3
 from godeaux3 import adjoint, fibration, pencil, plane, report as report_mod
 from godeaux3.cli import main
 from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
@@ -46,6 +49,15 @@ def test_dependency_graph_acyclic():
             assert position[dep] < position[nid]
 
 
+def test_the_registry_is_sorted_once_per_run():
+    registry = build_nodes()
+    assert list(registry) == topological_order(registry)
+    assert run("all").order == list(registry)
+    subtree = run("t.ii").order
+    assert subtree == [nid for nid in registry if nid in subtree]
+    assert len(_calls_in_full_run(topological_order)) == 1  # in build_nodes
+
+
 def test_ledger_of_an_excluded_axiom_keeps_its_source():
     report = run("all", excluded=("ax.split",))
     assert report.results["ax.split"].status == "failed"
@@ -74,7 +86,7 @@ def test_text_report_deterministic():
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
 CANONICAL_TEXT_SHA256 = "53373d2ccabfbb0db0bd36d5e070279d83ee60b71e09c4dd2a955ecac18aec89"
-CANONICAL_JSON_SHA256 = "026c011379e7edf632b5bae71969676d057ff81219b3d164b837a37798ec2b51"
+CANONICAL_JSON_SHA256 = "02dcfa92fcc6b79c55baf42e3d9a4fc8e0d8740cac8e6d1ea44b24a1e3fde1d1"
 
 
 def test_canonical_report_digests():
@@ -534,3 +546,86 @@ def test_p_comp_catches_a_shifted_table(monkeypatch):
     monkeypatch.setattr(adjoint, "adjoint_table", shifted)
     report = run("p.comp")
     assert report.results["p.comp"].status == "failed"
+
+
+# every premise a node declares, by node id and position
+PREMISES = [(nid, i) for nid, node in build_nodes().items() for i in range(len(node.premises))]
+
+
+def test_twenty_six_nodes_declare_thirty_three_premises():
+    registry = build_nodes()
+    assert len(PREMISES) == 33
+    assert len({nid for nid, _ in PREMISES}) == 26
+    assert all(registry[nid].kind != "axiom" for nid, _ in PREMISES)
+
+
+@pytest.mark.parametrize("nid, index", PREMISES)
+def test_a_premise_that_fails_fails_its_node(monkeypatch, nid, index):
+    registry = build_nodes()
+    node = registry[nid]
+    premise, texts = node.premises[index], []
+
+    def forced(ins):
+        texts.append(premise(ins)[1])
+        return False, texts[-1]
+
+    premises = list(node.premises)
+    premises[index] = forced
+    registry[nid] = node._replace(premises=tuple(premises))
+    monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
+    result = run(nid).results[nid]
+    assert result.status == "failed"
+    assert f"premise fails: {texts[0]}" in result.trace
+    assert result.closes == ()
+
+
+def test_premise_lines_are_written_only_by_the_run_of_their_node(monkeypatch, full_report):
+    """Without its premises each node's trace is its full trace less the premise lines,
+    so no ``fn`` writes a premise line itself."""
+    def strip(registry):
+        for nid, node in registry.items():
+            registry[nid] = node._replace(premises=())
+
+    stripped = _run_with(monkeypatch, strip)
+    for nid, node in full_report.registry.items():
+        full = full_report.results[nid].trace
+        assert stripped.results[nid].trace == full[:len(full) - len(node.premises)], nid
+        assert stripped.results[nid].status == full_report.results[nid].status, nid
+
+
+def test_p_1_writes_its_premise_line_after_its_1e_lines(full_report):
+    trace = full_report.results["p.1"].trace
+    assert trace[-1] == "e.fibre verified the trapped squares [-6, -3]"
+    assert trace[-2].startswith("(1e) with l=")
+
+
+@pytest.mark.parametrize("closer", ["p.1e", "p.no0d", "p.l0"])
+def test_t_iii2_counts_only_closers_that_hold_as_a_contradiction(monkeypatch, closer):
+    def soften(registry):
+        node = registry[closer]
+
+        def fn(ins):
+            out = node.fn(ins)
+            out.status = VERIFIED
+            return out
+
+        registry[closer] = node._replace(fn=fn)
+
+    report = _run_with(monkeypatch, soften)
+    assert report.results[closer].status == VERIFIED
+    assert report.results[closer].closes == report.registry[closer].closes
+    assert report.results["t.iii2"].status == "failed"
+    assert report.results["t.final"].status == "failed"
+
+
+def test_importing_the_cli_loads_no_rational_number_module():
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import godeaux3.cli\n"
+            "print(*sorted({'fractions', 'decimal', 'numbers'} & (set(sys.modules) - before)))\n"
+            "print('cli' in dir(godeaux3))\n")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(godeaux3.__file__)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout.splitlines()
+    assert out == ["", "True"]

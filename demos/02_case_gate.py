@@ -29,6 +29,6 @@ for ell in range(0, 3):
           f"K_Y^2 = {ky2}, K_X^2 = {kx2(r, ky2)}")
 
 # With l = 1 the five exceptional curves split 2 + 3 between the eigenvalues:
-split = eigenvalue_split(1)
+split = eigenvalue_split()
 print(f"eigenvalue split: h11 = {split.h11}, h12 = {split.h12} "
       f"(h11 = {split.rejected[0]} rejected by the torsion identity)")

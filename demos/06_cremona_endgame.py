@@ -10,8 +10,7 @@ from godeaux3 import (cremona_orbit_connect, homaloidal_eliminate,
                       sixtuple_enumerate, solve_multiplicity_system)
 from godeaux3.cover import eigenvalue_split
 from godeaux3.delpezzo import (all_printed_tables, eigenvalue_audit,
-                               elim_p_3l1, elim_p_3l12, elim_p_3l13,
-                               table_14pt)
+                               elim_p_3l1, elim_p_3l12, elim_p_3l13)
 from godeaux3.plane import verify_config_table
 
 solutions = solve_multiplicity_system(2, 2, 8)
@@ -34,16 +33,18 @@ for branch in ("generic", "A'=N"):
 print("\nadmissible degree six-tuples:", sixtuple_enumerate()["kept"])
 
 print("\nprinted configuration tables:")
-for name, table in all_printed_tables():
+tables = dict(all_printed_tables())
+for name, table in tables.items():
     ok, _ = verify_config_table(table)
     print(f"  {name}: {'passes' if ok else 'FAILS'}")
 
-split = eigenvalue_split(1)
+split = eigenvalue_split()
 split = split.h11, split.h12
 print(f"\neigenvalue audits, the five E-curves split {split[0]} : {split[1]}:")
-for fn in (elim_p_3l1, elim_p_3l12, elim_p_3l13):
-    e = fn(split)
+for fn, variant in ((elim_p_3l1, "lines-lines"), (elim_p_3l12, "contracted-conic"),
+                    (elim_p_3l13, "contracted-contracted")):
+    e = fn(tables[f"14pt:{variant}"], split)
     print(f"  {e.prop_id}: {e.verdict}")
 
 print("\nthe audit needs the planar-point equations; the degree equation alone")
-print("is satisfiable:", eigenvalue_audit(table_14pt("lines-lines"), [], split).verdict)
+print("is satisfiable:", eigenvalue_audit(tables["14pt:lines-lines"], [], split).verdict)

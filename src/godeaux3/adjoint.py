@@ -87,15 +87,19 @@ def n_range(ell: int) -> tuple[int, int]:
 
 class LadderReport:
     """``counts`` holds the cycles per level, n first and the forced last count
-    last; ``forced`` names n' and the last count."""
+    last; ``forced`` names n' and the last count.  It is ``ok`` with no failure line."""
 
-    __slots__ = ("branch", "ok", "counts", "forced", "failures", "notes")
+    __slots__ = ("branch", "counts", "forced", "failures", "notes")
 
-    def __init__(self, branch: str, ok: bool, counts: tuple[int, ...] = ()) -> None:
-        self.branch, self.ok, self.counts = branch, ok, counts
+    def __init__(self, branch: str, counts: tuple[int, ...] = ()) -> None:
+        self.branch, self.counts = branch, counts
         self.forced: dict[str, int] = {}
         self.failures: list[str] = []
         self.notes: list[str] = []
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
 
 
 def level_symbol(letter: str, primes: int) -> str:
@@ -173,12 +177,8 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     level by level with the numerical table at the forced cycle counts.
     """
     counts = ladder_counts(branch, ell)
-    report = LadderReport(branch, ok=True, counts=counts)
-
-    def fail(line: str) -> None:
-        report.ok = False
-        report.failures.append(line)
-
+    report = LadderReport(branch, counts)
+    fail = report.failures.append
     for primes, count in enumerate(counts):
         if count < 0:
             fail(f"{level_symbol('n', primes)} = {count} < 0 is not realizable")
@@ -191,7 +191,7 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     if not report.ok:
         return report
     report.forced = {"n'": counts[1], level_symbol("n", len(counts) - 1): counts[-1]}
-    lat = IntersectionLattice.plane_blow_up(points, name=f"pencil-model-l{ell}")
+    lat = IntersectionLattice.plane_blow_up(points)
     k = lat.k
     # per symbol, the (position, coefficient) pairs of its class: K, G' = E_1, and
     # the cycles of each level, which follow level by level

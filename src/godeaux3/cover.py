@@ -140,9 +140,10 @@ class CaseRecord(NamedTuple):
 
 
 _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
+H2_MAX = 20  # the search bound on h_2, which h2_bound_is_monotone shows is enough
 
 
-def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
+def enumerate_main_cases(h2_max: int = H2_MAX) -> list[CaseRecord]:
     """Brute-force the (R_0.K_S, h_2) grid; only three combinations survive."""
     out = []
     for r0k in range(_R0K.stop + 1):  # one past _R0K, which h0_pair rejects
@@ -156,7 +157,7 @@ def enumerate_main_cases(h2_max: int = 20) -> list[CaseRecord]:
     return out
 
 
-def h2_bound_is_monotone(h2_max: int = 20) -> bool:
+def h2_bound_is_monotone(h2_max: int = H2_MAX) -> bool:
     """Above the search bound h^0(2K_Y+B) only grows, so no case is missed.
 
     3 h^0(2K_Y+B) = 2 h_2 - 2 - R_0.K_S is affine in h_2, so a positive slope
@@ -176,16 +177,14 @@ class EigenvalueSplit(NamedTuple):
     rejected: tuple[int, ...]
 
 
-def eigenvalue_split(ell: int) -> EigenvalueSplit:
+def eigenvalue_split() -> EigenvalueSplit:
     """Distribution of the five (-3)-curves E'_i between the two eigenvalues.
 
     Case (iii) with ell=1 has h_1 = 5.  Writing h11 for the number of curves
     with eigenvalue w and h12 = 5 - h11, the torsion class L_1 satisfies
     L_1^2 = -9 + h11 and L_1.K_Y = (14 - h11)/3 + 1, and L_1^2 + L_1.K = -2.
     """
-    if ell != 1:
-        raise CaseInvalidError("the split is computed for ell = 1 (h_1 = 5)")
-    h1 = RamificationData(0, ell, 1).h1
+    h1 = RamificationData(0, 1, 1).h1
     candidates = [h for h in range(h1 + 1) if (14 - h) % 3 == 0]
     solutions, rejected = [], []
     for h11 in candidates:

@@ -8,8 +8,8 @@ fixtures; everything checked here is exact integer arithmetic on those rows.
 from __future__ import annotations
 
 import json
-from importlib import resources
 from itertools import product
+from pathlib import Path
 
 from .adjoint import cycle_names
 from .fibration import B0_SQ, EXC_SQ, Elimination, _partitions
@@ -20,14 +20,10 @@ from .plane import (DEL_PEZZO_POINTS, ConfigTable, PlaneCurve, PlaneError, Point
 
 _E_NAMES = ("E1", "E2", "E3", "E4", "E5")
 _WEIGHTS = {"B0": 2, **{e: 1 for e in _E_NAMES}}  # the branch curve 2 B_0 + sum E_k
+# the plane model of an exceptional curve F' or H', by its plane degree
+KINDS = {2: "conic", 1: "line", 0: "contracted"}
 
-
-def _load() -> dict:
-    with resources.files("godeaux3.fixtures").joinpath("config_tables.json").open() as fh:
-        return json.load(fh)
-
-
-_DATA = _load()
+_DATA = json.loads((Path(__file__).parent / "fixtures" / "config_tables.json").read_text())
 
 
 def _rows_from_json(rows_json) -> tuple[PlaneCurve, ...]:
@@ -59,10 +55,9 @@ def anticanonical_pairing(table: ConfigTable) -> dict[str, int]:
     return {r.name: 3 * r.degree - sum(r.mults) for r in table.rows}
 
 
-def check_8pt_pairings(key: str) -> bool:
-    table = table_8pt(key)
-    expected = _DATA["tables_8pt"][key]["pencil_pairing"]
-    return anticanonical_pairing(table) == expected
+def check_8pt_pairings(key: str, table: ConfigTable) -> bool:
+    """``table``, the eight-point table ``key``, pairs with the pencil as printed."""
+    return anticanonical_pairing(table) == _DATA["tables_8pt"][key]["pencil_pairing"]
 
 
 def table_14pt(variant: str | None) -> ConfigTable:
@@ -341,8 +336,7 @@ def exceptional_curve_solutions() -> dict:
                 curve = PlaneCurve(f"d{d}", d, tuple(mults), virtual=True)
                 if curve.self_int() != EXC_SQ:
                     continue
-                kind = {2: "conic", 1: "line", 0: "contracted"}[d]
-                singles.append((kind, curve))
+                singles.append((KINDS[d], curve))
     pairs = []
     for i, (kind1, c1) in enumerate(singles):
         for kind2, c2 in singles[i:]:
@@ -350,8 +344,7 @@ def exceptional_curve_solutions() -> dict:
                 pairs.append(tuple(sorted((kind1, kind2))))
     pair_kinds = sorted(set(pairs))
     return {
-        "by_kind": {k: sum(1 for kk, _ in singles if kk == k)
-                    for k in ("conic", "line", "contracted")},
+        "by_kind": {k: sum(1 for kk, _ in singles if kk == k) for k in KINDS.values()},
         "admissible_pairs": pair_kinds,
     }
 
@@ -366,13 +359,12 @@ def forced_proximities(table: ConfigTable) -> list[tuple[str, str]]:
     transform of the exceptional curve over P; its +1 entries are the points
     proximate to P.
     """
-    edges = []
-    pts = table.cluster.points
-    for parent, row in _exceptional_rows(table):
-        for i, m in enumerate(row.mults):
-            if m == 1:
-                edges.append((pts[i], parent))
-    return edges
+    return _proximities(table.cluster.points, _exceptional_rows(table))
+
+
+def _proximities(pts: tuple[str, ...], rows: list[tuple[str, PlaneCurve]]) -> list[tuple[str, str]]:
+    """(Q, P) for each entry +1 at Q of each exceptional row (P, row)."""
+    return [(pts[i], parent) for parent, row in rows for i, m in enumerate(row.mults) if m == 1]
 
 
 def _exceptional_rows(table: ConfigTable) -> list[tuple[str, PlaneCurve]]:
@@ -389,9 +381,10 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     """True when no point of the cluster can serve as a proximity parent."""
     pts = table.cluster.points
     pi = pts.index(point)
-    edges = forced_proximities(table)
+    rows = _exceptional_rows(table)
+    edges = _proximities(pts, rows)
+    exceptional_row = dict(rows)
     reasons = []
-    exceptional_row = dict(_exceptional_rows(table))
     for cand in pts:
         if cand == point:
             continue
@@ -473,17 +466,18 @@ def _planar_audit(prop_id: str, table: ConfigTable, points: tuple[str, ...],
             return Elimination(prop_id, p, "planar", "failed", tuple(why))
         derivations.extend(why)
     audit = eigenvalue_audit(table, list(points), split)
-    return Elimination(prop_id, audit.lhs, audit.rhs, audit.verdict,
-                       tuple(derivations) + audit.trace)
+    return audit._replace(prop_id=prop_id, trace=tuple(derivations) + audit.trace)
 
 
-def elim_p_3l1(split: tuple[int, int]) -> Elimination:
-    """Two-lines configuration: exponents cannot exist at P_2 and P_3."""
-    return _planar_audit("p.3l-1", table_14pt("lines-lines"), ("P2", "P3"), split)
+def elim_p_3l1(table: ConfigTable, split: tuple[int, int]) -> Elimination:
+    """Two-lines configuration, on its ``table``: exponents cannot exist at P_2 and P_3."""
+    return _planar_audit("p.3l-1", table, ("P2", "P3"), split)
 
 
-def _transformed_elimination(prop_id: str, variant: str, split: tuple[int, int]) -> Elimination:
-    source = table_14pt(variant)
+def _transformed_elimination(prop_id: str, variant: str, source: ConfigTable,
+                             split: tuple[int, int]) -> Elimination:
+    """The audit at P6 of ``source``, the table of ``variant``, once its quadratic
+    transform matches the fixture's."""
     fixture = _DATA["transformed_14pt"][variant]
     rows = quadratic_transform(source.cluster, list(source.rows), tuple(fixture["base"]))
     expected = _rows_from_json(fixture["rows"])
@@ -499,18 +493,17 @@ def _transformed_elimination(prop_id: str, variant: str, split: tuple[int, int])
                          ("P6",), split)
 
 
-def elim_p_3l12(split: tuple[int, int]) -> Elimination:
-    return _transformed_elimination("p.3l-12", "contracted-conic", split)
+def elim_p_3l12(table: ConfigTable, split: tuple[int, int]) -> Elimination:
+    return _transformed_elimination("p.3l-12", "contracted-conic", table, split)
 
 
-def elim_p_3l13(split: tuple[int, int]) -> Elimination:
-    return _transformed_elimination("p.3l-13", "contracted-contracted", split)
+def elim_p_3l13(table: ConfigTable, split: tuple[int, int]) -> Elimination:
+    return _transformed_elimination("p.3l-13", "contracted-contracted", table, split)
 
 
-def lines_to_contracted_move() -> bool:
-    """The two-lines table maps onto the line + contracted one under the
+def lines_to_contracted_move(table: ConfigTable) -> bool:
+    """The two-lines ``table`` maps onto the line + contracted one under the
     quadratic transformation based at P_3, P_4, P_8 (up to the F/H naming)."""
-    table = table_14pt("lines-lines")
     rows = quadratic_transform(table.cluster, list(table.rows), ("P3", "P4", "P8"))
     by_name = {r.name: r for r in rows}
     h_new = by_name["H"]

@@ -210,11 +210,9 @@ _N2, _NK = ladder_top(0)
 _NN1 = adjoint_pairing(_N2, _NK, 0)
 
 
-def _projection(case: PencilCase) -> tuple[int, int, int]:
-    """(A'.N, A'.K_Y, A'.B_0), A'.K_Y as the record has it: pi^* N = 3 K_S (case N has
-    A = 3 K_S and A' = N) and pi^* B_0 = 3 R_0, so A'.N = A.K_S, the record's
-    moving/fixed branch, and A'.B_0 = A.R_0."""
-    return case.ak, case.apk, case.ar0
+# A pencil record gives A'.N = case.ak, A'.K_Y = case.apk and A'.B_0 = case.ar0:
+# pi^* N = 3 K_S (case N has A = 3 K_S and A' = N) and pi^* B_0 = 3 R_0, so
+# A'.N = A.K_S, the record's moving/fixed branch, and A'.B_0 = A.R_0.
 
 
 def elim_p_l0(cases: list[PencilCase]) -> dict[str, Elimination]:
@@ -225,10 +223,9 @@ def elim_p_l0(cases: list[PencilCase]) -> dict[str, Elimination]:
     out = {}
     levels = len(ladder_counts("s.3l", 0))
     for case in cases:
-        a_n, a_k, _ = _projection(case)
         e_met = _pencil_trapped(case)[2]
-        steps = (_NK, a_k, canonical_degree(EXC_SQ))  # X.K_Y for X = N, A', E' (rational)
-        nn, an, en = _N2, a_n, 0  # X.N for X = N, A', E': pi^* N = 3 K_S misses E
+        steps = (_NK, case.apk, canonical_degree(EXC_SQ))  # X.K_Y for X = N, A', E' (rational)
+        nn, an, en = _N2, case.ak, 0  # X.N for X = N, A', E': pi^* N = 3 K_S misses E
         walk = []
         for _ in range(levels):
             lhs, rhs = e_met * en, nn - an
@@ -247,12 +244,11 @@ def elim_p_no0d(case: PencilCase, ell: int) -> Elimination:
     """Case (0d) at the l it survives at: the adjoint A_1 = A' + K - G' - sum C_j of the
     elliptic pencil vanishes, which forces m cycles C_j, each in a fibre of |A'|; then
     B_0.(sum C_j) exceeds m A'.B_0."""
-    _, a_k, a_b0 = _projection(case)
-    ky2 = _PENCIL_KY2(ell)
+    ky2, a_b0 = _PENCIL_KY2(ell), case.ar0
     # A_1^2 has slope 1 in m, so m is -A_1^2 at m = 0, as ladder_counts solves its last count
-    _, a1sq0, _ = adjoint_step(case.aprime2, a_k, ky2, _H2)
+    _, a1sq0, _ = adjoint_step(case.aprime2, case.apk, ky2, _H2)
     m = -a1sq0
-    _, _, a1k = adjoint_step(case.aprime2, a_k, ky2, _H2 + m)
+    _, _, a1k = adjoint_step(case.aprime2, case.apk, ky2, _H2 + m)
     # 0 = A_1.B_0, B_0 misses G' and B_0.K by adjunction, B_0 being rational
     b0_sum_c = adjoint_pairing(a_b0, canonical_degree(B0_SQ), 0)
     ok = b0_sum_c > m * a_b0
@@ -279,8 +275,7 @@ def elim_t_no4(case: PencilCase) -> Elimination:
     theta_k = canonical_degree(0)  # Theta^2 = 0 and Theta rational
     trace.append(f"N.Theta = {n_theta}, T = 0, Theta.K_Y = {theta_k}: rational pencil")
     # A' misses G' and the cycles, so A'.Theta = A'.N_1 / 2
-    a_n, a_k, _ = _projection(case)
-    a_theta = adjoint_pairing(a_n, a_k, 0) // 2
+    a_theta = adjoint_pairing(case.ak, case.apk, 0) // 2
     trace.append(f"A'.Theta = {a_theta} with A' elliptic")
     h0_restriction = 2  # Theta cuts a base-point-free pencil on A'
     h0_elliptic_degree1 = 1  # degree-1 divisor on an elliptic curve
@@ -299,8 +294,7 @@ def elim_p_1e(case: PencilCase, offsets: tuple[int, ...]) -> Elimination:
     t.no4's, and above 0 N_1^2 exceeds what the index theorem allows."""
     trace = []
     closed = {}
-    a_n, a_k, a_b0 = _projection(case)
-    s = adjoint_pairing(a_n, a_k, 0)  # A'.N_1, as A' misses G' and the cycles
+    s = adjoint_pairing(case.ak, case.apk, 0)  # A'.N_1, as A' misses G' and the cycles
     for off in offsets:
         # with K_Y^2 = -2 - 3l, N_1^2 and N_1.K depend on n - 3l only: read them at l = 0
         _, n1sq, n1k = adjoint_step(_N2, _NK, _PENCIL_KY2(0), _H2 + off)
@@ -318,8 +312,8 @@ def elim_p_1e(case: PencilCase, offsets: tuple[int, ...]) -> Elimination:
             trace.append(f"n-3l={off}: s=1 forces N_1=A', dims {dim_n1} vs 1 differ")
         if slack == 0:
             # equality in the index theorem: N_1 = s A', and then N.N_1 = s N.A'
-            closed[off] = _NN1 != s * a_n
-            trace.append(f"n-3l={off}: N_1 = {s}A' gives N.N_1 {_NN1} != {s * a_n}")
+            closed[off] = _NN1 != s * case.ak
+            trace.append(f"n-3l={off}: N_1 = {s}A' gives N.N_1 {_NN1} != {s * case.ak}")
             continue
         m = -off + 2  # A_1 = 0 forces m = 3l - n + 2 contracted cycles
         n1_sum_c = adjoint_pairing(s, n1k, 0)  # 0 = A_1.N_1, and N_1 misses G'
@@ -338,7 +332,7 @@ def elim_p_1e(case: PencilCase, offsets: tuple[int, ...]) -> Elimination:
             # cycles; n' = 1 leaves too few, n' = 2 makes A' = N_2 and then
             # Phi'.N_2 = Phi'.A' = N.A' - A'^2 against B_0 <= Phi' with B_0.A'
             needed, available = m - 1, 2
-            b0_n2, phi_n2 = a_b0, a_n - case.aprime2
+            b0_n2, phi_n2 = case.ar0, case.ak - case.aprime2
             closed[off] = needed <= available and b0_n2 > phi_n2
             trace.append(f"n-3l=-1: m={m}, n'=1 leaves {needed} cycles for 1 slot; "
                          f"n'=2: B_0.N_2 = {b0_n2} > Phi'.N_2 = {phi_n2}")

@@ -84,7 +84,7 @@ class IntersectionLattice:
         return self.divisor(self.canonical)
 
     @classmethod
-    def plane_blow_up(cls, n_points: int, name: str = "") -> "IntersectionLattice":
+    def plane_blow_up(cls, n_points: int) -> "IntersectionLattice":
         """Plane blown up at ``n_points`` points: basis (H; E_1..E_n)."""
         labels = ("H",) + tuple(f"E{i}" for i in range(1, n_points + 1))
         size = n_points + 1
@@ -93,7 +93,7 @@ class IntersectionLattice:
             for i in range(size)
         )
         canonical = (-3,) + (1,) * n_points
-        return cls(labels, gram, canonical, name=name or f"P2+{n_points}")
+        return cls(labels, gram, canonical, name=f"P2+{n_points}")
 
     @classmethod
     def hirzebruch(cls, a: int) -> "IntersectionLattice":

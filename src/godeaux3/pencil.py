@@ -15,6 +15,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .cover import KS2
+from .lattice import canonical_degree
 
 # Intersection numbers of the exceptional configuration over an A_2-type
 # fixed point q (curves F, G, H) and over a triple-point type fixed point
@@ -137,7 +138,6 @@ class PencilCase:
     apk: int
     d: tuple[tuple[str, int], ...]
     aprime2: int
-    phi_zero: bool
 
     def d_string(self) -> str:
         if not self.d:
@@ -202,38 +202,27 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
                     de = -sum(p_mults)
                     aphi = ar0_upper(a2, branch.phik)
                     # Orbit accounting on the intersection cycle A.Phi: each
-                    # p-point atom with multiplicity m (m not 0 mod 3) forces a
-                    # fixed intersection point of local multiplicity
-                    # m * (-m mod 3); a q-atom whose F/H content is not
-                    # divisible by 3 forces Phi through q (at least 1), with
-                    # unconstrained residue.
-                    forced_min = 0
-                    forced_residue = 0
-                    residue_known = True
-                    for m in p_mults:
-                        if m % 3 != 0:
-                            forced_min += m * ((-m) % 3)
-                            forced_residue += m * ((-m) % 3)
-                    for a in q_atoms:
-                        if a.forces_phi_through_q:
-                            forced_min += 1
-                            residue_known = False
+                    # p-point atom with multiplicity m forces a fixed intersection
+                    # point of local multiplicity m * (-m mod 3), which is 0 when
+                    # 3 divides m; a q-atom whose F/H content is not divisible by 3
+                    # forces Phi through q (at least 1), with unconstrained residue.
+                    p_forced = sum(m * ((-m) % 3) for m in p_mults)
+                    q_forced = sum(a.forces_phi_through_q for a in q_atoms)
                     if phi_zero:
                         ar0_values = [0]
                     else:
-                        hi = aphi - forced_min if apply_orbit_filters else aphi
-                        ar0_values = list(range(0, max(hi, -1) + 1))
-                        if apply_orbit_filters and residue_known:
-                            target = (aphi - forced_residue) % 3
+                        hi = aphi - p_forced - q_forced if apply_orbit_filters else aphi
+                        ar0_values = list(range(0, hi + 1))
+                        if apply_orbit_filters and not q_forced:
+                            target = (aphi - p_forced) % 3
                             ar0_values = [v for v in ar0_values if v % 3 == target]
                     for ar0 in ar0_values:
                         g = genus_from_case(branch.ak, ar0, dg, de, aprime2)
                         if g is None or g < 0:
                             continue
-                        apk = 2 * g - 2 - aprime2
-                        found.append(PencilCase("", a2, branch.ak, ar0, g, apk,
-                                                _canonical_d(q_atoms, p_mults),
-                                                aprime2, phi_zero))
+                        found.append(PencilCase("", a2, branch.ak, ar0, g,
+                                                canonical_degree(aprime2, g),
+                                                _canonical_d(q_atoms, p_mults), aprime2))
     return found
 
 

@@ -9,6 +9,7 @@ genus and proximity checks.
 from __future__ import annotations
 
 from collections.abc import Iterable
+from graphlib import CycleError, TopologicalSorter
 from itertools import combinations
 from math import isqrt
 from typing import NamedTuple
@@ -56,24 +57,15 @@ class PointCluster:
     def __init__(self, points: tuple[str, ...],
                  proximity: tuple[tuple[str, str], ...] = ()) -> None:
         self.points, self.proximity = points, proximity
-        index = {p: i for i, p in enumerate(self.points)}
-        for child, parent in self.proximity:
-            if child not in index or parent not in index:
+        sorter = TopologicalSorter()
+        for child, parent in proximity:
+            if child not in points or parent not in points:
                 raise PlaneError("proximity edge outside the cluster")
-        done: set[str] = set()
-
-        def visit(p: str, stack: tuple[str, ...]) -> None:
-            if p in stack:
-                raise PlaneError("proximity relation has a cycle")
-            if p in done:
-                return
-            for ch, par in self.proximity:
-                if ch == p:
-                    visit(par, stack + (p,))
-            done.add(p)
-
-        for p in self.points:
-            visit(p, ())
+            sorter.add(child, parent)
+        try:
+            sorter.prepare()
+        except CycleError:
+            raise PlaneError("proximity relation has a cycle") from None
 
     def index(self, p: str) -> int:
         return self.points.index(p)

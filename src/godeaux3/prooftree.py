@@ -17,7 +17,7 @@ three main cases are closed, the third one branch by branch.
 from __future__ import annotations
 
 import json
-from importlib import resources
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import adjoint, cover, delpezzo, fibration, pencil, plane, ruled
@@ -68,7 +68,7 @@ class ProofNode(NamedTuple):
         return out
 
 
-EXPECTED = json.loads(resources.files("godeaux3.fixtures").joinpath("expected.json").read_text())
+EXPECTED = json.loads((Path(__file__).parent / "fixtures" / "expected.json").read_text())
 
 
 def _axiom(ax_id: str):
@@ -118,10 +118,14 @@ def _options_left(branch: str, verdict: str):
     return read
 
 
-def _verified_table(variant: str):
-    """tables.printed verified the fourteen-point table the audit reads."""
-    return lambda ins: (f"14pt:{variant}" in ins["tables.printed"].value,
-                        f"tables.printed verified the {variant} table")
+def _audit(elim, variant: str):
+    """The audit ``elim`` on the fourteen-point table of ``variant``, with the eigenvalue
+    split of p.h0li1, and the premise that tables.printed verified that table."""
+    name = f"14pt:{variant}"
+    return (lambda ins: _from_elimination(elim(ins["tables.printed"].value[name],
+                                               ins["p.h0li1"].value)),
+            lambda ins: (name in ins["tables.printed"].value,
+                         f"tables.printed verified the {variant} table"))
 
 
 def _reads(read, want, text: str):
@@ -206,20 +210,20 @@ def _p_rk(_) -> Outcome:
 
 def _cases_main(ins) -> Outcome:
     """The three main cases, each with the h^0 pair p.rk derived for it."""
-    cases = cover.enumerate_main_cases()
+    cases = cover.enumerate_main_cases(cover.H2_MAX)
     got = [[c.r0k, c.h2] for c in cases]
     ok = got == EXPECTED["main_cases"] and [c.id for c in cases] == ["i", "ii", "iii"]
-    ok &= cover.h2_bound_is_monotone()
+    ok &= cover.h2_bound_is_monotone(cover.H2_MAX)
     ok &= {(c.r0k, c.h2): (c.h0_n, c.h0_2kb) for c in cases} == ins["p.rk"].value
     trace = [f"cases: {[(c.id, c.r0k, c.h2) for c in cases]}",
-             "search bound h_2 <= 20 is stable (monotone beyond the bound)",
+             f"search bound h_2 <= {cover.H2_MAX} is stable (monotone beyond the bound)",
              "each case carries the h^0 pair p.rk derives for it"]
     return _check(ok, trace, cases)
 
 
 def _p_h0li1(ins) -> Outcome:
     """The split (h11, h12) of the h_1 curves of case (iii) at l = 1."""
-    split = cover.eigenvalue_split(1)
+    split = cover.eigenvalue_split()
     iii = next(c for c in ins["cases.main"].value if c.id == "iii")
     h1 = cover.RamificationData(iii.r0k, 1, iii.h2).h1
     ok = (split.h11, split.h12) == (2, 3) and split.rejected == (5,) \
@@ -471,6 +475,14 @@ def _p_1e(ins) -> Outcome:
         left[min(left)], tuple(off for off in _offsets(ins) if off != -4)))
 
 
+def _t_no4_cases(ins) -> tuple[bool, str]:
+    """From the least l of t.iii at which n_range reaches n = 3l - 4, only (1e) is left."""
+    cases = ins["t.iii"].value
+    bound = min(ell for ell in cases if adjoint.n_range(ell)[0] <= 3 * ell - 4)
+    late = sorted({lab for ell, labs in cases.items() if ell >= bound for lab in labs})
+    return late == ["1e"], f"the cases left at l >= {bound} are {late}"
+
+
 def _t_no4_closes(ins) -> tuple[bool, str]:
     offsets = _offsets(ins)
     return (-4 not in offsets or ins["t.no4"].status == CONTRADICTION,
@@ -598,25 +610,25 @@ def _e_f2(_) -> Outcome:
 
 def _tables_printed(ins) -> Outcome:
     """Every printed table, one per kept six-tuple and one per admissible F'/H' pair; the
-    value names the tables that verify."""
+    value maps the name of each table that verifies to that table."""
     ok = True
     trace = []
-    verified = set()
+    verified = {}
     for name, table in delpezzo.all_printed_tables():
         passed, violations = plane.verify_config_table(table)
         ok &= passed
-        verified |= {name} if passed else set()
+        verified |= {name: table} if passed else {}
         trace.append(f"{name}: {'ok' if passed else violations}")
-    eight = {name[4:] for name in verified if name.startswith("8pt:")}
-    ok &= eight == {"-".join(map(str, t)) for t in ins["sixtuples"].value}
-    for key in sorted(eight):
-        ok &= delpezzo.check_8pt_pairings(key)
+    eight = {name[4:]: t for name, t in verified.items() if name.startswith("8pt:")}
+    ok &= eight.keys() == {"-".join(map(str, t)) for t in ins["sixtuples"].value}
+    for key, table in sorted(eight.items()):
+        ok &= delpezzo.check_8pt_pairings(key, table)
     trace.append("one eight-point table per kept six-tuple; genus-one pencil pairings match")
-    fourteen = {tuple(sorted(k.rstrip("s") for k in name[5:].split("-")))
-                for name in verified if name.startswith("14pt:") and name != "14pt:base"}
+    fourteen = {tuple(sorted(delpezzo.KINDS[t.row(fh).degree] for fh in "FH"))
+                for name, t in verified.items() if name.startswith("14pt:") and name != "14pt:base"}
     ok &= fourteen == set(ins["e.f2"].value)
     trace.append("one fourteen-point table per admissible pair of F'/H' plane models")
-    ok &= delpezzo.lines_to_contracted_move()
+    ok = ok and delpezzo.lines_to_contracted_move(verified["14pt:lines-lines"])
     trace.append("the quadratic move based at P3, P4, P8 sends the two-lines table "
                  "to the line + contracted one")
     return _check(ok, trace, verified)
@@ -711,9 +723,7 @@ def build_nodes() -> dict[str, ProofNode]:
         ("p.0", "p.1", "p.3", "p.list2"), _t_iii,
         _reads(lambda ins: ins["p.list2"].value, [], "A'^2 = 2 has no shapes"))
     add("t.no4", "elimination", "n = 3l - 4 cannot occur",
-        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _t_no4,
-        _reads(lambda ins: sorted({lab for ell, cases in ins["t.iii"].value.items() if ell >= 2
-                                   for lab in cases}), ["1e"], "the cases left at l >= 2 are {}"))
+        ("t.iii", "ax.elliptic-degree", "ax.rationality"), _t_no4, _t_no4_cases)
     add("p.1e", "elimination", "case (1e) cannot occur", ("t.iii", "t.no4", "l.n"),
         _p_1e, _t_no4_closes, closes=("1e",))
     add("p.no0d", "elimination", "case (0d) cannot occur",
@@ -776,14 +786,11 @@ def build_nodes() -> dict[str, ProofNode]:
         ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)
     audit = ("tables.printed", "p.h0li1", "ax.split")
     add("p.3l-1", "elimination", "two-lines configuration", audit,
-        lambda ins: _from_elimination(delpezzo.elim_p_3l1(ins["p.h0li1"].value)),
-        _verified_table("lines-lines"))
+        *_audit(delpezzo.elim_p_3l1, "lines-lines"))
     add("p.3l-12", "elimination", "conic configuration", (*audit, "ax.proximity"),
-        lambda ins: _from_elimination(delpezzo.elim_p_3l12(ins["p.h0li1"].value)),
-        _verified_table("contracted-conic"))
+        *_audit(delpezzo.elim_p_3l12, "contracted-conic"))
     add("p.3l-13", "elimination", "doubly-contracted configuration", (*audit, "ax.proximity"),
-        lambda ins: _from_elimination(delpezzo.elim_p_3l13(ins["p.h0li1"].value)),
-        _verified_table("contracted-contracted"))
+        *_audit(delpezzo.elim_p_3l13, "contracted-contracted"))
     add("t.3l-1", "elimination", "middle eight-point branch with l = 1",
         ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
         closes=((1, -1, "eight-point"),))

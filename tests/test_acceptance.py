@@ -144,8 +144,11 @@ def test_criterion_7_del_pezzo_tables():
         ok &= passed
     ok &= delpezzo.perturbation_sweep(delpezzo.table_14pt("lines-lines")) == []
     ok &= delpezzo.perturbation_sweep(delpezzo.table_8pt("8-2-0-0-0-0")) == []
-    for fn in (delpezzo.elim_p_3l1, delpezzo.elim_p_3l12, delpezzo.elim_p_3l13):
-        ok &= fn((2, 3)).verdict == "contradiction"  # the eigenvalue split of p.h0li1
+    for fn, variant in ((delpezzo.elim_p_3l1, "lines-lines"),
+                        (delpezzo.elim_p_3l12, "contracted-conic"),
+                        (delpezzo.elim_p_3l13, "contracted-contracted")):
+        table = delpezzo.table_14pt(variant)
+        ok &= fn(table, (2, 3)).verdict == "contradiction"  # the eigenvalue split of p.h0li1
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _criterion(7, f"tables verified, sweeps sharp, three audits contradict, "

@@ -136,10 +136,20 @@ def test_h2_bound_check_can_fail():
     assert h2_bound_is_monotone(4) and h2_bound_is_monotone(20)
 
 
+def test_cases_main_reads_the_one_search_bound(monkeypatch):
+    from godeaux3 import cover
+    from godeaux3.report import run
+
+    assert "search bound h_2 <= 20 is stable" in " ".join(
+        run("cases.main").results["cases.main"].trace)
+    monkeypatch.setattr(cover, "H2_MAX", 3)  # too small for h_2 = 4 and the monotone check
+    result = run("cases.main").results["cases.main"]
+    assert result.status == "failed"
+    assert "search bound h_2 <= 3 is stable (monotone beyond the bound)" in result.trace
+
+
 def test_eigenvalue_split():
-    split = eigenvalue_split(1)
+    split = eigenvalue_split()
     assert (split.h11, split.h12) == (2, 3)
     assert split.congruence_class == 2
     assert split.rejected == (5,)
-    with pytest.raises(CaseInvalidError):
-        eigenvalue_split(0)

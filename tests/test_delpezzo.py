@@ -62,7 +62,7 @@ def test_weighted_totals_values():
 
 def test_pairings_on_8pt_tables():
     for key in ("8-2-0-0-0-0", "8-1-1-0-0-0", "8-1-0-0-1-0"):
-        assert dp.check_8pt_pairings(key)
+        assert dp.check_8pt_pairings(key, dp.table_8pt(key))
 
 
 @pytest.mark.parametrize("variant", ["lines-lines", "contracted-conic",
@@ -111,7 +111,7 @@ def test_table_check_rejects_a_repeated_row_name():
 def test_transformed_tables_match_fixtures():
     for variant in ("contracted-conic", "contracted-contracted"):
         elim = {"contracted-conic": dp.elim_p_3l12,
-                "contracted-contracted": dp.elim_p_3l13}[variant]((2, 3))
+                "contracted-contracted": dp.elim_p_3l13}[variant](dp.table_14pt(variant), (2, 3))
         assert elim.verdict == "contradiction"
 
 
@@ -273,12 +273,13 @@ def test_forced_proximities_from_virtual_rows():
 
 
 def test_eigenvalue_audit_contradictions():
-    e1 = dp.elim_p_3l1((2, 3))
+    e1 = dp.elim_p_3l1(dp.table_14pt("lines-lines"), (2, 3))
     assert e1.verdict == "contradiction"
     assert any("P2: 3*B0+1*E1+1*E4+1*F" in line for line in e1.trace)
     assert any("P3: 3*B0+1*E1+1*E5+1*H" in line for line in e1.trace)
-    for fn in (dp.elim_p_3l12, dp.elim_p_3l13):
-        e = fn((2, 3))
+    for fn, variant in ((dp.elim_p_3l12, "contracted-conic"),
+                        (dp.elim_p_3l13, "contracted-contracted")):
+        e = fn(dp.table_14pt(variant), (2, 3))
         assert e.verdict == "contradiction"
         assert any("P6: 3*B0+1*H" in line for line in e.trace)
 
@@ -294,7 +295,7 @@ def test_audit_admits_solutions_when_unconstrained():
 
 
 def test_lines_to_contracted_move():
-    assert dp.lines_to_contracted_move()
+    assert dp.lines_to_contracted_move(dp.table_14pt("lines-lines"))
 
 
 def test_degree_budget_invariant_under_moves():
@@ -427,7 +428,7 @@ def test_transformed_rows_must_match_the_fixture_row_for_row(monkeypatch):
     fixture = data["transformed_14pt"]["contracted-conic"]
     fixture["rows"] = [r for r in fixture["rows"] if r["name"] not in ("F", "H")]
     monkeypatch.setattr(dp, "_DATA", data)
-    e = dp.elim_p_3l12((2, 3))
+    e = dp.elim_p_3l12(dp.table_14pt("contracted-conic"), (2, 3))
     assert e.verdict == "failed"
     assert e.trace == ("transformed rows ['B0', 'E1', 'E2', 'E3', 'E4', 'E5', 'F', 'H'] "
                        "differ from the fixture's",)
@@ -438,8 +439,9 @@ def test_transform_is_based_where_the_fixture_says(monkeypatch):
     for fixture in data["transformed_14pt"].values():
         fixture["base"] = ["P4", "P5", "P6"]
     monkeypatch.setattr(dp, "_DATA", data)
-    for elim in (dp.elim_p_3l12, dp.elim_p_3l13):
-        e = elim((2, 3))
+    for elim, variant in ((dp.elim_p_3l12, "contracted-conic"),
+                          (dp.elim_p_3l13, "contracted-contracted")):
+        e = elim(dp.table_14pt(variant), (2, 3))
         assert e.verdict == "failed"
         assert e.trace == ("transformed row B0 differs from the fixture",)
 

@@ -349,7 +349,7 @@ def _down(x_n, x_k, levels):
 
 def _computed_pairings(case):
     n2, nk = ladder_top(0)
-    a_n, a_k, a_b0 = fib._projection(case)
+    a_n, a_k, a_b0 = case.ak, case.apk, case.ar0  # A'.N, A'.K_Y, A'.B_0
     e_k = canonical_degree(fib.EXC_SQ)
     if case.label == "0a":
         return {"A'.N": a_n, "A'.N_1": _down(a_n, a_k, 1), "N.N_2": _down(n2, nk, 2),
@@ -379,7 +379,8 @@ def test_computed_pairings_match_the_typed_references(label):
 def test_p_1e_reads_n1_off_the_ladder_at_every_l():
     # (1e)'s N_1^2 = 4 + (n - 3l), N_1.K = n - 3l and N_1.(sum C_j) = A'.N_1 + N_1.K
     # = 2 + (n - 3l) hold at each l it survives at
-    a_n, a_k, _ = fib._projection(pencil_case("1e"))
+    case = pencil_case("1e")
+    a_n, a_k = case.ak, case.apk
     for ell in (1, 2, 3):
         ky2 = quotient_k2(RamificationData(0, ell, 1))
         for off in range(0, -4, -1):

@@ -63,11 +63,11 @@ def test_big_drop_atoms_occur_only_at_a2_9():
 
 
 def test_no_phi_zero_row_mixes_p_and_q_content():
-    # with Phi = 0 a p-multiplicity is 0 mod 3, so at least 3, and takes the
-    # whole drop of 9: A then misses every q
+    # with Phi = 0, that is A^2 = 9, a p-multiplicity is 0 mod 3, so at least 3, and
+    # takes the whole drop of 9: A then misses every q
     for ap, h2, filt, cases in WIDE_LISTS:
         for case in cases:
-            if case.phi_zero:
+            if case.a2 == 9:
                 has_e = any(comp.startswith("E") for comp, _ in case.d)
                 assert not (has_e and _q_parts(case)), (ap, h2, filt, case.label)
 
@@ -116,7 +116,7 @@ def test_full_system_case():
     cases = enumerate_pencil_cases(3)
     assert len(cases) == 1
     c = cases[0]
-    assert (c.label, c.a2, c.g, c.apk, c.phi_zero) == ("N", 9, 3, 1, True)
+    assert (c.label, c.a2, c.g, c.apk) == ("N", 9, 3, 1)
 
 
 def test_filters_only_remove():
@@ -162,7 +162,7 @@ def test_a_prime_h_vanishes_for_simple_atom():
 
 def test_pencil_case_lookup():
     c = pencil_case("0g")
-    assert c.label == "0g" and c.phi_zero is True
+    assert c.label == "0g" and c.a2 == 9  # Phi = 0
     assert c.d == (("F", 3), ("G", 3), ("H", 3))
     with pytest.raises(KeyError):
         pencil_case("0z")
@@ -172,6 +172,19 @@ def test_pencil_case_lookup():
 def test_pencil_case_rejects_unknown_labels_with_key_error(label):
     with pytest.raises(KeyError):
         pencil_case(label)
+
+
+def test_phi_is_zero_exactly_when_a2_is_9():
+    # Phi = 3K - A vanishes on the branch with no fixed part, whose one A^2 is 9;
+    # there A.R_0 <= A.Phi = 0
+    branch = {(b.ak, a2): b for b in subsystem_split() for a2 in b.a2_options}
+    for aprime2 in range(4):
+        for h2 in (1, 2, 3):
+            for filters in (True, False):
+                for c in enumerate_pencil_cases(aprime2, h2, filters):
+                    phi_zero = branch[c.ak, c.a2].pa_phi_max is None
+                    assert phi_zero == (c.a2 == 9), (aprime2, h2, filters, c.label)
+                    assert not phi_zero or c.ar0 == 0
 
 
 def test_pencil_grid_rows_are_distinct():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,6 +111,53 @@ def test_point_cluster_invariants():
     cluster = PointCluster(("P1", "P2", "P3"), (("P2", "P1"),))
     with pytest.raises(PlaneError):
         PointCluster(("P1", "P2"), (("P1", "P2"), ("P2", "P1")))  # cycle
+
+
+def _dfs_cluster_check(points, proximity):
+    """The hand-written cycle search ``PointCluster`` ran before it used ``graphlib``,
+    kept as the reference: the same two errors, the same checks in the same order."""
+    index = {p: i for i, p in enumerate(points)}
+    for child, parent in proximity:
+        if child not in index or parent not in index:
+            raise PlaneError("proximity edge outside the cluster")
+    done = set()
+
+    def visit(p, stack):
+        if p in stack:
+            raise PlaneError("proximity relation has a cycle")
+        if p in done:
+            return
+        for ch, par in proximity:
+            if ch == p:
+                visit(par, stack + (p,))
+        done.add(p)
+
+    for p in points:
+        visit(p, ())
+
+
+def _outcome(check, points, proximity):
+    try:
+        check(points, proximity)
+    except PlaneError as exc:
+        return str(exc)
+    return "ok"
+
+
+def test_point_cluster_matches_the_reference_cycle_search():
+    rng = random.Random(24)
+    names = [f"P{i}" for i in range(1, 8)]
+    seen = set()
+    for _ in range(3000):
+        points = tuple(names[:rng.randint(1, 6)])
+        # one name past the cluster now and then, self-loops included
+        pool = names[:len(points) + (rng.random() < 0.2)]
+        proximity = tuple((rng.choice(pool), rng.choice(pool))
+                          for _ in range(rng.randint(0, 6)))
+        want = _outcome(_dfs_cluster_check, points, proximity)
+        assert _outcome(PointCluster, points, proximity) == want, (points, proximity)
+        seen.add(want)
+    assert seen == {"ok", "proximity relation has a cycle", "proximity edge outside the cluster"}
 
 
 def test_proximity_inequality():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import hashlib
 import json
@@ -9,7 +10,7 @@ from collections import Counter
 import pytest
 
 import godeaux3
-from godeaux3 import adjoint, fibration, pencil, plane, report as report_mod
+from godeaux3 import adjoint, delpezzo, fibration, pencil, plane, prooftree, report as report_mod
 from godeaux3.cli import main
 from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
                                 build_nodes, topological_order)
@@ -148,7 +149,36 @@ def test_fixtures_check():
     ok, messages = fixtures_check()
     assert ok
     assert messages == [f"{nid}: verified" for nid in (
-        "p.list0", "p.list1", "p.list2", "r.N", "e.sys", "sixtuples", "tables.printed")]
+        "p.list0", "p.list1", "p.list2", "r.N", "e.sys", "sixtuples", "tables.printed",
+        "cases.main", "p.0", "p.1", "p.3", "t.iii", "t.iii2")] + [
+        f"{nid}: contradiction-as-expected" for nid in ("p.3l-12", "p.3l-13")]
+
+
+def test_fixtures_check_lists_every_node_that_reads_a_fixture(monkeypatch):
+    """The nodes that read a table of either fixture file while they run are the ones
+    listed; the axioms of expected.json are statements, which no node compares."""
+    readers, running = set(), []
+
+    class Recorded(dict):
+        def __getitem__(self, key):
+            if key != "axioms" and running:
+                readers.add(running[-1])
+            return super().__getitem__(key)
+
+    node_run = ProofNode.run
+
+    def recording_run(node, ins):
+        running.append(node.id)
+        try:
+            return node_run(node, ins)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(prooftree, "EXPECTED", Recorded(EXPECTED))
+    monkeypatch.setattr(delpezzo, "_DATA", Recorded(delpezzo._DATA))
+    monkeypatch.setattr(ProofNode, "run", recording_run)
+    assert run("all").verdict == "verified"
+    assert readers == set(report_mod.FIXTURE_NODES)
 
 
 def test_fixtures_check_fails_with_a_fixture_node(monkeypatch, capsys):
@@ -159,6 +189,15 @@ def test_fixtures_check_fails_with_a_fixture_node(monkeypatch, capsys):
     assert not ok and "e.sys: failed" in messages
     assert main(["fixtures", "check"]) == 1
     assert "fixtures FAILED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("nid", report_mod.FIXTURE_NODES)
+def test_fixtures_check_fails_with_any_fixture_node(monkeypatch, nid):
+    registry = build_nodes()
+    registry[nid] = registry[nid]._replace(fn=lambda _: Outcome("failed"))
+    monkeypatch.setattr(report_mod, "build_nodes", lambda: registry)
+    ok, messages = fixtures_check()
+    assert not ok and f"{nid}: failed" in messages
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -616,6 +655,72 @@ def test_t_iii2_counts_only_closers_that_hold_as_a_contradiction(monkeypatch, cl
     assert report.results[closer].closes == report.registry[closer].closes
     assert report.results["t.iii2"].status == "failed"
     assert report.results["t.final"].status == "failed"
+
+
+def test_the_fixtures_are_read_by_path():
+    # without site, which imports importlib.resources on its own in some installs
+    code = "import sys, godeaux3.cli; print('importlib.resources' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(godeaux3.__file__)),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "False\n"
+
+
+def test_each_printed_table_is_built_once_and_handed_on(monkeypatch):
+    """run("all") builds the eight printed tables once, in tables.printed, and the
+    pairing check, the quadratic move and the three audits read those objects."""
+    built, read = [], {}
+
+    def builder(original):
+        def fn(*args):
+            built.append(original(*args))
+            return built[-1]
+        return fn
+
+    def reader(name, original, position):
+        def fn(*args):
+            read.setdefault(name, []).append(id(args[position]))
+            return original(*args)
+        return fn
+
+    for name in ("table_8pt", "table_14pt"):
+        monkeypatch.setattr(delpezzo, name, builder(getattr(delpezzo, name)))
+    for name, position in (("check_8pt_pairings", 1), ("lines_to_contracted_move", 0),
+                           ("elim_p_3l1", 0), ("elim_p_3l12", 0), ("elim_p_3l13", 0)):
+        monkeypatch.setattr(delpezzo, name, reader(name, getattr(delpezzo, name), position))
+    report = run("all")
+    assert report.verdict == "verified"
+    verified = {name: id(table) for name, table in report.results["tables.printed"].value.items()}
+    assert len(built) == 8 and list(verified.values()) == [id(t) for t in built]
+    assert read == {
+        "check_8pt_pairings": [verified[n] for n in sorted(verified) if n.startswith("8pt:")],
+        "lines_to_contracted_move": [verified["14pt:lines-lines"]],
+        "elim_p_3l1": [verified["14pt:lines-lines"]],
+        "elim_p_3l12": [verified["14pt:contracted-conic"]],
+        "elim_p_3l13": [verified["14pt:contracted-contracted"]]}
+
+
+def test_a_variant_s_kinds_are_read_from_its_rows(monkeypatch):
+    # contracted-contracted with the H row of contracted-line still verifies as a
+    # table, but its kinds are those of contracted-line: the pair (contracted,
+    # contracted) e.f2 admits has no table
+    data = copy.deepcopy(delpezzo._DATA)
+    variants = data["fh_variants"]
+    variants["contracted-contracted"]["H"] = variants["contracted-line"]["H"]
+    monkeypatch.setattr(delpezzo, "_DATA", data)
+    result = run("tables.printed").results["tables.printed"]
+    assert "14pt:contracted-contracted: ok" in result.trace
+    assert result.status == "failed"
+
+
+def test_t_no4_reads_its_bound_off_n_range(full_report, monkeypatch):
+    assert "the cases left at l >= 2 are ['1e']" in full_report.results["t.no4"].trace
+    # a floor of 3 on n moves the first l at which n = 3l - 4 is admissible to 3
+    node = full_report.registry["t.no4"]
+    ins = {d: full_report.results[d] for d in node.deps}
+    monkeypatch.setattr(adjoint, "n_range", lambda ell: (max(3, 3 * ell - 4), 3 * ell))
+    assert node.run(ins).trace[-1] == "the cases left at l >= 3 are ['1e']"
 
 
 def test_importing_the_cli_loads_no_rational_number_module():

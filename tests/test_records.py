@@ -76,10 +76,17 @@ def test_mutable_defaults_are_fresh_per_instance():
     first, second = Outcome("verified"), Outcome("verified")
     first.trace.append("x")
     assert second.trace == []
-    one, two = LadderReport("s.3l", True), LadderReport("s.3l", True)
+    one, two = LadderReport("s.3l"), LadderReport("s.3l")
     one.failures.append("x")
     one.forced["n'"] = 0
     assert two.failures == [] and two.forced == {} and two.notes == []
+
+
+def test_a_ladder_report_is_ok_exactly_when_it_has_no_failure_line():
+    report = LadderReport("s.3l", (3, 0, 1))
+    assert report.ok
+    report.failures.append("N3 does not vanish in the model")
+    assert not report.ok
 
 
 _PLANE1 = IntersectionLattice.plane_blow_up(1)

@@ -93,7 +93,9 @@ def test_t_no3ldp_setup_checks():
 
 def test_t_no3ldp_reads_the_reports_it_is_given():
     ladders = _ladders()
-    ladders["s.3l"][0] = LadderReport("s.3l", ok=False)
+    failed = LadderReport("s.3l")
+    failed.failures.append("N3 does not vanish in the model")
+    ladders["s.3l"][0] = failed
     assert ruled.elim_t_no3ldp(ladders).verdict == "failed"
 
 

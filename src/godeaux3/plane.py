@@ -223,48 +223,47 @@ def quadratic_transform(cluster: PointCluster, curves: list[PlaneCurve],
 # -- the homaloidal-type Diophantine systems ------------------------------------
 
 
-def multiplicity_vectors(lin: int, sq: int, points: int):
-    """Yield every {j: s_j} with sum j s_j = lin, sum j^2 s_j = sq and
-    sum s_j <= points, where s_j > 0 and the keys run downwards.
+def multiplicity_vectors(lin: int, sq: int, points: int) -> list[dict[int, int]]:
+    """Every {j: s_j} with sum j s_j = lin, sum j^2 s_j = sq and sum s_j <= points,
+    where s_j > 0 and the keys run downwards.
 
-    Exhaustive: j^2 <= sq starts the multiplicities at isqrt(sq), and the
-    Cauchy-Schwarz bound lin^2 <= points * sq prunes every partial vector.
-    For lin = sq = 0 the one solution is the empty dict.
+    Exhaustive: j^2 <= sq starts the multiplicities at isqrt(sq), and the Cauchy-Schwarz
+    bound lin^2 <= points * sq prunes every partial vector.  Each level tries s_j = 0,
+    then 1, 2, ..., so the list ascends in the pairs (j, s_j) from the top j down.
     """
     if lin < 0 or sq < 0:
-        return
-    acc: dict[int, int] = {}
+        return []
+    found, acc = [], {}
 
-    def rec(j: int, lin: int, sq: int, points: int):
+    def rec(j: int, lin: int, sq: int, points: int) -> None:
         if lin == 0:
             if sq == 0:
-                yield dict(acc)
+                found.append(dict(acc))
             return
         if j == 0 or lin * lin > points * sq:
             return
-        for s in range(min(points, sq // (j * j), lin // j), -1, -1):
-            if s:
-                acc[j] = s
-            yield from rec(j - 1, lin - s * j, sq - s * j * j, points - s)
-            acc.pop(j, None)
+        jj = j * j
+        rec(j - 1, lin, sq, points)
+        for s in range(1, min(points, sq // jj, lin // j) + 1):
+            acc[j] = s
+            rec(j - 1, lin - s * j, sq - s * jj, points - s)
+        acc.pop(j, None)
 
-    yield from rec(isqrt(sq), lin, sq, points)
+    rec(isqrt(sq), lin, sq, points)
+    return found
 
 
 def solve_multiplicity_system(c1: int, c2: int, max_points: int,
                               ) -> list[tuple[int, dict[int, int]]]:
-    """All (d0, {s_j}) with 0 <= d0 <= 12, sum j^2 s_j = d0^2 - c1,
-    sum j s_j = 3 d0 - c2, sum s_j <= max_points and s_j >= 0.
+    """All (d0, {s_j}) with 0 <= d0 <= 12, sum j^2 s_j = d0^2 - c1, sum j s_j = 3 d0 - c2,
+    sum s_j <= max_points and s_j >= 0: by d0, then as ``multiplicity_vectors`` lists them.
 
     Since c1 >= 0, the multiplicities of degree d0 stay at most d0.
     """
     if c1 < 0 or c2 < 0:
         raise PlaneError("c1 and c2 must be nonnegative")
-    solutions = [(d0, s) for d0 in range(0, 13)
-                 for s in multiplicity_vectors(3 * d0 - c2, d0 * d0 - c1, max_points)]
-    # two solutions may share d0, so order them by their multiplicities too
-    solutions.sort(key=lambda s: (s[0], sorted(s[1].items(), reverse=True)))
-    return solutions
+    return [(d0, s) for d0 in range(0, 13)
+            for s in multiplicity_vectors(3 * d0 - c2, d0 * d0 - c1, max_points)]
 
 
 def state_from_solution(d0: int, s: dict[int, int]) -> tuple:

@@ -541,8 +541,9 @@ def _coverage(ins) -> Outcome:
                 ok &= bool(closers)
                 sub = f" ({branch[2]})" if len(branch) == 3 else ""
                 trace.append(f"l={ell} n={n}{sub}: closed by {', '.join(closers) or 'no node'}")
+    bound = min(ell for ell, (lo, _) in ins["l.n"].value.items() if lo <= 3 * ell - 4)
     trace.append("cases with l >= 2 carry the eliminated label (1e); "
-                 "n = 3l - 4 needs l >= 2 and dies with it")
+                 f"n = 3l - 4 needs l >= {bound} and dies with it")
     return _check(ok, trace)
 
 

@@ -202,7 +202,7 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
                     # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
                     lin = (7 * d - 3 * mu - 3 - zp) // 2
                     sq = d * d - mu * mu - abar_sq
-                    if next(multiplicity_vectors(lin, sq, RULED_POINTS), None) is not None:
+                    if multiplicity_vectors(lin, sq, RULED_POINTS):
                         found = (d, mu)
                         break
                 tag = f"(A'.Z1, A'.Z2, A'.Z') = ({z1},{z2},{zp})"

@@ -1,11 +1,12 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from godeaux3.plane import (PlaneCurve, PlaneError, PointCluster,
-                            admissible_base, cremona_orbit_connect, quadratic_transform,
-                            solve_multiplicity_system, state_from_solution,
+                            admissible_base, cremona_orbit_connect, multiplicity_vectors,
+                            quadratic_transform, solve_multiplicity_system, state_from_solution,
                             _transform_curve)
 
 PRINTED_SOLUTIONS = [
@@ -74,13 +75,54 @@ def test_solver_matches_oracle_on_shared_degrees(triple):
         brute_force_oracle(*triple)
 
 
+SOLVE_GRID = [(c1, c2, max_points) for c1 in range(6) for c2 in range(6)
+              for max_points in (8, 9, 10)]
+
+
 def test_solver_total_without_duplicates():
-    for c1 in range(6):
-        for c2 in range(6):
-            for max_points in (8, 9, 10):
-                sols = solve_multiplicity_system(c1, c2, max_points)
-                keys = [(d, tuple(sorted(m.items()))) for d, m in sols]
-                assert len(set(keys)) == len(keys), (c1, c2, max_points)
+    for triple in SOLVE_GRID:
+        sols = solve_multiplicity_system(*triple)
+        keys = [(d, tuple(sorted(m.items()))) for d, m in sols]
+        assert len(set(keys)) == len(keys), triple
+        # the enumeration itself gives the documented order; nothing sorts it
+        assert sols == sorted(sols, key=lambda s: (s[0], sorted(s[1].items(), reverse=True))), \
+            triple
+        assert all(list(m) == sorted(m, reverse=True) for _, m in sols), triple
+    assert multiplicity_vectors(-1, 0, 8) == []
+    assert multiplicity_vectors(0, 0, 0) == [{}]
+
+
+def _search_states(triples) -> dict:
+    """Calls of ``multiplicity_vectors``' inner recursion per solver triple."""
+    rec = next(c for c in multiplicity_vectors.__code__.co_consts
+               if getattr(c, "co_name", None) == "rec")
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_code is rec:
+            count += 1
+
+    states = {}
+    for triple in triples:
+        count = 0
+        sys.setprofile(profile)
+        try:
+            solve_multiplicity_system(*triple)
+        finally:
+            sys.setprofile(None)
+        states[triple] = count
+    return states
+
+
+def test_search_tree_is_pinned():
+    # a prune must change these on purpose: they are the states of the search
+    # with only the j^2 <= sq start and the Cauchy-Schwarz cut
+    states = _search_states(SOLVE_GRID)
+    assert states[(2, 2, 8)] == 773
+    assert states[(0, 0, 9)] == 680
+    assert states[(5, 5, 10)] == 20_699
+    assert sum(states.values()) == 1_107_244
 
 
 def test_no_solutions_outside_degree_window():

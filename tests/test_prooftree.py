@@ -723,6 +723,18 @@ def test_t_no4_reads_its_bound_off_n_range(full_report, monkeypatch):
     assert node.run(ins).trace[-1] == "the cases left at l >= 3 are ['1e']"
 
 
+def test_coverage_reads_its_bound_off_l_n(full_report):
+    line = "n = 3l - 4 needs l >= {} and dies with it"
+    assert full_report.results["coverage"].trace[-1].endswith(line.format(2))
+    # raised floors on n move the first l at which n = 3l - 4 lies in l.n's range
+    node = full_report.registry["coverage"]
+    for floor, bound in ((2, 2), (3, 3)):
+        ins = {d: full_report.results[d] for d in node.deps}
+        ranges = {ell: (max(floor, lo), hi) for ell, (lo, hi) in ins["l.n"].value.items()}
+        ins["l.n"] = Outcome(ins["l.n"].status, ranges)
+        assert node.run(ins).trace[-1].endswith(line.format(bound))
+
+
 def test_importing_the_cli_loads_no_rational_number_module():
     code = ("import sys\n"
             "before = set(sys.modules)\n"

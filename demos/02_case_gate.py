@@ -5,8 +5,8 @@ The fixed-point budget, the two routes to K_Y^2, and the dimension pair
 force over the grid leaves exactly three combinations.
 """
 
-from godeaux3 import (KS2, RamificationData, eigenvalue_split, enumerate_main_cases,
-                      fixed_point_budget, h0_pair, kx2, quotient_k2)
+from godeaux3 import (KS2, RamificationData, enumerate_main_cases, fixed_point_budget, h0_pair,
+                      kx2, quotient_k2)
 
 print("surface invariants: K^2 =", KS2, " chi =", 1, " p_g =", 0)
 
@@ -27,8 +27,3 @@ for ell in range(0, 3):
     ky2 = quotient_k2(r)
     print(f"pencil case, l = {ell}: h_1 = {r.h1}, budget = {fixed_point_budget(r)}, "
           f"K_Y^2 = {ky2}, K_X^2 = {kx2(r, ky2)}")
-
-# With l = 1 the five exceptional curves split 2 + 3 between the eigenvalues:
-split = eigenvalue_split()
-print(f"eigenvalue split: h11 = {split.h11}, h12 = {split.h12} "
-      f"(h11 = {split.rejected[0]} rejected by the torsion identity)")

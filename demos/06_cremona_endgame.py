@@ -8,7 +8,6 @@ configurations, each of which fails an exact mod-3 eigenvalue audit.
 
 from godeaux3 import (cremona_orbit_connect, homaloidal_eliminate,
                       sixtuple_enumerate, solve_multiplicity_system)
-from godeaux3.cover import eigenvalue_split
 from godeaux3.delpezzo import (all_printed_tables, eigenvalue_audit,
                                elim_p_3l1, elim_p_3l12, elim_p_3l13)
 from godeaux3.plane import verify_config_table
@@ -38,13 +37,11 @@ for name, table in tables.items():
     ok, _ = verify_config_table(table)
     print(f"  {name}: {'passes' if ok else 'FAILS'}")
 
-split = eigenvalue_split()
-split = split.h11, split.h12
-print(f"\neigenvalue audits, the five E-curves split {split[0]} : {split[1]}:")
+print("\neigenvalue audits:")
 for fn, variant in ((elim_p_3l1, "lines-lines"), (elim_p_3l12, "contracted-conic"),
                     (elim_p_3l13, "contracted-contracted")):
-    e = fn(tables[f"14pt:{variant}"], split)
+    e = fn(tables[f"14pt:{variant}"])
     print(f"  {e.prop_id}: {e.verdict}")
 
 print("\nthe audit needs the planar-point equations; the degree equation alone")
-print("is satisfiable:", eigenvalue_audit(tables["14pt:lines-lines"], [], split).verdict)
+print("is satisfiable:", eigenvalue_audit(tables["14pt:lines-lines"], []).verdict)

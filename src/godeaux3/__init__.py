@@ -10,8 +10,8 @@ Everything else is reached through its module, e.g. ``godeaux3.fibration``.
 """
 
 from .adjoint import adjoint_table, n_range, verify_ladder_identity
-from .cover import (KS2, RamificationData, eigenvalue_split, enumerate_main_cases,
-                    fixed_point_budget, h0_pair, kx2, quotient_k2)
+from .cover import (KS2, RamificationData, enumerate_main_cases, fixed_point_budget, h0_pair,
+                    kx2, quotient_k2)
 from .delpezzo import sixtuple_enumerate
 from .lattice import (IntersectionLattice, arithmetic_genus, blow_up,
                       hodge_index_filter, intersect)
@@ -23,7 +23,7 @@ from .ruled import homaloidal_eliminate
 __all__ = [
     "IntersectionLattice", "KS2", "RamificationData", "adjoint_table",
     "ar0_upper", "arithmetic_genus", "blow_up",
-    "cremona_orbit_connect", "eigenvalue_split", "enumerate_main_cases",
+    "cremona_orbit_connect", "enumerate_main_cases",
     "enumerate_pencil_cases", "fixed_point_budget", "h0_pair",
     "hodge_index_filter", "homaloidal_eliminate", "intersect", "kx2", "n_range",
     "quotient_k2", "run", "sixtuple_enumerate", "solve_multiplicity_system",

@@ -168,34 +168,3 @@ def h2_bound_is_monotone(h2_max: int = H2_MAX) -> bool:
         if second - first <= 0 or first <= 6:
             return False
     return True
-
-
-class EigenvalueSplit(NamedTuple):
-    h11: int
-    h12: int
-    congruence_class: int
-    rejected: tuple[int, ...]
-
-
-def eigenvalue_split() -> EigenvalueSplit:
-    """Distribution of the five (-3)-curves E'_i between the two eigenvalues.
-
-    Case (iii) with ell=1 has h_1 = 5.  Writing h11 for the number of curves
-    with eigenvalue w and h12 = 5 - h11, the torsion class L_1 satisfies
-    L_1^2 = -9 + h11 and L_1.K_Y = (14 - h11)/3 + 1, and L_1^2 + L_1.K = -2.
-    """
-    h1 = RamificationData(0, 1, 1).h1
-    candidates = [h for h in range(h1 + 1) if (14 - h) % 3 == 0]
-    solutions, rejected = [], []
-    for h11 in candidates:
-        l1_sq = -9 + h11
-        l1_k = (14 - h11) // 3 + 1
-        if l1_sq + l1_k == -2:
-            solutions.append(h11)
-        else:
-            rejected.append(h11)
-    if len(solutions) != 1:
-        raise CaseInvalidError(f"expected a unique solution, got {solutions}")
-    h11 = solutions[0]
-    return EigenvalueSplit(h11, h1 - h11, candidates[0] % 3, tuple(rejected))
-

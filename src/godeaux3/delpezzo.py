@@ -409,15 +409,13 @@ def is_forced_planar(table: ConfigTable, point: str) -> tuple[bool, list[str]]:
     return True, reasons
 
 
-def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
-                     split: tuple[int, int]) -> Elimination:
+def eigenvalue_audit(table: ConfigTable, planar_points: list[str]) -> Elimination:
     """Solve the mod-3 branch constraints for the eigenvalue exponents.
 
     The branch curve has total plane degree 0 mod 3, and at each planar point
     total multiplicity 0 mod 3 (entries counted unsigned); the component of
     the divisorial ramification is normalized to exponent 1 and the two
-    exceptional curves over the A_2 point carry conjugate exponents.  The
-    E-curves split between the exponents as ``split`` says, in either order.
+    exceptional curves over the A_2 point carry conjugate exponents.
     """
     pts = table.cluster.points
     free = [r.name for r in table.rows if r.name in _E_NAMES]
@@ -428,18 +426,15 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
         col = pts.index(p)
         equations.append((p, {r.name: abs(r.mults[col]) for r in table.rows}))
     solutions = []
-    trace = [f"unknowns: {free} and F (H = 2F mod 3); ramification curve fixed to 1",
-             f"the E-curves split {split[0]} : {split[1]} between the two exponents"]
+    trace = [f"unknowns: {free} and F (H = 2F mod 3); ramification curve fixed to 1"]
     for combo in product((1, 2), repeat=len(free) + 1):
-        if combo[:-1].count(1) not in split:
-            continue
         nu = dict(zip(free, combo[:-1]))
         nu["F"] = combo[-1]
         nu["H"] = (2 * combo[-1]) % 3
         nu["B0"] = 1
-        if all(sum(w * nu.get(name, 0) for name, w in eq.items()) % 3 == 0
+        if all(sum(w * nu[name] for name, w in eq.items()) % 3 == 0
                for _, eq in equations):
-            solutions.append(dict(nu))
+            solutions.append(nu)
     for label, eq in equations:
         terms = "+".join(f"{w}*{n}" for n, w in sorted(eq.items()) if w)
         trace.append(f"{label}: {terms} = 0 mod 3")
@@ -456,8 +451,7 @@ def eigenvalue_audit(table: ConfigTable, planar_points: list[str],
 # tables once, in the node the three eliminations read.
 
 
-def _planar_audit(prop_id: str, table: ConfigTable, points: tuple[str, ...],
-                  split: tuple[int, int]) -> Elimination:
+def _planar_audit(prop_id: str, table: ConfigTable, points: tuple[str, ...]) -> Elimination:
     """The eigenvalue audit at ``points``, once each is shown to be forced planar."""
     derivations = []
     for p in points:
@@ -465,17 +459,16 @@ def _planar_audit(prop_id: str, table: ConfigTable, points: tuple[str, ...],
         if not planar:
             return Elimination(prop_id, p, "planar", "failed", tuple(why))
         derivations.extend(why)
-    audit = eigenvalue_audit(table, list(points), split)
+    audit = eigenvalue_audit(table, list(points))
     return audit._replace(prop_id=prop_id, trace=tuple(derivations) + audit.trace)
 
 
-def elim_p_3l1(table: ConfigTable, split: tuple[int, int]) -> Elimination:
+def elim_p_3l1(table: ConfigTable) -> Elimination:
     """Two-lines configuration, on its ``table``: exponents cannot exist at P_2 and P_3."""
-    return _planar_audit("p.3l-1", table, ("P2", "P3"), split)
+    return _planar_audit("p.3l-1", table, ("P2", "P3"))
 
 
-def _transformed_elimination(prop_id: str, variant: str, source: ConfigTable,
-                             split: tuple[int, int]) -> Elimination:
+def _transformed_elimination(prop_id: str, variant: str, source: ConfigTable) -> Elimination:
     """The audit at P6 of ``source``, the table of ``variant``, once its quadratic
     transform matches the fixture's."""
     fixture = _DATA["transformed_14pt"][variant]
@@ -489,16 +482,15 @@ def _transformed_elimination(prop_id: str, variant: str, source: ConfigTable,
         if (got.degree, got.mults) != (want.degree, want.mults):
             return Elimination(prop_id, got.name, "fixture", "failed",
                                (f"transformed row {got.name} differs from the fixture",))
-    return _planar_audit(prop_id, ConfigTable(source.cluster, tuple(rows), {}, (), {}),
-                         ("P6",), split)
+    return _planar_audit(prop_id, ConfigTable(source.cluster, tuple(rows), {}, (), {}), ("P6",))
 
 
-def elim_p_3l12(table: ConfigTable, split: tuple[int, int]) -> Elimination:
-    return _transformed_elimination("p.3l-12", "contracted-conic", table, split)
+def elim_p_3l12(table: ConfigTable) -> Elimination:
+    return _transformed_elimination("p.3l-12", "contracted-conic", table)
 
 
-def elim_p_3l13(table: ConfigTable, split: tuple[int, int]) -> Elimination:
-    return _transformed_elimination("p.3l-13", "contracted-contracted", table, split)
+def elim_p_3l13(table: ConfigTable) -> Elimination:
+    return _transformed_elimination("p.3l-13", "contracted-contracted", table)
 
 
 def lines_to_contracted_move(table: ConfigTable) -> bool:

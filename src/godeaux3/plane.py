@@ -274,7 +274,7 @@ def state_from_solution(d0: int, s: dict[int, int]) -> tuple:
     if len(mults) > DEL_PEZZO_POINTS:
         raise PlaneError("more points than available")
     mults += [0] * (DEL_PEZZO_POINTS - len(mults))
-    return (d0, tuple(sorted(mults, reverse=True)))
+    return (d0, tuple(mults))
 
 
 def _moves(state: tuple):

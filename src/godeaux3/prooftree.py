@@ -119,13 +119,9 @@ def _options_left(branch: str, verdict: str):
 
 
 def _audit(elim, variant: str):
-    """The audit ``elim`` on the fourteen-point table of ``variant``, with the eigenvalue
-    split of p.h0li1, and the premise that tables.printed verified that table."""
-    name = f"14pt:{variant}"
-    return (lambda ins: _from_elimination(elim(ins["tables.printed"].value[name],
-                                               ins["p.h0li1"].value)),
-            lambda ins: (name in ins["tables.printed"].value,
-                         f"tables.printed verified the {variant} table"))
+    """The audit ``elim`` on the fourteen-point table of ``variant`` that tables.printed
+    verified."""
+    return lambda ins: _from_elimination(elim(ins["tables.printed"].value[f"14pt:{variant}"]))
 
 
 def _reads(read, want, text: str):
@@ -219,19 +215,6 @@ def _cases_main(ins) -> Outcome:
              f"search bound h_2 <= {cover.H2_MAX} is stable (monotone beyond the bound)",
              "each case carries the h^0 pair p.rk derives for it"]
     return _check(ok, trace, cases)
-
-
-def _p_h0li1(ins) -> Outcome:
-    """The split (h11, h12) of the h_1 curves of case (iii) at l = 1."""
-    split = cover.eigenvalue_split()
-    iii = next(c for c in ins["cases.main"].value if c.id == "iii")
-    h1 = cover.RamificationData(iii.r0k, 1, iii.h2).h1
-    ok = (split.h11, split.h12) == (2, 3) and split.rejected == (5,) \
-        and split.congruence_class == 2 and split.h11 + split.h12 == h1
-    trace = [f"h11 = {split.h11}, h12 = {split.h12}; congruence class "
-             f"{split.congruence_class} mod 3; rejected {list(split.rejected)}",
-             f"case (iii) at l = 1 has h1 = {h1} curves to split"]
-    return _check(ok, trace, (split.h11, split.h12))
 
 
 # -- the invariant pencil ----------------------------------------------------------
@@ -505,7 +488,8 @@ def _p_l0(ins) -> Outcome:
     """Cases (0a), (0c), (0f) die at n = 0, l = 0, the one l they survive at."""
     left = [_survivals(ins, lab) for lab in _L0]
     table = fibration.elim_p_l0([cases[min(cases)] for cases in left])
-    trace = [f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}" for k, e in sorted(table.items())]
+    trace = [line for k, e in sorted(table.items())
+             for line in (f"{k}: {e.lhs} vs {e.rhs} -> {e.verdict}", *e.trace)]
     return _check(all(e.verdict == "contradiction" for e in table.values()), trace,
                   status=CONTRADICTION)
 
@@ -654,8 +638,6 @@ def build_nodes() -> dict[str, ProofNode]:
     add("p.rk", "formula-check", "h^0(N) and h^0(2K_Y+B)",
         ("ax.kv-vanishing", "ax.split", "ax.trican-birational"), _p_rk)
     add("cases.main", "enumeration", "exactly three main cases", ("p.rk",), _cases_main)
-    add("p.h0li1", "formula-check", "eigenvalue split of the five exceptional curves",
-        ("cases.main", "ax.split"), _p_h0li1)
     add("le.sub", "enumeration", "moving/fixed split of the invariant system",
         ("ax.miyaoka-trican", "ax.lesub-irred"), _le_sub)
     add("r.R0", "formula-check", "upper bound for A.R_0", ("le.sub",), _r_r0)
@@ -785,13 +767,13 @@ def build_nodes() -> dict[str, ProofNode]:
     add("e.f2", "enumeration", "plane models of the two exceptional curves", (), _e_f2)
     add("tables.printed", "enumeration", "the printed multiplicity tables",
         ("sixtuples", "e.f2", "ax.proximity"), _tables_printed)
-    audit = ("tables.printed", "p.h0li1", "ax.split")
+    audit = ("tables.printed", "ax.split")
     add("p.3l-1", "elimination", "two-lines configuration", audit,
-        *_audit(delpezzo.elim_p_3l1, "lines-lines"))
+        _audit(delpezzo.elim_p_3l1, "lines-lines"))
     add("p.3l-12", "elimination", "conic configuration", (*audit, "ax.proximity"),
-        *_audit(delpezzo.elim_p_3l12, "contracted-conic"))
+        _audit(delpezzo.elim_p_3l12, "contracted-conic"))
     add("p.3l-13", "elimination", "doubly-contracted configuration", (*audit, "ax.proximity"),
-        *_audit(delpezzo.elim_p_3l13, "contracted-contracted"))
+        _audit(delpezzo.elim_p_3l13, "contracted-contracted"))
     add("t.3l-1", "elimination", "middle eight-point branch with l = 1",
         ("p.3l-1", "p.3l-12", "p.3l-13", "l.nob"), _all_closed,
         closes=((1, -1, "eight-point"),))

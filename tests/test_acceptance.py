@@ -148,7 +148,7 @@ def test_criterion_7_del_pezzo_tables():
                         (delpezzo.elim_p_3l12, "contracted-conic"),
                         (delpezzo.elim_p_3l13, "contracted-contracted")):
         table = delpezzo.table_14pt(variant)
-        ok &= fn(table, (2, 3)).verdict == "contradiction"  # the eigenvalue split of p.h0li1
+        ok &= fn(table).verdict == "contradiction"
     elapsed = time.perf_counter() - start
     ok &= elapsed < 1.0
     _criterion(7, f"tables verified, sweeps sharp, three audits contradict, "

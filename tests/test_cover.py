@@ -1,9 +1,9 @@
 import pytest
 
 from godeaux3 import cover
-from godeaux3.cover import (CaseInvalidError, RamificationData, eigenvalue_split,
-                            enumerate_main_cases, fixed_point_budget, h0_pair,
-                            h2_bound_is_monotone, kx2, kx2_via_blowup, quotient_k2)
+from godeaux3.cover import (CaseInvalidError, RamificationData, enumerate_main_cases,
+                            fixed_point_budget, h0_pair, h2_bound_is_monotone, kx2,
+                            kx2_via_blowup, quotient_k2)
 
 
 def test_fixed_point_budget_trivial_ramification():
@@ -146,10 +146,3 @@ def test_cases_main_reads_the_one_search_bound(monkeypatch):
     result = run("cases.main").results["cases.main"]
     assert result.status == "failed"
     assert "search bound h_2 <= 3 is stable (monotone beyond the bound)" in result.trace
-
-
-def test_eigenvalue_split():
-    split = eigenvalue_split()
-    assert (split.h11, split.h12) == (2, 3)
-    assert split.congruence_class == 2
-    assert split.rejected == (5,)

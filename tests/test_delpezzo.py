@@ -111,7 +111,7 @@ def test_table_check_rejects_a_repeated_row_name():
 def test_transformed_tables_match_fixtures():
     for variant in ("contracted-conic", "contracted-contracted"):
         elim = {"contracted-conic": dp.elim_p_3l12,
-                "contracted-contracted": dp.elim_p_3l13}[variant](dp.table_14pt(variant), (2, 3))
+                "contracted-contracted": dp.elim_p_3l13}[variant](dp.table_14pt(variant))
         assert elim.verdict == "contradiction"
 
 
@@ -273,25 +273,40 @@ def test_forced_proximities_from_virtual_rows():
 
 
 def test_eigenvalue_audit_contradictions():
-    e1 = dp.elim_p_3l1(dp.table_14pt("lines-lines"), (2, 3))
+    e1 = dp.elim_p_3l1(dp.table_14pt("lines-lines"))
     assert e1.verdict == "contradiction"
     assert any("P2: 3*B0+1*E1+1*E4+1*F" in line for line in e1.trace)
     assert any("P3: 3*B0+1*E1+1*E5+1*H" in line for line in e1.trace)
     for fn, variant in ((dp.elim_p_3l12, "contracted-conic"),
                         (dp.elim_p_3l13, "contracted-contracted")):
-        e = fn(dp.table_14pt(variant), (2, 3))
+        e = fn(dp.table_14pt(variant))
         assert e.verdict == "contradiction"
         assert any("P6: 3*B0+1*H" in line for line in e.trace)
 
 
+def _audited_table(variant):
+    """The table an audit solves on: the printed one for the two lines, else the
+    printed one transformed at the fixture's base."""
+    table = dp.table_14pt(variant)
+    if variant == "lines-lines":
+        return table
+    base = tuple(dp._DATA["transformed_14pt"][variant]["base"])
+    return table._replace(rows=tuple(quadratic_transform(table.cluster, list(table.rows), base)))
+
+
 def test_audit_admits_solutions_when_unconstrained():
-    # without the planar-point equations the degree equation alone is solvable
-    table = dp.table_14pt("lines-lines")
-    free = dp.eigenvalue_audit(table, [], (2, 3))
-    assert free.verdict == "survives"
-    # the split keeps only assignments with two or three E-curves at exponent 1
-    counts = {sum(v == 1 for k, v in s if k.startswith("E")) for s in free.survivors}
-    assert counts == {2, 3}
+    # the degree equation alone is solvable on each audited table, and the equations
+    # at the audit's own planar points leave nothing
+    for variant, points, free in (("lines-lines", ["P2", "P3"], 32),
+                                  ("contracted-conic", ["P6"], 22),
+                                  ("contracted-contracted", ["P6"], 20)):
+        table = _audited_table(variant)
+        unconstrained = dp.eigenvalue_audit(table, [])
+        assert (unconstrained.verdict, len(unconstrained.survivors)) == ("survives", free)
+        assert dp.eigenvalue_audit(table, points).survivors == ()
+    # on the two lines neither planar point decides alone
+    table = _audited_table("lines-lines")
+    assert [len(dp.eigenvalue_audit(table, [p]).survivors) for p in ("P2", "P3")] == [8, 8]
 
 
 def test_lines_to_contracted_move():
@@ -428,7 +443,7 @@ def test_transformed_rows_must_match_the_fixture_row_for_row(monkeypatch):
     fixture = data["transformed_14pt"]["contracted-conic"]
     fixture["rows"] = [r for r in fixture["rows"] if r["name"] not in ("F", "H")]
     monkeypatch.setattr(dp, "_DATA", data)
-    e = dp.elim_p_3l12(dp.table_14pt("contracted-conic"), (2, 3))
+    e = dp.elim_p_3l12(dp.table_14pt("contracted-conic"))
     assert e.verdict == "failed"
     assert e.trace == ("transformed rows ['B0', 'E1', 'E2', 'E3', 'E4', 'E5', 'F', 'H'] "
                        "differ from the fixture's",)
@@ -441,7 +456,7 @@ def test_transform_is_based_where_the_fixture_says(monkeypatch):
     monkeypatch.setattr(dp, "_DATA", data)
     for elim, variant in ((dp.elim_p_3l12, "contracted-conic"),
                           (dp.elim_p_3l13, "contracted-contracted")):
-        e = elim(dp.table_14pt(variant), (2, 3))
+        e = elim(dp.table_14pt(variant))
         assert e.verdict == "failed"
         assert e.trace == ("transformed row B0 differs from the fixture",)
 

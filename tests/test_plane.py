@@ -363,6 +363,7 @@ def test_moves_match_the_inline_formula():
 
     seen = {state_from_solution(d, s) for c1 in range(6) for c2 in range(6)
             for d, s in solve_multiplicity_system(c1, c2, 8)}
+    assert all(list(m) == sorted(m, reverse=True) for _, m in seen)  # multiplicities run down
     frontier = list(seen)
     while frontier:
         for _, new in _moves(frontier.pop()):

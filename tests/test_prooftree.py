@@ -86,8 +86,8 @@ def test_text_report_deterministic():
 
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
-CANONICAL_TEXT_SHA256 = "53373d2ccabfbb0db0bd36d5e070279d83ee60b71e09c4dd2a955ecac18aec89"
-CANONICAL_JSON_SHA256 = "02dcfa92fcc6b79c55baf42e3d9a4fc8e0d8740cac8e6d1ea44b24a1e3fde1d1"
+CANONICAL_TEXT_SHA256 = "e396d97c373ff197d7fa880f26efc0545aa802f5c28b7b9b80d5005b889f2f9c"
+CANONICAL_JSON_SHA256 = "1a422bb619096473d317105c8b4cdfb1fe5f3682f84318823c3898b5dea7fd75"
 
 
 def test_canonical_report_digests():
@@ -99,7 +99,7 @@ def test_canonical_report_digests():
 
 
 # The sides of each elimination, which neither digest covers (``explain`` prints them).
-NODE_SIDES_SHA256 = "54d5532a444dd28a86b9c8661b676bc84540b5cd1f202a7a33dfccdaeaa966d9"
+NODE_SIDES_SHA256 = "e135041952baf0072adfb8ca87647624c8b07fe5ac3a9818283a2b1978a797c6"
 
 
 def test_node_sides_digest(full_report):
@@ -216,7 +216,7 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
 
 def test_cli_run_timing_appends_one_time_per_node(capsys):
     order = run("all").order
-    assert len(order) == 82
+    assert len(order) == 81
     assert main(["run", "--timing"]) == 0
     lines = capsys.readouterr().out.splitlines(keepends=True)
     start = lines.index("timing (s):\n")
@@ -372,7 +372,7 @@ def test_root_checks_the_status_of_each_main_case(monkeypatch):
 
 def test_root_reads_the_main_cases_and_coverage_only():
     registry = build_nodes()
-    assert len(registry) == 82
+    assert len(registry) == 81
     assert set(registry["t.final"].deps) == {"t.i", "t.ii", "coverage"}
 
 
@@ -405,7 +405,7 @@ def test_every_edge_to_a_computed_node_is_read(monkeypatch):
     registry = report.registry
     computed = {(nid, d) for nid, node in registry.items() for d in node.deps
                 if registry[d].kind != "axiom"}
-    assert len(computed) == 106
+    assert len(computed) == 102
     assert computed - read == set()
     assert all(registry[d].kind != "axiom" for _, d in read)
 
@@ -591,10 +591,10 @@ def test_p_comp_catches_a_shifted_table(monkeypatch):
 PREMISES = [(nid, i) for nid, node in build_nodes().items() for i in range(len(node.premises))]
 
 
-def test_twenty_six_nodes_declare_thirty_three_premises():
+def test_twenty_three_nodes_declare_thirty_premises():
     registry = build_nodes()
-    assert len(PREMISES) == 33
-    assert len({nid for nid, _ in PREMISES}) == 26
+    assert len(PREMISES) == 30
+    assert len({nid for nid, _ in PREMISES}) == 23
     assert all(registry[nid].kind != "axiom" for nid, _ in PREMISES)
 
 

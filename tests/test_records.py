@@ -23,7 +23,7 @@ from godeaux3.prooftree import Outcome
 
 NAMED_TUPLES = {
     "adjoint": {"AdjointRow"},
-    "cover": {"CaseRecord", "EigenvalueSplit"},
+    "cover": {"CaseRecord"},
     "fibration": {"Elimination", "LinearForm"},
     "pencil": {"DropAtom", "SubsystemBranch"},
     "plane": {"ConfigTable"},

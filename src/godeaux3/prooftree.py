@@ -4,14 +4,15 @@ A node is ``(id, kind, deps, closes, fn, premises)``.  ``fn`` receives the
 outcomes of its dependencies and returns one :class:`Outcome`; each premise reads
 them as ``(ok, text)``, and ``ProofNode.run`` appends ``text`` as a premise line,
 or ``premise fails: text`` and fails the node.  ``closes`` names the case ids,
-pencil labels and ``(l, n - 3l)`` branches the node closes.  An edge to a
-computed node is a read: ``fn`` or a premise uses its outcome.  An edge to an
-axiom is never read: the node fails when the axiom is withdrawn.  A label that
-the Euler pass and the lattice eliminations leave alive is closed only by
-``coverage``, once every one of its branches is.  Nodes are formula checks,
-enumerations matched against fixtures, eliminations expected to end in a
-contradiction, or explicitly assumed axioms.  The root holds only when the
-three main cases are closed, the third one branch by branch.
+pencil labels and ``(l, n - 3l)`` branches the node closes.  Of the 145 edges,
+101 go to computed nodes, and each decides: a one-step change of its outcome
+changes some status, but for the margin of ``p.no3lirr``'s read of ``p.equiv0``.
+An edge to an axiom is never read: the node fails when the axiom is withdrawn.
+A label that the Euler pass and the lattice eliminations leave alive is closed
+only by ``coverage``, once every one of its branches is.  Nodes are formula
+checks, enumerations matched against fixtures, eliminations expected to end in a
+contradiction, or explicitly assumed axioms.  The root holds only when the three
+main cases are closed, the third one branch by branch.
 """
 
 from __future__ import annotations
@@ -249,8 +250,7 @@ def _pencil_list(aprime2: int):
             for c in cases)]
         if got != expect:
             trace.append(f"expected {expect}")
-        bounds = ins["r.R0"].value
-        in_range = all(0 <= c.ar0 <= bounds[c.a2] for c in cases)
+        in_range = all(0 <= c.ar0 <= ins["r.R0"].value[c.a2] for c in cases)
         trace.append("every case has 0 <= A.R_0 <= A.Phi")
         loose = pencil.enumerate_pencil_cases(aprime2, apply_orbit_filters=False)
         superset = {(c.a2, c.ar0, c.g, c.d) for c in loose} >= {
@@ -642,8 +642,9 @@ def build_nodes() -> dict[str, ProofNode]:
         ("ax.miyaoka-trican", "ax.lesub-irred"), _le_sub)
     add("r.R0", "formula-check", "upper bound for A.R_0", ("le.sub",), _r_r0)
     for ap in (0, 1, 2):
+        bound = ("r.R0",) if ap < 2 else ()  # A'^2 = 2 emits no shape whose bound to read
         add(f"p.list{ap}", "enumeration", f"pencil shapes with A'^2 = {ap}",
-            ("r.R0", "ax.drop-shapes", "ax.orbit-structure"), _pencil_list(ap))
+            (*bound, "ax.drop-shapes", "ax.orbit-structure"), _pencil_list(ap))
     add("r.N", "enumeration", "the single shape with A' = N", ("r.R0",), _pencil_list(3))
     add("e.g", "formula-check", "genus identity on every emitted case",
         ("le.sub", "p.list0", "p.list1", "r.N"), _e_g)

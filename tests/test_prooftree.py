@@ -12,7 +12,7 @@ import pytest
 import godeaux3
 from godeaux3 import adjoint, delpezzo, fibration, pencil, plane, prooftree, report as report_mod
 from godeaux3.cli import main
-from godeaux3.prooftree import (EXPECTED, VERIFIED, Outcome, ProofNode,
+from godeaux3.prooftree import (CONTRADICTION, EXPECTED, FAILED, VERIFIED, Outcome, ProofNode,
                                 build_nodes, topological_order)
 from godeaux3.report import UnknownSelector, explain, fixtures_check, run
 
@@ -87,7 +87,7 @@ def test_text_report_deterministic():
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
 CANONICAL_TEXT_SHA256 = "e396d97c373ff197d7fa880f26efc0545aa802f5c28b7b9b80d5005b889f2f9c"
-CANONICAL_JSON_SHA256 = "1a422bb619096473d317105c8b4cdfb1fe5f3682f84318823c3898b5dea7fd75"
+CANONICAL_JSON_SHA256 = "70ddc49152b9530d5c4c2c97569e61ddde242d0b54eed195cd91296fee7afb38"
 
 
 def test_canonical_report_digests():
@@ -380,9 +380,9 @@ def test_every_node_feeds_the_root():
     assert set(run("t.final").order) == set(build_nodes())
 
 
-def test_every_edge_to_a_computed_node_is_read(monkeypatch):
-    """Each node reads the outcome of every computed node it depends on; an
-    axiom is a premise, which no node reads."""
+def test_no_node_reads_an_edge_to_an_axiom(monkeypatch):
+    """An axiom is a premise, which no node reads; the edge probe below shows that
+    every edge to a computed node is read, and decides."""
     read = set()
     node_run = ProofNode.run
 
@@ -402,12 +402,140 @@ def test_every_edge_to_a_computed_node_is_read(monkeypatch):
     monkeypatch.setattr(ProofNode, "run", recording_run)
     report = run("all")
     assert report.verdict == "verified"
-    registry = report.registry
-    computed = {(nid, d) for nid, node in registry.items() for d in node.deps
-                if registry[d].kind != "axiom"}
-    assert len(computed) == 102
-    assert computed - read == set()
-    assert all(registry[d].kind != "axiom" for _, d in read)
+    assert read and all(report.registry[d].kind != "axiom" for _, d in read)
+
+
+# the computed edges along which no one-step change of the producer's outcome changes
+# any status, each with the reason
+SILENT_EDGES = {
+    ("p.no3lirr", "p.equiv0"): "a margin: the sides are 6 vs 3, and the top degree 9 "
+                               "must fall to 7 before the budget 21 - 2d reaches 6",
+}
+
+
+def _variants(value):
+    """Each one-step change of ``value``: +-1 on an integer, a dict key included; a
+    flipped bool; one element of a list, tuple, set or dict dropped or added; or one of
+    these inside an element, a dict value or a record field.  A sequence gains a copy
+    of its last element, or None when empty; a set or a dict gains an element or an
+    entry one step from one it has."""
+    if isinstance(value, bool):
+        yield not value
+    elif isinstance(value, int):
+        yield from (value + 1, value - 1)
+    elif isinstance(value, dict):
+        items = list(value.items())
+        for i in range(len(items)):
+            yield dict(items[:i] + items[i + 1:])
+        for k, v in items:
+            for k2 in _variants(k):
+                if k2 not in value:
+                    yield {**value, k2: v}  # added
+                yield {**{kk: vv for kk, vv in items if kk != k}, k2: v}  # moved
+        for k, v in items:
+            yield from ({**value, k: v2} for v2 in _variants(v))
+    elif isinstance(value, (set, frozenset)):
+        yield from (type(value)(value - {x}) for x in value)
+        yield from (type(value)(value | {x2}) for x in value for x2 in _variants(x)
+                    if x2 not in value)
+    elif hasattr(value, "_fields"):
+        yield from (value._replace(**{f: v2}) for f in value._fields
+                    for v2 in _variants(getattr(value, f)))
+    elif isinstance(value, (list, tuple)):
+        seq, make = list(value), type(value)
+        yield from (make(seq[:i] + seq[i + 1:]) for i in range(len(seq)))
+        yield make(seq + (seq[-1:] or [None]))
+        yield from (make(seq[:i] + [x2] + seq[i + 1:]) for i, x in enumerate(seq)
+                    for x2 in _variants(x))
+    elif dataclasses.is_dataclass(value):
+        yield from (dataclasses.replace(value, **{f.name: v2})
+                    for f in dataclasses.fields(value) for v2 in _variants(getattr(value, f.name)))
+    elif hasattr(value, "__slots__"):
+        for f in value.__slots__:
+            for v2 in _variants(getattr(value, f)):
+                changed = copy.copy(value)
+                setattr(changed, f, v2)
+                yield changed
+
+
+def _outcome_variants(out):
+    """``out`` with verified and contradiction-as-expected swapped, with its closes
+    cleared, or with each one-step change of its value."""
+    def outcome(status=out.status, value=out.value, closes=out.closes):
+        changed = Outcome(status, value, out.sides, list(out.trace))
+        changed.closes = closes
+        return changed
+
+    swap = {VERIFIED: CONTRADICTION, CONTRADICTION: VERIFIED}
+    if out.status in swap:
+        yield outcome(status=swap[out.status])
+    if out.closes:
+        yield outcome(closes=())
+    yield from (outcome(value=v) for v in _variants(out.value))
+
+
+def _changes_a_status(registry, base, edge, outcome):
+    """Whether re-running the consumer of ``edge`` with ``outcome`` in place of its
+    producer's, then every node downstream of the consumer, as ``report.run`` does,
+    changes any status in ``base``; an exception counts as a failed node."""
+    consumer, producer = edge
+    results, rerun = dict(base), {consumer}
+    for nid, node in registry.items():
+        if nid != consumer and rerun.isdisjoint(node.deps):
+            continue
+        ins = {d: results[d] for d in node.deps} | ({producer: outcome} if nid == consumer else {})
+        if any(o.status == FAILED for o in ins.values()):
+            results[nid] = Outcome(FAILED)
+        else:
+            try:
+                results[nid] = node.run(ins)
+            except Exception:  # a crash is a failed node, as in report.run
+                results[nid] = Outcome(FAILED)
+        if results[nid].status != base[nid].status:
+            return True
+        rerun.add(nid)
+    return False
+
+
+def test_every_edge_to_a_computed_node_decides_a_status(full_report):
+    """Mutation adequacy on the data edges: each computed edge carries some one-step
+    change of its producer's outcome that changes a status, or it is a listed margin."""
+    registry, base = full_report.registry, full_report.results
+    edges = [(nid, d) for nid, node in registry.items() for d in sorted(node.deps)
+             if registry[d].kind != "axiom"]
+    silent = {edge for edge in edges if not any(
+        _changes_a_status(registry, base, edge, out) for out in _outcome_variants(base[edge[1]]))}
+    assert len(edges) == 101
+    assert silent == set(SILENT_EDGES)
+
+
+def test_the_probe_finds_an_edge_that_decides_nothing(full_report):
+    """The edge p.list2 -> r.R0, which A'^2 = 2's empty list never reads, is silent;
+    p.list0 -> r.R0 is not."""
+    registry = build_nodes()
+    registry["p.list2"] = registry["p.list2"]._replace(deps=(*registry["p.list2"].deps, "r.R0"))
+    out = full_report.results["r.R0"]
+    assert not any(_changes_a_status(registry, full_report.results, ("p.list2", "r.R0"), o)
+                   for o in _outcome_variants(out))
+    assert any(_changes_a_status(registry, full_report.results, ("p.list0", "r.R0"), o)
+               for o in _outcome_variants(out))
+
+
+def test_a_shape_with_a_prime_square_two_would_read_a_bound_p_list2_lacks(monkeypatch):
+    """A'^2 = 2 emits no shape, so p.list2 does not depend on r.R0; a shape there is
+    read against a bound that p.list2 does not have, and p.list2 fails."""
+    enumerate_cases = pencil.enumerate_pencil_cases
+
+    def one_shape(aprime2, h2=1, apply_orbit_filters=True):
+        if aprime2 == 2:
+            return [dataclasses.replace(enumerate_cases(1)[0], aprime2=2)]
+        return enumerate_cases(aprime2, h2, apply_orbit_filters)
+
+    monkeypatch.setattr(pencil, "enumerate_pencil_cases", one_shape)
+    report = run("all")
+    assert report.results["p.list2"].trace == ["exception: KeyError('r.R0')"]
+    assert {"p.list2", "t.iii", "t.final"} <= set(report.failed_nodes())
+    assert report.results["p.list1"].status == VERIFIED
 
 
 @pytest.mark.parametrize("square", [fibration.EXC_SQ, fibration.B0_SQ, -15])

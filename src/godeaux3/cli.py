@@ -1,7 +1,7 @@
 """Command line entry point: run the proof tree, explain nodes, check fixtures.
 
 Exit codes: 0 when the verification succeeds, 1 when a proof node fails,
-2 for usage or I/O errors.
+2 for usage, fixture or I/O errors.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import json
 import sys
 from pathlib import Path
 
+from .delpezzo import FixtureError
 from .report import UnknownSelector, explain, fixtures_check, run
 
 
@@ -45,7 +46,14 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    try:
+        return _command(args)
+    except FixtureError as exc:
+        print(f"bad fixture: {exc}", file=sys.stderr)
+        return 2
 
+
+def _command(args: argparse.Namespace) -> int:
     if args.command == "run":
         try:
             report = run(args.node)

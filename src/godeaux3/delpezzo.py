@@ -8,6 +8,7 @@ fixtures; everything checked here is exact integer arithmetic on those rows.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from itertools import product
 from pathlib import Path
 
@@ -23,7 +24,39 @@ _WEIGHTS = {"B0": 2, **{e: 1 for e in _E_NAMES}}  # the branch curve 2 B_0 + sum
 # the plane model of an exceptional curve F' or H', by its plane degree
 KINDS = {2: "conic", 1: "line", 0: "contracted"}
 
-_DATA = json.loads((Path(__file__).parent / "fixtures" / "config_tables.json").read_text())
+
+class FixtureError(Exception):
+    """A shipped fixture file is missing, unreadable or not a JSON object."""
+
+
+class _Fixture(Mapping):
+    """The JSON object of a file in ``fixtures/``, read on first use."""
+
+    def __init__(self, name: str) -> None:
+        self.path, self._data = Path(__file__).parent / "fixtures" / name, None
+
+    def _load(self) -> dict:
+        if self._data is None:
+            try:
+                data = json.loads(self.path.read_text())
+            except (OSError, ValueError) as exc:
+                raise FixtureError(f"{self.path}: {getattr(exc, 'strerror', exc)}") from None
+            if not isinstance(data, dict):
+                raise FixtureError(f"{self.path}: not a JSON object")
+            self._data = data
+        return self._data
+
+    def __getitem__(self, key: str):
+        return self._load()[key]
+
+    def __iter__(self):
+        return iter(self._load())
+
+    def __len__(self) -> int:
+        return len(self._load())
+
+
+_DATA = _Fixture("config_tables.json")
 
 
 def _rows_from_json(rows_json) -> tuple[PlaneCurve, ...]:
@@ -315,27 +348,23 @@ def sixtuple_enumerate() -> dict:
 def exceptional_curve_solutions() -> dict:
     """Plane models of the two exceptional (-3)-curves F', H' and their pairs.
 
-    Solves (d - 2 m_2)^2 + m_4^2 + m_5^2 + m_6^2 = 2 with m_2 + m_3 = d,
-    m_4 + m_5 + m_6 = d, m_7 = m_2, m_8 = m_3, m_14 = 1, then keeps the pairs
-    with product 0.
+    A model of degree d has m_2 + m_3 = m_4 + m_5 + m_6 = d, m_7 = m_2, m_8 = m_3 and
+    m_14 = 1, so C^2 = -3 reads (d - 2 m_2)^2 + m_4^2 + m_5^2 + m_6^2 = 2: each of m_4,
+    m_5, m_6 is -1, 0 or 1, d is their sum, and m_2, m_3 >= 0.  Keeps the pairs with
+    product 0.
     """
     singles = []
-    for d in range(0, 3):
+    for m456 in product((-1, 0, 1), repeat=3):
+        d = sum(m456)
         for m2 in range(0, d + 1):
-            for m456 in product(range(-1, 3), repeat=3):
-                if sum(m456) != d:
-                    continue
-                if (d - 2 * m2) ** 2 + sum(m * m for m in m456) != 2:
-                    continue
-                m3 = d - m2
-                mults = [0] * 14
-                mults[1], mults[2] = m2, m3
-                mults[3:6] = m456
-                mults[6], mults[7] = m2, m3
-                mults[13] = 1
-                curve = PlaneCurve(f"d{d}", d, tuple(mults), virtual=True)
-                if curve.self_int() != EXC_SQ:
-                    continue
+            m3 = d - m2
+            mults = [0] * 14
+            mults[1], mults[2] = m2, m3
+            mults[3:6] = m456
+            mults[6], mults[7] = m2, m3
+            mults[13] = 1
+            curve = PlaneCurve(f"d{d}", d, tuple(mults), virtual=True)
+            if curve.self_int() == EXC_SQ:
                 singles.append((KINDS[d], curve))
     pairs = []
     for i, (kind1, c1) in enumerate(singles):

@@ -356,9 +356,10 @@ def t_iii2_survivors(survivors: dict[int, tuple[str, ...]],
 
 
 def case_i_grid() -> list[tuple[int, int]]:
-    """Admissible (Gamma^2, l) pairs in case (i); h_1 <= 4 gives h_1 >= 1, K_Y^2 >= -12."""
-    return [(gamma_sq, ell) for gamma_sq in (1, -1, -3, -5, -7) for ell in range(0, 5)
-            if RamificationData(1, ell, 3, gamma_sq).h1 <= 4]
+    """Admissible (Gamma^2, l) pairs in case (i): h_1 = (3 - Gamma^2)/2 + l <= 4 bounds l
+    by 4 - h_1(l = 0); then h_1 >= 1 and K_Y^2 >= -12, the floor ``elim_p_no0`` reads."""
+    return [(gamma_sq, ell) for gamma_sq in (1, -1, -3, -5, -7)
+            for ell in range(0, 4 - RamificationData(1, 0, 3, gamma_sq).h1 + 1)]
 
 
 _FH_CASE_I = 2 * 3  # F' and H' over the h_2 = 3 points lie in fibres of |N_1|
@@ -368,10 +369,11 @@ _N1_CASE_I = (1, canonical_degree(1, 1))  # (N_1^2, N_1.K_Y) when N_1^2 = p_a(N_
 def elim_p_no0() -> Elimination:
     """Case (i) with N_1^2 = 0: n = 8 and both cycle structures overshoot delta."""
     n1sq = 0
-    # n = N_1^2 - 1 mod 3 and n <= N_1^2 + 8; the six trapped F'/H' must fit in delta
-    # of the rational pencil |N_1| at K_Y^2 = N_1^2 - 4 - n
+    # n = N_1^2 - 1 mod 3 and n = N_1^2 - 4 - K_Y^2, with K_Y^2 no less than on case (i)'s
+    # grid; the six trapped F'/H' must fit in delta of the rational pencil |N_1|
+    n_max = n1sq - 4 - min(quotient_k2(RamificationData(1, ell, 3, g)) for g, ell in case_i_grid())
     deltas = {n: euler_excess(n1sq - 4 - n, n1sq, canonical_degree(n1sq))
-              for n in range(0, n1sq + 8 + 1)
+              for n in range(0, n_max + 1)
               if n % 3 == (n1sq - 1) % 3}
     candidates = [n for n, delta in deltas.items() if trapped((_FH_CASE_I, EXC_SQ)) <= delta]
     if candidates != [8]:
@@ -385,7 +387,7 @@ def elim_p_no0() -> Elimination:
     return Elimination(
         "p.no0", str(all_irred), str(delta_val),
         "contradiction" if ok else "survives",
-        (f"N_1^2 = 0: 18 <= delta = 12 + n with n = 2 mod 3, n <= 8 pins n = {n}",
+        (f"N_1^2 = 0: 18 <= delta = 12 + n with n = 2 mod 3, n <= {n_max} pins n = {n}",
          f"all cycles irreducible: 18 + {n} = {all_irred} <= {delta_val} fails",
          f"a reducible cycle contains some E'_k: 18 + 3 = {reducible} <= {delta_val} fails"),
     )
@@ -506,11 +508,10 @@ def n1_squares(nn1: int) -> list[int]:
 
 
 def _fixed_part_shapes(n1_delta: int, n1_t: int) -> list[tuple[int, int, int]]:
-    """(Delta^2, Delta.T, T^2) with N_1.Delta = Delta^2 + Delta.T and N_1.T =
-    Delta.T + T^2 as given, Delta^2 >= 0, Delta.T >= 0 and T^2 arbitrary."""
-    return sorted(((d2, dt, t2) for d2 in range(0, 3) for dt in range(0, 3)
-                   for t2 in range(-2, 3) if d2 + dt == n1_delta and dt + t2 == n1_t),
-                  reverse=True)
+    """(Delta^2, Delta.T, T^2) with N_1.Delta = Delta^2 + Delta.T and N_1.T = Delta.T + T^2
+    as given, Delta^2 >= 0, Delta.T >= 0 and T^2 arbitrary: the equations give Delta^2 and
+    T^2 from Delta.T, which Delta^2 >= 0 bounds by N_1.Delta; largest Delta^2 first."""
+    return [(n1_delta - dt, dt, n1_t - dt) for dt in range(0, n1_delta + 1)]
 
 
 def check_l_N10() -> tuple[bool, list[str], list[tuple[int, int, int]]]:

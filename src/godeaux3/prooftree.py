@@ -17,8 +17,6 @@ main cases are closed, the third one branch by branch.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import adjoint, cover, delpezzo, fibration, pencil, plane, ruled
@@ -69,7 +67,7 @@ class ProofNode(NamedTuple):
         return out
 
 
-EXPECTED = json.loads((Path(__file__).parent / "fixtures" / "expected.json").read_text())
+EXPECTED = delpezzo._Fixture("expected.json")
 
 
 def _axiom(ax_id: str):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 
+from .delpezzo import FixtureError
 from .prooftree import EXPECTED, FAILED, SCHEMA_VERSION, Outcome, ProofNode, build_nodes
 
 
@@ -131,6 +132,8 @@ def run(selector: str = "all", excluded: tuple[str, ...] = ()) -> Report:
         else:
             try:
                 results[nid] = node.run({d: results[d] for d in node.deps})
+            except FixtureError:  # bad input, not a failed node
+                raise
             except Exception as exc:  # a crash is a failed node, not a crashed run
                 results[nid] = Outcome(FAILED, trace=[f"exception: {exc!r}"])
         timings[nid] = time.perf_counter() - start

@@ -183,22 +183,20 @@ def _t_no1_plane_scan() -> tuple[list, list[str]]:
     The moving part may meet the two contracted (-1)-cycles and the extra
     cycle of the middle level; each choice determines the degree data of a
     putative plane model over the ``RULED_POINTS`` simple points.  Branches
-    admitting no model are eliminated; the remainder is delegated.
+    admitting no model are eliminated; the remainder is delegated.  k = 5 - 2(z_1 + z_2)
+    - z' >= 1 bounds z', mu = d - k >= 0 starts d at k; z_1 <= 2 and d <= 29 are typed.
     """
     open_branches = []
     trace = []
     for z1 in range(0, 3):
         for z2 in range(0, z1 + 1):
-            for zp in range(0, 5):
-                if 2 * (z1 + z2) + zp > 4:
-                    continue
-                k = 5 - 2 * (z1 + z2) - zp  # >= 1 by the filter above
+            k0 = 5 - 2 * (z1 + z2)  # k at z' = 0
+            for zp in range(0, k0):
+                k = k0 - zp
                 abar_sq = 1 + z1 * z1 + z2 * z2 + zp * zp
                 found = None
-                for d in range(1, 30):
+                for d in range(k, 30):
                     mu = d - k
-                    if mu < 0:
-                        continue
                     # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
                     lin = (7 * d - 3 * mu - 3 - zp) // 2
                     sq = d * d - mu * mu - abar_sq

@@ -2,6 +2,8 @@ import copy
 import os
 import subprocess
 import sys
+from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -247,12 +249,33 @@ def test_degree_budgets_reach_both_nodes(monkeypatch):
     assert kept and all(sum(t[1:]) == 3 for t in kept)
 
 
-def test_exceptional_curve_solutions():
+def test_exceptional_curve_solutions(monkeypatch):
     sols = dp.exceptional_curve_solutions()
     assert sols["by_kind"] == {"conic": 3, "line": 6, "contracted": 6}
     assert sols["admissible_pairs"] == [
         ("conic", "contracted"), ("contracted", "contracted"),
         ("contracted", "line"), ("line", "line")]
+    # the search's curves are those of a brute force over d <= 6 and |m_i| <= 3
+    found = []
+
+    class Recorded(PlaneCurve):
+        def self_int(self):
+            sq = super().self_int()
+            if sq == EXC_SQ:
+                found.append((self.degree, self.mults))
+            return sq
+
+    monkeypatch.setattr(dp, "PlaneCurve", Recorded)
+    assert dp.exceptional_curve_solutions() == sols
+    brute = set()
+    for d in range(0, 7):
+        for m2, m4, m5 in product(range(-3, 4), repeat=3):
+            m3, m6 = d - m2, d - m4 - m5
+            mults = (0, m2, m3, m4, m5, m6, m2, m3, 0, 0, 0, 0, 0, 1)
+            if max(abs(m3), abs(m6)) <= 3 and PlaneCurve("C", d, mults, True).self_int() == EXC_SQ:
+                brute.add((d, mults))
+    assert len(found) == len(set(found)) == 15 and set(found) == brute
+    assert Counter(dp.KINDS[d] for d, _ in brute) == sols["by_kind"]
 
 
 def test_forced_planar_points():

@@ -87,6 +87,15 @@ def test_p_no0():
     assert e.verdict == "contradiction"
 
 
+def test_p_no0_reads_its_window_off_the_case_i_grid(monkeypatch):
+    # (Gamma^2, l) = (1, 4) has K_Y^2 = -15, so n runs to 11 and 11 fits delta too
+    grid = fib.case_i_grid()
+    monkeypatch.setattr(fib, "case_i_grid", lambda: [*grid, (1, 4)])
+    assert quotient_k2(RamificationData(1, 4, 3, 1)) == -15
+    e = fib.elim_p_no0()
+    assert (e.lhs, e.verdict) == ("[8, 11]", "failed")
+
+
 def test_p_noZ_noN():
     assert fib.elim_p_noZ().verdict == "contradiction"
     assert fib.elim_p_noN().verdict == "contradiction"
@@ -204,6 +213,12 @@ def test_fixed_part_shapes_come_from_one_grid_search():
     typed = [(1 + t2, -t2, t2) for t2 in (0, -1)]
     assert fib.check_l_N1()[2] == typed == fib._fixed_part_shapes(1, 0)
     assert fib.check_l_N10()[2] == [(0, 0, 0)] == fib._fixed_part_shapes(0, 0)
+    # the two equations against a brute force over Delta^2, Delta.T <= 11 and |T^2| <= 12
+    for n1_delta, n1_t in product(range(0, 4), range(-3, 4)):
+        brute = sorted(((d2, dt, t2) for d2 in range(0, 12) for dt in range(0, 12)
+                        for t2 in range(-12, 13) if d2 + dt == n1_delta and dt + t2 == n1_t),
+                       reverse=True)
+        assert fib._fixed_part_shapes(n1_delta, n1_t) == brute, (n1_delta, n1_t)
 
 
 def test_l_n1_reads_the_index_rule_on_every_candidate(monkeypatch):
@@ -225,8 +240,11 @@ def test_l_n1_reads_the_index_rule_on_every_candidate(monkeypatch):
 def test_case_i_grid_is_finite_and_consistent():
     grid = fib.case_i_grid()
     assert (1, 0) in grid and (-5, 0) in grid and (-7, 0) not in grid
+    # a brute force over l <= 29 with the filter h_1 <= 4 finds the same grid
+    assert grid == [(g, ell) for g in (1, -1, -3, -5, -7) for ell in range(0, 30)
+                    if RamificationData(1, ell, 3, g).h1 <= 4]
     # the grid's one filter h_1 <= 4 implies the other two the grid once had
-    three_filters = [(g, ell) for g in (1, -1, -3, -5, -7) for ell in range(0, 5)
+    three_filters = [(g, ell) for g in (1, -1, -3, -5, -7) for ell in range(0, 30)
                      if 2 * ell <= 5 + g and 1 <= (3 - g) // 2 + ell <= 4
                      and -4 - 3 * ell + (3 * g - 1) // 2 >= -12]
     assert grid == three_filters

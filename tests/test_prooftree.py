@@ -1,11 +1,14 @@
+import ast
 import copy
 import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -413,6 +416,47 @@ SILENT_EDGES = {
 }
 
 
+# the searches whose windows stay typed literals: the positive literal stops of their
+# range calls in source order, and the reason
+TYPED_WINDOWS = {
+    ("cover", "_R0K"): ((2,), "R_0.K_S >= 0 as K_S is nef, and h^0(N) = 2 + R_0.K_S < 4 as "
+                              "the tricanonical map is birational"),
+    ("plane", "solve_multiplicity_system"): ((13,), "d_0 <= 12: no Cauchy-Schwarz bound "
+                                                    "exists at 9 or 10 points"),
+    ("prooftree", "_e_fixed"): ((4, 5), "grids of formula checks, not searches"),
+    ("prooftree", "_e_fibre"): ((7,), "n <= 6: widening e.fibre to every square a run "
+                                      "uses changes its trace and the report digests"),
+    ("ruled", "elim_l_a2"): ((4,), "a = 3 is the first a with c.N < 0"),
+    ("ruled", "_t_no1_plane_scan"): ((3, 30), "z_1 <= 2 spans k >= 1 at z_2 = z' = 0; d <= 29 "
+                                              "waits for a Cauchy-Schwarz bound per subcase"),
+}
+
+
+def _literal_windows() -> dict[tuple[str, str], tuple[int, ...]]:
+    """(module, top-level function or assigned name) -> the stops of its range calls that
+    are positive integer literals, in source order."""
+    windows = {}
+    for path in sorted(Path(godeaux3.__file__).parent.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            name = (ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
+                    else getattr(stmt, "name", "<module>"))
+            calls = sorted((c for c in ast.walk(stmt) if isinstance(c, ast.Call) and c.args
+                            and isinstance(c.func, ast.Name) and c.func.id == "range"),
+                           key=lambda c: (c.lineno, c.col_offset))
+            stops = [c.args[min(1, len(c.args) - 1)] for c in calls]
+            literal = tuple(s.value for s in stops if isinstance(s, ast.Constant)
+                            and type(s.value) is int and s.value > 0)
+            if literal:
+                windows[(path.stem, name)] = literal
+    return windows
+
+
+def test_every_literal_window_is_listed():
+    """A range whose stop is a positive literal is a typed window: each is listed with
+    its reason and its bound, and no listed window is stale."""
+    assert _literal_windows() == {key: stops for key, (stops, _) in TYPED_WINDOWS.items()}
+
+
 def _variants(value):
     """Each one-step change of ``value``: +-1 on an integer, a dict key included; a
     flipped bool; one element of a list, tuple, set or dict dropped or added; or one of
@@ -793,6 +837,36 @@ def test_the_fixtures_are_read_by_path():
     out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out == "False\n"
+
+
+@pytest.mark.parametrize("name", ["expected.json", "config_tables.json"])
+@pytest.mark.parametrize("content", ["{not json", "[]", None])
+def test_a_malformed_or_missing_fixture_exits_2_with_one_line(tmp_path, name, content):
+    """verify run on a copy of the package whose fixture is not JSON, not a JSON object,
+    or missing."""
+    package = tmp_path / "godeaux3"
+    shutil.copytree(os.path.dirname(godeaux3.__file__), package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    fixture = package / "fixtures" / name
+    if content is None:
+        fixture.unlink()
+    else:
+        fixture.write_text(content)
+    env = {**os.environ, "PYTHONPATH": str(tmp_path), "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run([sys.executable, "-S", "-m", "godeaux3.cli", "run"], capture_output=True,
+                          text=True, env=env)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith(f"bad fixture: {fixture}: ") and done.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [["explain", "tables.printed"], ["fixtures", "check"]])
+@pytest.mark.parametrize("module, name", [(prooftree, "EXPECTED"), (delpezzo, "_DATA")])
+def test_explain_and_fixtures_check_exit_2_on_a_missing_fixture(monkeypatch, capsys, argv,
+                                                                module, name):
+    fixture = delpezzo._Fixture("missing.json")
+    monkeypatch.setattr(module, name, fixture)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"bad fixture: {fixture.path}: No such file or directory\n"
 
 
 def test_each_printed_table_is_built_once_and_handed_on(monkeypatch):

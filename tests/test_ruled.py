@@ -51,6 +51,25 @@ def test_t_no1_scan_needs_no_filter_but_the_first():
                     assert twice_lin >= 0 and twice_lin % 2 == 0, (z1, z2, zp, d)
 
 
+def test_t_no1_plane_scan_matches_a_wider_brute_force():
+    """Over z_1 <= 5, z' <= 11 and d <= 119, filtered by k >= 1 and mu = d - k >= 0, the
+    same two branches find a plane model, at the same first d."""
+    brute = []
+    for z1 in range(0, 6):
+        for z2 in range(0, z1 + 1):
+            for zp in range(0, 12):
+                k = 5 - 2 * (z1 + z2) - zp
+                abar_sq = 1 + z1 * z1 + z2 * z2 + zp * zp
+                models = ((d, d - k) for d in range(1, 120) if k >= 1 and d - k >= 0
+                          and plane.multiplicity_vectors((7 * d - 3 * (d - k) - 3 - zp) // 2,
+                                                         d * d - (d - k) ** 2 - abar_sq,
+                                                         ruled.RULED_POINTS))
+                first = next(models, None)
+                if first is not None:
+                    brute.append((z1, z2, zp, first))
+    assert ruled._t_no1_plane_scan()[0] == brute == [(0, 0, 1, (6, 2)), (1, 0, 1, (4, 2))]
+
+
 def test_l_a2_admissible_indices():
     e = ruled.elim_l_a2(3)
     assert e.survivors == (0, 1, 2)

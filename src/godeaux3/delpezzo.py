@@ -26,11 +26,11 @@ KINDS = {2: "conic", 1: "line", 0: "contracted"}
 
 
 class FixtureError(Exception):
-    """A shipped fixture file is missing, unreadable or not a JSON object."""
+    """A shipped fixture file is missing, unreadable, not a JSON object or lacks a key."""
 
 
 class _Fixture(Mapping):
-    """The JSON object of a file in ``fixtures/``, read on first use."""
+    """The JSON object of a file in ``fixtures/``, read on first use; a key it lacks raises."""
 
     def __init__(self, name: str) -> None:
         self.path, self._data = Path(__file__).parent / "fixtures" / name, None
@@ -47,7 +47,10 @@ class _Fixture(Mapping):
         return self._data
 
     def __getitem__(self, key: str):
-        return self._load()[key]
+        data = self._load()
+        if key not in data:  # a fixture lacking a key is bad input, not a failed node
+            raise FixtureError(f"{self.path}: no key {key!r}")
+        return data[key]
 
     def __iter__(self):
         return iter(self._load())

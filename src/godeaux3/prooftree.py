@@ -365,12 +365,12 @@ _GAMMA_SQS = tuple(cover.image_square(g) for g, _ in fibration.case_i_grid() if 
 
 
 def _e_fibre(_) -> Outcome:
-    """The node bound against (-n)-curves, n <= 6, and case (i)'s Gamma', by square."""
+    """The node bound against each square a run traps, case (i)'s Gamma' included."""
     ok = True
     trace = []
     verified = {}
     # a (-n)-curve closed by a transverse component contributes at least n
-    for n in sorted({*range(1, 7), *(-sq for sq in _GAMMA_SQS)}):
+    for n in sorted({-sq for sq in (*_EXC_B0, fibration.CYCLE_SQ, *_GAMMA_SQS)}):
         bound = fibration.node_bound([(1, 0, {1: n}), (1, 0, {})])
         verified[-n] = fibration.min_contribution(-n)
         ok &= bound >= n == verified[-n]

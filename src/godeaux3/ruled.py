@@ -7,6 +7,8 @@ becomes plane data and the homaloidal systems take over.
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .adjoint import LadderReport, ladder_top
 from .cover import RamificationData, quotient_k2
 from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
@@ -128,14 +130,17 @@ def homaloidal_eliminate(branch: str) -> dict:
 
 
 def elim_l_a2(steps: int) -> Elimination:
-    """0 <= a <= 2 over a ladder of ``steps`` adjoint steps: the section must meet
-    the nef pencil class nonnegatively."""
-    values = {a: fa_ladder_checks(a, steps)["c_dot_n"] for a in range(0, 4)}
+    """0 <= a <= 2 over a ladder of ``steps`` adjoint steps, as the section meets the nef
+    class N nonnegatively: c.N = (2s + 1) - s a falls with a, so a runs to the first c.N < 0."""
+    values = {a: fa_ladder_checks(a, steps)["c_dot_n"] for a in (0, 1)}
+    if values[1] >= values[0]:
+        raise PlaneError(f"c.N does not fall from a = 0 to a = 1 over {steps} steps")
+    while min(values.values()) >= 0:
+        values[len(values)] = fa_ladder_checks(len(values), steps)["c_dot_n"]
     admissible = [a for a, v in values.items() if v >= 0]
-    ok = admissible == [0, 1, 2]
     return Elimination(
         "l.a2", str(values), "c.N >= 0",
-        "contradiction" if not ok else "survives",
+        "survives" if admissible == [0, 1, 2] else "contradiction",
         tuple(f"a={a}: c.N = {v}" for a, v in values.items()),
         tuple(admissible),
     )
@@ -180,36 +185,31 @@ def elim_t_no0(steps: int) -> Elimination:
 def _t_no1_plane_scan() -> tuple[list, list[str]]:
     """Plane-model search for the genus-two branch of the middle ruled case.
 
-    The moving part may meet the two contracted (-1)-cycles and the extra
-    cycle of the middle level; each choice determines the degree data of a
-    putative plane model over the ``RULED_POINTS`` simple points.  Branches
-    admitting no model are eliminated; the remainder is delegated.  k = 5 - 2(z_1 + z_2)
-    - z' >= 1 bounds z', mu = d - k >= 0 starts d at k; z_1 <= 2 and d <= 29 are typed.
-    """
-    open_branches = []
-    trace = []
-    for z1 in range(0, 3):
+    Meeting the contracted (-1)-cycles z_1 >= z_2 times and the middle cycle z' times
+    leaves k = 5 - 2(z_1 + z_2) - z' >= 1 and a degree-d model with a point of multiplicity
+    d - k >= 0 and P = ``RULED_POINTS`` points of sum lin = (4d + c)/2, c = 3k - 3 - z', and
+    square sum sq = 2dk - k^2 - Abar^2.  Cauchy-Schwarz, lin^2 <= P sq, puts d between
+    (Pk - c -+ sqrt(disc))/4, disc = P((P - 4)k^2 - 2ck - 4 Abar^2).  Returns every model
+    (z_1, z_2, z', d, {m: count}) there and a trace line per subcase, listing its models."""
+    models, trace = [], []
+    p, k_top = RULED_POINTS, 5  # k_top: k at z_1 = z_2 = z' = 0
+    for z1 in range((k_top + 1) // 2):
         for z2 in range(0, z1 + 1):
-            k0 = 5 - 2 * (z1 + z2)  # k at z' = 0
-            for zp in range(0, k0):
-                k = k0 - zp
-                abar_sq = 1 + z1 * z1 + z2 * z2 + zp * zp
-                found = None
-                for d in range(k, 30):
-                    mu = d - k
-                    # 2 lin = 4d + 12 - 6(z1 + z2) - 4 zp: even, and >= 0 as d >= k
-                    lin = (7 * d - 3 * mu - 3 - zp) // 2
-                    sq = d * d - mu * mu - abar_sq
-                    if multiplicity_vectors(lin, sq, RULED_POINTS):
-                        found = (d, mu)
-                        break
-                tag = f"(A'.Z1, A'.Z2, A'.Z') = ({z1},{z2},{zp})"
-                if found:
-                    open_branches.append((z1, z2, zp, found))
-                    trace.append(f"{tag}: plane model d={found[0]} possible; delegated")
-                else:
-                    trace.append(f"{tag}: no plane model over nine points")
-    return open_branches, trace
+            for zp in range(0, k_top - 2 * (z1 + z2)):
+                k = k_top - 2 * (z1 + z2) - zp
+                abar_sq, c = 1 + z1 * z1 + z2 * z2 + zp * zp, 3 * k - 3 - zp
+                disc, x = p * ((p - 4) * k * k - 2 * c * k - 4 * abar_sq), p * k - c
+                window = range(0) if disc < 0 else range(  # between the roots, from k
+                    max(k, (x - isqrt(disc) + 3) // 4), (x + isqrt(disc)) // 4 + 1)
+                found = [(z1, z2, zp, d, v) for d in window for v in
+                         multiplicity_vectors((4 * d + c) // 2, 2 * d * k - k * k - abar_sq, p)]
+                models += found
+                listed = ", ".join(f"({d}; {d - k}, " + ", ".join(f"{j}^{s}" if s > 1 else str(j)
+                                   for j, s in v.items()) + ")" for *_, d, v in found)
+                span = f"d in {window[0]}..{window[-1]}" if window else f"no d has lin^2 <= {p} sq"
+                trace.append(f"(A'.Z1, A'.Z2, A'.Z') = ({z1},{z2},{zp}): {span}, "
+                             + (f"plane models {listed}; delegated" if found else "no plane model"))
+    return models, trace
 
 
 def elim_t_no1(steps: int) -> Elimination:
@@ -231,10 +231,10 @@ def elim_t_no1(steps: int) -> Elimination:
         return Elimination("t.no1", str(contributions), str(delta_val), "failed",
                            ("expected the pencil branch to overshoot",))
     trace.append(f"A' = N: trapped contributions {contributions} > delta = {delta_val}")
-    open_branches, scan = _t_no1_plane_scan()
+    models, scan = _t_no1_plane_scan()
     trace += scan
     expected_open = {(0, 0, 1), (1, 0, 1)}
-    got_open = {(z1, z2, zp) for z1, z2, zp, _ in open_branches}
+    got_open = {model[:3] for model in models}
     verdict = "contradiction" if got_open == expected_open else "failed"
     trace.append(
         "remaining genus-two subcases closed by the companion plane-model analysis "

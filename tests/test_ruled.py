@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 
@@ -37,42 +38,73 @@ def test_mult_vector_search_matches_a_brute_force():
 
 
 def test_t_no1_scan_needs_no_filter_but_the_first():
-    # 2(z1 + z2) + zp <= 4 gives k = 5 - 2(z1 + z2) - zp >= 1, and with
-    # d >= k the value 2 lin = 7d - 3(d - k) - 3 - zp is even and >= 0
-    for z1 in range(0, 3):
+    # 2(z1 + z2) + zp <= 4 gives k = 5 - 2(z1 + z2) - zp >= 1, and with d >= k the
+    # value 2 lin = 7d - 3(d - k) - 3 - zp = 4d + c, c = 3k - 3 - zp, is even and >= 0
+    for z1 in range(0, 6):
         for z2 in range(0, z1 + 1):
-            for zp in range(0, 5):
-                if 2 * (z1 + z2) + zp > 4:
-                    continue
+            for zp in range(0, 12):
                 k = 5 - 2 * (z1 + z2) - zp
-                assert 4 - (z1 + z2) >= 1 and k >= 1
-                for d in range(k, 30):
-                    twice_lin = 7 * d - 3 * (d - k) - 3 - zp
-                    assert twice_lin >= 0 and twice_lin % 2 == 0, (z1, z2, zp, d)
+                if k < 1:
+                    continue
+                assert z1 <= 2 and 2 * (z1 + z2) + zp <= 4
+                c = 3 * k - 3 - zp
+                assert c % 2 == 0
+                for d in range(k, 200):
+                    assert 7 * d - 3 * (d - k) - 3 - zp == 4 * d + c >= 0, (z1, z2, zp, d)
 
 
 def test_t_no1_plane_scan_matches_a_wider_brute_force():
-    """Over z_1 <= 5, z' <= 11 and d <= 119, filtered by k >= 1 and mu = d - k >= 0, the
-    same two branches find a plane model, at the same first d."""
-    brute = []
+    """Over z_1 <= 5, z' <= 11 and d <= 199, filtered by k >= 1 and mu = d - k >= 0, the
+    scan lists every plane model, and its d windows are the d with lin^2 <= 9 sq."""
+    brute, windows = [], {}
     for z1 in range(0, 6):
         for z2 in range(0, z1 + 1):
             for zp in range(0, 12):
                 k = 5 - 2 * (z1 + z2) - zp
                 abar_sq = 1 + z1 * z1 + z2 * z2 + zp * zp
-                models = ((d, d - k) for d in range(1, 120) if k >= 1 and d - k >= 0
-                          and plane.multiplicity_vectors((7 * d - 3 * (d - k) - 3 - zp) // 2,
-                                                         d * d - (d - k) ** 2 - abar_sq,
-                                                         ruled.RULED_POINTS))
-                first = next(models, None)
-                if first is not None:
-                    brute.append((z1, z2, zp, first))
-    assert ruled._t_no1_plane_scan()[0] == brute == [(0, 0, 1, (6, 2)), (1, 0, 1, (4, 2))]
+                for d in range(1, 200):
+                    if k < 1 or d - k < 0:
+                        continue
+                    lin = (7 * d - 3 * (d - k) - 3 - zp) // 2
+                    sq = d * d - (d - k) ** 2 - abar_sq
+                    if lin * lin <= ruled.RULED_POINTS * sq:
+                        windows.setdefault((z1, z2, zp), []).append(d)
+                    brute += [(z1, z2, zp, d, v)
+                              for v in plane.multiplicity_vectors(lin, sq, ruled.RULED_POINTS)]
+    models, trace = ruled._t_no1_plane_scan()
+    assert models == brute
+    assert [(z1, z2, zp, d, sorted(v.items())) for z1, z2, zp, d, v in brute] == [
+        (0, 0, 1, 6, [(1, 2), (2, 7)]), (0, 0, 1, 7, [(1, 1), (2, 7), (3, 1)]),
+        (0, 0, 1, 8, [(2, 7), (3, 2)]), (1, 0, 1, 4, [(1, 9)])]
+    subcase = re.compile(r"\(A'\.Z1, A'\.Z2, A'\.Z'\) = \((\d+),(\d+),(\d+)\): ([^,]+), ")
+    spans = {tuple(map(int, m.groups()[:3])): m[4] for m in map(subcase.match, trace)}
+    assert len(spans) == 10
+    for key, span in spans.items():
+        ds = windows.get(key)
+        assert span == (f"d in {ds[0]}..{ds[-1]}" if ds else "no d has lin^2 <= 9 sq"), key
+        assert ds is None or ds == list(range(ds[0], ds[-1] + 1)), key
 
 
 def test_l_a2_admissible_indices():
     e = ruled.elim_l_a2(3)
     assert e.survivors == (0, 1, 2)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 4])
+def test_l_a2_matches_a_wider_brute_force(steps):
+    """Over a <= 11, c.N >= 0 holds exactly for the a the node admits, and the node's
+    values run up to and including the first a with c.N < 0."""
+    brute = {a: fa_ladder_checks(a, steps)["c_dot_n"] for a in range(0, 12)}
+    assert all(brute[a] == 2 * steps + 1 - steps * a for a in brute)
+    e = ruled.elim_l_a2(steps)
+    assert e.survivors == tuple(a for a, v in brute.items() if v >= 0)
+    first_negative = min(a for a, v in brute.items() if v < 0)
+    assert e.trace == tuple(f"a={a}: c.N = {brute[a]}" for a in range(0, first_negative + 1))
+
+
+def test_l_a2_refuses_a_ladder_where_c_n_does_not_fall():
+    with pytest.raises(PlaneError, match="does not fall"):
+        ruled.elim_l_a2(0)
 
 
 def test_p_no2():

@@ -24,8 +24,6 @@ for branch in ("s.3l", "s.3l-1", "s.3l-2"):
     report = verify_ladder_identity(branch, ell=1)
     print(f"\nladder {branch}: identities hold = {report.ok}; "
           f"forced counts {report.forced}")
-    for note in report.notes:
-        print("  " + note)
 
 print("\nn' = 1 in the deepest branch would force N_1 = N_2, i.e. an effective")
 print("canonical class:", n_prime_one_is_contradiction(1))

@@ -89,13 +89,12 @@ class LadderReport:
     """``counts`` holds the cycles per level, n first and the forced last count
     last; ``forced`` names n' and the last count.  It is ``ok`` with no failure line."""
 
-    __slots__ = ("branch", "counts", "forced", "failures", "notes")
+    __slots__ = ("branch", "counts", "forced", "failures")
 
     def __init__(self, branch: str, counts: tuple[int, ...] = ()) -> None:
         self.branch, self.counts = branch, counts
         self.forced: dict[str, int] = {}
         self.failures: list[str] = []
-        self.notes: list[str] = []
 
     @property
     def ok(self) -> bool:
@@ -241,18 +240,13 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     # every level of the chain, down to the vanishing one, meets N nonnegatively
     # and agrees with the table at the forced counts
     table = adjoint_table(0, k.square, 1, counts)
-    agrees = True
     for row, prev, cls in zip(table, chain, chain[1:]):
         if cls.dot(n_class) < 0:
             fail(f"N{row.index}.N < 0")
         got = (cls.square, cls.dot(k), arithmetic_genus(cls), prev.dot(cls))
         want = (row.ni2, row.nik, row.pa, row.prev_dot)
         if got != want:
-            agrees = False
             fail(f"N{row.index}: model data {got} vs table {want}")
-    if agrees:
-        report.notes.append("model chain agrees with the printed numerical table")
-    report.notes.append(f"model rank {lat.rank}, K^2 = {k.square}")
     return report
 
 

@@ -107,13 +107,14 @@ def kx2_via_blowup(r: RamificationData) -> int:
 # The R_0.K_S that h0_pair admits: R_0.K_S >= 0, as K_S is nef and R_0 effective,
 # and h^0(N) = 2 + R_0.K_S < 4, as the tricanonical map is birational.
 _R0K = range(0, 2)
+_H0_2KB_MAX = 2  # the largest h^0(2K_Y+B) that h0_pair admits
 
 
 def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
     """(h^0(N), h^0(2K_Y+B)) for given R_0.K_S and h_2.
 
     Raises :class:`CaseInvalidError` when R_0.K_S is outside ``_R0K`` or the
-    second value is not an integer in [0, 2].
+    second value is not an integer in [0, ``_H0_2KB_MAX``].
     """
     if r0k < _R0K.start:
         raise CaseInvalidError("R_0.K_S < 0, but K_S is nef and R_0 effective")
@@ -124,8 +125,8 @@ def h0_pair(r0k: int, h2: int) -> tuple[int, int]:
     if num % 3 != 0:
         raise CaseInvalidError("h^0(2K_Y+B) is not an integer")
     h0_2kb = num // 3
-    if not 0 <= h0_2kb <= 2:
-        raise CaseInvalidError(f"h^0(2K_Y+B) = {h0_2kb} out of range [0, 2]")
+    if not 0 <= h0_2kb <= _H0_2KB_MAX:
+        raise CaseInvalidError(f"h^0(2K_Y+B) = {h0_2kb} out of range [0, {_H0_2KB_MAX}]")
     return h0_n, h0_2kb
 
 
@@ -140,14 +141,16 @@ class CaseRecord(NamedTuple):
 
 
 _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
-H2_MAX = 20  # the search bound on h_2, which h2_bound_is_monotone shows is enough
+# R_0.K_S -> the largest h_2 that h0_pair can admit, for _R0K and one past it:
+# 3 h^0(2K_Y+B) = 2 h_2 - 2 - R_0.K_S <= 3 _H0_2KB_MAX, so a search to there is exhaustive.
+H2_WINDOWS = {r0k: (3 * _H0_2KB_MAX + 2 + r0k) // 2 for r0k in range(_R0K.stop + 1)}
 
 
-def enumerate_main_cases(h2_max: int = H2_MAX) -> list[CaseRecord]:
-    """Brute-force the (R_0.K_S, h_2) grid; only three combinations survive."""
+def enumerate_main_cases(h2_max: int | None = None) -> list[CaseRecord]:
+    """Search each R_0.K_S's ``H2_WINDOWS`` window, cut at ``h2_max`` if given."""
     out = []
-    for r0k in range(_R0K.stop + 1):  # one past _R0K, which h0_pair rejects
-        for h2 in range(h2_max + 1):
+    for r0k, top in H2_WINDOWS.items():  # one R_0.K_S past _R0K, which h0_pair rejects
+        for h2 in range((top if h2_max is None else min(top, h2_max)) + 1):
             try:
                 h0_n, h0_2kb = h0_pair(r0k, h2)
             except CaseInvalidError:
@@ -155,16 +158,3 @@ def enumerate_main_cases(h2_max: int = H2_MAX) -> list[CaseRecord]:
             out.append(CaseRecord(_CASE_IDS[r0k, h2], r0k, h2, h0_n, h0_2kb))
     out.sort(key=lambda c: list(_CASE_IDS.values()).index(c.id))
     return out
-
-
-def h2_bound_is_monotone(h2_max: int = H2_MAX) -> bool:
-    """Above the search bound h^0(2K_Y+B) only grows, so no case is missed.
-
-    3 h^0(2K_Y+B) = 2 h_2 - 2 - R_0.K_S is affine in h_2, so a positive slope
-    and a value above 3 * 2 = 6 at ``h2_max + 1`` keep h^0 out of [0, 2] from there on.
-    """
-    for r0k in _R0K:
-        first, second = (2 * h2 - 2 - r0k for h2 in (h2_max + 1, h2_max + 2))
-        if second - first <= 0 or first <= 6:
-            return False
-    return True

@@ -8,7 +8,6 @@ fixtures; everything checked here is exact integer arithmetic on those rows.
 from __future__ import annotations
 
 import json
-from collections.abc import Mapping
 from itertools import product
 from pathlib import Path
 
@@ -29,7 +28,7 @@ class FixtureError(Exception):
     """A shipped fixture file is missing, unreadable, not a JSON object or lacks a key."""
 
 
-class _Fixture(Mapping):
+class _Fixture:
     """The JSON object of a file in ``fixtures/``, read on first use; a key it lacks raises."""
 
     def __init__(self, name: str) -> None:
@@ -51,12 +50,6 @@ class _Fixture(Mapping):
         if key not in data:  # a fixture lacking a key is bad input, not a failed node
             raise FixtureError(f"{self.path}: no key {key!r}")
         return data[key]
-
-    def __iter__(self):
-        return iter(self._load())
-
-    def __len__(self) -> int:
-        return len(self._load())
 
 
 _DATA = _Fixture("config_tables.json")

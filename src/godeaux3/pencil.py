@@ -47,25 +47,24 @@ class DropAtom(NamedTuple):
     d_contribution: tuple[tuple[str, int], ...]
     self_int_drop: int
     dg: int
-    min_a2: int = 0
     forces_phi_through_q: bool = False
 
 
-def _q_atom(f: int, g: int, h: int, min_a2: int = 0) -> DropAtom:
+def _q_atom(f: int, g: int, h: int) -> DropAtom:
     d = {"F": f, "G": g, "H": h}
     drop = -_q_dot(d, d)
     dg = _q_dot(d, {"G": 1})
     # Phi must pass through q whenever the F or H multiplicity of D is not
     # divisible by 3 (branch components pull back with multiplicity 3).
     forces = f % 3 != 0 or h % 3 != 0
-    return DropAtom(tuple(sorted(d.items())), drop, dg, min_a2, forces)
+    return DropAtom(tuple(sorted(d.items())), drop, dg, forces)
 
 
 # The mirror (1, 1, 2) of the simple atom differs only by the F/H labels and
 # gives the same rows, so it is not catalogued.
 Q_SIMPLE = _q_atom(2, 1, 1)
-Q_NODE = _q_atom(3, 2, 3, min_a2=6)
-Q_CUSP = _q_atom(3, 2, 2, min_a2=6)
+Q_NODE = _q_atom(3, 2, 3)
+Q_CUSP = _q_atom(3, 2, 2)
 # These two drop 8 and 9, more than any A^2 option but 9 allows.
 Q_DOUBLE_OTHER = _q_atom(4, 2, 2)
 Q_TRIPLE = _q_atom(3, 3, 3)
@@ -183,8 +182,6 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
             for q_atoms in q_choices:
                 q_drop = sum(a.self_int_drop for a in q_atoms)
                 if q_drop > drop_needed:
-                    continue
-                if any(a.min_a2 > a2 for a in q_atoms):
                     continue
                 for p_mults in _p_multisets(drop_needed - q_drop):
                     if phi_zero:

@@ -205,13 +205,12 @@ def _p_rk(_) -> Outcome:
 
 def _cases_main(ins) -> Outcome:
     """The three main cases, each with the h^0 pair p.rk derived for it."""
-    cases = cover.enumerate_main_cases(cover.H2_MAX)
+    cases = cover.enumerate_main_cases()
     got = [[c.r0k, c.h2] for c in cases]
     ok = got == EXPECTED["main_cases"] and [c.id for c in cases] == ["i", "ii", "iii"]
-    ok &= cover.h2_bound_is_monotone(cover.H2_MAX)
     ok &= {(c.r0k, c.h2): (c.h0_n, c.h0_2kb) for c in cases} == ins["p.rk"].value
     trace = [f"cases: {[(c.id, c.r0k, c.h2) for c in cases]}",
-             f"search bound h_2 <= {cover.H2_MAX} is stable (monotone beyond the bound)",
+             f"h_2 <= {cover.H2_WINDOWS} by R_0.K_S, past which h^0(2K_Y+B) is out of range",
              "each case carries the h^0 pair p.rk derives for it"]
     return _check(ok, trace, cases)
 
@@ -788,28 +787,16 @@ def build_nodes() -> dict[str, ProofNode]:
     add("t.final", "elimination", "no automorphism of order three",
         ("t.i", "t.ii", "coverage"), _t_final)
 
-    registry = {n.id: n for n in nodes}
-    return {nid: registry[nid] for nid in topological_order(registry)}
+    return _registry(nodes)
 
 
-def topological_order(registry: dict[str, ProofNode]) -> list[str]:
-    """Dependencies first, ties broken by id; raises on a cycle or an unknown id."""
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(nid: str) -> None:
-        if state.get(nid) == 1:
-            raise ValueError(f"dependency cycle at {nid}")
-        if nid in state:
-            return
-        state[nid] = 1
-        for dep in sorted(registry[nid].deps):
+def _registry(nodes: list[ProofNode]) -> dict[str, ProofNode]:
+    """``nodes`` by id in declaration order, the order a run evaluates them in; a node
+    declared before a dependency, or with an unknown one, raises ``ValueError``."""
+    registry: dict[str, ProofNode] = {}
+    for node in nodes:
+        for dep in node.deps:
             if dep not in registry:
-                raise ValueError(f"{nid} depends on unknown node {dep}")
-            visit(dep)
-        state[nid] = 2
-        order.append(nid)
-
-    for nid in sorted(registry):
-        visit(nid)
-    return order
+                raise ValueError(f"{node.id} depends on {dep}, which is not declared before it")
+        registry[node.id] = node
+    return registry

@@ -88,7 +88,7 @@ class UnknownSelector(KeyError):
 
 
 def _select(registry: dict[str, ProofNode], selector: str) -> list[str]:
-    """The closure of the selected nodes, in the canonical order of ``registry``.
+    """The closure of the selected nodes, in the declaration order of ``registry``.
 
     A selector is ``all``, a node id, or a case id (``i``, ``1e``, ``N``, ...),
     which picks every node whose ``closes`` names it.
@@ -101,18 +101,15 @@ def _select(registry: dict[str, ProofNode], selector: str) -> list[str]:
         roots = [nid for nid, node in registry.items() if selector in node.closes]
         if not roots:
             raise UnknownSelector(selector)
-    wanted: set[str] = set()
-    stack = roots
-    while stack:
-        nid = stack.pop()
-        if nid not in wanted:
-            wanted.add(nid)
-            stack.extend(registry[nid].deps)
+    wanted = set(roots)
+    for nid in reversed(registry):  # every dependency is declared before its node
+        if nid in wanted:
+            wanted.update(registry[nid].deps)
     return [nid for nid in registry if nid in wanted]
 
 
 def run(selector: str = "all", excluded: tuple[str, ...] = ()) -> Report:
-    """Evaluate the selected subtree once, in one topological pass.
+    """Evaluate the selected subtree once, in one pass in declaration order.
 
     Each node reads the outcomes of its dependencies.  A node whose dependency
     failed fails without running, and ``excluded`` nodes fail without running.

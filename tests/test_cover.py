@@ -2,8 +2,7 @@ import pytest
 
 from godeaux3 import cover
 from godeaux3.cover import (CaseInvalidError, RamificationData, enumerate_main_cases,
-                            fixed_point_budget, h0_pair, h2_bound_is_monotone, kx2,
-                            kx2_via_blowup, quotient_k2)
+                            fixed_point_budget, h0_pair, kx2, kx2_via_blowup, quotient_k2)
 
 
 def test_fixed_point_budget_trivial_ramification():
@@ -100,9 +99,8 @@ def test_enumerate_main_cases():
     assert [(c.id, c.r0k, c.h2) for c in cases] == [
         ("i", 1, 3), ("ii", 0, 4), ("iii", 0, 1)]
     assert [(c.h0_n, c.h0_2kb) for c in cases] == [(3, 1), (2, 2), (2, 0)]
-    # raising the bound does not change the result
+    # raising the cap does not change the result
     assert len(enumerate_main_cases(h2_max=60)) == 3
-    assert h2_bound_is_monotone()
 
 
 def test_main_case_ids_are_the_three_of_the_paper():
@@ -130,19 +128,34 @@ def test_enumeration_sees_the_h0_n_rejection(monkeypatch):
     assert max(r0k for r0k, _ in rejected) == 2
 
 
-def test_h2_bound_check_can_fail():
-    # with h_2 <= 3 searched, h_2 = 4 and R_0.K_S = 0 give h^0(2K_Y+B) = 2, in range
-    assert not h2_bound_is_monotone(3)
-    assert h2_bound_is_monotone(4) and h2_bound_is_monotone(20)
+def test_h2_windows_hold_every_pair_h0_pair_admits():
+    # a brute force over a wider grid than the windows finds only the three pairs
+    admitted = []
+    for r0k in range(3):
+        for h2 in range(61):
+            try:
+                h0_pair(r0k, h2)
+            except CaseInvalidError:
+                continue
+            admitted.append((r0k, h2))
+    assert sorted(admitted) == [(0, 1), (0, 4), (1, 3)]
+    assert cover.H2_WINDOWS == {0: 4, 1: 4, 2: 5}
+    assert all(h2 <= cover.H2_WINDOWS[r0k] for r0k, h2 in admitted)
 
 
-def test_cases_main_reads_the_one_search_bound(monkeypatch):
-    from godeaux3 import cover
+def test_cases_main_fails_when_h0_pair_admits_one_more_pair(monkeypatch):
     from godeaux3.report import run
 
-    assert "search bound h_2 <= 20 is stable" in " ".join(
-        run("cases.main").results["cases.main"].trace)
-    monkeypatch.setattr(cover, "H2_MAX", 3)  # too small for h_2 = 4 and the monotone check
+    result = run("cases.main").results["cases.main"]
+    assert "h_2 <= {0: 4, 1: 4, 2: 5} by R_0.K_S, past which h^0(2K_Y+B) is out of range" \
+        in result.trace
+    checked = cover.h0_pair
+
+    def spy(r0k, h2):  # admits (0, 2) too, inside its window
+        return (2, 0) if (r0k, h2) == (0, 2) else checked(r0k, h2)
+
+    monkeypatch.setattr(cover, "_CASE_IDS", {**cover._CASE_IDS, (0, 2): "iv"})
+    monkeypatch.setattr(cover, "h0_pair", spy)
     result = run("cases.main").results["cases.main"]
     assert result.status == "failed"
-    assert "search bound h_2 <= 3 is stable (monotone beyond the bound)" in result.trace
+    assert "('iv', 0, 2)" in result.trace[0]

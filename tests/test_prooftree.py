@@ -16,7 +16,7 @@ import godeaux3
 from godeaux3 import adjoint, delpezzo, fibration, pencil, plane, prooftree, report as report_mod
 from godeaux3.cli import main
 from godeaux3.prooftree import (CONTRADICTION, EXPECTED, FAILED, VERIFIED, Outcome, ProofNode,
-                                build_nodes, topological_order)
+                                _registry, build_nodes)
 from godeaux3.report import UnknownSelector, explain, fixtures_check, run
 
 COVERAGE_CLOSERS = ("t.no0", "t.no1rul", "t.no1", "t.3l-1", "t.no3lDP1", "t.no3lDP")
@@ -46,8 +46,7 @@ def test_axiom_ledger_is_exact(full_report):
 
 def test_dependency_graph_acyclic():
     registry = build_nodes()
-    order = topological_order(registry)
-    position = {nid: i for i, nid in enumerate(order)}
+    position = {nid: i for i, nid in enumerate(registry)}
     for nid, node in registry.items():
         for dep in node.deps:
             assert position[dep] < position[nid]
@@ -55,11 +54,30 @@ def test_dependency_graph_acyclic():
 
 def test_the_registry_is_sorted_once_per_run():
     registry = build_nodes()
-    assert list(registry) == topological_order(registry)
     assert run("all").order == list(registry)
-    subtree = run("t.ii").order
-    assert subtree == [nid for nid in registry if nid in subtree]
-    assert len(_calls_in_full_run(topological_order)) == 1  # in build_nodes
+    closure, more = set(), {"t.ii"}
+    while more:  # the dependency closure, grown to a fixed point
+        closure |= more
+        more = {d for nid in more for d in registry[nid].deps} - closure
+    assert run("t.ii").order == [nid for nid in registry if nid in closure]
+    assert len(_calls_in_full_run(_registry)) == 1  # in build_nodes
+
+
+def _node(nid, *deps):
+    return ProofNode(nid, "formula-check", nid, deps, (), lambda _: Outcome(VERIFIED))
+
+
+def test_the_registry_refuses_a_node_declared_before_its_dependency():
+    assert list(_registry([_node("a"), _node("b", "a")])) == ["a", "b"]
+    with pytest.raises(ValueError, match="^b depends on a, which is not declared before it$"):
+        _registry([_node("b", "a"), _node("a")])
+    with pytest.raises(ValueError, match="^a depends on a, "):
+        _registry([_node("a", "a")])
+
+
+def test_the_registry_refuses_an_unknown_dependency():
+    with pytest.raises(ValueError, match="^b depends on zz, "):
+        _registry([_node("a"), _node("b", "a", "zz")])
 
 
 def test_ledger_of_an_excluded_axiom_keeps_its_source():
@@ -89,8 +107,8 @@ def test_text_report_deterministic():
 
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
-CANONICAL_TEXT_SHA256 = "e396d97c373ff197d7fa880f26efc0545aa802f5c28b7b9b80d5005b889f2f9c"
-CANONICAL_JSON_SHA256 = "48827ff58194557f3d0943fd9cddeaf3eaa0be442dec7b22eb82f1450aa44247"
+CANONICAL_TEXT_SHA256 = "4046c2861bba326aca3e25d0d0175f70aa979459574e78d98a75e3b6be7440ef"
+CANONICAL_JSON_SHA256 = "15cf12e60d32d0efefa0befb5a25c3a9a387fc29388adf95a46592fc9cbb2f90"
 
 
 def test_canonical_report_digests():
@@ -102,7 +120,7 @@ def test_canonical_report_digests():
 
 
 # The sides of each elimination, which neither digest covers (``explain`` prints them).
-NODE_SIDES_SHA256 = "e135041952baf0072adfb8ca87647624c8b07fe5ac3a9818283a2b1978a797c6"
+NODE_SIDES_SHA256 = "b73671759bdda38802d9b50fcfd540ee6340291e4a77fcc89c3bc3035a08bdce"
 
 
 def test_node_sides_digest(full_report):
@@ -177,8 +195,8 @@ def test_fixtures_check_lists_every_node_that_reads_a_fixture(monkeypatch):
         finally:
             running.pop()
 
-    monkeypatch.setattr(prooftree, "EXPECTED", Recorded(EXPECTED))
-    monkeypatch.setattr(delpezzo, "_DATA", Recorded(delpezzo._DATA))
+    monkeypatch.setattr(prooftree, "EXPECTED", Recorded(EXPECTED._load()))
+    monkeypatch.setattr(delpezzo, "_DATA", Recorded(delpezzo._DATA._load()))
     monkeypatch.setattr(ProofNode, "run", recording_run)
     assert run("all").verdict == "verified"
     assert readers == set(report_mod.FIXTURE_NODES)
@@ -416,41 +434,79 @@ SILENT_EDGES = {
 }
 
 
-# the searches whose windows stay typed literals: the positive literal stops of their
-# range calls in source order, and the reason
+# the searches whose windows stay typed: the typed stops of their range calls in source
+# order (see _typed_windows), and the reason
 TYPED_WINDOWS = {
     ("cover", "_R0K"): ((2,), "R_0.K_S >= 0 as K_S is nef, and h^0(N) = 2 + R_0.K_S < 4 as "
                               "the tricanonical map is birational"),
+    ("fibration", "eliminate_by_delta"): (("ell_max = 8",), "the Euler pass scans l <= 8; "
+                                                            "layer_kernels passes its own "
+                                                            "ell_max, and the default goes "
+                                                            "with ROADMAP item 2"),
     ("plane", "solve_multiplicity_system"): ((13,), "d_0 <= 12: no Cauchy-Schwarz bound "
                                                     "exists at 9 or 10 points, and layer_kernels "
                                                     "draws it, so it changes with the benchmark"),
     ("prooftree", "_e_fixed"): ((4, 5), "grids of formula checks, not searches"),
+    ("ruled", "fa_ladder_checks"): (("RULED_POINTS = 9",), "the ruled model's point count, "
+                                                           "one blow-up per point, not a search"),
 }
 
 
-def _literal_windows() -> dict[tuple[str, str], tuple[int, ...]]:
-    """(module, top-level function or assigned name) -> the stops of its range calls that
-    are positive integer literals, in source order."""
+def _typed_windows() -> dict[tuple[str, str], tuple[int | str, ...]]:
+    """(module, top-level function or assigned name) -> the typed stops of its range
+    calls, in source order: a positive integer literal as its value, and a name as
+    ``"name = value"`` when it is a parameter with a positive integer default or an
+    integer constant of a module, directly or through another such constant."""
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(godeaux3.__file__).parent.glob("*.py"))}
+
+    def positive(node, names):
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value > 0:
+            return node.value
+        return names.get(node.id) if isinstance(node, ast.Name) else None
+
+    constants = {}
+    for tree in trees.values():
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and isinstance(stmt.targets[0], ast.Name):
+                value = positive(stmt.value, constants)
+                if value is not None:
+                    constants[stmt.targets[0].id] = value
     windows = {}
-    for path in sorted(Path(godeaux3.__file__).parent.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
+    for module, tree in trees.items():
+        for stmt in tree.body:
             name = (ast.unparse(stmt.targets[0]) if isinstance(stmt, ast.Assign)
                     else getattr(stmt, "name", "<module>"))
+            typed = dict(constants)
+            for fn in ast.walk(stmt):
+                if isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+                    params = fn.args.args[len(fn.args.args) - len(fn.args.defaults):]
+                    for arg, default in [*zip(params, fn.args.defaults),
+                                         *zip(fn.args.kwonlyargs, fn.args.kw_defaults)]:
+                        value = None if default is None else positive(default, constants)
+                        if value is not None:
+                            typed[arg.arg] = value
             calls = sorted((c for c in ast.walk(stmt) if isinstance(c, ast.Call) and c.args
                             and isinstance(c.func, ast.Name) and c.func.id == "range"),
                            key=lambda c: (c.lineno, c.col_offset))
-            stops = [c.args[min(1, len(c.args) - 1)] for c in calls]
-            literal = tuple(s.value for s in stops if isinstance(s, ast.Constant)
-                            and type(s.value) is int and s.value > 0)
-            if literal:
-                windows[(path.stem, name)] = literal
+            stops = []
+            for call in calls:
+                stop = call.args[min(1, len(call.args) - 1)]
+                literal = positive(stop, {})
+                if literal is not None:
+                    stops.append(literal)
+                stops += [f"{n.id} = {typed[n.id]}" for n in ast.walk(stop)
+                          if isinstance(n, ast.Name) and n.id in typed]
+            if stops:
+                windows[(module, name)] = tuple(stops)
     return windows
 
 
 def test_every_literal_window_is_listed():
-    """A range whose stop is a positive literal is a typed window: each is listed with
-    its reason and its bound, and no listed window is stale."""
-    assert _literal_windows() == {key: stops for key, (stops, _) in TYPED_WINDOWS.items()}
+    """A range whose stop is a positive literal, or names a parameter's positive default
+    or a module's integer constant, is a typed window: each is listed with its reason
+    and its bound, and no listed window is stale."""
+    assert _typed_windows() == {key: stops for key, (stops, _) in TYPED_WINDOWS.items()}
 
 
 def _variants(value):

@@ -79,7 +79,7 @@ def test_mutable_defaults_are_fresh_per_instance():
     one, two = LadderReport("s.3l"), LadderReport("s.3l")
     one.failures.append("x")
     one.forced["n'"] = 0
-    assert two.failures == [] and two.forced == {} and two.notes == []
+    assert two.failures == [] and two.forced == {}
 
 
 def test_a_ladder_report_is_ok_exactly_when_it_has_no_failure_line():

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .cover import RamificationData, quotient_k2
+from .cover import MAIN_CASES, quotient_k2
 from .lattice import DivisorClass, IntersectionLattice, ParityError, arithmetic_genus
 
 
@@ -80,6 +80,9 @@ def n_range(ell: int) -> tuple[int, int]:
     injectively), the lower one from N_1^2 = 4 - 3 ell + n >= 0.
     """
     return max(0, 3 * ell - 4), 3 * ell
+
+
+_PENCIL = MAIN_CASES["iii"]  # the pencil case, whose ladders this module checks
 
 
 # -- ladder identities --------------------------------------------------------
@@ -163,7 +166,7 @@ def ladder_counts(branch: str, ell: int) -> tuple[int, ...]:
     counts = (3 * ell + data["offset"], *data["given"])
     if min(counts) < 0:
         return counts
-    rows = adjoint_table(0, quotient_k2(RamificationData(0, ell, 1)), 1, (*counts, 0))
+    rows = adjoint_table(_PENCIL.r0k, quotient_k2(_PENCIL.datum(ell)), _PENCIL.h2, (*counts, 0))
     return (*counts, -rows[-1].ni2)
 
 
@@ -181,10 +184,10 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     for primes, count in enumerate(counts):
         if count < 0:
             fail(f"{level_symbol('n', primes)} = {count} < 0 is not realizable")
-    # the rational model: the plane blown up at 11 + 3 ell points, rank 12 + 3 ell
-    # and K^2 = -2 - 3 ell; G' is E_1, the cycles follow level by level and the
+    # the rational model: the plane blown up at 9 - K_Y^2 points, so that its K^2 is
+    # the pencil case's K_Y^2; G' is E_1, the cycles follow level by level and the
     # remaining points are anonymous
-    points = 11 + 3 * ell
+    points = 9 - quotient_k2(_PENCIL.datum(ell))
     if report.ok and sum(counts) >= points:
         fail(f"G' and {sum(counts)} cycles need more than the model's {points} points")
     if not report.ok:
@@ -222,8 +225,8 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
     # invariants of N in the model
     n_class = row_class("N")
     top = (n_class.square, n_class.dot(k))
-    if top != ladder_top(0):
-        fail(f"(N^2, N.K) = {top} != {ladder_top(0)}")
+    if top != ladder_top(_PENCIL.r0k):
+        fail(f"(N^2, N.K) = {top} != {ladder_top(_PENCIL.r0k)}")
 
     # walk the adjoint chain: G' and the cycles of level 1 are contracted from
     # the first step on, those of level j from the j-th, down to the vanishing level
@@ -239,7 +242,7 @@ def verify_ladder_identity(branch: str, ell: int = 1) -> LadderReport:
 
     # every level of the chain, down to the vanishing one, meets N nonnegatively
     # and agrees with the table at the forced counts
-    table = adjoint_table(0, k.square, 1, counts)
+    table = adjoint_table(_PENCIL.r0k, k.square, _PENCIL.h2, counts)
     for row, prev, cls in zip(table, chain, chain[1:]):
         if cls.dot(n_class) < 0:
             fail(f"N{row.index}.N < 0")
@@ -256,8 +259,6 @@ def n_prime_one_is_contradiction(ell: int = 1) -> bool:
     Verified as arithmetic: (N_1 - N_2)^2 = n' - 1, so n' <= 1, and equality
     makes K_Y numerically effective against the rationality of Y.
     """
-    n = 3 * ell
-    ky2 = quotient_k2(RamificationData(0, ell, 1))
-    n1, n2 = adjoint_table(0, ky2, 1, (n, 1))
+    n1, n2 = adjoint_table(_PENCIL.r0k, quotient_k2(_PENCIL.datum(ell)), _PENCIL.h2, (3 * ell, 1))
     gap = n1.ni2 + n2.ni2 - 2 * n2.prev_dot
     return gap == 0

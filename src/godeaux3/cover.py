@@ -3,7 +3,7 @@
 Fixed-point counts, transfer of K^2 between the surface, the resolved cover
 and the quotient, the dimension formulas that gate the case analysis, and
 the brute-force enumeration that yields exactly the three main cases.  The
-other layers read K_S^2, h_1 and K_Y^2 from here.
+other layers read K_S^2, h_1, K_Y^2 and the cases (``MAIN_CASES``) from here.
 """
 
 from __future__ import annotations
@@ -139,6 +139,10 @@ class CaseRecord(NamedTuple):
     h0_n: int
     h0_2kb: int
 
+    def datum(self, ell: int, gamma_sq: int | None = None) -> RamificationData:
+        """The case's ramification datum with ``ell`` (-2)-components of R_0."""
+        return RamificationData(self.r0k, ell, self.h2, gamma_sq)
+
 
 _CASE_IDS = {(1, 3): "i", (0, 4): "ii", (0, 1): "iii"}
 # R_0.K_S -> the largest h_2 that h0_pair can admit, for _R0K and one past it:
@@ -158,3 +162,6 @@ def enumerate_main_cases(h2_max: int | None = None) -> list[CaseRecord]:
             out.append(CaseRecord(_CASE_IDS[r0k, h2], r0k, h2, h0_n, h0_2kb))
     out.sort(key=lambda c: list(_CASE_IDS.values()).index(c.id))
     return out
+
+
+MAIN_CASES = {c.id: c for c in enumerate_main_cases()}  # the one source of R_0.K_S and h_2

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .adjoint import adjoint_pairing, adjoint_step, ladder_counts, ladder_top
-from .cover import RamificationData, image_square, quotient_k2
+from .cover import MAIN_CASES, RamificationData, image_square, quotient_k2
 from .lattice import canonical_degree, index_slack
 from .pencil import EXC_SELF_INT, PencilCase, pencil_case
 
@@ -81,10 +81,11 @@ def node_bound(fiber: list[tuple[int, int, dict[int, int]]]) -> int:
     return total
 
 
+_PENCIL, _CASE_I = MAIN_CASES["iii"], MAIN_CASES["i"]  # the main cases eliminated in l
 # Squares of what a fibre can trap: E', F', H' are images of fixed (-1)-curves, a
 # component of B_0 of a (-2)-curve of R_0; the contracted cycles are (-1)-curves.
 EXC_SQ = image_square(EXC_SELF_INT)
-B0_SQ = image_square(RamificationData(0, 1, 1).r0sq)
+B0_SQ = image_square(_PENCIL.datum(1).r0sq)
 CYCLE_SQ = -1
 
 
@@ -117,10 +118,9 @@ class Elimination(NamedTuple):
 # -- case (iii): the pencil |A'| ----------------------------------------------
 
 
-# h_1 and K_Y^2 of the pencil case, R_0.K_S = 0 and h_2 = 1 (one curve G'), in l
-_H2 = 1
-_PENCIL_H1 = _affine(lambda ell: RamificationData(0, ell, _H2).h1)
-_PENCIL_KY2 = _affine(lambda ell: quotient_k2(RamificationData(0, ell, _H2)))
+# h_1 and K_Y^2 of the pencil case, whose h_2 points carry the one curve G', in l
+_PENCIL_H1 = _affine(lambda ell: _PENCIL.datum(ell).h1)
+_PENCIL_KY2 = _affine(lambda ell: quotient_k2(_PENCIL.datum(ell)))
 
 
 def _pencil_trapped(case: PencilCase) -> tuple[int, int, int]:
@@ -137,11 +137,12 @@ def _pencil_sum(inv: tuple[int, int, int], ell: int, b0: int) -> int:
     return trapped(((not a_f) + (not a_h) + _PENCIL_H1(ell) - e_met, EXC_SQ), (b0, B0_SQ))
 
 
-def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
-    """Replay the Euler-excess test for one pencil case across all l.
+def eliminate_by_delta(case: str | PencilCase, ell_max: int | None = None) -> Elimination:
+    """Replay the Euler-excess test for one pencil case across all l, or up to ``ell_max``.
 
     Accepts a case label or the case record itself; returns the surviving
-    values of l (empty tuple = the case is eliminated).
+    values of l (empty tuple = the case is eliminated).  From l = A.R_0 on, the trapped
+    sum is ``lhs``, which outgrows ``rhs``: no l past their crossing survives.
     """
     if isinstance(case, str):
         case = pencil_case(case)
@@ -155,10 +156,11 @@ def eliminate_by_delta(case: str | PencilCase, ell_max: int = 8) -> Elimination:
     trace = [f"delta = {rhs}",
              f"trapped: F'={not a_f} H'={not a_h}, E' count (4+l)-{e_met}, {b0_note}",
              f"contributions >= {lhs}"]
-    survivors = [ell for ell in range(ell_min, ell_max + 1)
-                 if _pencil_sum(inv, ell, max(0, ell - case.ar0)) <= rhs(ell)]
     if lhs.coef <= rhs.coef:
         raise FibrationError("slope comparison fails; survivor scan is not complete")
+    top = max(case.ar0 - 1, (rhs.const - lhs.const) // (lhs.coef - rhs.coef))
+    survivors = [ell for ell in range(ell_min, (top if ell_max is None else ell_max) + 1)
+                 if _pencil_sum(inv, ell, max(0, ell - case.ar0)) <= rhs(ell)]
     verdict = "contradiction" if not survivors else "survives"
     trace.append(f"surviving l: {survivors}")
     return Elimination(f"delta.{case.label}", str(lhs), str(rhs), verdict,
@@ -246,9 +248,9 @@ def elim_p_no0d(case: PencilCase, ell: int) -> Elimination:
     B_0.(sum C_j) exceeds m A'.B_0."""
     ky2, a_b0 = _PENCIL_KY2(ell), case.ar0
     # A_1^2 has slope 1 in m, so m is -A_1^2 at m = 0, as ladder_counts solves its last count
-    _, a1sq0, _ = adjoint_step(case.aprime2, case.apk, ky2, _H2)
+    _, a1sq0, _ = adjoint_step(case.aprime2, case.apk, ky2, _PENCIL.h2)
     m = -a1sq0
-    _, _, a1k = adjoint_step(case.aprime2, case.apk, ky2, _H2 + m)
+    _, _, a1k = adjoint_step(case.aprime2, case.apk, ky2, _PENCIL.h2 + m)
     # 0 = A_1.B_0, B_0 misses G' and B_0.K by adjunction, B_0 being rational
     b0_sum_c = adjoint_pairing(a_b0, canonical_degree(B0_SQ), 0)
     ok = b0_sum_c > m * a_b0
@@ -297,7 +299,7 @@ def elim_p_1e(case: PencilCase, offsets: tuple[int, ...]) -> Elimination:
     s = adjoint_pairing(case.ak, case.apk, 0)  # A'.N_1, as A' misses G' and the cycles
     for off in offsets:
         # with K_Y^2 = -2 - 3l, N_1^2 and N_1.K depend on n - 3l only: read them at l = 0
-        _, n1sq, n1k = adjoint_step(_N2, _NK, _PENCIL_KY2(0), _H2 + off)
+        _, n1sq, n1k = adjoint_step(_N2, _NK, _PENCIL_KY2(0), _PENCIL.h2 + off)
         slack = index_slack(n1sq, s, case.aprime2)
         if n1sq < 1 or slack < 0:
             raise FibrationError(f"n - 3l must lie in -3..0, got {offsets}")
@@ -359,10 +361,10 @@ def case_i_grid() -> list[tuple[int, int]]:
     """Admissible (Gamma^2, l) pairs in case (i): h_1 = (3 - Gamma^2)/2 + l <= 4 bounds l
     by 4 - h_1(l = 0); then h_1 >= 1 and K_Y^2 >= -12, the floor ``elim_p_no0`` reads."""
     return [(gamma_sq, ell) for gamma_sq in (1, -1, -3, -5, -7)
-            for ell in range(0, 4 - RamificationData(1, 0, 3, gamma_sq).h1 + 1)]
+            for ell in range(0, 4 - _CASE_I.datum(0, gamma_sq).h1 + 1)]
 
 
-_FH_CASE_I = 2 * 3  # F' and H' over the h_2 = 3 points lie in fibres of |N_1|
+_FH_CASE_I = 2 * _CASE_I.h2  # F' and H' over the h_2 = 3 points lie in fibres of |N_1|
 _N1_CASE_I = (1, canonical_degree(1, 1))  # (N_1^2, N_1.K_Y) when N_1^2 = p_a(N_1) = 1
 
 
@@ -371,7 +373,7 @@ def elim_p_no0() -> Elimination:
     n1sq = 0
     # n = N_1^2 - 1 mod 3 and n = N_1^2 - 4 - K_Y^2, with K_Y^2 no less than on case (i)'s
     # grid; the six trapped F'/H' must fit in delta of the rational pencil |N_1|
-    n_max = n1sq - 4 - min(quotient_k2(RamificationData(1, ell, 3, g)) for g, ell in case_i_grid())
+    n_max = n1sq - 4 - min(quotient_k2(_CASE_I.datum(ell, g)) for g, ell in case_i_grid())
     deltas = {n: euler_excess(n1sq - 4 - n, n1sq, canonical_degree(n1sq))
               for n in range(0, n_max + 1)
               if n % 3 == (n1sq - 1) % 3}
@@ -403,7 +405,7 @@ def _scan_case_i(prop_id: str, lhs_text: str, case_split, moving: tuple[int, int
     """
     survivors, trace = [], []
     for gamma_sq, ell in case_i_grid():
-        r = RamificationData(1, ell, 3, gamma_sq)
+        r = _CASE_I.datum(ell, gamma_sq)
         ky2 = quotient_k2(r)
         n = _N1_CASE_I[0] - 4 - ky2  # N_1^2 = 4 + K_Y^2 + n
         delta_val = euler_excess(ky2, *moving)
@@ -469,7 +471,7 @@ def elim_p_noN1() -> Elimination:
     # admits at most 3t cycles; the all-meeting n = 6, t = 0 is left to p.no16
     kept = []
     for gamma_sq, ell, n, tag in scan.survivors:
-        t = RamificationData(1, ell, 3, gamma_sq).h1 - 3  # trapped E'-count in case II
+        t = _CASE_I.datum(ell, gamma_sq).h1 - 3  # trapped E'-count in case II
         if tag.startswith("I/") or n <= 3 * t or (n == 6 and t == 0):
             kept.append((gamma_sq, ell, n, tag))
         else:
@@ -548,7 +550,8 @@ def elim_t_ii(h2: int) -> Elimination:
     ell_min = 2 * h2 - 6
     # M' meets F', H' over one q: 2(h_2 - 1) trapped; M' elliptic with M'^2 = 0
     lhs = _affine(lambda ell: trapped((2 * (h2 - 1), EXC_SQ), (ell - 1, B0_SQ)), ell_min)
-    rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(0, ell, h2)), 0,
+    r0k = MAIN_CASES["ii"].r0k
+    rhs = _affine(lambda ell: euler_excess(quotient_k2(RamificationData(r0k, ell, h2)), 0,
                                            canonical_degree(0, 1)), ell_min)
     # lhs > rhs at l_min, and lhs grows faster: so for every l >= l_min
     ok = lhs(ell_min) > rhs(ell_min) and lhs.coef > rhs.coef

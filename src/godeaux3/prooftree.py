@@ -140,9 +140,9 @@ def _all_closed(ins: dict[str, Outcome]) -> Outcome:
 
 def _e_fixed(_) -> Outcome:
     """h_1 + 2 h_2 on the grid of every main case; the value is that grid."""
-    grid = [cover.RamificationData(0, ell, 1) for ell in range(0, 4)]
-    grid += [cover.RamificationData(0, ell, 4) for ell in range(2, 5)]
-    grid += [cover.RamificationData(1, ell, 3, gamma_sq=g) for g, ell in fibration.case_i_grid()]
+    grid = [cover.MAIN_CASES["iii"].datum(ell) for ell in range(0, 4)]
+    grid += [cover.MAIN_CASES["ii"].datum(ell) for ell in range(2, 5)]
+    grid += [cover.MAIN_CASES["i"].datum(ell, g) for g, ell in fibration.case_i_grid()]
     ok = True
     for r in grid:
         h1 = 4 + r.ell if r.h2 == 1 else r.ell - 2 if r.h2 == 4 else (3 - r.gamma_sq) // 2 + r.ell
@@ -291,11 +291,6 @@ def _p_comp(ins) -> Outcome:
     ok = row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
     trace = [f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
              f"= {row.ni2}, N.N_1 = {row.prev_dot}"]
-    spot = adjoint.adjoint_table(0, -5, 1, (3, 0))
-    ok &= spot[0].ni2 == 4 and spot[1].prev_dot == 4
-    spot = adjoint.adjoint_table(0, -5, 1, (2, 0))
-    ok &= spot[0].ni2 == 3 and spot[1].prev_dot == 2
-    trace.append("spot values: l=1, n=3 gives N_1^2 = 4 = N_1.N_2; n=2 gives 3 and 2")
     return _check(ok, trace, rows)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .adjoint import LadderReport, ladder_top
-from .cover import RamificationData, quotient_k2
+from .cover import MAIN_CASES, quotient_k2
 from .fibration import B0_SQ, CYCLE_SQ, EXC_SQ, Elimination, euler_excess, trapped
 from .lattice import IntersectionLattice, blow_up
 from .plane import PlaneError, multiplicity_vectors
@@ -224,7 +224,7 @@ def elim_t_no1(steps: int) -> Elimination:
     trace.append(f"two-step ladder over F_1: squares {ladder['squares']}, "
                  f"branch class {ladder['branch_coeffs']}")
     # A' = N: delta of |N| against F', H', the h_1 E', B_0 and two contracted cycles
-    r = RamificationData(0, 1, 1)
+    r = MAIN_CASES["iii"].datum(1)
     delta_val = euler_excess(quotient_k2(r), *ladder_top(r.r0k))
     contributions = trapped((2 + r.h1, EXC_SQ), (1, B0_SQ), (2, CYCLE_SQ))
     if contributions <= delta_val:

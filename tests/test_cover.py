@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import godeaux3
 from godeaux3 import cover
 from godeaux3.cover import (CaseInvalidError, RamificationData, enumerate_main_cases,
                             fixed_point_budget, h0_pair, kx2, kx2_via_blowup, quotient_k2)
@@ -159,3 +163,68 @@ def test_cases_main_fails_when_h0_pair_admits_one_more_pair(monkeypatch):
     result = run("cases.main").results["cases.main"]
     assert result.status == "failed"
     assert "('iv', 0, 2)" in result.trace[0]
+
+
+def test_main_cases_match_the_fixture_by_id():
+    from godeaux3.prooftree import EXPECTED
+
+    assert list(cover.MAIN_CASES) == ["i", "ii", "iii"]
+    assert {cid: [c.r0k, c.h2] for cid, c in cover.MAIN_CASES.items()} \
+        == dict(zip(["i", "ii", "iii"], EXPECTED["main_cases"]))
+    assert cover.MAIN_CASES["i"].datum(1, -1) == RamificationData(1, 1, 3, -1)
+    assert cover.MAIN_CASES["iii"].datum(2) == RamificationData(0, 2, 1)
+
+
+# the calls that take a main case's invariants: the positions and names of R_0.K_S and h_2
+_CASE_ARGS = {"RamificationData": ((0, "r0k"), (2, "h2")),
+              "adjoint_table": ((0, "r0k"), (2, "h2"))}
+# the integer constants the layers outside cover type, none of them a main case's
+# R_0.K_S or h_2, each with what it is
+INTEGER_CONSTANTS = {
+    ("fibration", "CYCLE_SQ"): "the square of a contracted (-1)-cycle",
+    ("pencil", "EXC_SELF_INT"): "the square of a fixed (-1)-curve",
+    ("plane", "DEL_PEZZO_POINTS"): "the points blown up for a Del Pezzo model",
+    ("ruled", "RULED_POINTS"): "the points blown up on F_a in the ruled branches",
+}
+
+
+def _integer_expression(node, constants) -> bool:
+    """An expression of integer literals and the names in ``constants`` only."""
+    return all(isinstance(n, (ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop,
+                              ast.expr_context))
+               or isinstance(n, ast.Constant) and type(n.value) is int
+               or isinstance(n, ast.Name) and n.id in constants for n in ast.walk(node))
+
+
+def _typed_main_case_sites(package: Path):
+    """The integer constants of each module but cover, by (module, name), and the calls of
+    ``_CASE_ARGS`` that pass an integer expression as R_0.K_S or h_2, by (module, line)."""
+    constants, calls = set(), []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "cover":
+            continue
+        tree = ast.parse(path.read_text())
+        names = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign) and _integer_expression(stmt.value, names):
+                names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
+        constants |= {(path.stem, name) for name in names}
+        for call in ast.walk(tree):
+            func = getattr(call, "func", None)
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            typed = [arg for pos, kw in _CASE_ARGS.get(name, ())
+                     for arg in [*call.args[pos:pos + 1],
+                                 *(k.value for k in call.keywords if k.arg == kw)]
+                     if _integer_expression(arg, names)]
+            if typed:
+                calls.append((path.stem, call.lineno))
+    return constants, calls
+
+
+def test_no_layer_types_a_main_case():
+    """R_0.K_S and h_2 of a main case are read from ``cover.MAIN_CASES``: no call outside
+    cover passes them as literals, and no module constant there types an integer but the
+    listed ones."""
+    constants, calls = _typed_main_case_sites(Path(godeaux3.__file__).parent)
+    assert calls == []
+    assert constants == set(INTEGER_CONSTANTS)

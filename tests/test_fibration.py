@@ -9,7 +9,8 @@ import godeaux3
 from godeaux3 import delpezzo, fibration as fib
 from godeaux3 import ruled
 from godeaux3.adjoint import adjoint_pairing, adjoint_step, adjoint_table, ladder_top
-from godeaux3.cover import CaseInvalidError, RamificationData, image_square, quotient_k2
+from godeaux3.cover import (MAIN_CASES, CaseInvalidError, RamificationData, image_square,
+                            quotient_k2)
 from godeaux3.fibration import FibrationError, LinearForm, min_contribution, node_bound
 from godeaux3.lattice import canonical_degree
 from godeaux3.pencil import enumerate_pencil_cases, pencil_case
@@ -264,6 +265,26 @@ def test_eliminate_by_delta_accepts_case_objects():
     assert by_label == by_case
 
 
+# the labels of every pencil case the Euler pass judges: A'^2 = 0, A'^2 = 1 and N
+PENCIL_LABELS = [f"0{c}" for c in "abcdefgh"] + [f"1{c}" for c in "abcdef"] + ["N"]
+
+
+@pytest.mark.parametrize("label", PENCIL_LABELS)
+def test_euler_pass_window_matches_a_brute_force(label):
+    """The window read off the two sides finds what a scan to l = 60 finds, and a
+    caller's ell_max cuts it."""
+    case = pencil_case(label)
+    inv = fib._pencil_trapped(case)
+    brute = tuple(ell for ell in range(1 if case.ar0 else 0, 61)
+                  if fib._pencil_sum(inv, ell, max(0, ell - case.ar0))
+                  <= fib.euler_excess(quotient_k2(RamificationData(0, ell, 1)),
+                                      case.aprime2, case.apk))
+    assert fib.eliminate_by_delta(case).survivors == brute
+    for cut in range(0, 13):
+        assert fib.eliminate_by_delta(case, cut).survivors == tuple(
+            ell for ell in brute if ell <= cut)
+
+
 def test_trapped_sums_min_contribution_over_named_curves():
     assert fib.trapped() == 0
     assert fib.trapped((5, fib.EXC_SQ), (2, fib.B0_SQ), (2, fib.CYCLE_SQ)) == 15 + 12 + 2
@@ -285,6 +306,7 @@ def test_euler_excess_equals_the_typed_delta_formulas():
     for ell in range(0, 13):
         r = RamificationData(0, ell, 1)
         ky2 = quotient_k2(r)
+        assert MAIN_CASES["iii"].datum(ell) == r
         # the pencil scans read h_1 and K_Y^2 off forms in l taken at l = 0, 1
         assert (fib._PENCIL_H1(ell), fib._PENCIL_KY2(ell)) == (r.h1, ky2)
         for case in pencil_rows:

@@ -108,7 +108,7 @@ def test_text_report_deterministic():
 # A change to the canonical report must update these digests and list the
 # changed rows in CHANGES.md.
 CANONICAL_TEXT_SHA256 = "4046c2861bba326aca3e25d0d0175f70aa979459574e78d98a75e3b6be7440ef"
-CANONICAL_JSON_SHA256 = "15cf12e60d32d0efefa0befb5a25c3a9a387fc29388adf95a46592fc9cbb2f90"
+CANONICAL_JSON_SHA256 = "f054698bd9e310816e0c1e225c6ccf46e0afe99c8ca21077ff092dc1c321055b"
 
 
 def test_canonical_report_digests():
@@ -439,10 +439,6 @@ SILENT_EDGES = {
 TYPED_WINDOWS = {
     ("cover", "_R0K"): ((2,), "R_0.K_S >= 0 as K_S is nef, and h^0(N) = 2 + R_0.K_S < 4 as "
                               "the tricanonical map is birational"),
-    ("fibration", "eliminate_by_delta"): (("ell_max = 8",), "the Euler pass scans l <= 8; "
-                                                            "layer_kernels passes its own "
-                                                            "ell_max, and the default goes "
-                                                            "with ROADMAP item 2"),
     ("plane", "solve_multiplicity_system"): ((13,), "d_0 <= 12: no Cauchy-Schwarz bound "
                                                     "exists at 9 or 10 points, and layer_kernels "
                                                     "draws it, so it changes with the benchmark"),

@@ -208,7 +208,7 @@ def t_iii_survivors(passes: dict[str, Elimination]) -> dict[int, tuple[str, ...]
 # -- case (iii): lattice-based eliminations -----------------------------------
 
 # N misses G' and the cycles, so N.N_1 = N^2 + N.K_Y
-_N2, _NK = ladder_top(0)
+_N2, _NK = ladder_top(_PENCIL.r0k)
 _NN1 = adjoint_pairing(_N2, _NK, 0)
 
 
@@ -504,7 +504,7 @@ def elim_p_no16() -> Elimination:
 def n1_squares(nn1: int) -> list[int]:
     """The N_1^2 the index theorem leaves against N given N.N_1: with N.N_1 = 2,
     (3 N_1 - 2 N)^2 = 9 N_1^2 - 12 <= 0 pins N_1^2 to {0, 1}."""
-    n_sq = ladder_top(1)[0]
+    n_sq = ladder_top(_CASE_I.r0k)[0]
     # candidates 0 <= N_1^2 <= (N.N_1)^2, a bound as N^2 >= 1
     return [x for x in range(nn1 ** 2 + 1) if index_slack(x, nn1, n_sq) >= 0]
 

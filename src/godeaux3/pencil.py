@@ -14,7 +14,7 @@ from itertools import combinations_with_replacement
 from math import isqrt
 from typing import NamedTuple
 
-from .cover import KS2
+from .cover import KS2, MAIN_CASES
 from .lattice import canonical_degree
 
 # Intersection numbers of the exceptional configuration over an A_2-type
@@ -223,13 +223,14 @@ def _candidate_cases(aprime2: int, h2: int, apply_orbit_filters: bool) -> list[P
     return found
 
 
-def enumerate_pencil_cases(aprime2: int, h2: int = 1,
+def enumerate_pencil_cases(aprime2: int, h2: int = MAIN_CASES["iii"].h2,
                            apply_orbit_filters: bool = True) -> list[PencilCase]:
     """All numerical shapes of the invariant pencil with the given A'^2.
 
     Exhaustive over the moving-part branches and drop-atom multisets, filtered
     by the mod-3 multiplicity constraints, the orbit bound on A.R_0 and
-    integrality of the genus.  Results are sorted and labelled.
+    integrality of the genus.  Results are sorted and labelled.  ``h2`` defaults to
+    the pencil case's, case (iii)'s.
     """
     if aprime2 not in (0, 1, 2, 3):
         raise ValueError("A'^2 must be one of 0, 1, 2, 3")

@@ -138,51 +138,48 @@ def _all_closed(ins: dict[str, Outcome]) -> Outcome:
 # -- the cover and the main cases -------------------------------------------------
 
 
+# the paper's closed forms of h_1 and K_Y^2 on each main case's data, by case id
+_H1 = {"iii": lambda r: 4 + r.ell, "ii": lambda r: r.ell - 2,
+       "i": lambda r: (3 - r.gamma_sq) // 2 + r.ell}
+_KY2 = {"iii": lambda r: -2 - 3 * r.ell, "ii": lambda r: -3 - 3 * r.ell,
+        "i": lambda r: -4 - 3 * r.ell + (3 * r.gamma_sq - 1) // 2}
+
+
 def _e_fixed(_) -> Outcome:
-    """h_1 + 2 h_2 on the grid of every main case; the value is that grid."""
-    grid = [cover.MAIN_CASES["iii"].datum(ell) for ell in range(0, 4)]
-    grid += [cover.MAIN_CASES["ii"].datum(ell) for ell in range(2, 5)]
-    grid += [cover.MAIN_CASES["i"].datum(ell, g) for g, ell in fibration.case_i_grid()]
-    ok = True
-    for r in grid:
-        h1 = 4 + r.ell if r.h2 == 1 else r.ell - 2 if r.h2 == 4 else (3 - r.gamma_sq) // 2 + r.ell
-        ok &= cover.fixed_point_budget(r) == h1 + 2 * r.h2
+    """h_1 + 2 h_2 on the grid of every main case; the value maps each case id to its grid."""
+    cases = cover.MAIN_CASES
+    grids = {"iii": [cases["iii"].datum(ell) for ell in range(0, 4)],
+             "ii": [cases["ii"].datum(ell) for ell in range(2, 5)],
+             "i": [cases["i"].datum(ell, g) for g, ell in fibration.case_i_grid()]}
+    ok = all(cover.fixed_point_budget(r) == _H1[cid](r) + 2 * r.h2
+             for cid, grid in grids.items() for r in grid)
     trace = ["pencil case: h1+2h2 = 6 + l, so h1 = 4 + l for l = 0..3",
              "second case: h1+2h2 = 6 + l, so h1 = l - 2 for l = 2..4",
              "first case: h1+2h2 = 6 + (3 - Gamma^2)/2 + l over the whole grid"]
-    return _check(ok, trace, grid)
+    return _check(ok, trace, grids)
 
 
 def _e_ky(ins) -> Outcome:
-    """K_Y^2 on e.fixed's grid; the value maps each ramification datum to it."""
-    values = {}
-    trace = []
-    ok = True
-    for r in ins["e.fixed"].value:
-        ky2 = values[r] = cover.quotient_k2(r)
-        if r.h2 == 1:
-            ok &= ky2 == -2 - 3 * r.ell
-            trace.append(f"pencil case l={r.ell}: K_Y^2 = {ky2}")
-        elif r.h2 == 4:
-            ok &= ky2 == -3 - 3 * r.ell
-            trace.append(f"second case l={r.ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}")
-        else:
-            ok &= ky2 == -4 - 3 * r.ell + (3 * r.gamma_sq - 1) // 2
+    """K_Y^2 on e.fixed's grids; the value maps each case id to {datum: K_Y^2}."""
+    values = {cid: {r: cover.quotient_k2(r) for r in grid}
+              for cid, grid in ins["e.fixed"].value.items()}
+    ok = all(ky2 == _KY2[cid](r) for cid, ky2s in values.items() for r, ky2 in ky2s.items())
+    trace = [f"pencil case l={r.ell}: K_Y^2 = {ky2}" for r, ky2 in values["iii"].items()]
+    trace += [f"second case l={r.ell}: K_Y^2 = {ky2}, e(Y) = {12 - ky2}"
+              for r, ky2 in values["ii"].items()]
     trace.append("first case: K_Y^2 = -4 - 3l + (3 Gamma^2 - 1)/2 over the whole grid")
     return _check(ok, trace, values)
 
 
 def _e_kx(ins) -> Outcome:
-    """K_X^2 two ways on e.ky's grid; the value is that grid, so confirmed."""
-    ok = True
-    for r, ky2 in ins["e.ky"].value.items():
-        via_hurwitz = cover.kx2(r, ky2)
-        ok &= via_hurwitz == cover.kx2_via_blowup(r)
-        if r.r0k == 1:
-            ok &= ky2 >= via_hurwitz  # e(X) >= e(Y)
+    """K_X^2 two ways on e.ky's grids; the value is e.ky's, so confirmed."""
+    ky2s = ins["e.ky"].value
+    ok = all(cover.kx2(r, ky2) == cover.kx2_via_blowup(r)
+             for grid in ky2s.values() for r, ky2 in grid.items())
+    ok &= all(ky2 >= cover.kx2(r, ky2) for r, ky2 in ky2s["i"].items())  # e(X) >= e(Y)
     trace = ["K_X^2 = 3 K_Y^2 - 4 R_0^2 + 4 R_0.K = K_S^2 - (h_1 + 3 h_2) on the K_Y^2 grid"]
     trace.append("case with R_0.K = 1 also satisfies K_Y^2 >= K_X^2")
-    return _check(ok, trace, ins["e.ky"].value)
+    return _check(ok, trace, ky2s)
 
 
 def _p_rk(_) -> Outcome:
@@ -282,12 +279,13 @@ def _e_g(ins) -> Outcome:
 
 def _p_comp(ins) -> Outcome:
     """The ladder's row N_1 at n = 0 on the pencil grid and case (i)'s largest K_Y^2,
-    checked where the recurrence is not; the value maps each datum to that row."""
+    checked where the recurrence is not; the value maps each case id to {datum: row}."""
     ky2s = ins["e.KX"].value
-    # the second main case, h_2 = 4, has no adjoint ladder
-    data = [r for r in ky2s if r.h2 == 1] + [max((r for r in ky2s if r.r0k == 1), key=ky2s.get)]
-    rows = {r: adjoint.adjoint_table(r.r0k, ky2s[r], r.h2, (0,))[0] for r in data}
-    ky2, row = ky2s[data[-1]], rows[data[-1]]
+    # the second main case has no adjoint ladder
+    first = max(ky2s["i"], key=ky2s["i"].get)
+    rows = {cid: {r: adjoint.adjoint_table(r.r0k, ky2s[cid][r], r.h2, (0,))[0] for r in data}
+            for cid, data in (("iii", ky2s["iii"]), ("i", [first]))}
+    ky2, row = ky2s["i"][first], rows["i"][first]
     ok = row.ni2 == row.pa == 4 + ky2 and row.prev_dot == 2
     trace = [f"first case K_Y^2 = {ky2}, n = 0: N_1^2 = p_a(N_1) = 4 + K_Y^2 + n "
              f"= {row.ni2}, N.N_1 = {row.prev_dot}"]
@@ -296,19 +294,16 @@ def _p_comp(ins) -> Outcome:
 
 def _le_z(ins) -> Outcome:
     """The cycle-count bound is -N_1^2 at n = 0 on each row of p.comp, by pencil l."""
-    ok = True
-    trace = []
-    bounds = {}
-    for r, row in ins["p.comp"].value.items():
-        bound = adjoint.z_lower_bound(r.r0k, r.r0sq, r.h2)
-        ok &= bound == -row.ni2
-        if r.r0k == 0:
-            bounds[r.ell] = bound
-            trace.append(f"pencil case l={r.ell}: n >= {bound} = -N_1^2 at n = 0")
-        else:
-            trace.append(f"first case (Gamma^2={r.gamma_sq}, l={r.ell}): n >= {bound} "
-                         f"= -N_1^2 at n = 0")
-    return _check(ok, trace, bounds)
+    rows = ins["p.comp"].value
+    bounds = {cid: {r: adjoint.z_lower_bound(r.r0k, r.r0sq, r.h2) for r in case_rows}
+              for cid, case_rows in rows.items()}
+    ok = all(bound == -rows[cid][r].ni2 for cid, by_datum in bounds.items()
+             for r, bound in by_datum.items())
+    trace = [f"pencil case l={r.ell}: n >= {bound} = -N_1^2 at n = 0"
+             for r, bound in bounds["iii"].items()]
+    trace += [f"first case (Gamma^2={r.gamma_sq}, l={r.ell}): n >= {bound} = -N_1^2 at n = 0"
+              for r, bound in bounds["i"].items()]
+    return _check(ok, trace, {r.ell: bound for r, bound in bounds["iii"].items()})
 
 
 def _l_n(ins) -> Outcome:
@@ -377,7 +372,8 @@ def _e_fibre(_) -> Outcome:
 
 def _l_n1(ins) -> Outcome:
     """The N_1^2 left by the index theorem, N.N_1 read from p.comp's case (i) row."""
-    nn1 = next(row.prev_dot for r, row in ins["p.comp"].value.items() if r.r0k == 1)
+    (row,) = ins["p.comp"].value["i"].values()
+    nn1 = row.prev_dot
     values = fibration.n1_squares(nn1)
     return _check(values == [0, 1], [f"N.N_1 = {nn1}: (3N_1 - 2N)^2 <= 0 pins N_1^2 to {values}"],
                   values)

@@ -177,7 +177,9 @@ def test_main_cases_match_the_fixture_by_id():
 
 # the calls that take a main case's invariants: the positions and names of R_0.K_S and h_2
 _CASE_ARGS = {"RamificationData": ((0, "r0k"), (2, "h2")),
-              "adjoint_table": ((0, "r0k"), (2, "h2"))}
+              "adjoint_table": ((0, "r0k"), (2, "h2")),
+              "ladder_top": ((0, "r0k"),)}
+_CASE_NAMES = ("r0k", "h2")  # the attributes and parameters that hold them
 # the integer constants the layers outside cover type, none of them a main case's
 # R_0.K_S or h_2, each with what it is
 INTEGER_CONSTANTS = {
@@ -196,10 +198,34 @@ def _integer_expression(node, constants) -> bool:
                or isinstance(n, ast.Name) and n.id in constants for n in ast.walk(node))
 
 
+def _typed_sites(node, names) -> list[int]:
+    """The lines at which ``node`` types a main case's R_0.K_S or h_2 as an integer
+    expression: as an argument of ``_CASE_ARGS``, against an ``.r0k`` or ``.h2`` in a
+    comparison, or as the default of an ``r0k`` or ``h2`` parameter."""
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        typed = [arg for pos, kw in _CASE_ARGS.get(name, ())
+                 for arg in [*node.args[pos:pos + 1],
+                             *(k.value for k in node.keywords if k.arg == kw)]
+                 if _integer_expression(arg, names)]
+        return [node.lineno] if typed else []
+    if isinstance(node, ast.Compare):
+        sides = [node.left, *node.comparators]
+        read = any(isinstance(side, ast.Attribute) and side.attr in _CASE_NAMES for side in sides)
+        return [node.lineno] if read and any(_integer_expression(s, names) for s in sides) else []
+    if isinstance(node, ast.arguments):
+        params = [*node.posonlyargs, *node.args]
+        defaults = [*zip(params[len(params) - len(node.defaults):], node.defaults),
+                    *zip(node.kwonlyargs, node.kw_defaults)]  # None: no default
+        return [arg.lineno for arg, default in defaults if arg.arg in _CASE_NAMES
+                and default is not None and _integer_expression(default, names)]
+    return []
+
+
 def _typed_main_case_sites(package: Path):
-    """The integer constants of each module but cover, by (module, name), and the calls of
-    ``_CASE_ARGS`` that pass an integer expression as R_0.K_S or h_2, by (module, line)."""
-    constants, calls = set(), []
+    """The integer constants of each module but cover, by (module, name), and the sites
+    of ``_typed_sites`` there, by (module, line)."""
+    constants, sites = set(), []
     for path in sorted(package.glob("*.py")):
         if path.stem == "cover":
             continue
@@ -209,22 +235,30 @@ def _typed_main_case_sites(package: Path):
             if isinstance(stmt, ast.Assign) and _integer_expression(stmt.value, names):
                 names.update(t.id for t in stmt.targets if isinstance(t, ast.Name))
         constants |= {(path.stem, name) for name in names}
-        for call in ast.walk(tree):
-            func = getattr(call, "func", None)
-            name = getattr(func, "id", None) or getattr(func, "attr", None)
-            typed = [arg for pos, kw in _CASE_ARGS.get(name, ())
-                     for arg in [*call.args[pos:pos + 1],
-                                 *(k.value for k in call.keywords if k.arg == kw)]
-                     if _integer_expression(arg, names)]
-            if typed:
-                calls.append((path.stem, call.lineno))
-    return constants, calls
+        sites += [(path.stem, line) for node in ast.walk(tree)
+                  for line in _typed_sites(node, names)]
+    return constants, sites
 
 
 def test_no_layer_types_a_main_case():
-    """R_0.K_S and h_2 of a main case are read from ``cover.MAIN_CASES``: no call outside
-    cover passes them as literals, and no module constant there types an integer but the
-    listed ones."""
-    constants, calls = _typed_main_case_sites(Path(godeaux3.__file__).parent)
-    assert calls == []
+    """R_0.K_S and h_2 of a main case are read from ``cover.MAIN_CASES``: no layer outside
+    cover passes them as literals, picks a case by comparing them with literals or types
+    them as a default, and no module constant there types an integer but the listed ones."""
+    constants, sites = _typed_main_case_sites(Path(godeaux3.__file__).parent)
+    assert sites == []
     assert constants == set(INTEGER_CONSTANTS)
+
+
+def test_the_main_case_scan_sees_each_way_to_type_a_case(tmp_path):
+    (tmp_path / "cover.py").write_text("r.h2 == 1\n")  # the one source, not scanned
+    (tmp_path / "layer.py").write_text(
+        "H2 = 4\n"
+        "rows = adjoint_table(0, ky2, case.h2, (0,))\n"
+        "top = ladder_top(1)\n"
+        "pencil = [r for r in grid if r.h2 == H2 or 1 != r.r0k]\n"
+        "def scan(aprime2, h2=1, *, r0k=-1 + 1, ell=0):\n"
+        "    return ladder_top(case.r0k), r.ell == 1, r.h2 <= h2\n")
+    constants, sites = _typed_main_case_sites(tmp_path)
+    assert constants == {("layer", "H2")}
+    assert sorted(sites) == [("layer", 2), ("layer", 3), ("layer", 4), ("layer", 4),
+                             ("layer", 5), ("layer", 5)]

@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import godeaux3
-from godeaux3 import adjoint, delpezzo, fibration, pencil, plane, prooftree, report as report_mod
+from godeaux3 import (adjoint, cover, delpezzo, fibration, pencil, plane, prooftree,
+                      report as report_mod)
 from godeaux3.cli import main
 from godeaux3.prooftree import (CONTRADICTION, EXPECTED, FAILED, VERIFIED, Outcome, ProofNode,
                                 _registry, build_nodes)
@@ -805,6 +806,31 @@ def test_p_comp_catches_a_shifted_table(monkeypatch):
     monkeypatch.setattr(adjoint, "adjoint_table", shifted)
     report = run("p.comp")
     assert report.results["p.comp"].status == "failed"
+
+
+@pytest.mark.parametrize("cid", ["i", "ii", "iii"])
+def test_closed_forms_match_cover_beyond_the_grid(cid):
+    """Each case's h_1 and K_Y^2 closed forms agree with cover's on l <= 20 and odd
+    Gamma^2 >= -21, far past the grids e.fixed and e.ky check them on."""
+    case, checked = cover.MAIN_CASES[cid], 0
+    for ell in range(21):
+        for gamma_sq in (None, *range(1, -22, -2)):
+            try:
+                r = case.datum(ell, gamma_sq)
+            except cover.CaseInvalidError:
+                continue
+            assert prooftree._H1[cid](r) == cover.fixed_point_budget(r) - 2 * r.h2
+            assert prooftree._KY2[cid](r) == cover.quotient_k2(r)
+            checked += 1
+    assert checked == {"i": 21 * 12, "ii": 19, "iii": 21}[cid]
+
+
+@pytest.mark.parametrize("cid", ["i", "ii", "iii"])
+@pytest.mark.parametrize("table, node", [("_H1", "e.fixed"), ("_KY2", "e.ky")])
+def test_a_wrong_closed_form_fails_its_node(monkeypatch, cid, table, node):
+    forms = getattr(prooftree, table)
+    monkeypatch.setitem(forms, cid, lambda r, form=forms[cid]: form(r) + 1)
+    assert run(node).results[node].status == "failed"
 
 
 # every premise a node declares, by node id and position
